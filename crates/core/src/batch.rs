@@ -317,6 +317,14 @@ impl<'a> BatchRunner<'a> {
     /// The synthesis stage for one instance: builds the tree with the
     /// shared library (engine-estimated metrics only) and times the stage.
     ///
+    /// `options` overrides the runner's [`CtsOptions`] for this instance
+    /// (`None` runs with the defaults) — how the synthesis service honors
+    /// a request-level override. `on_level`, when given, receives a
+    /// [`crate::LevelSnapshot`] copy of the arena after each topology
+    /// level's grafts land, which is how the service publishes
+    /// level-complete subtrees for mid-synthesis streaming; it is
+    /// telemetry-only, so the staged result is bit-identical either way.
+    ///
     /// This is the exact stage-1 closure [`BatchRunner::run`] schedules —
     /// public so the long-running [`crate::service::SynthesisService`] can
     /// run *the same code* per request, which is what makes service
@@ -330,68 +338,8 @@ impl<'a> BatchRunner<'a> {
         &self,
         scratch: &mut MergeScratch,
         instance: &Instance,
-    ) -> Result<StagedSynthesis, CtsError> {
-        let t0 = Instant::now();
-        let result = {
-            let _span = cts_obs::span_with(&SPAN_BATCH_SYNTH, instance.sinks().len() as u64);
-            self.synth.synthesize_unverified_with(instance, scratch)?
-        };
-        let variation = self.corner_stage(&self.synth, instance, &result)?;
-        Ok(StagedSynthesis {
-            result,
-            variation,
-            synth_seconds: t0.elapsed().as_secs_f64(),
-        })
-    }
-
-    /// [`BatchRunner::synth_stage`] with a per-instance options override:
-    /// the tree is built with `options` instead of the runner's defaults,
-    /// over the same shared library and scratch. This is how the synthesis
-    /// service honors a request-level [`CtsOptions`] override.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::BadOptions`] / [`CtsError::SlewUnachievable`] from the
-    /// synthesis flow.
-    pub fn synth_stage_with_options(
-        &self,
-        scratch: &mut MergeScratch,
-        instance: &Instance,
-        options: CtsOptions,
-    ) -> Result<StagedSynthesis, CtsError> {
-        let t0 = Instant::now();
-        let synth = self.synth.with_options(options);
-        let result = {
-            let _span = cts_obs::span_with(&SPAN_BATCH_SYNTH, instance.sinks().len() as u64);
-            synth.synthesize_unverified_with(instance, scratch)?
-        };
-        let variation = self.corner_stage(&synth, instance, &result)?;
-        Ok(StagedSynthesis {
-            result,
-            variation,
-            synth_seconds: t0.elapsed().as_secs_f64(),
-        })
-    }
-
-    /// [`BatchRunner::synth_stage`] / [`BatchRunner::synth_stage_with_options`]
-    /// plus a level observer: `on_level` receives a
-    /// [`crate::LevelSnapshot`] copy of the arena after each topology
-    /// level's grafts land, which is how the synthesis service publishes
-    /// level-complete subtrees for mid-synthesis streaming. Pass
-    /// `options: None` to run with the runner's defaults. The observer is
-    /// telemetry-only — the staged result is bit-identical to the
-    /// unobserved stages.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::BadOptions`] / [`CtsError::SlewUnachievable`] from the
-    /// synthesis flow.
-    pub fn synth_stage_observed(
-        &self,
-        scratch: &mut MergeScratch,
-        instance: &Instance,
         options: Option<CtsOptions>,
-        on_level: &mut dyn FnMut(LevelSnapshot),
+        on_level: Option<&mut dyn FnMut(LevelSnapshot)>,
     ) -> Result<StagedSynthesis, CtsError> {
         let t0 = Instant::now();
         let owned;
@@ -404,7 +352,12 @@ impl<'a> BatchRunner<'a> {
         };
         let result = {
             let _span = cts_obs::span_with(&SPAN_BATCH_SYNTH, instance.sinks().len() as u64);
-            synth.synthesize_unverified_observed(instance, scratch, on_level)?
+            match on_level {
+                None => synth.synthesize_unverified_with(instance, scratch)?,
+                Some(observer) => {
+                    synth.synthesize_unverified_observed(instance, scratch, observer)?
+                }
+            }
         };
         let variation = self.corner_stage(synth, instance, &result)?;
         Ok(StagedSynthesis {
@@ -445,28 +398,17 @@ impl<'a> BatchRunner<'a> {
     /// [`BatchOptions::verify`] is on) and row assembly. Stage 2 of the
     /// overlapped schedule; see [`BatchRunner::synth_stage`].
     ///
+    /// Verification runs through the caller's [`Verifier`], so one
+    /// worker's stream of verifications shares solve plans and stage
+    /// records. The verifier never affects results (warm and cold
+    /// verification are bit-identical); it only removes repeated symbolic
+    /// work. [`BatchRunner::run`] schedules this with one verifier per
+    /// worker.
+    ///
     /// # Errors
     ///
     /// [`CtsError::Verify`] if the tree fails to simulate.
     pub fn finish_stage(
-        &self,
-        staged: StagedSynthesis,
-        instance: &Instance,
-    ) -> Result<BatchItem, CtsError> {
-        self.finish_stage_with(&mut Verifier::new(), staged, instance)
-    }
-
-    /// [`BatchRunner::finish_stage`] through a caller-provided
-    /// [`Verifier`], so one worker's stream of verifications shares solve
-    /// plans and stage records. The verifier never affects results (warm
-    /// and cold verification are bit-identical); it only removes repeated
-    /// symbolic work. This is the stage-2 closure [`BatchRunner::run`]
-    /// schedules with one verifier per worker.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::Verify`] if the tree fails to simulate.
-    pub fn finish_stage_with(
         &self,
         verifier: &mut Verifier,
         staged: StagedSynthesis,
@@ -516,9 +458,9 @@ impl<'a> BatchRunner<'a> {
                 shards,
                 instances,
                 MergeScratch::new,
-                |scratch, instance| self.synth_stage(scratch, instance),
+                |scratch, instance| self.synth_stage(scratch, instance, None, None),
                 Verifier::new,
-                |verifier, staged, instance| self.finish_stage_with(verifier, staged, instance),
+                |verifier, staged, instance| self.finish_stage(verifier, staged, instance),
             )?
         } else {
             // Fused per-shard loop: each shard synthesizes (and, when
@@ -529,7 +471,8 @@ impl<'a> BatchRunner<'a> {
                 instances,
                 || (MergeScratch::new(), Verifier::new()),
                 |(scratch, verifier), instance| {
-                    self.finish_stage_with(verifier, self.synth_stage(scratch, instance)?, instance)
+                    let staged = self.synth_stage(scratch, instance, None, None)?;
+                    self.finish_stage(verifier, staged, instance)
                 },
             )?
         };

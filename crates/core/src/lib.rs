@@ -70,7 +70,7 @@ pub use options::{
 pub use pareto::{ParetoFront, ParetoPoint};
 pub use pipeline::{LevelSnapshot, LevelStats, SynthesisContext, SynthesisPipeline};
 pub use service::{
-    BatchSubmitError, RequestHandle, RequestId, RequestStatus, ServiceError, ServiceMetrics,
+    Admission, RequestHandle, RequestId, RequestStatus, ServiceError, ServiceMetrics,
     ServiceOptions, ServiceStats, SubmitError, SweepOutcome, SweepSubmitError, SweepTicket,
     SynthesisRequest, SynthesisResult, SynthesisService, Ticket,
 };

@@ -12,16 +12,19 @@
 //!   is the per-request result stream ([`Ticket::wait`] yields the
 //!   [`SynthesisResult`] once the request finishes). One request, one
 //!   terminal outcome: completed, failed, or cancelled.
+//! * **One admission path** — every submission goes through
+//!   [`SynthesisService::admit`], which admits a request list atomically
+//!   under one queue lock: all-or-nothing against the capacity bound,
+//!   consecutive ids in list order, no interleaving with other
+//!   submitters. One paper-style suite sweep, one admission.
+//!   [`SynthesisService::submit`] (one request) and
+//!   [`SynthesisService::submit_sweep`] (an expanded sweep) are sugar
+//!   over it.
 //! * **Back-pressure** — the submission queue is bounded
 //!   ([`ServiceOptions::queue_capacity`]). When the shard pool falls
-//!   behind, [`SynthesisService::submit`] blocks until space frees, and
-//!   [`SynthesisService::try_submit`] returns
-//!   [`SubmitError::WouldBlock`] with the request handed back.
-//! * **Batch admission** — [`SynthesisService::submit_batch`] admits a
-//!   whole request list atomically under one queue lock: all-or-nothing
-//!   against the capacity bound, consecutive ids in batch order, no
-//!   interleaving with other submitters. One paper-style suite sweep,
-//!   one admission.
+//!   behind, [`Admission::Blocking`] waits until space frees, and
+//!   [`Admission::NonBlocking`] returns [`SubmitError::WouldBlock`] with
+//!   the requests handed back.
 //! * **Priorities** — higher [`SynthesisRequest::priority`] dispatches
 //!   first; ties dispatch in submission order. Ordering lives in the
 //!   service's priority queue and reaches the workers through the pull
@@ -32,7 +35,7 @@
 //!   request never synthesizes and an in-flight one skips verification.
 //!   A cancelled request resolves to [`ServiceError::Cancelled`].
 //! * **Deadlines** — [`SynthesisRequest::deadline`] bounds how long a
-//!   request may wait: measured from admission and checked at the same
+//!   request may wait: measured from submission and checked at the same
 //!   stage boundaries as cancellation, so a request still queued when its
 //!   deadline passes resolves [`ServiceError::Expired`] without
 //!   synthesizing.
@@ -49,7 +52,7 @@
 //! * **Determinism** — requests run through
 //!   [`crate::batch::BatchRunner::synth_stage`] /
 //!   [`crate::batch::BatchRunner::finish_stage`], the exact code the batch
-//!   driver schedules, with one warm
+//!   driver schedules on the same worker loop, with one warm
 //!   [`MergeScratch`] per worker. Every result is byte-identical to a
 //!   direct serial [`crate::flow::Synthesizer::synthesize`] +
 //!   [`crate::verify::verify_tree`] call, for every worker count; the
@@ -123,10 +126,9 @@ pub struct ServiceOptions {
     /// Any value yields identical per-request results.
     pub workers: usize,
     /// Bound of the submission queue (requests admitted but not yet
-    /// dispatched). [`SynthesisService::submit`] blocks at the bound and
-    /// [`SynthesisService::try_submit`] returns
-    /// [`SubmitError::WouldBlock`] — this is the back-pressure seam.
-    /// `0` means unbounded.
+    /// dispatched). [`Admission::Blocking`] waits at the bound and
+    /// [`Admission::NonBlocking`] returns [`SubmitError::WouldBlock`] —
+    /// this is the back-pressure seam. `0` means unbounded.
     pub queue_capacity: usize,
     /// Run SPICE verification as each request's second stage. Off, results
     /// carry engine estimates only ([`BatchItem::verified`] is `None`).
@@ -161,11 +163,13 @@ pub struct SynthesisRequest {
     /// Dispatch priority: higher runs sooner; ties run in submission
     /// order. Defaults to `0`.
     pub priority: i32,
-    /// Deadline measured from admission. A request still *queued* when
-    /// its deadline passes resolves [`ServiceError::Expired`] without
+    /// Deadline measured from submission (a submitter blocked on
+    /// back-pressure is already on the clock). A request still *queued*
+    /// when its deadline passes resolves [`ServiceError::Expired`] without
     /// synthesizing; an in-flight one is checked at the same stage
     /// boundaries as cancellation (so an expired request skips
-    /// verification). `None` (the default) never expires.
+    /// verification). `None` (the default) never expires, and neither
+    /// does a deadline too far out to represent as an instant.
     pub deadline: Option<Duration>,
     /// Per-request [`CtsOptions`] override. `None` (the default) uses the
     /// options the service was constructed with. Overrides are validated
@@ -204,7 +208,7 @@ impl SynthesisRequest {
         self
     }
 
-    /// Sets the admission-relative deadline (builder style).
+    /// Sets the submission-relative deadline (builder style).
     pub fn with_deadline(mut self, deadline: Duration) -> SynthesisRequest {
         self.deadline = Some(deadline);
         self
@@ -308,22 +312,40 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Why a submission was not admitted. Both variants hand the request back
-/// so the caller can retry, requeue, or drop it.
+/// How [`SynthesisService::admit`] treats a queue without room for the
+/// whole request list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Wait until the queue has room for every request.
+    Blocking,
+    /// Return [`SubmitError::WouldBlock`] instead of waiting.
+    NonBlocking,
+}
+
+/// Why a submission was not admitted. Admission is all-or-nothing: every
+/// variant hands the whole request list back, in submission order, and
+/// **no** request was admitted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SubmitError {
-    /// The bounded queue is full ([`SynthesisService::try_submit`] only;
-    /// the blocking [`SynthesisService::submit`] waits instead).
-    WouldBlock(SynthesisRequest),
+    /// The list has more requests than the queue's total capacity, so it
+    /// could never be admitted atomically — not even against an empty
+    /// queue. Split it or raise [`ServiceOptions::queue_capacity`].
+    TooLarge(Vec<SynthesisRequest>),
+    /// The queue lacks room for the whole list right now
+    /// ([`Admission::NonBlocking`] only; [`Admission::Blocking`] waits
+    /// instead).
+    WouldBlock(Vec<SynthesisRequest>),
     /// The service is shutting down and admits nothing new.
-    ShuttingDown(SynthesisRequest),
+    ShuttingDown(Vec<SynthesisRequest>),
 }
 
 impl SubmitError {
-    /// The rejected request, handed back to the caller.
-    pub fn into_request(self) -> SynthesisRequest {
+    /// The rejected requests, handed back intact and in order.
+    pub fn into_requests(self) -> Vec<SynthesisRequest> {
         match self {
-            SubmitError::WouldBlock(r) | SubmitError::ShuttingDown(r) => r,
+            SubmitError::TooLarge(r)
+            | SubmitError::WouldBlock(r)
+            | SubmitError::ShuttingDown(r) => r,
         }
     }
 }
@@ -331,6 +353,9 @@ impl SubmitError {
 impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SubmitError::TooLarge(r) => {
+                write!(f, "batch of {} exceeds the queue capacity", r.len())
+            }
             SubmitError::WouldBlock(_) => write!(f, "submission queue is full"),
             SubmitError::ShuttingDown(_) => write!(f, "service is shutting down"),
         }
@@ -338,50 +363,6 @@ impl fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
-
-/// Why a *batch* submission was not admitted. Batch admission is
-/// all-or-nothing: on any error the entire batch is handed back in
-/// submission order and **no** entry was admitted.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchSubmitError {
-    /// The batch has more entries than the queue's total capacity, so it
-    /// could never be admitted atomically — not even against an empty
-    /// queue. Split it or raise [`ServiceOptions::queue_capacity`].
-    TooLarge(Vec<SynthesisRequest>),
-    /// The queue lacks room for the whole batch right now
-    /// ([`SynthesisService::try_submit_batch`] only; the blocking
-    /// [`SynthesisService::submit_batch`] waits for space instead).
-    WouldBlock(Vec<SynthesisRequest>),
-    /// The service is shutting down and admits nothing new.
-    ShuttingDown(Vec<SynthesisRequest>),
-}
-
-impl BatchSubmitError {
-    /// The rejected batch, handed back intact and in order.
-    pub fn into_requests(self) -> Vec<SynthesisRequest> {
-        match self {
-            BatchSubmitError::TooLarge(r)
-            | BatchSubmitError::WouldBlock(r)
-            | BatchSubmitError::ShuttingDown(r) => r,
-        }
-    }
-}
-
-impl fmt::Display for BatchSubmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BatchSubmitError::TooLarge(r) => {
-                write!(f, "batch of {} exceeds the queue capacity", r.len())
-            }
-            BatchSubmitError::WouldBlock(_) => {
-                write!(f, "submission queue lacks room for the whole batch")
-            }
-            BatchSubmitError::ShuttingDown(_) => write!(f, "service is shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for BatchSubmitError {}
 
 /// Why a sweep submission was not admitted. Sweep admission is atomic —
 /// on any error **nothing** was admitted.
@@ -391,8 +372,8 @@ pub enum SweepSubmitError {
     /// with out-of-range options). Detected before touching the queue.
     Spec(SweepError),
     /// The expanded request batch was not admitted; carries the
-    /// underlying batch error (which hands the requests back).
-    Batch(BatchSubmitError),
+    /// admission error (which hands the requests back).
+    Batch(SubmitError),
 }
 
 impl fmt::Display for SweepSubmitError {
@@ -877,7 +858,8 @@ struct Job {
     id: RequestId,
     priority: i32,
     instance: Instance,
-    /// Absolute expiry instant (admission + deadline), when set.
+    /// Absolute expiry instant (submission + deadline), when set and
+    /// representable.
     expires_at: Option<Instant>,
     /// Per-request options override.
     options: Option<CtsOptions>,
@@ -1207,131 +1189,96 @@ impl SynthesisService {
         self.queue.avail.notify_all();
     }
 
-    /// Admits a request, blocking while the bounded queue is full.
+    /// Admits a request list atomically — the one admission path every
+    /// submission takes. All-or-nothing: either every request is admitted
+    /// under one queue lock, so the returned tickets carry consecutive ids
+    /// in list order and no other submission interleaves, or none is and
+    /// the list comes back in the error. This is the seam the wire
+    /// protocol's submit ops sit on: a paper-style suite sweep is one
+    /// admission, one round trip.
+    ///
+    /// An empty list admits nothing and returns an empty ticket list.
+    ///
+    /// Fairness caveat: freed slots are not *reserved* for a waiting list
+    /// — under sustained contention, single submitters can keep claiming
+    /// slots before the contiguous room a large list needs ever
+    /// accumulates, delaying it indefinitely. Size lists well under
+    /// [`ServiceOptions::queue_capacity`] (or admit with
+    /// [`Admission::NonBlocking`] and retry/split) when other clients are
+    /// submitting concurrently.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::TooLarge`] when the list exceeds the queue's total
+    /// capacity (it could never be admitted atomically);
+    /// [`SubmitError::WouldBlock`] when the queue lacks room right now
+    /// under [`Admission::NonBlocking`] (even if some requests would fit);
+    /// [`SubmitError::ShuttingDown`] once [`SynthesisService::shutdown`]
+    /// has begun — including for callers that were blocked waiting for
+    /// space when shutdown started. All hand the list back.
+    pub fn admit(
+        &self,
+        requests: Vec<SynthesisRequest>,
+        admission: Admission,
+    ) -> Result<Vec<Ticket>, SubmitError> {
+        if requests.len() > self.queue.capacity {
+            return Err(SubmitError::TooLarge(requests));
+        }
+        // Expiry instants are computed outside the queue lock, and an
+        // unrepresentable one (a deadline near `Duration::MAX`) means the
+        // request never expires — a panic here would poison the queue
+        // for every later submitter and the engine.
+        let now = Instant::now();
+        let expiries: Vec<Option<Instant>> = requests
+            .iter()
+            .map(|r| r.deadline.and_then(|d| now.checked_add(d)))
+            .collect();
+        let mut inner = self.queue.inner.lock().expect("service queue poisoned");
+        loop {
+            if inner.shutting_down {
+                return Err(SubmitError::ShuttingDown(requests));
+            }
+            if self.queue.capacity - inner.heap.len() >= requests.len() {
+                break;
+            }
+            if admission == Admission::NonBlocking {
+                return Err(SubmitError::WouldBlock(requests));
+            }
+            inner = self
+                .queue
+                .space
+                .wait(inner)
+                .expect("service queue poisoned");
+        }
+        let tickets = requests
+            .into_iter()
+            .zip(expiries)
+            .map(|(request, expires_at)| self.enqueue(&mut inner, request, expires_at))
+            .collect();
+        // High-water update rides the queue lock the pushes already hold,
+        // so the gauge is never stale with respect to the heap.
+        self.counters
+            .queue_high_water
+            .fetch_max(inner.heap.len() as u64, Ordering::Relaxed);
+        Ok(tickets)
+    }
+
+    /// Admits one request, blocking while the bounded queue is full —
+    /// [`SynthesisService::admit`] of a one-request list.
     ///
     /// # Errors
     ///
     /// [`SubmitError::ShuttingDown`] (with the request handed back) once
-    /// [`SynthesisService::shutdown`] has begun — including for callers
-    /// that were blocked waiting for space when shutdown started.
-    // Handing the full request back on the (cold) rejection path is the
-    // API's point — callers retry or requeue it; a Box would only move
-    // the allocation onto the hot accept path.
-    #[allow(clippy::result_large_err)]
+    /// [`SynthesisService::shutdown`] has begun.
     pub fn submit(&self, request: SynthesisRequest) -> Result<Ticket, SubmitError> {
-        let mut inner = self.queue.inner.lock().expect("service queue poisoned");
-        loop {
-            if inner.shutting_down {
-                return Err(SubmitError::ShuttingDown(request));
-            }
-            if inner.heap.len() < self.queue.capacity {
-                return Ok(self.admit(&mut inner, request));
-            }
-            inner = self
-                .queue
-                .space
-                .wait(inner)
-                .expect("service queue poisoned");
-        }
+        let mut tickets = self.admit(vec![request], Admission::Blocking)?;
+        Ok(tickets.pop().expect("one request admits one ticket"))
     }
 
-    /// Admits a request without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::WouldBlock`] when the queue is at capacity,
-    /// [`SubmitError::ShuttingDown`] once shutdown has begun; both hand
-    /// the request back.
-    #[allow(clippy::result_large_err)] // rejection hands the request back; see submit
-    pub fn try_submit(&self, request: SynthesisRequest) -> Result<Ticket, SubmitError> {
-        let mut inner = self.queue.inner.lock().expect("service queue poisoned");
-        if inner.shutting_down {
-            Err(SubmitError::ShuttingDown(request))
-        } else if inner.heap.len() >= self.queue.capacity {
-            Err(SubmitError::WouldBlock(request))
-        } else {
-            Ok(self.admit(&mut inner, request))
-        }
-    }
-
-    /// Admits a whole batch atomically, blocking while the bounded queue
-    /// lacks room for **all** of it. All-or-nothing: either every entry
-    /// is admitted — under one queue lock, so the returned tickets carry
-    /// consecutive ids in batch order and no other submission interleaves
-    /// — or none is and the batch comes back in the error. This is the
-    /// seam the wire protocol's `submit_batch` op sits on: a
-    /// paper-style suite sweep is one admission, one round trip.
-    ///
-    /// An empty batch admits nothing and returns an empty ticket list.
-    ///
-    /// Fairness caveat: freed slots are not *reserved* for a waiting
-    /// batch — under sustained contention, single submitters can keep
-    /// claiming slots before the contiguous room a large batch needs
-    /// ever accumulates, delaying it indefinitely. Size batches well
-    /// under [`ServiceOptions::queue_capacity`] (or use
-    /// [`SynthesisService::try_submit_batch`] and retry/split) when
-    /// other clients are submitting concurrently.
-    ///
-    /// # Errors
-    ///
-    /// [`BatchSubmitError::TooLarge`] when the batch exceeds the queue's
-    /// total capacity (it could never be admitted atomically);
-    /// [`BatchSubmitError::ShuttingDown`] once shutdown has begun. Both
-    /// hand the batch back.
-    pub fn submit_batch(
-        &self,
-        requests: Vec<SynthesisRequest>,
-    ) -> Result<Vec<Ticket>, BatchSubmitError> {
-        if requests.len() > self.queue.capacity {
-            return Err(BatchSubmitError::TooLarge(requests));
-        }
-        let mut inner = self.queue.inner.lock().expect("service queue poisoned");
-        loop {
-            if inner.shutting_down {
-                return Err(BatchSubmitError::ShuttingDown(requests));
-            }
-            if self.queue.capacity - inner.heap.len() >= requests.len() {
-                return Ok(self.admit_all(&mut inner, requests));
-            }
-            inner = self
-                .queue
-                .space
-                .wait(inner)
-                .expect("service queue poisoned");
-        }
-    }
-
-    /// Admits a whole batch atomically without blocking; same
-    /// all-or-nothing semantics as [`SynthesisService::submit_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`BatchSubmitError::WouldBlock`] when the queue lacks room for the
-    /// whole batch right now (even if some entries would fit — partial
-    /// admission never happens), plus the
-    /// [`SynthesisService::submit_batch`] errors; all hand the batch
-    /// back.
-    pub fn try_submit_batch(
-        &self,
-        requests: Vec<SynthesisRequest>,
-    ) -> Result<Vec<Ticket>, BatchSubmitError> {
-        if requests.len() > self.queue.capacity {
-            return Err(BatchSubmitError::TooLarge(requests));
-        }
-        let mut inner = self.queue.inner.lock().expect("service queue poisoned");
-        if inner.shutting_down {
-            Err(BatchSubmitError::ShuttingDown(requests))
-        } else if self.queue.capacity - inner.heap.len() < requests.len() {
-            Err(BatchSubmitError::WouldBlock(requests))
-        } else {
-            Ok(self.admit_all(&mut inner, requests))
-        }
-    }
-
-    /// Expands a [`SweepSpec`] and admits every point atomically as one
-    /// batch (blocking for room like [`SynthesisService::submit_batch`]).
-    /// Point `i` of the spec's deterministic expansion becomes ticket
-    /// `i`, with consecutive request ids in expansion order.
+    /// Expands a [`SweepSpec`] and admits every point atomically through
+    /// [`SynthesisService::admit`] (blocking for room). Point `i` of the
+    /// spec's deterministic expansion becomes ticket `i`, with
+    /// consecutive request ids in expansion order.
     ///
     /// `template` supplies everything *but* the options — instance,
     /// priority, deadline, client id, level publishing — shared by every
@@ -1361,7 +1308,7 @@ impl SynthesisService {
             })
             .collect();
         let tickets = self
-            .submit_batch(requests)
+            .admit(requests, Admission::Blocking)
             .map_err(SweepSubmitError::Batch)?;
         self.counters
             .sweeps_submitted
@@ -1369,14 +1316,14 @@ impl SynthesisService {
         Ok(SweepTicket { tickets })
     }
 
-    fn admit_all(&self, inner: &mut QueueInner, requests: Vec<SynthesisRequest>) -> Vec<Ticket> {
-        requests
-            .into_iter()
-            .map(|request| self.admit(inner, request))
-            .collect()
-    }
-
-    fn admit(&self, inner: &mut QueueInner, request: SynthesisRequest) -> Ticket {
+    /// Pushes one request onto the queue (the caller holds the lock and
+    /// has checked capacity) and returns its ticket.
+    fn enqueue(
+        &self,
+        inner: &mut QueueInner,
+        request: SynthesisRequest,
+        expires_at: Option<Instant>,
+    ) -> Ticket {
         let id = RequestId(inner.next_id);
         inner.next_id += 1;
         let (tx, rx) = channel();
@@ -1390,8 +1337,7 @@ impl SynthesisService {
             id,
             priority: request.priority,
             instance: request.instance,
-            // The deadline clock starts at admission, not dispatch.
-            expires_at: request.deadline.map(|d| Instant::now() + d),
+            expires_at,
             options: request.options,
             client_id: request.client_id,
             publish_levels: request.publish_levels,
@@ -1399,11 +1345,6 @@ impl SynthesisService {
             shared: Arc::clone(&shared),
             tx,
         }));
-        // High-water update rides the queue lock the push already holds,
-        // so the gauge is never stale with respect to the heap.
-        self.counters
-            .queue_high_water
-            .fetch_max(inner.heap.len() as u64, Ordering::Relaxed);
         self.queue.avail.notify_one();
         Ticket {
             id,
@@ -1532,26 +1473,16 @@ fn engine_loop(
             note_queue_wait(job);
             job.shared.status.store(ST_IN_FLIGHT, Ordering::Release);
             let order = dispatch.fetch_add(1, Ordering::Relaxed);
+            let mut publish = |snap| {
+                *job.shared.levels.lock().expect("level snapshot poisoned") = Some(Arc::new(snap));
+            };
+            let on_level = job
+                .publish_levels
+                .then_some(&mut publish as &mut dyn FnMut(LevelSnapshot));
             let staged = {
                 let _span =
                     cts_obs::span_with(&SPAN_SERVICE_SYNTH, job.instance.sinks().len() as u64);
-                if job.publish_levels {
-                    let shared = Arc::clone(&job.shared);
-                    runner.synth_stage_observed(
-                        scratch,
-                        &job.instance,
-                        job.options.clone(),
-                        &mut |snap| {
-                            *shared.levels.lock().expect("level snapshot poisoned") =
-                                Some(Arc::new(snap));
-                        },
-                    )
-                } else {
-                    match job.options.clone() {
-                        None => runner.synth_stage(scratch, &job.instance),
-                        Some(o) => runner.synth_stage_with_options(scratch, &job.instance, o),
-                    }
-                }
+                runner.synth_stage(scratch, &job.instance, job.options.clone(), on_level)
             };
             match staged {
                 Ok(staged) => {
@@ -1591,7 +1522,7 @@ fn engine_loop(
             let finished = {
                 let _span =
                     cts_obs::span_with(&SPAN_SERVICE_VERIFY, job.instance.sinks().len() as u64);
-                runner.finish_stage_with(verifier, staged, &job.instance)
+                runner.finish_stage(verifier, staged, &job.instance)
             };
             let outcome = match finished {
                 Ok(item) => {
@@ -1807,12 +1738,16 @@ mod tests {
         // Queue full: the non-blocking path reports WouldBlock and hands
         // the request back intact.
         let rejected = svc
-            .try_submit(SynthesisRequest::new(tiny("second", 3, 900.0)))
+            .admit(
+                vec![SynthesisRequest::new(tiny("second", 3, 900.0))],
+                Admission::NonBlocking,
+            )
             .unwrap_err();
         let second = match rejected {
-            SubmitError::WouldBlock(r) => {
-                assert_eq!(r.instance.name(), "second");
-                r
+            SubmitError::WouldBlock(mut r) => {
+                assert_eq!(r.len(), 1);
+                assert_eq!(r[0].instance.name(), "second");
+                r.pop().unwrap()
             }
             other => panic!("expected WouldBlock, got {other:?}"),
         };
@@ -1844,7 +1779,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(rejected, SubmitError::ShuttingDown(_)));
         assert_eq!(
-            rejected.into_request().instance.name(),
+            rejected.into_requests()[0].instance.name(),
             "late",
             "rejection hands the request back"
         );
@@ -1921,6 +1856,24 @@ mod tests {
             )
             .unwrap();
         assert!(t.wait().is_ok());
+    }
+
+    #[test]
+    fn unrepresentable_deadline_never_expires_and_keeps_the_service_alive() {
+        // `Instant::now() + Duration::MAX` overflows; admission must treat
+        // the deadline as "never" instead of panicking under the queue
+        // lock, which would poison the queue for every later submitter
+        // and kill the engine.
+        let svc = service(1, 8, false, false);
+        let far = svc
+            .submit(SynthesisRequest::new(tiny("far", 3, 900.0)).with_deadline(Duration::MAX))
+            .unwrap();
+        let next = svc
+            .submit(SynthesisRequest::new(tiny("next", 3, 900.0)))
+            .unwrap();
+        assert!(far.wait().is_ok(), "a far-future deadline never expires");
+        assert!(next.wait().is_ok(), "the service keeps serving");
+        svc.shutdown();
     }
 
     #[test]
@@ -2179,7 +2132,7 @@ mod tests {
         let batch: Vec<SynthesisRequest> = (0..3)
             .map(|k| SynthesisRequest::new(tiny(&format!("b{k}"), 3, 900.0 + 50.0 * k as f64)))
             .collect();
-        let tickets = svc.submit_batch(batch).expect("batch admits");
+        let tickets = svc.admit(batch, Admission::Blocking).expect("batch admits");
         let ids: Vec<u64> = tickets.iter().map(|t| t.id().0).collect();
         assert_eq!(ids, vec![1, 2, 3], "consecutive ids in batch order");
         svc.resume();
@@ -2201,14 +2154,14 @@ mod tests {
         let batch: Vec<SynthesisRequest> = (0..4)
             .map(|k| SynthesisRequest::new(tiny(&format!("n{k}"), 3, 900.0)))
             .collect();
-        match svc.try_submit_batch(batch) {
-            Err(BatchSubmitError::WouldBlock(back)) => {
+        match svc.admit(batch, Admission::NonBlocking) {
+            Err(SubmitError::WouldBlock(back)) => {
                 assert_eq!(back.len(), 4, "whole batch handed back");
                 assert_eq!(svc.pending(), 1, "nothing was admitted");
                 // The same batch fits once a slot frees.
                 held.cancel();
                 assert!(matches!(held.wait(), Err(ServiceError::Cancelled)));
-                let tickets = svc.try_submit_batch(back).expect("now fits");
+                let tickets = svc.admit(back, Admission::NonBlocking).expect("now fits");
                 assert_eq!(tickets.len(), 4);
             }
             other => panic!("expected WouldBlock, got {other:?}"),
@@ -2217,8 +2170,8 @@ mod tests {
         let oversized: Vec<SynthesisRequest> = (0..5)
             .map(|_| SynthesisRequest::new(tiny("x", 3, 900.0)))
             .collect();
-        match svc.submit_batch(oversized) {
-            Err(BatchSubmitError::TooLarge(back)) => assert_eq!(back.len(), 5),
+        match svc.admit(oversized, Admission::Blocking) {
+            Err(SubmitError::TooLarge(back)) => assert_eq!(back.len(), 5),
             other => panic!("expected TooLarge, got {other:?}"),
         }
         svc.shutdown();
@@ -2238,7 +2191,9 @@ mod tests {
             .collect();
         std::thread::scope(|scope| {
             let blocked = scope.spawn(|| {
-                let tickets = svc.submit_batch(batch).expect("admits once room frees");
+                let tickets = svc
+                    .admit(batch, Admission::Blocking)
+                    .expect("admits once room frees");
                 tickets
                     .into_iter()
                     .map(|t| t.wait())
@@ -2260,8 +2215,8 @@ mod tests {
         let svc = service(1, 8, false, false);
         svc.shutdown();
         let batch = vec![SynthesisRequest::new(tiny("late", 3, 800.0))];
-        match svc.submit_batch(batch) {
-            Err(BatchSubmitError::ShuttingDown(back)) => assert_eq!(back.len(), 1),
+        match svc.admit(batch, Admission::Blocking) {
+            Err(SubmitError::ShuttingDown(back)) => assert_eq!(back.len(), 1),
             other => panic!("expected ShuttingDown, got {other:?}"),
         }
     }
@@ -2270,7 +2225,7 @@ mod tests {
     fn empty_batch_admits_nothing() {
         let svc = service(1, 4, false, false);
         let tickets = svc
-            .submit_batch(Vec::new())
+            .admit(Vec::new(), Admission::Blocking)
             .expect("empty batch is a no-op");
         assert!(tickets.is_empty());
         assert_eq!(svc.metrics().submitted, 0);
@@ -2365,7 +2320,7 @@ mod tests {
         // Wider than the whole queue: batch error, all-or-nothing.
         let wide = SweepSpec::explicit(options(), vec![SweepPoint::default(); 5]);
         match svc.submit_sweep(SynthesisRequest::new(tiny("w", 3, 800.0)), &wide) {
-            Err(SweepSubmitError::Batch(BatchSubmitError::TooLarge(back))) => {
+            Err(SweepSubmitError::Batch(SubmitError::TooLarge(back))) => {
                 assert_eq!(back.len(), 5)
             }
             other => panic!("expected Batch(TooLarge), got {other:?}"),

@@ -82,7 +82,7 @@ pub use cts_spice as spice;
 pub use cts_timing as timing;
 
 pub use cts_core::{
-    verify_tree, BatchItem, BatchOptions, BatchOutput, BatchRunner, BatchSubmitError, BatchSummary,
+    verify_tree, Admission, BatchItem, BatchOptions, BatchOutput, BatchRunner, BatchSummary,
     Buffering, ClockTree, CornerRow, CtsError, CtsOptions, CtsOptionsBuilder, CtsResult, DistStats,
     HCorrection, Instance, LevelStats, NodeKind, OptionsError, ParetoFront, ParetoPoint,
     RequestHandle, RequestId, RequestStatus, ServiceError, ServiceMetrics, ServiceOptions,

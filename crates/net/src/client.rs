@@ -17,8 +17,8 @@ use crate::json::Json;
 use crate::proto::{
     decode_event, decode_pareto_event, decode_response, decode_sweep_progress, decode_tree_event,
     encode_request, event_op, is_event, BatchEntry, ErrorCode, MetricsReply, OptionsPatch, Outcome,
-    ParetoEvent, RemoteTree, Request, Response, StatsReply, SweepProgressEvent, SweepRange,
-    TreeEvent, TreeInfo, PROTOCOL_VERSION,
+    ParetoEvent, RemoteTree, Request, Response, Scheduling, StatsReply, SweepProgressEvent,
+    SweepRange, TreeEvent, TreeInfo, PROTOCOL_VERSION,
 };
 use cts_core::{ClockTree, Instance, LevelStats, RequestStatus, TreeNode, TreeNodeId};
 use std::collections::HashMap;
@@ -71,43 +71,21 @@ pub struct ServerInfo {
     pub workers: u64,
 }
 
-/// Submission knobs, all defaulted — `SubmitParams::default()` is a
-/// plain priority-0 submission.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SubmitParams {
-    /// Dispatch priority (higher first).
-    pub priority: i32,
-    /// Deadline in milliseconds from admission.
-    pub deadline_ms: Option<u64>,
-    /// Per-request options overrides.
-    pub options: OptionsPatch,
-    /// Client id echoed on the result (defaults to the connection's
-    /// `hello` client id).
-    pub client_id: Option<String>,
-}
-
 /// One typed submission: the instance plus every knob the wire carries.
 /// This is the single entry shape behind [`Client::submit_spec`] (one),
 /// [`Client::submit_specs`] (many), and [`Client::submit_sweep`] (a
-/// swept template) — the older [`Client::submit`]/[`Client::submit_batch`]
-/// pair are thin wrappers over it emitting byte-identical frames.
+/// swept template).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitSpec {
     /// The instance to synthesize.
     pub instance: Instance,
-    /// Dispatch priority (higher first).
-    pub priority: i32,
-    /// Deadline in milliseconds from admission.
-    pub deadline_ms: Option<u64>,
     /// Per-request options overrides (for a sweep, the *base* the points
     /// perturb).
     pub options: OptionsPatch,
-    /// Client id echoed on the result (defaults to the connection's
-    /// `hello` client id).
-    pub client_id: Option<String>,
-    /// Publish level-complete snapshots mid-synthesis, enabling
-    /// [`Client::fetch_tree_progress`] to watch the tree grow.
-    pub publish_levels: bool,
+    /// Priority, deadline (ms from submission), client id (defaults to
+    /// the connection's `hello` client id) and level publishing, which
+    /// enables [`Client::fetch_tree_progress`] to watch the tree grow.
+    pub scheduling: Scheduling,
 }
 
 impl SubmitSpec {
@@ -116,25 +94,22 @@ impl SubmitSpec {
     pub fn new(instance: Instance) -> SubmitSpec {
         SubmitSpec {
             instance,
-            priority: 0,
-            deadline_ms: None,
             options: OptionsPatch::default(),
-            client_id: None,
-            publish_levels: false,
+            scheduling: Scheduling::default(),
         }
     }
 
     /// Sets the dispatch priority.
     #[must_use]
     pub fn with_priority(mut self, priority: i32) -> SubmitSpec {
-        self.priority = priority;
+        self.scheduling.priority = priority;
         self
     }
 
-    /// Sets a deadline in milliseconds from admission.
+    /// Sets a deadline in milliseconds from submission.
     #[must_use]
     pub fn with_deadline_ms(mut self, ms: u64) -> SubmitSpec {
-        self.deadline_ms = Some(ms);
+        self.scheduling.deadline_ms = Some(ms);
         self
     }
 
@@ -148,14 +123,14 @@ impl SubmitSpec {
     /// Sets the client id.
     #[must_use]
     pub fn with_client_id(mut self, client_id: impl Into<String>) -> SubmitSpec {
-        self.client_id = Some(client_id.into());
+        self.scheduling.client_id = Some(client_id.into());
         self
     }
 
     /// Turns mid-synthesis level publication on or off.
     #[must_use]
     pub fn with_publish_levels(mut self, publish: bool) -> SubmitSpec {
-        self.publish_levels = publish;
+        self.scheduling.publish_levels = publish;
         self
     }
 }
@@ -308,10 +283,7 @@ impl Client {
         let reply = self.call(&Request::Submit {
             instance: spec.instance,
             options: spec.options,
-            priority: spec.priority,
-            deadline_ms: spec.deadline_ms,
-            client_id: spec.client_id,
-            publish_levels: spec.publish_levels,
+            scheduling: spec.scheduling,
         })?;
         match reply {
             Response::Submitted { id } => Ok(id),
@@ -354,75 +326,10 @@ impl Client {
             .into_iter()
             .map(|spec| BatchEntry {
                 instance: spec.instance,
-                priority: spec.priority,
-                deadline_ms: spec.deadline_ms,
-                client_id: spec.client_id,
-                publish_levels: spec.publish_levels,
+                scheduling: spec.scheduling,
             })
             .collect();
         let reply = self.call(&Request::SubmitBatch { entries, options })?;
-        match reply {
-            Response::BatchSubmitted { ids } => Ok(ids),
-            other => Err(unexpected("submit_batch reply", &other)),
-        }
-    }
-
-    /// Submits an instance; returns the service-assigned request id. The
-    /// result arrives later — fetch it with [`Client::wait_result`].
-    ///
-    /// Thin wrapper over [`Client::submit_spec`]; both emit byte-identical
-    /// `submit` frames.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures, or a structured rejection (draining
-    /// server, invalid spec).
-    #[deprecated(note = "use Client::submit_spec with a typed SubmitSpec")]
-    pub fn submit(&mut self, instance: &Instance, params: &SubmitParams) -> Result<u64, NetError> {
-        self.submit_spec(SubmitSpec {
-            instance: instance.clone(),
-            priority: params.priority,
-            deadline_ms: params.deadline_ms,
-            options: params.options.clone(),
-            client_id: params.client_id.clone(),
-            publish_levels: false,
-        })
-    }
-
-    /// Submits many instances in **one frame**, admitted atomically into
-    /// the service (all-or-nothing against queue capacity). Returns the
-    /// service-assigned request ids, one per entry in entry order. The
-    /// results arrive later, each as its own event — fetch them with
-    /// [`Client::wait_result`], in any order.
-    ///
-    /// `options` is the [`OptionsPatch`] shared by every entry;
-    /// scheduling knobs (priority, deadline, client id) travel per entry
-    /// on the [`BatchEntry`]. An empty batch returns `Ok(vec![])`
-    /// without touching the wire — matching
-    /// `SynthesisService::submit_batch`'s no-op semantics (the wire op
-    /// itself requires at least one entry).
-    ///
-    /// Thin wrapper kept for compatibility; [`Client::submit_specs`]
-    /// with uniform options emits a byte-identical `submit_batch` frame.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures, or a structured rejection: a batch
-    /// larger than the server queue's total capacity is `bad_request`
-    /// (nothing was admitted), a draining server is `shutting_down`.
-    #[deprecated(note = "use Client::submit_specs with typed SubmitSpecs")]
-    pub fn submit_batch(
-        &mut self,
-        entries: Vec<BatchEntry>,
-        options: &OptionsPatch,
-    ) -> Result<Vec<u64>, NetError> {
-        if entries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let reply = self.call(&Request::SubmitBatch {
-            entries,
-            options: options.clone(),
-        })?;
         match reply {
             Response::BatchSubmitted { ids } => Ok(ids),
             other => Err(unexpected("submit_batch reply", &other)),
@@ -455,10 +362,7 @@ impl Client {
             instance: spec.instance,
             base: spec.options,
             range,
-            priority: spec.priority,
-            deadline_ms: spec.deadline_ms,
-            client_id: spec.client_id,
-            publish_levels: spec.publish_levels,
+            scheduling: spec.scheduling,
         })?;
         match reply {
             Response::SweepSubmitted { sweep, ids } => Ok(SweepSubmission { sweep, ids }),
@@ -565,22 +469,6 @@ impl Client {
             source: TreeNodeId::from_index(header.source as usize),
             level_stats,
         })
-    }
-
-    /// [`Client::fetch_tree`] with an explicit chunk size (nodes per
-    /// `tree` event); `None` uses the server default. Thin wrapper over
-    /// `fetch_tree(id, ChunkMode::...)`, kept for compatibility.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::fetch_tree`].
-    #[deprecated(note = "use Client::fetch_tree with a ChunkMode")]
-    pub fn fetch_tree_chunked(
-        &mut self,
-        id: u64,
-        chunk: Option<u64>,
-    ) -> Result<RemoteTree, NetError> {
-        self.fetch_tree(id, chunk.map_or(ChunkMode::Default, ChunkMode::Nodes))
     }
 
     /// Streams a level-granular look at request `id`'s tree, **including

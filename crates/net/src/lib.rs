@@ -70,14 +70,14 @@ pub mod proto;
 pub mod server;
 
 pub use client::{
-    ChunkMode, Client, NetError, ServerInfo, SubmitParams, SubmitSpec, SweepSubmission,
-    TreeProgress,
+    ChunkMode, Client, NetError, ServerInfo, SubmitSpec, SweepSubmission, TreeProgress,
 };
 pub use json::{Json, JsonError};
 pub use proto::{
     BatchEntry, ErrorCode, MetricsReply, OptionsPatch, Outcome, ParetoEvent, ParetoWirePoint,
-    RemoteResult, RemoteTree, ResultEvent, SpanStat, StatsReply, SweepAxesSpec, SweepPointOutcome,
-    SweepPointSpec, SweepProgressEvent, SweepRange, TimingStats, TreeChunkEvent, TreeDoneEvent,
-    TreeEvent, TreeInfo, VariationStats, DEFAULT_TREE_CHUNK, MAX_TREE_CHUNK, PROTOCOL_VERSION,
+    RemoteResult, RemoteTree, ResultEvent, Scheduling, SpanStat, StatsReply, SweepAxesSpec,
+    SweepPointOutcome, SweepPointSpec, SweepProgressEvent, SweepRange, TimingStats, TreeChunkEvent,
+    TreeDoneEvent, TreeEvent, TreeInfo, VariationStats, DEFAULT_TREE_CHUNK, MAX_TREE_CHUNK,
+    PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerHandle};

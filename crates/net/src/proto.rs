@@ -834,24 +834,92 @@ pub struct RemoteTree {
 // ---------------------------------------------------------------------------
 // Requests
 
-/// One entry of a `submit_batch` frame: an instance plus its per-entry
-/// scheduling overrides (the [`OptionsPatch`] is shared batch-wide).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchEntry {
-    /// The instance spec.
-    pub instance: Instance,
+/// The scheduling fields every submit op carries — `priority`,
+/// `deadline_ms`, `client_id` and `publish_levels` — with their one wire
+/// encoding. Each key is omitted on the wire at its default, so a default
+/// [`Scheduling`] adds nothing to a frame.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Scheduling {
     /// Dispatch priority (higher first; ties in admission order).
     pub priority: i32,
-    /// Deadline in milliseconds from admission; absent = none.
+    /// Deadline in milliseconds from submission; absent = none.
     pub deadline_ms: Option<u64>,
     /// Client id echoed on the result event (defaults to the
     /// connection's `hello` client id).
     pub client_id: Option<String>,
-    /// Whether the server should publish level-complete snapshots of
-    /// this entry mid-synthesis, for `fetch_tree` in `"levels"` mode.
-    /// Off by default (each level snapshot copies the arena); the key
-    /// is absent on the wire when false, so old frames are unchanged.
+    /// Whether the server should publish level-complete snapshots
+    /// mid-synthesis, for `fetch_tree` in `"levels"` mode. Off by default
+    /// (each level snapshot copies the arena).
     pub publish_levels: bool,
+}
+
+impl Scheduling {
+    /// Appends the non-default scheduling keys to a frame's fields, in
+    /// their fixed wire order.
+    fn push_json(&self, fields: &mut Vec<(&'static str, Json)>) {
+        if self.priority != 0 {
+            fields.push(("priority", Json::num(self.priority as f64)));
+        }
+        if let Some(ms) = self.deadline_ms {
+            fields.push(("deadline_ms", Json::num(ms as f64)));
+        }
+        if let Some(c) = &self.client_id {
+            fields.push(("client_id", Json::str(c)));
+        }
+        if self.publish_levels {
+            fields.push(("publish_levels", Json::Bool(true)));
+        }
+    }
+
+    /// Decodes the scheduling keys of a submit frame (or batch entry);
+    /// absent or `null` keys take their defaults.
+    fn from_json(j: &Json) -> Result<Scheduling, DecodeError> {
+        let priority = match j.get("priority") {
+            None | Some(Json::Null) => 0,
+            Some(p) => p
+                .as_i64()
+                .filter(|p| i32::try_from(*p).is_ok())
+                .ok_or_else(|| DecodeError::bad("'priority' must be a 32-bit integer"))?
+                as i32,
+        };
+        let deadline_ms =
+            match j.get("deadline_ms") {
+                None | Some(Json::Null) => None,
+                Some(d) => Some(d.as_u64().ok_or_else(|| {
+                    DecodeError::bad("'deadline_ms' must be a non-negative integer")
+                })?),
+            };
+        let client_id = match j.get("client_id") {
+            None | Some(Json::Null) => None,
+            Some(c) => Some(
+                c.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| DecodeError::bad("'client_id' must be a string"))?,
+            ),
+        };
+        let publish_levels = match j.get("publish_levels") {
+            None | Some(Json::Null) => false,
+            Some(v) => v
+                .as_bool()
+                .ok_or_else(|| DecodeError::bad("'publish_levels' must be a boolean"))?,
+        };
+        Ok(Scheduling {
+            priority,
+            deadline_ms,
+            client_id,
+            publish_levels,
+        })
+    }
+}
+
+/// One entry of a `submit_batch` frame: an instance plus its per-entry
+/// scheduling (the [`OptionsPatch`] is shared batch-wide).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchEntry {
+    /// The instance spec.
+    pub instance: Instance,
+    /// Per-entry priority, deadline, client id and level publishing.
+    pub scheduling: Scheduling,
 }
 
 impl BatchEntry {
@@ -859,28 +927,14 @@ impl BatchEntry {
     pub fn new(instance: Instance) -> BatchEntry {
         BatchEntry {
             instance,
-            priority: 0,
-            deadline_ms: None,
-            client_id: None,
-            publish_levels: false,
+            scheduling: Scheduling::default(),
         }
     }
 }
 
 fn batch_entry_to_json(entry: &BatchEntry) -> Json {
     let mut fields = vec![("instance", instance_to_json(&entry.instance))];
-    if entry.priority != 0 {
-        fields.push(("priority", Json::num(entry.priority as f64)));
-    }
-    if let Some(ms) = entry.deadline_ms {
-        fields.push(("deadline_ms", Json::num(ms as f64)));
-    }
-    if let Some(c) = &entry.client_id {
-        fields.push(("client_id", Json::str(c)));
-    }
-    if entry.publish_levels {
-        fields.push(("publish_levels", Json::Bool(true)));
-    }
+    entry.scheduling.push_json(&mut fields);
     Json::obj(fields)
 }
 
@@ -889,47 +943,10 @@ fn batch_entry_from_json(j: &Json) -> Result<BatchEntry, DecodeError> {
         j.get("instance")
             .ok_or_else(|| DecodeError::bad("batch entry needs an 'instance'"))?,
     )?;
-    let priority = match j.get("priority") {
-        None | Some(Json::Null) => 0,
-        Some(p) => p
-            .as_i64()
-            .filter(|p| i32::try_from(*p).is_ok())
-            .ok_or_else(|| DecodeError::bad("'priority' must be a 32-bit integer"))?
-            as i32,
-    };
-    let deadline_ms = match j.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(d) => Some(
-            d.as_u64()
-                .ok_or_else(|| DecodeError::bad("'deadline_ms' must be a non-negative integer"))?,
-        ),
-    };
-    let client_id = match j.get("client_id") {
-        None | Some(Json::Null) => None,
-        Some(c) => Some(
-            c.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| DecodeError::bad("'client_id' must be a string"))?,
-        ),
-    };
-    let publish_levels = decode_publish_levels(j)?;
     Ok(BatchEntry {
         instance,
-        priority,
-        deadline_ms,
-        client_id,
-        publish_levels,
+        scheduling: Scheduling::from_json(j)?,
     })
-}
-
-/// Decodes the optional `publish_levels` flag shared by the submit ops.
-fn decode_publish_levels(j: &Json) -> Result<bool, DecodeError> {
-    match j.get("publish_levels") {
-        None | Some(Json::Null) => Ok(false),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| DecodeError::bad("'publish_levels' must be a boolean")),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1161,16 +1178,8 @@ pub enum Request {
         instance: Instance,
         /// Per-request options overrides (empty = server defaults).
         options: OptionsPatch,
-        /// Dispatch priority (higher first; ties in admission order).
-        priority: i32,
-        /// Deadline in milliseconds from admission; absent = none.
-        deadline_ms: Option<u64>,
-        /// Client id echoed on the result event.
-        client_id: Option<String>,
-        /// Publish level-complete snapshots while this request
-        /// synthesizes, so `fetch_tree` with `"mode":"levels"` can watch
-        /// the tree grow. Absent on the wire when `false`.
-        publish_levels: bool,
+        /// Priority, deadline, client id and level publishing.
+        scheduling: Scheduling,
     },
     /// Submit many instances in one frame, admitted atomically into the
     /// service (all-or-nothing against queue capacity): one round trip
@@ -1195,14 +1204,8 @@ pub enum Request {
         base: OptionsPatch,
         /// The points: cartesian axes or an explicit list.
         range: SweepRange,
-        /// Dispatch priority shared by every point.
-        priority: i32,
-        /// Deadline in milliseconds, shared by every point.
-        deadline_ms: Option<u64>,
-        /// Client id echoed on every point's result event.
-        client_id: Option<String>,
-        /// Publish level-complete snapshots for every point.
-        publish_levels: bool,
+        /// Scheduling shared by every point.
+        scheduling: Scheduling,
     },
     /// Stream the routed tree geometry of a completed request as chunked
     /// `tree` events plus a terminal frame.
@@ -1275,27 +1278,13 @@ pub fn encode_request(seq: u64, request: &Request) -> Json {
         Request::Submit {
             instance,
             options,
-            priority,
-            deadline_ms,
-            client_id,
-            publish_levels,
+            scheduling,
         } => {
             fields.push(("instance", instance_to_json(instance)));
             if !options.is_empty() {
                 fields.push(("options", options.to_json()));
             }
-            if *priority != 0 {
-                fields.push(("priority", Json::num(*priority as f64)));
-            }
-            if let Some(ms) = deadline_ms {
-                fields.push(("deadline_ms", Json::num(*ms as f64)));
-            }
-            if let Some(c) = client_id {
-                fields.push(("client_id", Json::str(c)));
-            }
-            if *publish_levels {
-                fields.push(("publish_levels", Json::Bool(true)));
-            }
+            scheduling.push_json(&mut fields);
         }
         Request::SubmitBatch { entries, options } => {
             fields.push((
@@ -1310,10 +1299,7 @@ pub fn encode_request(seq: u64, request: &Request) -> Json {
             instance,
             base,
             range,
-            priority,
-            deadline_ms,
-            client_id,
-            publish_levels,
+            scheduling,
         } => {
             fields.push(("instance", instance_to_json(instance)));
             if !base.is_empty() {
@@ -1326,18 +1312,7 @@ pub fn encode_request(seq: u64, request: &Request) -> Json {
                     Json::arr(points.iter().map(sweep_point_to_json).collect()),
                 )),
             }
-            if *priority != 0 {
-                fields.push(("priority", Json::num(*priority as f64)));
-            }
-            if let Some(ms) = deadline_ms {
-                fields.push(("deadline_ms", Json::num(*ms as f64)));
-            }
-            if let Some(c) = client_id {
-                fields.push(("client_id", Json::str(c)));
-            }
-            if *publish_levels {
-                fields.push(("publish_levels", Json::Bool(true)));
-            }
+            scheduling.push_json(&mut fields);
         }
         Request::FetchTree { id, chunk, levels } => {
             fields.push(("id", Json::num(*id as f64)));
@@ -1402,27 +1377,10 @@ pub fn decode_request(j: &Json) -> Result<(u64, Request), DecodeError> {
                 None | Some(Json::Null) => OptionsPatch::default(),
                 Some(o) => OptionsPatch::from_json(o)?,
             };
-            let priority = match j.get("priority") {
-                None | Some(Json::Null) => 0,
-                Some(p) => p
-                    .as_i64()
-                    .filter(|p| i32::try_from(*p).is_ok())
-                    .ok_or_else(|| DecodeError::bad("'priority' must be a 32-bit integer"))?
-                    as i32,
-            };
-            let deadline_ms = match j.get("deadline_ms") {
-                None | Some(Json::Null) => None,
-                Some(d) => Some(d.as_u64().ok_or_else(|| {
-                    DecodeError::bad("'deadline_ms' must be a non-negative integer")
-                })?),
-            };
             Request::Submit {
                 instance,
                 options,
-                priority,
-                deadline_ms,
-                client_id: opt_str("client_id")?,
-                publish_levels: decode_publish_levels(j)?,
+                scheduling: Scheduling::from_json(j)?,
             }
         }
         "submit_batch" => {
@@ -1476,28 +1434,11 @@ pub fn decode_request(j: &Json) -> Result<(u64, Request), DecodeError> {
                     return Err(DecodeError::bad("submit_sweep needs 'axes' or 'points'"))
                 }
             };
-            let priority = match j.get("priority") {
-                None | Some(Json::Null) => 0,
-                Some(p) => p
-                    .as_i64()
-                    .filter(|p| i32::try_from(*p).is_ok())
-                    .ok_or_else(|| DecodeError::bad("'priority' must be a 32-bit integer"))?
-                    as i32,
-            };
-            let deadline_ms = match j.get("deadline_ms") {
-                None | Some(Json::Null) => None,
-                Some(d) => Some(d.as_u64().ok_or_else(|| {
-                    DecodeError::bad("'deadline_ms' must be a non-negative integer")
-                })?),
-            };
             Request::SubmitSweep {
                 instance,
                 base,
                 range,
-                priority,
-                deadline_ms,
-                client_id: opt_str("client_id")?,
-                publish_levels: decode_publish_levels(j)?,
+                scheduling: Scheduling::from_json(j)?,
             }
         }
         "fetch_tree" => {
@@ -2914,27 +2855,28 @@ mod tests {
                     grid_resolution: Some(21),
                     ..OptionsPatch::default()
                 },
-                priority: -4,
-                deadline_ms: Some(1500),
-                client_id: Some("c0".into()),
-                publish_levels: true,
+                scheduling: Scheduling {
+                    priority: -4,
+                    deadline_ms: Some(1500),
+                    client_id: Some("c0".into()),
+                    publish_levels: true,
+                },
             },
             Request::Submit {
                 instance: spec_instance(),
                 options: OptionsPatch::default(),
-                priority: 0,
-                deadline_ms: None,
-                client_id: None,
-                publish_levels: false,
+                scheduling: Scheduling::default(),
             },
             Request::SubmitBatch {
                 entries: vec![
                     BatchEntry {
                         instance: spec_instance(),
-                        priority: 3,
-                        deadline_ms: Some(750),
-                        client_id: Some("sweep".into()),
-                        publish_levels: true,
+                        scheduling: Scheduling {
+                            priority: 3,
+                            deadline_ms: Some(750),
+                            client_id: Some("sweep".into()),
+                            publish_levels: true,
+                        },
                     },
                     BatchEntry::new(spec_instance()),
                 ],
@@ -2955,10 +2897,12 @@ mod tests {
                     h_corrections: vec![HCorrection::Off, HCorrection::Correct],
                     bufferings: vec![Buffering::VanGinneken],
                 }),
-                priority: 2,
-                deadline_ms: Some(9000),
-                client_id: Some("sweeper".into()),
-                publish_levels: true,
+                scheduling: Scheduling {
+                    priority: 2,
+                    deadline_ms: Some(9000),
+                    client_id: Some("sweeper".into()),
+                    publish_levels: true,
+                },
             },
             Request::SubmitSweep {
                 instance: spec_instance(),
@@ -2972,10 +2916,7 @@ mod tests {
                         buffering: Some(Buffering::Greedy),
                     },
                 ]),
-                priority: 0,
-                deadline_ms: None,
-                client_id: None,
-                publish_levels: false,
+                scheduling: Scheduling::default(),
             },
             Request::FetchTree {
                 id: 12,

@@ -29,14 +29,14 @@ use crate::json::Json;
 use crate::proto::{
     decode_request, encode_event, encode_pareto_event, encode_response, encode_sweep_progress,
     encode_tree_chunk, encode_tree_done, DecodeError, ErrorCode, MetricsReply, Outcome,
-    ParetoEvent, ParetoWirePoint, Request, Response, ResultEvent, SpanStat, StatsReply,
+    ParetoEvent, ParetoWirePoint, Request, Response, ResultEvent, Scheduling, SpanStat, StatsReply,
     SweepPointOutcome, SweepProgressEvent, SweepRange, TreeChunkEvent, TreeDoneEvent, TreeInfo,
     DEFAULT_TREE_CHUNK, MAX_TREE_CHUNK, PROTOCOL_VERSION,
 };
 use cts_core::{
-    pareto_point, BatchSubmitError, ParetoFront, ParetoPoint, RequestHandle, ServiceError,
-    SubmitError, SweepSpec, SweepSubmitError, SynthesisRequest, SynthesisResult, SynthesisService,
-    Ticket,
+    pareto_point, Admission, CtsOptions, Instance, ParetoFront, ParetoPoint, RequestHandle,
+    ServiceError, SubmitError, SweepSpec, SweepSubmitError, SynthesisRequest, SynthesisResult,
+    SynthesisService, Ticket,
 };
 use cts_util::{CompletionPump, PollPending};
 use std::collections::HashMap;
@@ -586,6 +586,85 @@ fn serve_connection(ctx: &ServerCtx, stream: TcpStream) {
     let _ = writer.join();
 }
 
+/// A wire submission's request: the instance, its (already patched)
+/// options override, and the frame's scheduling fields; a submission
+/// without a client id inherits the connection's `hello` id.
+fn build_request(
+    state: &ConnState,
+    instance: Instance,
+    options: Option<CtsOptions>,
+    scheduling: Scheduling,
+) -> SynthesisRequest {
+    SynthesisRequest {
+        instance,
+        priority: scheduling.priority,
+        deadline: scheduling.deadline_ms.map(Duration::from_millis),
+        options,
+        client_id: scheduling.client_id.or_else(|| state.client_id.clone()),
+        publish_levels: scheduling.publish_levels,
+    }
+}
+
+/// Which submit op an admission answers; decides the reply shape.
+enum SubmitOp {
+    Submit,
+    Batch,
+    Sweep,
+}
+
+/// Turns an admission outcome into the op's reply — the one place
+/// admission errors map to wire errors. Admitted tickets are remembered
+/// for `status`/`cancel` and handed to the completion pump (a sweep's
+/// under a fresh per-connection sweep ordinal).
+fn track_admitted(
+    state: &mut ConnState,
+    ptx: &Sender<PumpMsg>,
+    admitted: Result<Vec<Ticket>, SubmitError>,
+    op: SubmitOp,
+) -> Response {
+    let tickets = match admitted {
+        Ok(tickets) => tickets,
+        Err(e @ SubmitError::TooLarge(_)) => {
+            return Response::Error {
+                code: ErrorCode::BadRequest,
+                message: e.to_string(),
+            }
+        }
+        Err(SubmitError::ShuttingDown(_)) => {
+            return Response::Error {
+                code: ErrorCode::ShuttingDown,
+                message: "service is draining; no new work admitted".into(),
+            }
+        }
+        Err(e @ SubmitError::WouldBlock(_)) => {
+            unreachable!("blocking admission cannot report back-pressure: {e}")
+        }
+    };
+    let ids: Vec<u64> = tickets.iter().map(|t| t.id().0).collect();
+    for ticket in &tickets {
+        state.remember(ticket.id().0, ticket.handle());
+    }
+    // The pump cannot be gone while the reader lives.
+    if let SubmitOp::Sweep = op {
+        let sweep = state.next_sweep;
+        state.next_sweep += 1;
+        let points = tickets
+            .into_iter()
+            .enumerate()
+            .map(|(ordinal, ticket)| (ordinal as u64, ticket.id().0, ticket))
+            .collect();
+        let _ = ptx.send(PumpMsg::TrackSweep { sweep, points });
+        return Response::SweepSubmitted { sweep, ids };
+    }
+    for ticket in tickets {
+        let _ = ptx.send(PumpMsg::Track(ticket.id().0, ticket));
+    }
+    match op {
+        SubmitOp::Submit => Response::Submitted { id: ids[0] },
+        _ => Response::BatchSubmitted { ids },
+    }
+}
+
 /// Handles one decoded frame; returns `true` when the connection should
 /// close (after a `shutdown` op).
 fn handle_frame(
@@ -624,102 +703,38 @@ fn handle_frame(
                 }
             }
         }
+        // All three submit ops become a request list through one builder
+        // and take the service's one blocking, atomic admission path: a
+        // full queue back-pressures this connection's reader (the client
+        // sees its next reply delayed — flow control, not failure).
         Request::Submit {
             instance,
             options,
-            priority,
-            deadline_ms,
-            client_id,
-            publish_levels,
+            scheduling,
         } => {
-            let mut req = SynthesisRequest::new(instance)
-                .with_priority(priority)
-                .with_publish_levels(publish_levels);
-            if let Some(ms) = deadline_ms {
-                req = req.with_deadline(Duration::from_millis(ms));
-            }
-            if !options.is_empty() {
-                req = req.with_options(options.apply(ctx.service.options()));
-            }
-            if let Some(c) = client_id.or_else(|| state.client_id.clone()) {
-                req = req.with_client_id(c);
-            }
-            // Blocking submit: a full queue back-pressures this
-            // connection's reader (the client sees its next reply delayed
-            // — flow control, not failure).
-            match ctx.service.submit(req) {
-                Ok(ticket) => {
-                    let id = ticket.id().0;
-                    state.remember(id, ticket.handle());
-                    // The pump cannot be gone while the reader lives.
-                    let _ = ptx.send(PumpMsg::Track(id, ticket));
-                    Response::Submitted { id }
-                }
-                Err(SubmitError::ShuttingDown(_)) => Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "service is draining; no new work admitted".into(),
-                },
-                Err(e @ SubmitError::WouldBlock(_)) => {
-                    unreachable!("blocking submit cannot report back-pressure: {e}")
-                }
-            }
+            let options = (!options.is_empty()).then(|| options.apply(ctx.service.options()));
+            let request = build_request(state, instance, options, scheduling);
+            let admitted = ctx.service.admit(vec![request], Admission::Blocking);
+            track_admitted(state, ptx, admitted, SubmitOp::Submit)
         }
         Request::SubmitBatch { entries, options } => {
             // The shared patch is applied once; every entry runs the same
             // patched options (per-entry scheduling stays individual).
             let patched = (!options.is_empty()).then(|| options.apply(ctx.service.options()));
-            let requests: Vec<SynthesisRequest> = entries
+            let requests = entries
                 .into_iter()
                 .map(|entry| {
-                    let mut req = SynthesisRequest::new(entry.instance)
-                        .with_priority(entry.priority)
-                        .with_publish_levels(entry.publish_levels);
-                    if let Some(ms) = entry.deadline_ms {
-                        req = req.with_deadline(Duration::from_millis(ms));
-                    }
-                    if let Some(o) = &patched {
-                        req = req.with_options(o.clone());
-                    }
-                    if let Some(c) = entry.client_id.or_else(|| state.client_id.clone()) {
-                        req = req.with_client_id(c);
-                    }
-                    req
+                    build_request(state, entry.instance, patched.clone(), entry.scheduling)
                 })
                 .collect();
-            // Blocking, atomic: either every entry is admitted under one
-            // queue lock (consecutive ids, nothing interleaves) or none
-            // is. A full queue back-pressures this reader, like `submit`.
-            match ctx.service.submit_batch(requests) {
-                Ok(tickets) => {
-                    let ids: Vec<u64> = tickets.iter().map(|t| t.id().0).collect();
-                    for ticket in tickets {
-                        let id = ticket.id().0;
-                        state.remember(id, ticket.handle());
-                        let _ = ptx.send(PumpMsg::Track(id, ticket));
-                    }
-                    Response::BatchSubmitted { ids }
-                }
-                Err(e @ BatchSubmitError::TooLarge(_)) => Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: e.to_string(),
-                },
-                Err(BatchSubmitError::ShuttingDown(_)) => Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "service is draining; no new work admitted".into(),
-                },
-                Err(e @ BatchSubmitError::WouldBlock(_)) => {
-                    unreachable!("blocking batch submit cannot report back-pressure: {e}")
-                }
-            }
+            let admitted = ctx.service.admit(requests, Admission::Blocking);
+            track_admitted(state, ptx, admitted, SubmitOp::Batch)
         }
         Request::SubmitSweep {
             instance,
             base,
             range,
-            priority,
-            deadline_ms,
-            client_id,
-            publish_levels,
+            scheduling,
         } => {
             // The base patch applies over the server defaults exactly as
             // a `submit` patch would, and each point perturbs that base
@@ -733,51 +748,16 @@ fn handle_frame(
                     SweepSpec::explicit(base_options, points.iter().map(|p| p.to_point()).collect())
                 }
             };
-            let mut template = SynthesisRequest::new(instance)
-                .with_priority(priority)
-                .with_publish_levels(publish_levels);
-            if let Some(ms) = deadline_ms {
-                template = template.with_deadline(Duration::from_millis(ms));
-            }
-            if let Some(c) = client_id.or_else(|| state.client_id.clone()) {
-                template = template.with_client_id(c);
-            }
-            // Blocking, atomic admission (the sweep rides submit_batch
-            // underneath): a full queue back-pressures this reader.
+            let template = build_request(state, instance, None, scheduling);
             match ctx.service.submit_sweep(template, &spec) {
-                Ok(sweep_ticket) => {
-                    let sweep = state.next_sweep;
-                    state.next_sweep += 1;
-                    let tickets = sweep_ticket.into_tickets();
-                    let ids: Vec<u64> = tickets.iter().map(|t| t.id().0).collect();
-                    let mut points = Vec::with_capacity(tickets.len());
-                    for (ordinal, ticket) in tickets.into_iter().enumerate() {
-                        let id = ticket.id().0;
-                        state.remember(id, ticket.handle());
-                        points.push((ordinal as u64, id, ticket));
-                    }
-                    let _ = ptx.send(PumpMsg::TrackSweep { sweep, points });
-                    Response::SweepSubmitted { sweep, ids }
-                }
                 Err(e @ SweepSubmitError::Spec(_)) => Response::Error {
                     code: ErrorCode::BadRequest,
                     message: e.to_string(),
                 },
-                Err(e @ SweepSubmitError::Batch(BatchSubmitError::TooLarge(_))) => {
-                    Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: e.to_string(),
-                    }
+                Err(SweepSubmitError::Batch(e)) => {
+                    track_admitted(state, ptx, Err(e), SubmitOp::Sweep)
                 }
-                Err(SweepSubmitError::Batch(BatchSubmitError::ShuttingDown(_))) => {
-                    Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "service is draining; no new work admitted".into(),
-                    }
-                }
-                Err(e @ SweepSubmitError::Batch(BatchSubmitError::WouldBlock(_))) => {
-                    unreachable!("blocking sweep submit cannot report back-pressure: {e}")
-                }
+                Ok(sweep) => track_admitted(state, ptx, Ok(sweep.into_tickets()), SubmitOp::Sweep),
             }
         }
         Request::FetchTree { id, chunk, levels } => {

@@ -12,8 +12,8 @@ use cts_geom::Point;
 use cts_net::frame::{read_frame, write_frame};
 use cts_net::proto::{encode_response, encode_tree_chunk, Response, TreeChunkEvent, TreeInfo};
 use cts_net::{
-    ChunkMode, Client, ErrorCode, Json, NetError, Outcome, Server, ServerHandle, SubmitParams,
-    SubmitSpec,
+    ChunkMode, Client, ErrorCode, Json, NetError, Outcome, Server, ServerHandle, SubmitSpec,
+    SweepPointSpec, SweepRange,
 };
 use cts_spice::Technology;
 use cts_timing::fast_library;
@@ -428,14 +428,69 @@ fn oversized_batch_is_rejected_whole() {
         }
         other => panic!("expected bad_request, got {other:?}"),
     }
+    // A sweep expanding past the capacity is rejected the same way.
+    let range = SweepRange::Points(vec![SweepPointSpec::default(); 3]);
+    match client.submit_sweep(SubmitSpec::new(tiny("wide", 4)), range) {
+        Err(NetError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(
+                message.contains("batch of 3 exceeds the queue capacity"),
+                "{message}"
+            );
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
     // Nothing was admitted — all-or-nothing.
     assert_eq!(ts.service.metrics().submitted, 0);
+    assert_eq!(ts.service.metrics().sweeps_submitted, 0);
     assert_eq!(ts.service.pending(), 0);
     // A batch that fits still goes through on the same connection.
     let ids = client
         .submit_specs(vec![SubmitSpec::new(tiny("fits", 4))])
         .unwrap();
     assert_eq!(ids.len(), 1);
+    ts.stop();
+}
+
+#[test]
+fn every_submit_op_answers_shutting_down_once_the_service_drains() {
+    let ts = TestServer::start(false);
+    let mut client = Client::connect(ts.addr).unwrap();
+    // Drain the service behind the still-running server: admission is
+    // closed, so each submit op must answer a structured shutting_down.
+    ts.service.shutdown();
+    let expect_draining = |op: &str, outcome: Result<(), NetError>| match outcome {
+        Err(NetError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::ShuttingDown, "{op}");
+            assert_eq!(message, "service is draining; no new work admitted", "{op}");
+        }
+        other => panic!("{op}: expected shutting_down, got {other:?}"),
+    };
+    expect_draining(
+        "submit",
+        client
+            .submit_spec(SubmitSpec::new(tiny("late", 4)))
+            .map(drop),
+    );
+    expect_draining(
+        "submit_batch",
+        client
+            .submit_specs(vec![
+                SubmitSpec::new(tiny("late0", 4)),
+                SubmitSpec::new(tiny("late1", 4)),
+            ])
+            .map(drop),
+    );
+    expect_draining(
+        "submit_sweep",
+        client
+            .submit_sweep(
+                SubmitSpec::new(tiny("late", 4)),
+                SweepRange::Points(vec![SweepPointSpec::default(); 2]),
+            )
+            .map(drop),
+    );
+    assert_eq!(ts.service.metrics().submitted, 0);
     ts.stop();
 }
 
@@ -632,14 +687,11 @@ fn truncated_tree_stream_is_a_transport_error_not_a_partial_tree() {
 }
 
 #[test]
-// Deliberately exercises the deprecated `submit` wrapper: the thin shims
-// must keep producing byte-identical frames until they are removed.
-#[allow(deprecated)]
 fn shutdown_op_drains_and_stops_the_server() {
     let ts = TestServer::start(false);
     let mut client = Client::connect(ts.addr).unwrap();
     let id = client
-        .submit(&tiny("draining", 4), &SubmitParams::default())
+        .submit_spec(SubmitSpec::new(tiny("draining", 4)))
         .unwrap();
     // Shutdown without waiting the result first: the drain resolves the
     // request, its event is stashed, and the confirmation arrives after.

@@ -6,6 +6,10 @@
 //! (or one job) everything runs inline on the caller's thread — no pool,
 //! no synchronization — which is what makes `threads = 1` byte-identical
 //! to a plain serial loop.
+//!
+//! Two-stage runs (synthesize, then verify) have exactly one worker loop,
+//! [`run_two_stage_pull`]; the fixed-slice [`run_two_stage`] is a thin
+//! adapter over it.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -136,16 +140,16 @@ pub fn run_parallel_with<J: Sync, R: Send, E: Send, S>(
 ///   inline on the caller's thread.
 /// * **First-error short-circuit** — the returned `Err` is the one a fused
 ///   serial loop would surface: the failing job with the smallest index
-///   among jobs whose predecessors all succeed. On a failure, stage-1
-///   claiming stops for later indices, but *earlier* jobs still complete
-///   both stages (one of them may hold an even earlier error).
+///   among jobs whose predecessors all succeed. On a failure, later jobs
+///   are skipped at their next stage boundary, but *earlier* jobs still
+///   complete both stages (one of them may hold an even earlier error).
 /// * **Per-worker scratch** — each worker owns one `S1` and one `S2` for
 ///   every job it processes in that stage.
 ///
-/// Scheduling policy: workers prefer draining pending stage-2 work
-/// (smallest job index first) over claiming new stage-1 jobs, which keeps
-/// the number of stage-1 outputs alive at once bounded by the worker count
-/// plus the queue the workers cannot keep up with.
+/// This is a fixed-slice adapter over [`run_two_stage_pull`], so batch
+/// runs and the long-running service share one worker loop: the source is
+/// an atomic cursor over `jobs`, the cancel hook skips every job behind
+/// the smallest failed index, and results land in per-job slots.
 pub fn run_two_stage<J: Sync, M: Send, R: Send, E: Send, S1, S2>(
     threads: usize,
     jobs: &[J],
@@ -154,144 +158,52 @@ pub fn run_two_stage<J: Sync, M: Send, R: Send, E: Send, S1, S2>(
     init2: impl Fn() -> S2 + Sync,
     f2: impl Fn(&mut S2, M, &J) -> Result<R, E> + Sync,
 ) -> Result<Vec<R>, E> {
-    const MAX_WORKERS: usize = 1024;
-    let workers = threads.max(1).min(jobs.len().max(1)).min(MAX_WORKERS);
-    if workers <= 1 {
-        // Fused serial loop: stage 2 of job i runs right after its stage 1,
-        // which is the reference behavior every parallel schedule must
-        // reproduce result-for-result.
-        let mut s1 = init1();
-        let mut s2 = init2();
-        return jobs
-            .iter()
-            .map(|j| f1(&mut s1, j).and_then(|m| f2(&mut s2, m, j)))
-            .collect();
-    }
-
-    struct Shared<M, R, E> {
-        /// Stage-1 outputs awaiting stage 2, as (job index, output).
-        ready: Vec<(usize, M)>,
-        /// Jobs fully accounted for (finished stage 2, errored, or skipped
-        /// behind an error). The run ends when this reaches `jobs.len()`.
-        done: usize,
-        results: Vec<Option<Result<R, E>>>,
-    }
-    let shared = Mutex::new(Shared {
-        ready: Vec::new(),
-        done: 0,
-        results: (0..jobs.len()).map(|_| None).collect(),
-    });
-    let wake = Condvar::new();
     let next = AtomicUsize::new(0);
     // Smallest job index that has errored so far (`usize::MAX` = none).
-    // Jobs at or behind it are skipped; jobs *before* it still run both
-    // stages, because one of them may surface an even earlier error — the
-    // one the serial loop would have reported.
+    // Jobs behind it are skipped; jobs *before* it still run both stages,
+    // because one of them may surface an even earlier error — the one the
+    // serial loop would have reported.
     let min_error = AtomicUsize::new(usize::MAX);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut s1 = init1();
-                let mut s2 = init2();
-                loop {
-                    enum Task<M> {
-                        Produce(usize),
-                        Consume(usize, M),
-                    }
-                    let task = {
-                        let mut st = shared.lock().expect("two-stage state poisoned");
-                        if st.done == jobs.len() {
-                            break;
-                        }
-                        // Prefer the oldest finished job's stage 2.
-                        let oldest = st
-                            .ready
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, &(i, _))| i)
-                            .map(|(pos, _)| pos);
-                        if let Some(pos) = oldest {
-                            let (i, m) = st.ready.swap_remove(pos);
-                            Task::Consume(i, m)
-                        } else {
-                            drop(st);
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i < jobs.len() {
-                                Task::Produce(i)
-                            } else {
-                                // Nothing to claim: wait for stage-1 outputs
-                                // from other workers or for completion. The
-                                // timeout guards against missed wake-ups.
-                                let st = shared.lock().expect("two-stage state poisoned");
-                                if st.done == jobs.len() {
-                                    break;
-                                }
-                                if st.ready.is_empty() {
-                                    let _ = wake
-                                        .wait_timeout(st, Duration::from_millis(20))
-                                        .expect("two-stage state poisoned");
-                                }
-                                continue;
-                            }
-                        }
-                    };
-                    match task {
-                        Task::Produce(i) => {
-                            if i >= min_error.load(Ordering::Relaxed) {
-                                let mut st = shared.lock().expect("two-stage state poisoned");
-                                st.done += 1;
-                                wake.notify_all();
-                                continue;
-                            }
-                            match f1(&mut s1, &jobs[i]) {
-                                Ok(m) => {
-                                    let mut st = shared.lock().expect("two-stage state poisoned");
-                                    st.ready.push((i, m));
-                                    wake.notify_all();
-                                }
-                                Err(e) => {
-                                    min_error.fetch_min(i, Ordering::Relaxed);
-                                    let mut st = shared.lock().expect("two-stage state poisoned");
-                                    st.results[i] = Some(Err(e));
-                                    st.done += 1;
-                                    wake.notify_all();
-                                }
-                            }
-                        }
-                        Task::Consume(i, m) => {
-                            if i > min_error.load(Ordering::Relaxed) {
-                                // Behind a known error: drop the output.
-                                let mut st = shared.lock().expect("two-stage state poisoned");
-                                st.done += 1;
-                                wake.notify_all();
-                                continue;
-                            }
-                            let r = f2(&mut s2, m, &jobs[i]);
-                            if r.is_err() {
-                                min_error.fetch_min(i, Ordering::Relaxed);
-                            }
-                            let mut st = shared.lock().expect("two-stage state poisoned");
-                            st.results[i] = Some(r);
-                            st.done += 1;
-                            wake.notify_all();
-                        }
-                    }
-                }
-            });
+    let slots: Mutex<Vec<Option<Result<R, E>>>> =
+        Mutex::new((0..jobs.len()).map(|_| None).collect());
+    let fill = |i: usize, r: Result<R, E>| {
+        if r.is_err() {
+            min_error.fetch_min(i, Ordering::Relaxed);
         }
-    });
+        slots.lock().expect("two-stage slots poisoned")[i] = Some(r);
+    };
+    run_two_stage_pull(
+        threads.min(jobs.len()),
+        || {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i < jobs.len() {
+                Pull::Job(i)
+            } else {
+                Pull::Closed
+            }
+        },
+        |&i| i > min_error.load(Ordering::Relaxed),
+        |_| {},
+        init1,
+        |s1, &i| match f1(s1, &jobs[i]) {
+            Ok(m) => Some(m),
+            Err(e) => {
+                fill(i, Err(e));
+                None
+            }
+        },
+        init2,
+        |s2, i, m| fill(i, f2(s2, m, &jobs[i])),
+    );
 
-    let slots = shared
-        .into_inner()
-        .expect("two-stage state poisoned")
-        .results;
+    let slots = slots.into_inner().expect("two-stage slots poisoned");
     let mut out = Vec::with_capacity(slots.len());
     for slot in slots {
         match slot {
             Some(Ok(r)) => out.push(r),
-            // All jobs before `min_error` completed both stages, so the
-            // first filled error in index order is the serial loop's error.
+            // Every job before the smallest failed index completed both
+            // stages, so the first filled error in index order is the
+            // serial loop's error.
             Some(Err(e)) => return Err(e),
             None => unreachable!("unfilled slot without a preceding error"),
         }
@@ -318,12 +230,13 @@ pub enum Pull<J> {
     Closed,
 }
 
-/// Dynamic-source variant of [`run_two_stage`]: jobs are *pulled* from a
-/// live source (a request queue) instead of claimed from a fixed slice, and
-/// every job carries its own result delivery, so the run keeps going until
-/// the source closes — the execution core of a long-running service.
+/// The two-stage worker loop: jobs are *pulled* from a live source (a
+/// request queue) and every job carries its own result delivery, so the
+/// run keeps going until the source closes — the execution core of the
+/// long-running service, and (through the fixed-slice adapter
+/// [`run_two_stage`]) of batch runs.
 ///
-/// Differences from the slice-based [`run_two_stage`]:
+/// Properties:
 ///
 /// * **Source-defined order** — jobs run in the order the source yields
 ///   them. Priorities live behind [`Pull`]: yield the highest-priority job
@@ -339,16 +252,15 @@ pub enum Pull<J> {
 ///   closures deliver each job's outcome themselves (`stage1` returns
 ///   `None` after delivering an error; `stage2` delivers the final result).
 ///
-/// Shared with [`run_two_stage`]: workers prefer draining pending stage-2
-/// work (oldest claim first, which bounds how many stage-1 outputs are
-/// alive at once) over pulling new jobs; each worker owns one `S1` and one
-/// `S2` across every job it touches; with `threads <= 1` everything runs
-/// inline on the caller's thread, giving the fused serial reference
-/// behavior.
+/// Scheduling: workers prefer draining pending stage-2 work (oldest claim
+/// first, which bounds how many stage-1 outputs are alive at once) over
+/// pulling new jobs; each worker owns one `S1` and one `S2` across every
+/// job it touches; with `threads <= 1` everything runs inline on the
+/// caller's thread, giving the fused serial reference behavior.
 ///
 /// Returns when the source reports [`Pull::Closed`] and all pulled jobs
 /// have finished both stages.
-#[allow(clippy::too_many_arguments)] // mirrors run_two_stage's stage layout
+#[allow(clippy::too_many_arguments)] // one closure per stage hook
 pub fn run_two_stage_pull<J: Send, M: Send, S1, S2>(
     threads: usize,
     source: impl Fn() -> Pull<J> + Sync,

@@ -15,8 +15,8 @@
 use cts::benchmarks::generate_custom;
 use cts::spice::units::{NS, PS};
 use cts::{
-    BatchSummary, CtsOptions, ServiceOptions, SubmitError, SynthesisRequest, SynthesisResult,
-    SynthesisService, Synthesizer, Technology,
+    Admission, BatchSummary, CtsOptions, ServiceOptions, SubmitError, SynthesisRequest,
+    SynthesisResult, SynthesisService, Synthesizer, Technology,
 };
 use std::sync::{Arc, Mutex};
 
@@ -34,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Service workers are the parallel axis, so synthesis stays serial.
     // A deliberately tight queue so the run exercises back-pressure: when
-    // the worker set falls behind, try_submit reports WouldBlock and the
-    // client falls back to the blocking path.
+    // the worker set falls behind, a non-blocking admit reports WouldBlock
+    // and the client falls back to the blocking path.
     let options = CtsOptions::builder().threads(1).build()?;
     let mut svc_options = ServiceOptions::default();
     svc_options.workers = 0; // every core
@@ -74,15 +74,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         );
                         let request = SynthesisRequest::new(instance).with_priority(client as i32);
                         // Non-blocking first; on back-pressure, block.
-                        match service.try_submit(request) {
-                            Ok(ticket) => ticket,
-                            Err(SubmitError::WouldBlock(r)) => {
+                        match service.admit(vec![request], Admission::NonBlocking) {
+                            Ok(mut tickets) => tickets.pop().expect("one ticket per request"),
+                            Err(SubmitError::WouldBlock(mut r)) => {
                                 *would_blocks.lock().unwrap() += 1;
+                                let r = r.pop().expect("the request is handed back");
                                 service.submit(r).expect("service accepts while running")
                             }
-                            Err(SubmitError::ShuttingDown(_)) => {
-                                unreachable!("service is not shutting down")
-                            }
+                            Err(e) => unreachable!("running service rejected a request: {e}"),
                         }
                     })
                     .collect();

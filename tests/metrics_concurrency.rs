@@ -5,8 +5,8 @@
 //! "backwards" or "lossy", only "momentarily skewed between counters".
 
 use cts::{
-    CtsOptions, Instance, ServiceMetrics, ServiceOptions, SynthesisRequest, SynthesisService,
-    Technology,
+    Admission, CtsOptions, Instance, ServiceMetrics, ServiceOptions, SynthesisRequest,
+    SynthesisService, Technology,
 };
 use cts_timing::fast_library;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -144,7 +144,11 @@ fn hammered_counters_stay_monotone_and_sum_exactly() {
             .enumerate()
             .map(|(k, inst)| SynthesisRequest::new(inst.clone()).with_priority(k as i32 % 3 - 1))
             .collect();
-        tickets.extend(service.submit_batch(requests).expect("batch admitted"));
+        tickets.extend(
+            service
+                .admit(requests, Admission::Blocking)
+                .expect("batch admitted"),
+        );
     }
     for ticket in tickets {
         ticket.wait().expect("request completes");
