@@ -91,6 +91,28 @@ fn bench_library_lookup(c: &mut Criterion) {
             )
         });
     });
+    // The single-surface queries the maze router's wavefront calls: one
+    // fitted surface instead of the three `single_wire` evaluates.
+    c.bench_function("library_single_wire_delay_lookup", |b| {
+        b.iter(|| {
+            lib.single_wire_delay(
+                BufferId(1),
+                Load::Buffer(BufferId(2)),
+                std::hint::black_box(60.0 * PS),
+                std::hint::black_box(700.0),
+            )
+        });
+    });
+    c.bench_function("library_single_wire_slew_lookup", |b| {
+        b.iter(|| {
+            lib.single_wire_slew(
+                BufferId(1),
+                Load::Buffer(BufferId(2)),
+                std::hint::black_box(60.0 * PS),
+                std::hint::black_box(700.0),
+            )
+        });
+    });
     c.bench_function("library_branch_lookup", |b| {
         b.iter(|| {
             lib.branch(

@@ -55,6 +55,27 @@ impl TimingReport {
     pub fn arrival_map(&self) -> HashMap<TreeNodeId, f64> {
         self.sink_arrivals.iter().copied().collect()
     }
+
+    /// Latest arrival among the sinks of each side, where `sides` are two
+    /// disjoint, sorted sink-id lists (−∞ for a side with no arrival).
+    ///
+    /// The balancing bisections call this on every step: it reads the
+    /// arrival list in place instead of building an [`arrival_map`]. A
+    /// max fold does not depend on visiting order, so the result is the
+    /// same as folding over either map.
+    ///
+    /// [`arrival_map`]: TimingReport::arrival_map
+    pub(crate) fn side_max_arrivals(&self, sides: [&[TreeNodeId]; 2]) -> [f64; 2] {
+        let mut side_max = [f64::NEG_INFINITY; 2];
+        for &(id, t) in &self.sink_arrivals {
+            if sides[0].binary_search(&id).is_ok() {
+                side_max[0] = side_max[0].max(t);
+            } else if sides[1].binary_search(&id).is_ok() {
+                side_max[1] = side_max[1].max(t);
+            }
+        }
+        side_max
+    }
 }
 
 /// Timing engine bound to a delay/slew library.
@@ -178,13 +199,13 @@ impl<'a> TimingEngine<'a> {
                 let len0 = tree.node(child).wire_to_parent_um;
                 match self.walk(tree, child, len0) {
                     Event::LoadAt { len, node } => {
-                        let timing = self.lib.single_wire(
+                        let slew = self.lib.single_wire_slew(
                             driver,
                             self.load_of(tree, node),
                             slew_in,
                             len.max(1.0),
                         );
-                        out.push((node, timing.output_slew));
+                        out.push((node, slew));
                     }
                     Event::ForkAt { len, node } => {
                         self.fork_loads(tree, node, driver, slew_in, len, out);
@@ -214,7 +235,7 @@ impl<'a> TimingEngine<'a> {
         slew_in: f64,
         stem_len: f64,
     ) -> cts_timing::BranchTiming {
-        let children = tree.node(fork).children.clone();
+        let children = &tree.node(fork).children;
         debug_assert_eq!(children.len(), 2);
         let arm = |child: TreeNodeId| -> (f64, Load) {
             let ev = self.walk(tree, child, tree.node(child).wire_to_parent_um);
@@ -273,7 +294,7 @@ impl<'a> TimingEngine<'a> {
         stem_len: f64,
         out: &mut Vec<(TreeNodeId, f64)>,
     ) {
-        let children = tree.node(fork).children.clone();
+        let children = &tree.node(fork).children;
         let timing = self.fork_timing(tree, fork, driver, slew_in, stem_len);
         for (idx, &child) in children.iter().enumerate() {
             let ev = self.walk(tree, child, tree.node(child).wire_to_parent_um);
@@ -422,23 +443,12 @@ impl<'a> TimingEngine<'a> {
         with_intrinsic: bool,
         report: &mut TimingReport,
     ) {
-        let children = tree.node(fork).children.clone();
+        let children = &tree.node(fork).children;
         debug_assert_eq!(children.len(), 2);
-        let arm = |child: TreeNodeId| -> (Event, Load) {
-            let ev = self.walk(tree, child, tree.node(child).wire_to_parent_um);
-            let load = match &ev {
-                Event::LoadAt { node, .. } => self.load_of(tree, *node),
-                Event::ForkAt { node, .. } => Load::Sink {
-                    cap: tree.shielded_cap_under(*node, self.lib.wire().c_per_um(), &|b| {
-                        self.lib.buffer(b).stage1_size() * 1.2e-15
-                    }),
-                },
-                Event::Dangling { .. } => Load::Sink { cap: 0.0 },
-            };
-            (ev, load)
-        };
-        let (ev_l, _load_l) = arm(children[0]);
-        let (ev_r, _load_r) = arm(children[1]);
+        // The arm loads are resolved inside `fork_timing`; here only the
+        // events are needed, to continue past each arm.
+        let arm = |child: TreeNodeId| self.walk(tree, child, tree.node(child).wire_to_parent_um);
+        let (ev_l, ev_r) = (arm(children[0]), arm(children[1]));
 
         let timing = self.fork_timing(tree, fork, driver, slew_in, stem_len);
         let t0 = t_in

@@ -263,10 +263,9 @@ impl<'a> MazeRouter<'a> {
         let mut best: Option<(BufferId, f64)> = None;
         let mut strongest: Option<(BufferId, f64)> = None;
         for drive in self.lib.buffer_ids() {
-            let slew = self
-                .lib
-                .single_wire(drive, Load::Buffer(load), target, seg_len.max(1.0))
-                .output_slew;
+            let slew =
+                self.lib
+                    .single_wire_slew(drive, Load::Buffer(load), target, seg_len.max(1.0));
             if slew <= target {
                 // closest to target from below = largest qualifying slew
                 if best.is_none_or(|(_, s)| slew > s) {
@@ -299,14 +298,12 @@ impl<'a> MazeRouter<'a> {
         if seg_len <= 0.0 {
             return 0.0;
         }
-        self.lib
-            .single_wire(
-                self.options.virtual_driver,
-                Load::Buffer(load),
-                self.options.slew_target,
-                seg_len.max(1.0),
-            )
-            .wire_delay
+        self.lib.single_wire_delay(
+            self.options.virtual_driver,
+            Load::Buffer(load),
+            self.options.slew_target,
+            seg_len.max(1.0),
+        )
     }
 
     pub(crate) fn resolve_load(&self, load: Load) -> BufferId {

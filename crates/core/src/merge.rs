@@ -215,15 +215,12 @@ impl<'a> MergeRouting<'a> {
             .get_or_insert_with(|| self.arm_budget_um());
         let wire_swing = {
             let load = balancer.load_of(tree, roots[0]);
-            2.0 * self
-                .lib
-                .single_wire(
-                    self.options.virtual_driver,
-                    load,
-                    self.options.slew_target,
-                    arm_budget,
-                )
-                .wire_delay
+            2.0 * self.lib.single_wire_delay(
+                self.options.virtual_driver,
+                load,
+                self.options.slew_target,
+                arm_budget,
+            )
         };
         let mut snake_stages = 0;
         for round in 0..3 {
@@ -460,14 +457,7 @@ impl<'a> MergeRouting<'a> {
                 self.options.slew_target,
                 report,
             );
-            let mut side_max = [f64::NEG_INFINITY; 2];
-            for &(id, t) in &report.sink_arrivals {
-                if side_sinks[0].binary_search(&id).is_ok() {
-                    side_max[0] = side_max[0].max(t);
-                } else if side_sinks[1].binary_search(&id).is_ok() {
-                    side_max[1] = side_max[1].max(t);
-                }
-            }
+            let side_max = report.side_max_arrivals([&side_sinks[0], &side_sinks[1]]);
             side_max[0] - side_max[1]
         };
 

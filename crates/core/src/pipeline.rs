@@ -26,7 +26,7 @@
 //! [`crate::Synthesizer::synthesize`] is a thin wrapper over
 //! [`SynthesisPipeline::run`].
 
-use crate::engine::TimingEngine;
+use crate::engine::{TimingEngine, TimingReport};
 use crate::hcorrect::merge_with_correction_with;
 use crate::instance::Instance;
 use crate::merge::MergeScratch;
@@ -473,6 +473,11 @@ pub(crate) fn refine_global(
     let slew_gate = options.slew_target * 1.01;
     let mr = crate::merge::MergeRouting::new(lib, options);
     let arm_budget = mr.arm_budget_um();
+    // Reused by every evaluation below: the bisection steps and the
+    // re-typing trials refill these instead of allocating reports.
+    let mut local = TimingReport::default();
+    let mut full = TimingReport::default();
+    let mut trial = TimingReport::default();
 
     for _round in 0..3 {
         let (rep, slews) = engine.evaluate_annotated(tree, source, options.source_slew);
@@ -516,17 +521,21 @@ pub(crate) fn refine_global(
             if r_lo >= r_hi {
                 continue;
             }
-            let side_sinks = [tree.sinks_under(kids[0]), tree.sinks_under(kids[1])];
-            let diff_at = |tree: &mut ClockTree, r: f64| -> f64 {
+            let mut side_sinks = [tree.sinks_under(kids[0]), tree.sinks_under(kids[1])];
+            side_sinks[0].sort_unstable();
+            side_sinks[1].sort_unstable();
+            let mut diff_at = |tree: &mut ClockTree, r: f64| -> f64 {
                 tree.set_wire_to_parent(kids[0], r * total);
                 tree.set_wire_to_parent(kids[1], (1.0 - r) * total);
-                let local =
-                    engine.evaluate_subtree(tree, driver_node, options.virtual_driver, driver_slew);
-                let arr = local.arrival_map();
-                let m = |ids: &[TreeNodeId]| {
-                    ids.iter().map(|i| arr[i]).fold(f64::NEG_INFINITY, f64::max)
-                };
-                m(&side_sinks[0]) - m(&side_sinks[1])
+                engine.evaluate_subtree_into(
+                    tree,
+                    driver_node,
+                    options.virtual_driver,
+                    driver_slew,
+                    &mut local,
+                );
+                let side_max = local.side_max_arrivals([&side_sinks[0], &side_sinks[1]]);
+                side_max[0] - side_max[1]
             };
             let r_now = tree.node(kids[0]).wire_to_parent_um / total;
             let d_now = diff_at(tree, r_now);
@@ -568,18 +577,18 @@ pub(crate) fn refine_global(
             out
         };
         for _iter in 0..24 {
-            let rep = engine.evaluate(tree, source, options.source_slew);
-            let skew = rep.skew();
+            engine.evaluate_into(tree, source, options.source_slew, &mut full);
+            let skew = full.skew();
             if skew < 2.0e-12 {
                 break;
             }
-            let fastest = rep
+            let fastest = full
                 .sink_arrivals
                 .iter()
                 .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
                 .expect("sinks present")
                 .0;
-            let slowest = rep
+            let slowest = full
                 .sink_arrivals
                 .iter()
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
@@ -601,7 +610,7 @@ pub(crate) fn refine_global(
                         continue;
                     }
                     tree.set_buffer_type(cand, alt);
-                    let trial = engine.evaluate(tree, source, options.source_slew);
+                    engine.evaluate_into(tree, source, options.source_slew, &mut trial);
                     if trial.worst_slew <= slew_gate
                         && trial.skew() + 0.3e-12 < best.map_or(skew, |(s, _, _)| s)
                     {

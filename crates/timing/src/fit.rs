@@ -12,6 +12,16 @@
 use crate::linalg::{least_squares, Matrix};
 use std::fmt;
 
+/// Largest number of input variables a [`PolyFit`] accepts. The library
+/// needs two (single-wire surfaces) and three (branch volumes), and
+/// [`PolyFit::eval`] standardizes queries into a stack array of this size.
+pub const MAX_DIMS: usize = 3;
+
+/// Largest total polynomial degree a [`PolyFit`] accepts. The library fits
+/// cubics at most; the bound keeps a damaged cache record from requesting
+/// an astronomically large monomial basis.
+pub const MAX_ORDER: u32 = 8;
+
 /// Error returned when a polynomial fit cannot be computed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FitError {
@@ -27,6 +37,11 @@ pub enum FitError {
     Degenerate,
     /// A sample contained a non-finite coordinate or value.
     NonFiniteSample,
+    /// The requested total degree exceeds [`MAX_ORDER`].
+    OrderTooHigh {
+        /// The requested degree.
+        order: u32,
+    },
 }
 
 impl fmt::Display for FitError {
@@ -38,6 +53,12 @@ impl fmt::Display for FitError {
             ),
             FitError::Degenerate => write!(f, "design matrix is rank deficient"),
             FitError::NonFiniteSample => write!(f, "samples must be finite"),
+            FitError::OrderTooHigh { order } => {
+                write!(
+                    f,
+                    "polynomial order {order} exceeds the maximum {MAX_ORDER}"
+                )
+            }
         }
     }
 }
@@ -45,13 +66,19 @@ impl fmt::Display for FitError {
 impl std::error::Error for FitError {}
 
 /// Monomial powers for a full polynomial basis of total degree `order` in
-/// `dims` variables.
-fn basis_powers(dims: usize, order: u32) -> Vec<Vec<u32>> {
-    let mut out = Vec::new();
-    let mut current = vec![0u32; dims];
-    fn rec(dims: usize, idx: usize, left: u32, current: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
+/// `dims` variables. Each term is padded to [`MAX_DIMS`] with zero powers
+/// past `dims`, so a basis is one flat allocation that `eval` walks
+/// without chasing a pointer per term.
+fn basis_powers(dims: usize, order: u32) -> Vec<[u32; MAX_DIMS]> {
+    fn rec(
+        dims: usize,
+        idx: usize,
+        left: u32,
+        current: &mut [u32; MAX_DIMS],
+        out: &mut Vec<[u32; MAX_DIMS]>,
+    ) {
         if idx == dims {
-            out.push(current.clone());
+            out.push(*current);
             return;
         }
         for p in 0..=left {
@@ -60,7 +87,8 @@ fn basis_powers(dims: usize, order: u32) -> Vec<Vec<u32>> {
         }
         current[idx] = 0;
     }
-    rec(dims, 0, order, &mut current, &mut out);
+    let mut out = Vec::new();
+    rec(dims, 0, order, &mut [0; MAX_DIMS], &mut out);
     out
 }
 
@@ -106,17 +134,12 @@ impl Standardizer {
         }
     }
 
-    fn apply(&self, x: &[f64], clamp: bool) -> Vec<f64> {
+    /// Standardizes a fitting sample (no clamping: samples define the
+    /// domain).
+    fn apply(&self, x: &[f64]) -> Vec<f64> {
         x.iter()
             .enumerate()
-            .map(|(d, &v)| {
-                let v = if clamp {
-                    v.clamp(self.lo[d], self.hi[d])
-                } else {
-                    v
-                };
-                (v - self.mean[d]) / self.scale[d]
-            })
+            .map(|(d, &v)| (v - self.mean[d]) / self.scale[d])
             .collect()
     }
 }
@@ -145,7 +168,7 @@ impl Standardizer {
 pub struct PolyFit {
     dims: usize,
     order: u32,
-    powers: Vec<Vec<u32>>,
+    powers: Vec<[u32; MAX_DIMS]>,
     coefs: Vec<f64>,
     std: Standardizer,
     max_abs_residual: f64,
@@ -158,19 +181,24 @@ impl PolyFit {
     ///
     /// # Errors
     ///
-    /// Returns [`FitError`] if there are fewer samples than coefficients,
-    /// samples are non-finite, or the design matrix is rank deficient.
+    /// Returns [`FitError`] if `order` exceeds [`MAX_ORDER`], there are
+    /// fewer samples than coefficients, samples are non-finite, or the
+    /// design matrix is rank deficient.
     ///
     /// # Panics
     ///
-    /// Panics if any point has the wrong dimensionality, or `dims == 0`.
+    /// Panics if any point has the wrong dimensionality, or if `dims` is
+    /// not in `1..=`[`MAX_DIMS`].
     pub fn fit(
         dims: usize,
         order: u32,
         points: &[Vec<f64>],
         values: &[f64],
     ) -> Result<PolyFit, FitError> {
-        assert!(dims > 0, "dims must be positive");
+        assert!(
+            (1..=MAX_DIMS).contains(&dims),
+            "dims must be in 1..={MAX_DIMS}, got {dims}"
+        );
         assert_eq!(points.len(), values.len(), "points/values must match");
         for p in points {
             assert_eq!(p.len(), dims, "point dimensionality mismatch");
@@ -183,6 +211,9 @@ impl PolyFit {
         {
             return Err(FitError::NonFiniteSample);
         }
+        if order > MAX_ORDER {
+            return Err(FitError::OrderTooHigh { order });
+        }
         let powers = basis_powers(dims, order);
         if points.len() < powers.len() {
             return Err(FitError::TooFewSamples {
@@ -192,7 +223,7 @@ impl PolyFit {
         }
         let std = Standardizer::from_samples(dims, points);
         let design = Matrix::from_fn(points.len(), powers.len(), |r, c| {
-            let x = std.apply(&points[r], false);
+            let x = std.apply(&points[r]);
             monomial(&x, &powers[c])
         });
         let coefs = least_squares(&design, values).ok_or(FitError::Degenerate)?;
@@ -226,11 +257,18 @@ impl PolyFit {
     /// Panics if `x` has the wrong dimensionality.
     pub fn eval(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
-        let z = self.std.apply(x, true);
+        // Standardize on the stack: this runs inside the maze router's
+        // wavefront, so it must not allocate.
+        let std = &self.std;
+        let mut z = [0.0; MAX_DIMS];
+        for (d, (zd, &v)) in z.iter_mut().zip(x).enumerate() {
+            *zd = (v.clamp(std.lo[d], std.hi[d]) - std.mean[d]) / std.scale[d];
+        }
+        let z = &z[..self.dims];
         self.powers
             .iter()
             .zip(&self.coefs)
-            .map(|(p, c)| c * monomial(&z, p))
+            .map(|(p, c)| c * monomial(z, p))
             .sum()
     }
 
@@ -294,15 +332,19 @@ impl PolyFit {
         rec
     }
 
+    /// Rebuilds a fit from [`PolyFit::to_record`]'s layout, or `None` if
+    /// the record is malformed. The header is validated before the
+    /// monomial basis is built, so a damaged record cannot request a huge
+    /// basis.
     pub(crate) fn from_record(rec: &[f64]) -> Option<PolyFit> {
-        if rec.len() < 2 {
+        let (&dims, &order) = (rec.first()?, rec.get(1)?);
+        let integral_in = |v: f64, lo: f64, hi: f64| v.trunc() == v && (lo..=hi).contains(&v);
+        if !integral_in(dims, 1.0, MAX_DIMS as f64)
+            || !integral_in(order, 0.0, f64::from(MAX_ORDER))
+        {
             return None;
         }
-        let dims = rec[0] as usize;
-        let order = rec[1] as u32;
-        if dims == 0 {
-            return None;
-        }
+        let (dims, order) = (dims as usize, order as u32);
         let powers = basis_powers(dims, order);
         let need = 2 + 4 * dims + 2 + powers.len();
         if rec.len() != need {
@@ -314,6 +356,11 @@ impl PolyFit {
         let scale = take(dims);
         let lo = take(dims);
         let hi = take(dims);
+        // `eval` clamps into [lo, hi], which panics on an inverted or NaN
+        // bound; refuse such a domain here instead.
+        if lo.iter().zip(&hi).any(|(l, h)| !(l <= h)) {
+            return None;
+        }
         let max_abs_residual = it.next()?;
         let rms_residual = it.next()?;
         let coefs: Vec<f64> = it.collect();
@@ -339,6 +386,28 @@ fn monomial(x: &[f64], powers: &[u32]) -> f64 {
         .zip(powers)
         .map(|(v, &p)| v.powi(p as i32))
         .product()
+}
+
+#[cfg(test)]
+impl PolyFit {
+    /// The heap-allocating evaluation [`PolyFit::eval`] replaced, kept
+    /// verbatim so tests can pin the stack version to it bit for bit.
+    pub(crate) fn eval_reference(&self, x: &[f64]) -> f64 {
+        assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
+        let z: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(d, &v)| {
+                let v = v.clamp(self.std.lo[d], self.std.hi[d]);
+                (v - self.std.mean[d]) / self.std.scale[d]
+            })
+            .collect();
+        self.powers
+            .iter()
+            .zip(&self.coefs)
+            .map(|(p, c)| c * monomial(&z, p))
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -435,6 +504,60 @@ mod tests {
         let back = PolyFit::from_record(&rec).unwrap();
         assert_eq!(fit, back);
         assert!(PolyFit::from_record(&rec[..rec.len() - 1]).is_none());
+    }
+
+    #[test]
+    fn record_header_is_validated_before_the_basis_is_built() {
+        let pts: Vec<Vec<f64>> = (0..20)
+            .map(|i| vec![i as f64 * 0.3, (i % 5) as f64])
+            .collect();
+        let vals: Vec<f64> = pts.iter().map(|p| 1.0 + p[0] * p[1]).collect();
+        let rec = PolyFit::fit(2, 2, &pts, &vals).unwrap().to_record();
+        let with_header = |dims: f64, order: f64| {
+            let mut r = rec.clone();
+            r[0] = dims;
+            r[1] = order;
+            r
+        };
+        // dims 30 / order 30 would enumerate ~10^16 monomials.
+        assert!(PolyFit::from_record(&[30.0, 30.0, 0.0]).is_none());
+        assert!(PolyFit::from_record(&with_header(0.0, 2.0)).is_none());
+        assert!(PolyFit::from_record(&with_header(4.0, 2.0)).is_none());
+        assert!(PolyFit::from_record(&with_header(2.5, 2.0)).is_none());
+        assert!(PolyFit::from_record(&with_header(f64::NAN, 2.0)).is_none());
+        assert!(PolyFit::from_record(&with_header(2.0, 1.5)).is_none());
+        assert!(PolyFit::from_record(&with_header(2.0, -1.0)).is_none());
+        assert!(PolyFit::from_record(&with_header(2.0, f64::INFINITY)).is_none());
+        assert!(PolyFit::from_record(&with_header(2.0, (MAX_ORDER + 1) as f64)).is_none());
+        assert!(PolyFit::from_record(&[2.0]).is_none());
+        // Domain bounds sit at record[2 + 2*dims ..]: lo then hi.
+        let mut inverted = rec.clone();
+        inverted.swap(6, 8);
+        assert!(PolyFit::from_record(&inverted).is_none());
+        let mut nan_bound = rec.clone();
+        nan_bound[7] = f64::NAN;
+        assert!(PolyFit::from_record(&nan_bound).is_none());
+        assert!(PolyFit::from_record(&with_header(2.0, 2.0)).is_some());
+    }
+
+    #[test]
+    fn order_above_the_bound_is_an_error() {
+        let pts: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64]).collect();
+        let vals = vec![0.0; 100];
+        assert_eq!(
+            PolyFit::fit(1, MAX_ORDER + 1, &pts, &vals),
+            Err(FitError::OrderTooHigh {
+                order: MAX_ORDER + 1
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "dims must be in 1..=3")]
+    fn fit_rejects_too_many_dims() {
+        let pts: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64; 4]).collect();
+        let vals = vec![0.0; 40];
+        let _ = PolyFit::fit(4, 1, &pts, &vals);
     }
 
     #[test]

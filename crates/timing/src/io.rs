@@ -156,8 +156,10 @@ pub fn load_library_str(text: &str) -> Result<DelaySlewLibrary, ParseLibraryErro
                     .next()
                     .ok_or_else(|| err(ln, "missing fit kind"))?
                     .to_string();
+                // The count is untrusted: grow the record as tokens arrive
+                // instead of preallocating by it.
                 let n = parse_usize(tok.next(), ln)?;
-                let mut rec = Vec::with_capacity(n);
+                let mut rec = Vec::new();
                 for _ in 0..n {
                     rec.push(parse_f64(tok.next(), ln)?);
                 }
@@ -166,6 +168,14 @@ pub fn load_library_str(text: &str) -> Result<DelaySlewLibrary, ParseLibraryErro
                 }
                 let fit =
                     PolyFit::from_record(&rec).ok_or_else(|| err(ln, "malformed fit record"))?;
+                // Surfaces are (slew, length); volumes are (slew, l_left,
+                // l_right). Anything else would only fail at query time.
+                if fit.dims() != nkeys {
+                    return Err(err(
+                        ln,
+                        format!("{head} fit must have {nkeys} dims, found {}", fit.dims()),
+                    ));
+                }
                 fits.push(FitSlot {
                     key,
                     kind,
@@ -319,6 +329,86 @@ mod tests {
         let text = save_library_string(&lib).replace("vdd 1.1", "vdd abc");
         let e = load_library_str(&text).unwrap_err();
         assert!(e.message.contains("bad float"), "{e}");
+    }
+
+    /// `text` with the first fit line starting with `prefix` replaced by
+    /// `line`.
+    fn with_fit_line(text: &str, prefix: &str, line: &str) -> String {
+        let mut replaced = false;
+        text.lines()
+            .map(|l| {
+                if !replaced && l.starts_with(prefix) {
+                    replaced = true;
+                    line.to_string()
+                } else {
+                    l.to_string()
+                }
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    #[test]
+    fn huge_record_count_is_an_error_not_an_abort() {
+        let text = save_library_string(&synthetic_library());
+        let bad = with_fit_line(
+            &text,
+            "single 0 0 wire_delay",
+            "single 0 0 wire_delay 999999999999999999",
+        );
+        let e = load_library_str(&bad).unwrap_err();
+        assert!(e.message.contains("missing number"), "{e}");
+    }
+
+    #[test]
+    fn huge_dims_and_order_are_rejected_before_the_basis_is_built() {
+        let text = save_library_string(&synthetic_library());
+        let bad = with_fit_line(
+            &text,
+            "single 0 0 wire_delay",
+            "single 0 0 wire_delay 3 30 30 0",
+        );
+        let e = load_library_str(&bad).unwrap_err();
+        assert!(e.message.contains("malformed fit record"), "{e}");
+    }
+
+    #[test]
+    fn fractional_dims_are_rejected() {
+        let text = save_library_string(&synthetic_library());
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("single 0 0 intrinsic"))
+            .unwrap();
+        let mut tok: Vec<String> = line.split_whitespace().map(String::from).collect();
+        tok[5] = "2.5".to_string(); // record[0] = dims
+        let bad = with_fit_line(&text, "single 0 0 intrinsic", &tok.join(" "));
+        let e = load_library_str(&bad).unwrap_err();
+        assert!(e.message.contains("malformed fit record"), "{e}");
+    }
+
+    #[test]
+    fn fits_of_the_wrong_dimensionality_are_rejected() {
+        let text = save_library_string(&synthetic_library());
+        let fit_of = |prefix: &str| -> Vec<String> {
+            text.lines()
+                .find(|l| l.starts_with(prefix))
+                .unwrap()
+                .split_whitespace()
+                .map(String::from)
+                .collect()
+        };
+        // A volume record under a single-wire header, and vice versa.
+        let volume = fit_of("branch 0 0 0 intrinsic");
+        let single = format!("single 0 0 intrinsic {}", volume[5..].join(" "));
+        let bad = with_fit_line(&text, "single 0 0 intrinsic", &single);
+        let e = load_library_str(&bad).unwrap_err();
+        assert!(e.message.contains("single fit must have 2 dims"), "{e}");
+
+        let surface = fit_of("single 0 0 intrinsic");
+        let branch = format!("branch 0 0 0 intrinsic {}", surface[4..].join(" "));
+        let bad = with_fit_line(&text, "branch 0 0 0 intrinsic", &branch);
+        let e = load_library_str(&bad).unwrap_err();
+        assert!(e.message.contains("branch fit must have 3 dims"), "{e}");
     }
 
     #[test]

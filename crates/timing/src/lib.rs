@@ -12,11 +12,23 @@
 //!   (branch) circuits on the [`cts_spice`] simulator across input slew and
 //!   wire lengths for every buffer combination.
 //! * [`fit`] — least-squares polynomial surfaces/volumes over the sweep
-//!   data (the MATLAB surface fits of Figs. 3.4/3.6/3.7).
+//!   data (the MATLAB surface fits of Figs. 3.4/3.6/3.7), in at most three
+//!   variables ([`fit::MAX_DIMS`]), so evaluation standardizes a query into
+//!   a stack array and never allocates.
 //! * [`DelaySlewLibrary`] — the queryable library: buffer intrinsic delay,
 //!   wire delay, and wire output slew as functions of input slew and
 //!   length(s), per (driving buffer, load buffer) combination, with sink
 //!   loads mapped to the nearest buffer by capacitance.
+//!
+//! # Hot-path queries
+//!
+//! The synthesis flow queries the library millions of times from inside
+//! the maze router's wavefront. A caller that reads one field of a
+//! single-wire stage should ask for that field alone:
+//! [`DelaySlewLibrary::single_wire_delay`] and
+//! [`DelaySlewLibrary::single_wire_slew`] evaluate one fitted surface
+//! instead of the three behind [`DelaySlewLibrary::single_wire`], and
+//! return the same bits as the matching [`StageTiming`] field.
 //! * [`save_library_string`] / [`load_library_str`] — plain-text caching so
 //!   the (expensive) characterization runs once.
 //! * [`variation`] — deterministic process-variation corners: seeded

@@ -98,7 +98,10 @@ pub struct BranchFns {
 /// intrinsic delay, wire delay and wire slew, fitted to simulations of the
 /// Fig. 3.3/3.5 circuits. Build one with [`crate::characterize()`] (or load a
 /// cached one via [`crate::load_library_str`]); query with
-/// [`DelaySlewLibrary::single_wire`] and [`DelaySlewLibrary::branch`].
+/// [`DelaySlewLibrary::single_wire`] and [`DelaySlewLibrary::branch`], or,
+/// on hot paths that read one field, with the single-surface
+/// [`DelaySlewLibrary::single_wire_delay`] and
+/// [`DelaySlewLibrary::single_wire_slew`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DelaySlewLibrary {
     vdd: f64,
@@ -212,6 +215,10 @@ impl DelaySlewLibrary {
     /// driving buffer.
     ///
     /// Queries outside the characterized (slew, length) domain are clamped.
+    /// Callers that read one field should use
+    /// [`DelaySlewLibrary::single_wire_delay`] or
+    /// [`DelaySlewLibrary::single_wire_slew`], which evaluate only that
+    /// surface and return the same bits.
     ///
     /// # Panics
     ///
@@ -223,14 +230,47 @@ impl DelaySlewLibrary {
         input_slew: f64,
         length_um: f64,
     ) -> StageTiming {
-        let load = self.resolve(load);
-        let fns = self.single_fns(drive, load);
+        let fns = self.single_fns(drive, self.resolve(load));
         let x = [input_slew, length_um];
         StageTiming {
-            buffer_delay: fns.intrinsic.eval(&x).max(0.0),
-            wire_delay: fns.wire_delay.eval(&x).max(0.0),
-            output_slew: fns.wire_slew.eval(&x).max(1e-15),
+            buffer_delay: delay_of(&fns.intrinsic, &x),
+            wire_delay: delay_of(&fns.wire_delay, &x),
+            output_slew: slew_of(&fns.wire_slew, &x),
         }
+    }
+
+    /// [`StageTiming::wire_delay`] of [`DelaySlewLibrary::single_wire`],
+    /// evaluating only the wire-delay surface.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drive` (or a buffer load) is out of range.
+    pub fn single_wire_delay(
+        &self,
+        drive: BufferId,
+        load: Load,
+        input_slew: f64,
+        length_um: f64,
+    ) -> f64 {
+        let fns = self.single_fns(drive, self.resolve(load));
+        delay_of(&fns.wire_delay, &[input_slew, length_um])
+    }
+
+    /// [`StageTiming::output_slew`] of [`DelaySlewLibrary::single_wire`],
+    /// evaluating only the wire-slew surface.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drive` (or a buffer load) is out of range.
+    pub fn single_wire_slew(
+        &self,
+        drive: BufferId,
+        load: Load,
+        input_slew: f64,
+        length_um: f64,
+    ) -> f64 {
+        let fns = self.single_fns(drive, self.resolve(load));
+        slew_of(&fns.wire_slew, &[input_slew, length_um])
     }
 
     /// Timing of a branch component: `drive` buffer into two wires of
@@ -266,15 +306,9 @@ impl DelaySlewLibrary {
             .expect("canonical branch fit present (checked at construction)")
             .1;
         let x = [input_slew, la, lb];
-        let (d_a, s_a) = (
-            fns.left_delay.eval(&x).max(0.0),
-            fns.left_slew.eval(&x).max(1e-15),
-        );
-        let (d_b, s_b) = (
-            fns.right_delay.eval(&x).max(0.0),
-            fns.right_slew.eval(&x).max(1e-15),
-        );
-        let buffer_delay = fns.intrinsic.eval(&x).max(0.0);
+        let (d_a, s_a) = (delay_of(&fns.left_delay, &x), slew_of(&fns.left_slew, &x));
+        let (d_b, s_b) = (delay_of(&fns.right_delay, &x), slew_of(&fns.right_slew, &x));
+        let buffer_delay = delay_of(&fns.intrinsic, &x);
         if swapped {
             BranchTiming {
                 buffer_delay,
@@ -323,7 +357,7 @@ impl DelaySlewLibrary {
         slew_limit: f64,
     ) -> Option<f64> {
         let ((_, _), (len_lo, len_hi)) = self.single_domain(drive, load);
-        let slew_at = |len: f64| self.single_wire(drive, load, input_slew, len).output_slew;
+        let slew_at = |len: f64| self.single_wire_slew(drive, load, input_slew, len);
         if slew_at(len_lo) > slew_limit {
             return None;
         }
@@ -389,6 +423,16 @@ impl DelaySlewLibrary {
     pub(crate) fn branch_slice(&self) -> &[((usize, usize, usize), BranchFns)] {
         &self.branch
     }
+}
+
+/// A delay surface evaluated at `x`: fitted delays never go negative.
+fn delay_of(fit: &PolyFit, x: &[f64]) -> f64 {
+    fit.eval(x).max(0.0)
+}
+
+/// A slew surface evaluated at `x`: fitted slews stay strictly positive.
+fn slew_of(fit: &PolyFit, x: &[f64]) -> f64 {
+    fit.eval(x).max(1e-15)
 }
 
 /// 1× gate capacitance used when matching sink caps to buffer input caps.
@@ -580,6 +624,69 @@ mod tests {
         assert_eq!(lib.subset(2).unwrap(), lib);
         assert!(lib.subset(0).is_none());
         assert!(lib.subset(3).is_none());
+    }
+
+    #[test]
+    fn single_surface_queries_are_bit_exact_over_the_fast_library() {
+        let lib = crate::fast_library();
+        let ((slew_lo, slew_hi), (len_lo, len_hi)) =
+            lib.single_domain(BufferId(0), Load::Buffer(BufferId(0)));
+        // Interior points plus points beyond every edge, so the clamped
+        // paths are covered too.
+        let span = |lo: f64, hi: f64| -> Vec<f64> {
+            (-2..=12)
+                .map(|i| lo + (hi - lo) * f64::from(i) / 10.0)
+                .chain([0.0, -1.0, 1e9])
+                .collect()
+        };
+        let (slews, lens) = (span(slew_lo, slew_hi), span(len_lo, len_hi));
+        let nb = lib.buffers().len();
+        for drive in lib.buffer_ids() {
+            let loads = lib
+                .buffer_ids()
+                .map(Load::Buffer)
+                .chain([Load::Sink { cap: 25e-15 }]);
+            for load in loads {
+                for &s in &slews {
+                    for &l in &lens {
+                        let full = lib.single_wire(drive, load, s, l);
+                        let delay = lib.single_wire_delay(drive, load, s, l);
+                        let slew = lib.single_wire_slew(drive, load, s, l);
+                        assert_eq!(delay.to_bits(), full.wire_delay.to_bits());
+                        assert_eq!(slew.to_bits(), full.output_slew.to_bits());
+                    }
+                }
+            }
+            for load in 0..nb {
+                let fns = &lib.single_slice()[drive.0 * nb + load];
+                for fit in [&fns.intrinsic, &fns.wire_delay, &fns.wire_slew] {
+                    for &s in &slews {
+                        for &l in &lens {
+                            let x = [s, l];
+                            assert_eq!(fit.eval(&x).to_bits(), fit.eval_reference(&x).to_bits());
+                        }
+                    }
+                }
+            }
+        }
+        for (_, fns) in lib.branch_slice() {
+            for fit in [
+                &fns.intrinsic,
+                &fns.left_delay,
+                &fns.right_delay,
+                &fns.left_slew,
+                &fns.right_slew,
+            ] {
+                for &s in slews.iter().step_by(2) {
+                    for &a in lens.iter().step_by(2) {
+                        for &b in lens.iter().step_by(3) {
+                            let x = [s, a, b];
+                            assert_eq!(fit.eval(&x).to_bits(), fit.eval_reference(&x).to_bits());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
