@@ -74,7 +74,7 @@ pub use service::{
     ServiceOptions, ServiceStats, SubmitError, SweepOutcome, SweepSubmitError, SweepTicket,
     SynthesisRequest, SynthesisResult, SynthesisService, Ticket,
 };
-pub use sweep::{pareto_point, SweepAxes, SweepError, SweepPoint, SweepPoints, SweepSpec};
+pub use sweep::{pareto_point, SweepError};
 pub use tree::{ClockTree, NodeKind, TreeNode, TreeNodeId, TreeStructureError};
 pub use variation::{CornerRow, DistStats, VariationSummary};
 pub use verify::{verify_tree, VerifiedTiming, Verifier, VerifyOptions, VerifyStats};

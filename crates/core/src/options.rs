@@ -195,6 +195,12 @@ impl Default for CtsOptions {
 }
 
 impl CtsOptions {
+    /// Upper bound on `grid_resolution` accepted by validation — 11×
+    /// the finest grid any caller uses, low enough that a garbage value
+    /// is a typed error instead of a maze-label allocation the process
+    /// cannot survive (the label grid grows with its square).
+    pub const MAX_GRID_RESOLUTION: u32 = 1024;
+
     /// Starts a [`CtsOptionsBuilder`] from the defaults. The builder
     /// validates ranges at [`CtsOptionsBuilder::build`], so invalid
     /// combinations surface as a typed [`OptionsError`] before any
@@ -209,8 +215,8 @@ impl CtsOptions {
     /// # Errors
     ///
     /// Returns the first [`OptionsError`] describing an out-of-range
-    /// field (non-positive limits, target above limit, zero grid, zero
-    /// iterations, out-of-range sigmas).
+    /// field (non-positive limits, target above limit, zero or oversized
+    /// grid, zero iterations, out-of-range sigmas).
     pub fn check(&self) -> Result<(), OptionsError> {
         if !(self.slew_limit > 0.0) {
             return Err(OptionsError::SlewLimit {
@@ -225,6 +231,12 @@ impl CtsOptions {
         }
         if self.grid_resolution == 0 {
             return Err(OptionsError::GridResolution);
+        }
+        if self.grid_resolution > CtsOptions::MAX_GRID_RESOLUTION {
+            return Err(OptionsError::GridTooFine {
+                resolution: self.grid_resolution,
+                max: CtsOptions::MAX_GRID_RESOLUTION,
+            });
         }
         if self.cost_alpha < 0.0 || self.cost_beta < 0.0 {
             return Err(OptionsError::CostWeights);
@@ -282,6 +294,13 @@ pub enum OptionsError {
     },
     /// `grid_resolution` was zero.
     GridResolution,
+    /// `grid_resolution` exceeded [`CtsOptions::MAX_GRID_RESOLUTION`].
+    GridTooFine {
+        /// The requested resolution.
+        resolution: u32,
+        /// The maximum accepted.
+        max: u32,
+    },
     /// `cost_alpha` or `cost_beta` was negative.
     CostWeights,
     /// `binary_search_iters` was zero.
@@ -315,6 +334,12 @@ impl fmt::Display for OptionsError {
                 )
             }
             OptionsError::GridResolution => write!(f, "grid_resolution must be positive"),
+            OptionsError::GridTooFine { resolution, max } => {
+                write!(
+                    f,
+                    "grid_resolution ({resolution}) exceeds the maximum of {max}"
+                )
+            }
             OptionsError::CostWeights => write!(f, "cost weights must be non-negative"),
             OptionsError::BinarySearchIters => write!(f, "binary_search_iters must be positive"),
             OptionsError::Corners { corners, max } => {
@@ -334,7 +359,7 @@ impl std::error::Error for OptionsError {}
 
 /// With-style builder for [`CtsOptions`], started by
 /// [`CtsOptions::builder`] or [`From<CtsOptions>`] to tweak an existing
-/// configuration (how sweep points are constructed). Setters take the
+/// configuration. Setters take the
 /// same units as the fields they set; [`CtsOptionsBuilder::build`] runs
 /// the full range validation and returns a typed [`OptionsError`]
 /// instead of deferring the failure to synthesis.
@@ -508,6 +533,26 @@ mod tests {
         let mut o = CtsOptions::default();
         o.grid_resolution = 0;
         assert!(o.validate().is_err());
+    }
+
+    #[test]
+    fn oversized_grid_rejected() {
+        let mut o = CtsOptions::default();
+        o.grid_resolution = CtsOptions::MAX_GRID_RESOLUTION;
+        assert!(o.check().is_ok());
+        o.grid_resolution = 100_000;
+        let e = o.check().unwrap_err();
+        assert_eq!(
+            e,
+            OptionsError::GridTooFine {
+                resolution: 100_000,
+                max: CtsOptions::MAX_GRID_RESOLUTION
+            }
+        );
+        assert_eq!(
+            e.to_string(),
+            "grid_resolution (100000) exceeds the maximum of 1024"
+        );
     }
 
     #[test]

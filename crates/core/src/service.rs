@@ -95,7 +95,7 @@ use crate::merge::MergeScratch;
 use crate::options::{CtsError, CtsOptions};
 use crate::pareto::ParetoFront;
 use crate::pipeline::LevelSnapshot;
-use crate::sweep::{pareto_point, SweepError, SweepSpec};
+use crate::sweep::{self, pareto_point, SweepError};
 use crate::verify::{Verifier, VerifyOptions, VerifyStats};
 use cts_obs::Histogram;
 use cts_spice::Technology;
@@ -368,7 +368,7 @@ impl std::error::Error for SubmitError {}
 /// on any error **nothing** was admitted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepSubmitError {
-    /// The [`SweepSpec`] failed to expand (empty, oversized, or a point
+    /// The sweep's points were rejected (empty, oversized, or a point
     /// with out-of-range options). Detected before touching the queue.
     Spec(SweepError),
     /// The expanded request batch was not admitted; carries the
@@ -1275,31 +1275,31 @@ impl SynthesisService {
         Ok(tickets.pop().expect("one request admits one ticket"))
     }
 
-    /// Expands a [`SweepSpec`] and admits every point atomically through
-    /// [`SynthesisService::admit`] (blocking for room). Point `i` of the
-    /// spec's deterministic expansion becomes ticket `i`, with
+    /// Admits an expanded sweep — one [`CtsOptions`] per point, in
+    /// expansion order — atomically through [`SynthesisService::admit`]
+    /// (blocking for room). Point `i` becomes ticket `i`, with
     /// consecutive request ids in expansion order.
     ///
     /// `template` supplies everything *but* the options — instance,
     /// priority, deadline, client id, level publishing — shared by every
-    /// point; its own `options` field is ignored (the sweep's base
-    /// options live in [`SweepSpec::base`]). Each point runs as an
-    /// ordinary request carrying its expanded options override, which is
-    /// what makes a swept point's tree byte-identical to the same
-    /// options submitted individually.
+    /// point; its own `options` field is ignored. Each point runs as an
+    /// ordinary request carrying its options override, which is what
+    /// makes a swept point's tree byte-identical to the same options
+    /// submitted individually.
     ///
     /// # Errors
     ///
-    /// [`SweepSubmitError::Spec`] when the spec fails to expand (nothing
-    /// admitted), [`SweepSubmitError::Batch`] when the queue rejects the
-    /// expanded batch (all-or-nothing, requests handed back inside).
+    /// [`SweepSubmitError::Spec`] when [`sweep::check_points`] rejects
+    /// the points (nothing admitted), [`SweepSubmitError::Batch`] when
+    /// the queue rejects the batch (all-or-nothing, requests handed back
+    /// inside).
     pub fn submit_sweep(
         &self,
         template: SynthesisRequest,
-        spec: &SweepSpec,
+        points: Vec<CtsOptions>,
     ) -> Result<SweepTicket, SweepSubmitError> {
-        let expanded = spec.expand().map_err(SweepSubmitError::Spec)?;
-        let requests: Vec<SynthesisRequest> = expanded
+        sweep::check_points(&points).map_err(SweepSubmitError::Spec)?;
+        let requests: Vec<SynthesisRequest> = points
             .into_iter()
             .map(|options| {
                 let mut request = template.clone();
@@ -2233,24 +2233,25 @@ mod tests {
 
     #[test]
     fn submit_sweep_matches_individual_submits_bit_for_bit() {
-        use crate::sweep::{SweepAxes, SweepSpec};
+        use crate::options::{CtsOptionsBuilder, HCorrection};
 
-        let axes = SweepAxes {
-            slew_targets: vec![70e-12, 85e-12],
-            h_corrections: vec![
-                crate::options::HCorrection::Off,
-                crate::options::HCorrection::Correct,
-            ],
-            ..SweepAxes::default()
-        };
-        let spec = SweepSpec::cartesian(options(), axes);
-        let expanded = spec.expand().expect("valid sweep");
+        let mut expanded = Vec::new();
+        for slew_target in [70e-12, 85e-12] {
+            for h in [HCorrection::Off, HCorrection::Correct] {
+                let point = CtsOptionsBuilder::from(options())
+                    .slew_target(slew_target)
+                    .h_correction(h)
+                    .build()
+                    .expect("valid sweep");
+                expanded.push(point);
+            }
+        }
         assert_eq!(expanded.len(), 4);
 
         let inst = tiny("sweep", 5, 1600.0);
         let svc = service(2, 16, false, false);
         let sweep = svc
-            .submit_sweep(SynthesisRequest::new(inst.clone()), &spec)
+            .submit_sweep(SynthesisRequest::new(inst.clone()), expanded.clone())
             .expect("sweep admits");
         assert_eq!(sweep.len(), 4);
         // Consecutive ids in expansion order.
@@ -2293,33 +2294,27 @@ mod tests {
 
     #[test]
     fn submit_sweep_rejects_bad_specs_without_admitting() {
-        use crate::sweep::{SweepPoint, SweepSpec};
-
         let svc = service(1, 4, true, false);
         // Empty sweep: typed spec error, nothing admitted.
-        let empty = SweepSpec::explicit(options(), vec![]);
-        match svc.submit_sweep(SynthesisRequest::new(tiny("e", 3, 800.0)), &empty) {
+        match svc.submit_sweep(SynthesisRequest::new(tiny("e", 3, 800.0)), vec![]) {
             Err(SweepSubmitError::Spec(SweepError::Empty)) => {}
             other => panic!("expected Spec(Empty), got {other:?}"),
         }
         // Out-of-range point: rejected before touching the queue.
-        let bad = SweepSpec::explicit(
-            options(),
-            vec![SweepPoint {
-                slew_target: Some(-1.0),
-                ..SweepPoint::default()
-            }],
-        );
+        let bad = vec![CtsOptions {
+            slew_target: -1.0,
+            ..options()
+        }];
         assert!(matches!(
-            svc.submit_sweep(SynthesisRequest::new(tiny("b", 3, 800.0)), &bad),
+            svc.submit_sweep(SynthesisRequest::new(tiny("b", 3, 800.0)), bad),
             Err(SweepSubmitError::Spec(SweepError::BadPoint {
                 ordinal: 0,
                 ..
             }))
         ));
         // Wider than the whole queue: batch error, all-or-nothing.
-        let wide = SweepSpec::explicit(options(), vec![SweepPoint::default(); 5]);
-        match svc.submit_sweep(SynthesisRequest::new(tiny("w", 3, 800.0)), &wide) {
+        let wide = vec![options(); 5];
+        match svc.submit_sweep(SynthesisRequest::new(tiny("w", 3, 800.0)), wide) {
             Err(SweepSubmitError::Batch(SubmitError::TooLarge(back))) => {
                 assert_eq!(back.len(), 5)
             }

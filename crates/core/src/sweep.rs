@@ -1,199 +1,63 @@
-//! Option-space sweeps: deterministic expansion of a base configuration
-//! along the paper's design axes.
+//! Option-space sweeps: validation of an expanded sweep and the Pareto
+//! objectives of its evaluated points.
 //!
-//! A [`SweepSpec`] names a base [`CtsOptions`] plus either a cartesian
-//! grid of [`SweepAxes`] (slew target × buffer-library subset ×
-//! H-correction × buffering mode) or an explicit [`SweepPoint`] list.
-//! [`SweepSpec::expand`] turns it into per-point options in a
-//! **deterministic order** (row-major over the axes, slew target
-//! outermost, buffering innermost; explicit lists keep their given
-//! order), each validated up front through the
-//! [`crate::CtsOptionsBuilder`] range checks. Point `i` of the expansion
-//! is the sweep's *ordinal* `i` everywhere downstream — in
-//! [`crate::SynthesisService::submit_sweep`] tickets, wire
-//! `sweep_progress` events, and [`crate::ParetoFront`] rows.
-//!
-//! The standing invariant: a swept point's tree is byte-identical to
-//! the same options submitted individually, because expansion produces
-//! ordinary [`CtsOptions`] and the service runs each point as an
-//! ordinary request.
+//! A sweep reaches [`crate::SynthesisService::submit_sweep`] already
+//! expanded — one [`CtsOptions`] per point, in expansion order — and
+//! [`check_points`] validates it before anything is admitted. Point `i`
+//! is the sweep's *ordinal* `i` everywhere downstream: tickets, wire
+//! `sweep_progress` events, and [`crate::ParetoFront`] rows. Each point
+//! is an ordinary [`CtsOptions`] run as an ordinary request, so a swept
+//! point's tree is byte-identical to the same options submitted alone.
 
 use crate::flow::CtsResult;
-use crate::options::{Buffering, CtsOptions, CtsOptionsBuilder, HCorrection, OptionsError};
+use crate::options::{CtsOptions, OptionsError};
 use crate::pareto::ParetoPoint;
 use std::fmt;
-
-/// Cartesian sweep axes. An empty axis means "keep the base value" (it
-/// contributes one implicit point, not zero), so the expansion size is
-/// the product of `max(1, axis.len())` over the four axes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SweepAxes {
-    /// Synthesis slew targets (s); outermost expansion axis.
-    pub slew_targets: Vec<f64>,
-    /// Buffer-library prefix sizes (`0` = full library).
-    pub library_subsets: Vec<usize>,
-    /// H-structure correction modes.
-    pub h_corrections: Vec<HCorrection>,
-    /// Buffer-insertion strategies; innermost expansion axis.
-    pub bufferings: Vec<Buffering>,
-}
-
-/// One sweep point: per-field overrides of the base options. `None`
-/// keeps the base value, so an all-`None` point reproduces the base
-/// configuration exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SweepPoint {
-    /// Override of [`CtsOptions::slew_target`] (s).
-    pub slew_target: Option<f64>,
-    /// Override of [`CtsOptions::library_subset`].
-    pub library_subset: Option<usize>,
-    /// Override of [`CtsOptions::h_correction`].
-    pub h_correction: Option<HCorrection>,
-    /// Override of [`CtsOptions::buffering`].
-    pub buffering: Option<Buffering>,
-}
-
-impl SweepPoint {
-    /// Applies the overrides to a base configuration, validating the
-    /// combination through the [`CtsOptionsBuilder`] range checks.
-    ///
-    /// # Errors
-    ///
-    /// The [`OptionsError`] of the combined options, e.g. a point slew
-    /// target above the base slew limit.
-    pub fn apply(&self, base: &CtsOptions) -> Result<CtsOptions, OptionsError> {
-        let mut b = CtsOptionsBuilder::from(base.clone());
-        if let Some(v) = self.slew_target {
-            b = b.slew_target(v);
-        }
-        if let Some(v) = self.library_subset {
-            b = b.library_subset(v);
-        }
-        if let Some(v) = self.h_correction {
-            b = b.h_correction(v);
-        }
-        if let Some(v) = self.buffering {
-            b = b.buffering(v);
-        }
-        b.build()
-    }
-}
-
-/// How a [`SweepSpec`] enumerates its points.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SweepPoints {
-    /// The cartesian product of the axes, row-major (slew target
-    /// outermost, then library subset, then H-correction, then
-    /// buffering innermost).
-    Cartesian(SweepAxes),
-    /// An explicit point list, kept in the given order.
-    Explicit(Vec<SweepPoint>),
-}
-
-/// A sweep: base options plus the points to evaluate them at.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepSpec {
-    /// The configuration every point starts from.
-    pub base: CtsOptions,
-    /// The points.
-    pub points: SweepPoints,
-}
 
 /// Upper bound on expanded sweep size — large enough for any practical
 /// grid over the four axes, small enough to catch a runaway product
 /// before it floods the service queue.
 pub const MAX_SWEEP_POINTS: usize = 4096;
 
-impl SweepSpec {
-    /// A cartesian sweep of `axes` around `base`.
-    pub fn cartesian(base: CtsOptions, axes: SweepAxes) -> SweepSpec {
-        SweepSpec {
-            base,
-            points: SweepPoints::Cartesian(axes),
-        }
-    }
-
-    /// An explicit point-list sweep around `base`.
-    pub fn explicit(base: CtsOptions, points: Vec<SweepPoint>) -> SweepSpec {
-        SweepSpec {
-            base,
-            points: SweepPoints::Explicit(points),
-        }
-    }
-
-    /// The points in expansion order, before option validation.
-    pub fn expand_points(&self) -> Vec<SweepPoint> {
-        match &self.points {
-            SweepPoints::Explicit(points) => points.clone(),
-            SweepPoints::Cartesian(axes) => {
-                // An empty axis is the base value: one implicit entry.
-                fn axis<T: Copy>(v: &[T]) -> Vec<Option<T>> {
-                    if v.is_empty() {
-                        vec![None]
-                    } else {
-                        v.iter().copied().map(Some).collect()
-                    }
-                }
-                let slews = axis(&axes.slew_targets);
-                let subsets = axis(&axes.library_subsets);
-                let hs = axis(&axes.h_corrections);
-                let bufs = axis(&axes.bufferings);
-                let mut out =
-                    Vec::with_capacity(slews.len() * subsets.len() * hs.len() * bufs.len());
-                for &slew_target in &slews {
-                    for &library_subset in &subsets {
-                        for &h_correction in &hs {
-                            for &buffering in &bufs {
-                                out.push(SweepPoint {
-                                    slew_target,
-                                    library_subset,
-                                    h_correction,
-                                    buffering,
-                                });
-                            }
-                        }
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Expands into per-point options, validated.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::Empty`] for a zero-point explicit list,
-    /// [`SweepError::TooManyPoints`] past [`MAX_SWEEP_POINTS`], and
-    /// [`SweepError::BadPoint`] naming the first ordinal whose options
-    /// fail the [`CtsOptions::check`] range validation.
-    pub fn expand(&self) -> Result<Vec<CtsOptions>, SweepError> {
-        let points = self.expand_points();
-        if points.is_empty() {
-            return Err(SweepError::Empty);
-        }
-        if points.len() > MAX_SWEEP_POINTS {
-            return Err(SweepError::TooManyPoints {
-                points: points.len(),
-                max: MAX_SWEEP_POINTS,
-            });
-        }
-        points
-            .iter()
-            .enumerate()
-            .map(|(ordinal, point)| {
-                point
-                    .apply(&self.base)
-                    .map_err(|source| SweepError::BadPoint { ordinal, source })
-            })
-            .collect()
+/// Checks a sweep's point count against `1..=`[`MAX_SWEEP_POINTS`] —
+/// for a cartesian product, before allocating any point.
+///
+/// # Errors
+///
+/// [`SweepError::Empty`] for zero points, [`SweepError::TooManyPoints`]
+/// past [`MAX_SWEEP_POINTS`].
+pub fn check_size(points: usize) -> Result<(), SweepError> {
+    match points {
+        0 => Err(SweepError::Empty),
+        n if n > MAX_SWEEP_POINTS => Err(SweepError::TooManyPoints {
+            points: n,
+            max: MAX_SWEEP_POINTS,
+        }),
+        _ => Ok(()),
     }
 }
 
-/// Why a sweep failed to expand.
+/// Validates an expanded sweep: its size through [`check_size`], then
+/// every point's options through [`CtsOptions::check`].
+///
+/// # Errors
+///
+/// The [`check_size`] errors, or [`SweepError::BadPoint`] naming the
+/// first ordinal whose options are out of range.
+pub fn check_points(points: &[CtsOptions]) -> Result<(), SweepError> {
+    check_size(points.len())?;
+    for (ordinal, options) in points.iter().enumerate() {
+        options
+            .check()
+            .map_err(|source| SweepError::BadPoint { ordinal, source })?;
+    }
+    Ok(())
+}
+
+/// Why a sweep was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepError {
-    /// The explicit point list was empty.
+    /// The sweep had no points.
     Empty,
     /// The expansion exceeded [`MAX_SWEEP_POINTS`].
     TooManyPoints {
@@ -248,85 +112,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cartesian_expansion_is_row_major() {
-        let axes = SweepAxes {
-            slew_targets: vec![70e-12, 80e-12],
-            library_subsets: vec![],
-            h_corrections: vec![HCorrection::Off, HCorrection::ReEstimate],
-            bufferings: vec![Buffering::Greedy],
-        };
-        let spec = SweepSpec::cartesian(CtsOptions::default(), axes);
-        let points = spec.expand_points();
-        assert_eq!(points.len(), 4);
-        // Buffering innermost, slew target outermost; the empty subset
-        // axis contributes the base value (None).
-        assert_eq!(points[0].slew_target, Some(70e-12));
-        assert_eq!(points[0].h_correction, Some(HCorrection::Off));
-        assert_eq!(points[1].h_correction, Some(HCorrection::ReEstimate));
-        assert_eq!(points[2].slew_target, Some(80e-12));
-        assert!(points.iter().all(|p| p.library_subset.is_none()));
-        assert!(points
-            .iter()
-            .all(|p| p.buffering == Some(Buffering::Greedy)));
-
-        let expanded = spec.expand().unwrap();
-        assert_eq!(expanded[1].slew_target, 70e-12);
-        assert_eq!(expanded[1].h_correction, HCorrection::ReEstimate);
-        assert_eq!(expanded[2].slew_target, 80e-12);
-        // Untouched fields carry the base value.
-        assert_eq!(
-            expanded[3].grid_resolution,
-            CtsOptions::default().grid_resolution
-        );
-    }
-
-    #[test]
-    fn explicit_points_keep_order_and_base() {
-        let spec = SweepSpec::explicit(
-            CtsOptions::default(),
-            vec![
-                SweepPoint::default(),
-                SweepPoint {
-                    buffering: Some(Buffering::VanGinneken),
-                    ..SweepPoint::default()
-                },
-            ],
-        );
-        let expanded = spec.expand().unwrap();
-        assert_eq!(expanded.len(), 2);
-        assert_eq!(expanded[0], CtsOptions::default());
-        assert_eq!(expanded[1].buffering, Buffering::VanGinneken);
-    }
-
-    #[test]
     fn expansion_errors_are_typed() {
-        let empty = SweepSpec::explicit(CtsOptions::default(), vec![]);
-        assert_eq!(empty.expand(), Err(SweepError::Empty));
+        assert_eq!(check_points(&[]), Err(SweepError::Empty));
 
-        let bad = SweepSpec::explicit(
+        let bad = vec![
             CtsOptions::default(),
-            vec![
-                SweepPoint::default(),
-                SweepPoint {
-                    slew_target: Some(-1.0),
-                    ..SweepPoint::default()
-                },
-            ],
-        );
-        match bad.expand() {
+            CtsOptions {
+                slew_target: -1.0,
+                ..CtsOptions::default()
+            },
+        ];
+        match check_points(&bad) {
             Err(SweepError::BadPoint { ordinal: 1, source }) => {
                 assert!(source.to_string().contains("slew_target"));
             }
             other => panic!("expected BadPoint at ordinal 1, got {other:?}"),
         }
 
-        let huge = SweepSpec::explicit(
-            CtsOptions::default(),
-            vec![SweepPoint::default(); MAX_SWEEP_POINTS + 1],
-        );
+        let huge = vec![CtsOptions::default(); MAX_SWEEP_POINTS + 1];
         assert!(matches!(
-            huge.expand(),
+            check_points(&huge),
             Err(SweepError::TooManyPoints { .. })
         ));
+        // A product is bounded without materializing it.
+        assert_eq!(
+            check_size(usize::MAX),
+            Err(SweepError::TooManyPoints {
+                points: usize::MAX,
+                max: MAX_SWEEP_POINTS
+            })
+        );
+        assert_eq!(check_size(MAX_SWEEP_POINTS), Ok(()));
     }
 }

@@ -76,8 +76,7 @@ pub use json::{Json, JsonError};
 pub use proto::{
     BatchEntry, ErrorCode, MetricsReply, OptionsPatch, Outcome, ParetoEvent, ParetoWirePoint,
     RemoteResult, RemoteTree, ResultEvent, Scheduling, SpanStat, StatsReply, SweepAxesSpec,
-    SweepPointOutcome, SweepPointSpec, SweepProgressEvent, SweepRange, TimingStats, TreeChunkEvent,
-    TreeDoneEvent, TreeEvent, TreeInfo, VariationStats, DEFAULT_TREE_CHUNK, MAX_TREE_CHUNK,
-    PROTOCOL_VERSION,
+    SweepPointOutcome, SweepProgressEvent, SweepRange, TimingStats, TreeChunkEvent, TreeDoneEvent,
+    TreeEvent, TreeInfo, VariationStats, DEFAULT_TREE_CHUNK, MAX_TREE_CHUNK, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerHandle};

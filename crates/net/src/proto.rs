@@ -17,10 +17,11 @@
 //! Everything here is plain data + conversions to/from [`Json`]; no I/O.
 
 use crate::json::Json;
+use cts_core::sweep::{self, SweepError};
 use cts_core::{
     Buffering, ClockTree, CtsOptions, DistStats, HCorrection, Instance, LevelStats, NodeKind,
-    ParetoFront, ParetoPoint, RequestStatus, ServiceError, ServiceMetrics, Sink, SweepAxes,
-    SweepPoint, SynthesisResult, TreeNode, TreeNodeId, VariationMode, VariationSummary,
+    ParetoFront, ParetoPoint, RequestStatus, ServiceError, ServiceMetrics, Sink, SynthesisResult,
+    TreeNode, TreeNodeId, VariationMode, VariationSummary,
 };
 use cts_geom::{Point, Rect};
 use cts_obs::Histogram;
@@ -244,77 +245,246 @@ pub fn instance_from_json(j: &Json) -> Result<Instance, DecodeError> {
 // ---------------------------------------------------------------------------
 // Options patch
 
-/// The wire spelling of an [`HCorrection`] mode.
-fn h_correction_str(h: HCorrection) -> &'static str {
-    match h {
-        HCorrection::Off => "off",
-        HCorrection::ReEstimate => "re_estimate",
-        HCorrection::Correct => "correct",
+/// The one ps → s conversion every picosecond wire option applies.
+fn ps_to_s(ps: f64) -> f64 {
+    ps * 1e-12
+}
+
+/// A wire option's value type: its one JSON spelling.
+trait WireValue: Copy {
+    /// What a valid value looks like, for the `'key' must be …` error.
+    fn expected() -> String;
+    /// The JSON value.
+    fn to_wire(self) -> Json;
+    /// Parses the JSON value; `None` when it is not one.
+    fn from_wire(j: &Json) -> Option<Self>;
+}
+
+impl WireValue for f64 {
+    fn expected() -> String {
+        "a number".into()
+    }
+    fn to_wire(self) -> Json {
+        Json::num(self)
+    }
+    fn from_wire(j: &Json) -> Option<f64> {
+        j.as_f64()
     }
 }
 
-fn h_correction_from_json(value: &Json, key: &str) -> Result<HCorrection, DecodeError> {
-    match value.as_str() {
-        Some("off") => Ok(HCorrection::Off),
-        Some("re_estimate") => Ok(HCorrection::ReEstimate),
-        Some("correct") => Ok(HCorrection::Correct),
-        _ => Err(DecodeError::bad(format!(
-            "'{key}' must be \"off\", \"re_estimate\", or \"correct\""
-        ))),
+/// Integers travel as JSON numbers, exact below 2^53 (which `as_u64`
+/// enforces) and range-checked into the field type.
+macro_rules! wire_integer {
+    ($($t:ty => $expected:literal),*) => {$(
+        impl WireValue for $t {
+            fn expected() -> String {
+                $expected.into()
+            }
+            fn to_wire(self) -> Json {
+                Json::num(self as f64)
+            }
+            fn from_wire(j: &Json) -> Option<$t> {
+                <$t>::try_from(j.as_u64()?).ok()
+            }
+        }
+    )*};
+}
+
+wire_integer!(u32 => "a small integer", u64 => "an integer", usize => "an integer");
+
+/// An option enum's wire spellings, each written once.
+trait Spelled: Copy + PartialEq + 'static {
+    /// Every variant with its wire spelling.
+    const SPELLINGS: &'static [(Self, &'static str)];
+}
+
+macro_rules! spelled {
+    ($($t:ident { $($variant:ident => $s:literal),* })*) => {$(
+        impl Spelled for $t {
+            const SPELLINGS: &'static [($t, &'static str)] = &[$(($t::$variant, $s)),*];
+        }
+    )*};
+}
+
+spelled! {
+    HCorrection { Off => "off", ReEstimate => "re_estimate", Correct => "correct" }
+    Buffering { Greedy => "greedy", VanGinneken => "van_ginneken" }
+    VariationMode { Evaluate => "evaluate", Resynthesize => "resynthesize" }
+}
+
+impl<T: Spelled> WireValue for T {
+    fn expected() -> String {
+        let quoted: Vec<String> = T::SPELLINGS
+            .iter()
+            .map(|(_, s)| format!("\"{s}\""))
+            .collect();
+        let (last, init) = quoted.split_last().expect("an enum has variants");
+        let comma = if init.len() > 1 { "," } else { "" };
+        format!("{}{comma} or {last}", init.join(", "))
+    }
+    fn to_wire(self) -> Json {
+        let (_, s) = T::SPELLINGS
+            .iter()
+            .find(|(v, _)| *v == self)
+            .expect("every variant is spelled");
+        Json::str(*s)
+    }
+    fn from_wire(j: &Json) -> Option<T> {
+        let s = j.as_str()?;
+        T::SPELLINGS.iter().find(|(_, w)| *w == s).map(|&(v, _)| v)
     }
 }
 
-/// The wire spelling of a [`Buffering`] strategy.
-fn buffering_str(b: Buffering) -> &'static str {
-    match b {
-        Buffering::Greedy => "greedy",
-        Buffering::VanGinneken => "van_ginneken",
-    }
+/// Parses `value` as option `key`'s wire type.
+fn parse<T: WireValue>(key: &str, value: &Json) -> Result<T, DecodeError> {
+    T::from_wire(value)
+        .ok_or_else(|| DecodeError::bad(format!("'{key}' must be {}", T::expected())))
 }
 
-fn buffering_from_json(value: &Json, key: &str) -> Result<Buffering, DecodeError> {
-    match value.as_str() {
-        Some("greedy") => Ok(Buffering::Greedy),
-        Some("van_ginneken") => Ok(Buffering::VanGinneken),
-        _ => Err(DecodeError::bad(format!(
-            "'{key}' must be \"greedy\" or \"van_ginneken\""
-        ))),
-    }
+/// One sweep axis, as the option table describes it.
+struct Axis {
+    /// Expansion rank: `0` is the outermost axis.
+    rank: u8,
+    /// The wire key, shared by the axis and the point codecs.
+    key: &'static str,
+    /// The number of values on the axis.
+    len: fn(&SweepAxesSpec) -> usize,
+    /// The axis values as a JSON array.
+    to_json: fn(&SweepAxesSpec) -> Json,
+    /// Parses the axis values into the spec.
+    parse: fn(&mut SweepAxesSpec, &[Json]) -> Result<(), DecodeError>,
+    /// Sets the axis's `i`-th value on a patch.
+    set: fn(&SweepAxesSpec, usize, &mut OptionsPatch),
 }
 
-/// The `submit` op's [`CtsOptions`] subset: every field optional, applied
-/// over the server's base options. Times travel in picoseconds on the
-/// wire (`slew_*_ps`), matching how the paper quotes them.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OptionsPatch {
+/// Generates everything keyed by a wire option name from one table row
+/// per key: field doc, wire key (the field name), value type, optional
+/// sweep axis (expansion rank and [`SweepAxesSpec`] field), and how the
+/// value applies to [`CtsOptions`].
+macro_rules! option_table {
+    (@is_axis) => {
+        false
+    };
+    (@is_axis $rank:literal) => {
+        true
+    };
+    ($(
+        $(#[$doc:meta])*
+        $key:ident: $ty:ty $(, axis $rank:literal $axis:ident)? => $apply:expr;
+    )*) => {
+        /// The `submit` op's [`CtsOptions`] subset: every field optional,
+        /// applied over the server's base options. Times travel in
+        /// picoseconds on the wire, matching how the paper quotes them.
+        /// An explicit `submit_sweep` point is a patch limited to the
+        /// sweep-axis keys.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct OptionsPatch {
+            $($(#[$doc])* pub $key: Option<$ty>,)*
+        }
+
+        /// Every wire option key in wire order, with whether it is a sweep
+        /// axis (and so a legal sweep point key).
+        const OPTION_KEYS: &[(&str, bool)] =
+            &[$((stringify!($key), option_table!(@is_axis $($rank)?)),)*];
+
+        impl OptionsPatch {
+            /// The patched options: `base` with every set field replaced.
+            pub fn apply(&self, base: &CtsOptions) -> CtsOptions {
+                let mut options = base.clone();
+                $(if let Some(value) = self.$key {
+                    let apply: fn(&mut CtsOptions, $ty) = $apply;
+                    apply(&mut options, value);
+                })*
+                options
+            }
+
+            /// Serializes only the set fields, in table order.
+            pub fn to_json(&self) -> Json {
+                let mut fields = Vec::new();
+                $(if let Some(value) = self.$key {
+                    fields.push((stringify!($key), value.to_wire()));
+                })*
+                Json::obj(fields)
+            }
+
+            /// Sets the field named `key` from its wire value; `Ok(false)`
+            /// when no row has that key.
+            fn set(&mut self, key: &str, value: &Json) -> Result<bool, DecodeError> {
+                match key {
+                    $(stringify!($key) => self.$key = Some(parse(key, value)?),)*
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            }
+        }
+
+        /// The `submit_sweep` op's cartesian axes, in wire units (times in
+        /// ps, like the options patch). An empty axis keeps the base value
+        /// — it contributes one implicit point, not zero — so the
+        /// expansion size is the product of `max(1, len)` over the axes.
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct SweepAxesSpec {
+            $($(
+                #[doc = concat!(
+                    "Values of the `", stringify!($key),
+                    "` axis (expansion rank ", stringify!($rank), ")."
+                )]
+                pub $axis: Vec<$ty>,
+            )?)*
+        }
+
+        /// The sweep axes, outermost first.
+        fn sweep_axes() -> Vec<Axis> {
+            let mut axes = vec![$($(Axis {
+                rank: $rank,
+                key: stringify!($key),
+                len: |a| a.$axis.len(),
+                to_json: |a| Json::arr(a.$axis.iter().map(|v| v.to_wire()).collect()),
+                parse: |a, values| {
+                    a.$axis = values
+                        .iter()
+                        .map(|v| parse(stringify!($key), v))
+                        .collect::<Result<_, _>>()?;
+                    Ok(())
+                },
+                set: |a, i, patch| patch.$key = Some(a.$axis[i]),
+            },)?)*];
+            axes.sort_by_key(|axis| axis.rank);
+            axes
+        }
+    };
+}
+
+option_table! {
     /// Overrides [`CtsOptions::slew_limit`] (ps).
-    pub slew_limit_ps: Option<f64>,
+    slew_limit_ps: f64 => |o, ps| o.slew_limit = ps_to_s(ps);
     /// Overrides [`CtsOptions::slew_target`] (ps).
-    pub slew_target_ps: Option<f64>,
-    /// Overrides [`CtsOptions::grid_resolution`].
-    pub grid_resolution: Option<u32>,
+    slew_target_ps: f64, axis 0 slew_targets_ps => |o, ps| o.slew_target = ps_to_s(ps);
+    /// Overrides [`CtsOptions::grid_resolution`] (at most
+    /// [`CtsOptions::MAX_GRID_RESOLUTION`]).
+    grid_resolution: u32 => |o, r| o.grid_resolution = r;
     /// Overrides [`CtsOptions::h_correction`].
-    pub h_correction: Option<HCorrection>,
+    h_correction: HCorrection, axis 2 h_corrections => |o, h| o.h_correction = h;
     /// Overrides [`CtsOptions::threads`] (per-request merge parallelism).
-    pub threads: Option<usize>,
+    threads: usize => |o, t| o.threads = t;
     /// Overrides [`CtsOptions::buffering`] (greedy vs van Ginneken).
-    pub buffering: Option<Buffering>,
+    buffering: Buffering, axis 3 bufferings => |o, b| o.buffering = b;
     /// Overrides [`CtsOptions::library_subset`] (buffer-library prefix
     /// size; `0` = full library).
-    pub library_subset: Option<usize>,
+    library_subset: usize, axis 1 library_subsets => |o, k| o.library_subset = k;
     /// Overrides the variation corner count
     /// (`CtsOptions::variation.corners`); `0` turns the axis off.
-    pub variation_corners: Option<usize>,
+    variation_corners: usize => |o, n| o.variation.corners = n;
     /// Overrides the variation stream seed (`variation.seed`).
-    pub variation_seed: Option<u64>,
+    variation_seed: u64 => |o, s| o.variation.seed = s;
     /// Overrides `variation.sigma_buffer` (relative half-width).
-    pub variation_sigma_buffer: Option<f64>,
+    variation_sigma_buffer: f64 => |o, v| o.variation.sigma_buffer = v;
     /// Overrides `variation.sigma_wire`.
-    pub variation_sigma_wire: Option<f64>,
+    variation_sigma_wire: f64 => |o, v| o.variation.sigma_wire = v;
     /// Overrides `variation.sigma_slew`.
-    pub variation_sigma_slew: Option<f64>,
+    variation_sigma_slew: f64 => |o, v| o.variation.sigma_slew = v;
     /// Overrides `variation.mode` (evaluate vs resynthesize).
-    pub variation_mode: Option<VariationMode>,
+    variation_mode: VariationMode => |o, m| o.variation.mode = m;
 }
 
 impl OptionsPatch {
@@ -324,100 +494,6 @@ impl OptionsPatch {
         *self == OptionsPatch::default()
     }
 
-    /// The patched options: `base` with every set field replaced.
-    pub fn apply(&self, base: &CtsOptions) -> CtsOptions {
-        let mut o = base.clone();
-        if let Some(ps) = self.slew_limit_ps {
-            o.slew_limit = ps * 1e-12;
-        }
-        if let Some(ps) = self.slew_target_ps {
-            o.slew_target = ps * 1e-12;
-        }
-        if let Some(r) = self.grid_resolution {
-            o.grid_resolution = r;
-        }
-        if let Some(h) = self.h_correction {
-            o.h_correction = h;
-        }
-        if let Some(t) = self.threads {
-            o.threads = t;
-        }
-        if let Some(b) = self.buffering {
-            o.buffering = b;
-        }
-        if let Some(k) = self.library_subset {
-            o.library_subset = k;
-        }
-        if let Some(n) = self.variation_corners {
-            o.variation.corners = n;
-        }
-        if let Some(s) = self.variation_seed {
-            o.variation.seed = s;
-        }
-        if let Some(v) = self.variation_sigma_buffer {
-            o.variation.sigma_buffer = v;
-        }
-        if let Some(v) = self.variation_sigma_wire {
-            o.variation.sigma_wire = v;
-        }
-        if let Some(v) = self.variation_sigma_slew {
-            o.variation.sigma_slew = v;
-        }
-        if let Some(m) = self.variation_mode {
-            o.variation.mode = m;
-        }
-        o
-    }
-
-    /// Serializes only the set fields.
-    pub fn to_json(&self) -> Json {
-        let mut fields = Vec::new();
-        if let Some(v) = self.slew_limit_ps {
-            fields.push(("slew_limit_ps", Json::num(v)));
-        }
-        if let Some(v) = self.slew_target_ps {
-            fields.push(("slew_target_ps", Json::num(v)));
-        }
-        if let Some(v) = self.grid_resolution {
-            fields.push(("grid_resolution", Json::num(v as f64)));
-        }
-        if let Some(h) = self.h_correction {
-            fields.push(("h_correction", Json::str(h_correction_str(h))));
-        }
-        if let Some(t) = self.threads {
-            fields.push(("threads", Json::num(t as f64)));
-        }
-        if let Some(b) = self.buffering {
-            fields.push(("buffering", Json::str(buffering_str(b))));
-        }
-        if let Some(k) = self.library_subset {
-            fields.push(("library_subset", Json::num(k as f64)));
-        }
-        if let Some(n) = self.variation_corners {
-            fields.push(("variation_corners", Json::num(n as f64)));
-        }
-        if let Some(s) = self.variation_seed {
-            fields.push(("variation_seed", Json::num(s as f64)));
-        }
-        if let Some(v) = self.variation_sigma_buffer {
-            fields.push(("variation_sigma_buffer", Json::num(v)));
-        }
-        if let Some(v) = self.variation_sigma_wire {
-            fields.push(("variation_sigma_wire", Json::num(v)));
-        }
-        if let Some(v) = self.variation_sigma_slew {
-            fields.push(("variation_sigma_slew", Json::num(v)));
-        }
-        if let Some(m) = self.variation_mode {
-            let s = match m {
-                VariationMode::Evaluate => "evaluate",
-                VariationMode::Resynthesize => "resynthesize",
-            };
-            fields.push(("variation_mode", Json::str(s)));
-        }
-        Json::obj(fields)
-    }
-
     /// Parses a patch object; unknown keys are rejected so a typo fails
     /// loudly instead of silently running on defaults.
     ///
@@ -425,95 +501,116 @@ impl OptionsPatch {
     ///
     /// [`ErrorCode::BadRequest`] naming the offending key.
     pub fn from_json(j: &Json) -> Result<OptionsPatch, DecodeError> {
+        OptionsPatch::decode(j, false)
+    }
+
+    /// Parses a patch object — with `point`, an explicit sweep point,
+    /// which takes only the sweep-axis keys.
+    fn decode(j: &Json, point: bool) -> Result<OptionsPatch, DecodeError> {
+        let (what, noun) = if point {
+            ("sweep point", "sweep point key")
+        } else {
+            ("'options'", "options key")
+        };
         let fields = j
             .as_obj()
-            .ok_or_else(|| DecodeError::bad("'options' must be an object"))?;
+            .ok_or_else(|| DecodeError::bad(format!("{what} must be an object")))?;
         let mut patch = OptionsPatch::default();
         for (key, value) in fields {
-            match key.as_str() {
-                "slew_limit_ps" => {
-                    patch.slew_limit_ps = Some(
-                        value
-                            .as_f64()
-                            .ok_or_else(|| DecodeError::bad("'slew_limit_ps' must be a number"))?,
-                    )
-                }
-                "slew_target_ps" => {
-                    patch.slew_target_ps = Some(
-                        value
-                            .as_f64()
-                            .ok_or_else(|| DecodeError::bad("'slew_target_ps' must be a number"))?,
-                    )
-                }
-                "grid_resolution" => {
-                    let n = value
-                        .as_u64()
-                        .filter(|&n| n <= u32::MAX as u64)
-                        .ok_or_else(|| {
-                            DecodeError::bad("'grid_resolution' must be a small integer")
-                        })?;
-                    patch.grid_resolution = Some(n as u32);
-                }
-                "h_correction" => {
-                    patch.h_correction = Some(h_correction_from_json(value, "h_correction")?)
-                }
-                "threads" => {
-                    let n = value
-                        .as_u64()
-                        .ok_or_else(|| DecodeError::bad("'threads' must be an integer"))?;
-                    patch.threads = Some(n as usize);
-                }
-                "buffering" => patch.buffering = Some(buffering_from_json(value, "buffering")?),
-                "library_subset" => {
-                    let k = value
-                        .as_u64()
-                        .ok_or_else(|| DecodeError::bad("'library_subset' must be an integer"))?;
-                    patch.library_subset = Some(k as usize);
-                }
-                "variation_corners" => {
-                    let n = value.as_u64().ok_or_else(|| {
-                        DecodeError::bad("'variation_corners' must be an integer")
-                    })?;
-                    patch.variation_corners = Some(n as usize);
-                }
-                "variation_seed" => {
-                    // JSON numbers are doubles: seeds are exact up to 2^53,
-                    // which as_u64 enforces.
-                    let s = value
-                        .as_u64()
-                        .ok_or_else(|| DecodeError::bad("'variation_seed' must be an integer"))?;
-                    patch.variation_seed = Some(s);
-                }
-                "variation_sigma_buffer" => {
-                    patch.variation_sigma_buffer = Some(value.as_f64().ok_or_else(|| {
-                        DecodeError::bad("'variation_sigma_buffer' must be a number")
-                    })?);
-                }
-                "variation_sigma_wire" => {
-                    patch.variation_sigma_wire = Some(value.as_f64().ok_or_else(|| {
-                        DecodeError::bad("'variation_sigma_wire' must be a number")
-                    })?);
-                }
-                "variation_sigma_slew" => {
-                    patch.variation_sigma_slew = Some(value.as_f64().ok_or_else(|| {
-                        DecodeError::bad("'variation_sigma_slew' must be a number")
-                    })?);
-                }
-                "variation_mode" => {
-                    patch.variation_mode = Some(match value.as_str() {
-                        Some("evaluate") => VariationMode::Evaluate,
-                        Some("resynthesize") => VariationMode::Resynthesize,
-                        _ => {
-                            return Err(DecodeError::bad(
-                                "'variation_mode' must be \"evaluate\" or \"resynthesize\"",
-                            ))
-                        }
-                    })
-                }
-                other => return Err(DecodeError::bad(format!("unknown options key '{other}'"))),
+            let allowed = !point || OPTION_KEYS.iter().any(|&(k, axis)| axis && k == key);
+            if !(allowed && patch.set(key, value)?) {
+                return Err(DecodeError::bad(format!("unknown {noun} '{key}'")));
             }
         }
         Ok(patch)
+    }
+}
+
+impl SweepAxesSpec {
+    /// The sweep's points as patches over its base, row-major over the
+    /// axes: slew target outermost, then library subset, H-correction,
+    /// and buffering innermost. The expansion size is checked before any
+    /// point is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::TooManyPoints`] past
+    /// [`cts_core::sweep::MAX_SWEEP_POINTS`].
+    pub fn points(&self) -> Result<Vec<OptionsPatch>, SweepError> {
+        let axes = sweep_axes();
+        let count = axes
+            .iter()
+            .fold(1usize, |n, axis| n.saturating_mul((axis.len)(self).max(1)));
+        sweep::check_size(count)?;
+        Ok((0..count)
+            .map(|ordinal| {
+                let mut patch = OptionsPatch::default();
+                let mut rest = ordinal;
+                for axis in axes.iter().rev() {
+                    let len = (axis.len)(self);
+                    if len > 0 {
+                        (axis.set)(self, rest % len, &mut patch);
+                        rest /= len;
+                    }
+                }
+                patch
+            })
+            .collect())
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj(
+            sweep_axes()
+                .iter()
+                .filter(|axis| (axis.len)(self) > 0)
+                .map(|axis| (axis.key, (axis.to_json)(self)))
+                .collect(),
+        )
+    }
+
+    fn from_json(j: &Json) -> Result<SweepAxesSpec, DecodeError> {
+        let fields = j
+            .as_obj()
+            .ok_or_else(|| DecodeError::bad("'axes' must be an object"))?;
+        let axes = sweep_axes();
+        let mut spec = SweepAxesSpec::default();
+        for (key, value) in fields {
+            let values = value
+                .as_arr()
+                .ok_or_else(|| DecodeError::bad(format!("axis '{key}' must be an array")))?;
+            let axis = axes
+                .iter()
+                .find(|axis| axis.key == key)
+                .ok_or_else(|| DecodeError::bad(format!("unknown sweep axis '{key}'")))?;
+            (axis.parse)(&mut spec, values)?;
+        }
+        Ok(spec)
+    }
+}
+
+/// How a `submit_sweep` frame enumerates its points: cartesian `axes`
+/// or an explicit `points` list — exactly one of the two keys.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SweepRange {
+    /// The cartesian product of the axes.
+    Axes(SweepAxesSpec),
+    /// An explicit point list, kept in order: each point is a patch over
+    /// the sweep's base, limited to the sweep-axis keys.
+    Points(Vec<OptionsPatch>),
+}
+
+impl SweepRange {
+    /// The sweep's points as patches over its base, in expansion order,
+    /// size-checked against [`cts_core::sweep::MAX_SWEEP_POINTS`].
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::Empty`] or [`SweepError::TooManyPoints`].
+    pub fn points(self) -> Result<Vec<OptionsPatch>, SweepError> {
+        match self {
+            SweepRange::Axes(axes) => axes.points(),
+            SweepRange::Points(points) => sweep::check_size(points.len()).map(|()| points),
+        }
     }
 }
 
@@ -949,217 +1046,6 @@ fn batch_entry_from_json(j: &Json) -> Result<BatchEntry, DecodeError> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Sweep specs
-
-/// The `submit_sweep` op's cartesian axes, in wire units (times in ps,
-/// like the options patch). An empty axis keeps the base value — it
-/// contributes one implicit point, not zero — so the expansion size is
-/// the product of `max(1, len)` over the four axes, row-major with the
-/// slew target outermost and buffering innermost (the exact order of
-/// [`cts_core::SweepSpec::expand_points`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SweepAxesSpec {
-    /// Slew targets to sweep (ps).
-    pub slew_targets_ps: Vec<f64>,
-    /// Buffer-library prefix sizes (`0` = full library).
-    pub library_subsets: Vec<u64>,
-    /// H-structure correction modes.
-    pub h_corrections: Vec<HCorrection>,
-    /// Buffer-insertion strategies.
-    pub bufferings: Vec<Buffering>,
-}
-
-impl SweepAxesSpec {
-    /// The core-side axes: the exact `ps * 1e-12` conversion an
-    /// individually submitted `slew_target_ps` patch applies, so a swept
-    /// point's options are byte-identical to the same point submitted
-    /// alone.
-    pub fn to_axes(&self) -> SweepAxes {
-        SweepAxes {
-            slew_targets: self.slew_targets_ps.iter().map(|ps| ps * 1e-12).collect(),
-            library_subsets: self.library_subsets.iter().map(|&k| k as usize).collect(),
-            h_corrections: self.h_corrections.clone(),
-            bufferings: self.bufferings.clone(),
-        }
-    }
-}
-
-/// One explicit `submit_sweep` point: per-field overrides of the base
-/// options, in wire units. An all-absent point reproduces the base
-/// configuration exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SweepPointSpec {
-    /// Override of the slew target (ps).
-    pub slew_target_ps: Option<f64>,
-    /// Override of the buffer-library prefix size.
-    pub library_subset: Option<u64>,
-    /// Override of the H-correction mode.
-    pub h_correction: Option<HCorrection>,
-    /// Override of the buffering strategy.
-    pub buffering: Option<Buffering>,
-}
-
-impl SweepPointSpec {
-    /// The core-side point (same unit conversion as [`SweepAxesSpec`]).
-    pub fn to_point(&self) -> SweepPoint {
-        SweepPoint {
-            slew_target: self.slew_target_ps.map(|ps| ps * 1e-12),
-            library_subset: self.library_subset.map(|k| k as usize),
-            h_correction: self.h_correction,
-            buffering: self.buffering,
-        }
-    }
-}
-
-/// How a `submit_sweep` frame enumerates its points: cartesian `axes`
-/// or an explicit `points` list — exactly one of the two keys.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SweepRange {
-    /// The cartesian product of the axes.
-    Axes(SweepAxesSpec),
-    /// An explicit point list, kept in order.
-    Points(Vec<SweepPointSpec>),
-}
-
-fn sweep_axes_to_json(axes: &SweepAxesSpec) -> Json {
-    let mut fields = Vec::new();
-    if !axes.slew_targets_ps.is_empty() {
-        fields.push((
-            "slew_target_ps",
-            Json::arr(axes.slew_targets_ps.iter().map(|&v| Json::num(v)).collect()),
-        ));
-    }
-    if !axes.library_subsets.is_empty() {
-        fields.push((
-            "library_subset",
-            Json::arr(
-                axes.library_subsets
-                    .iter()
-                    .map(|&k| Json::num(k as f64))
-                    .collect(),
-            ),
-        ));
-    }
-    if !axes.h_corrections.is_empty() {
-        fields.push((
-            "h_correction",
-            Json::arr(
-                axes.h_corrections
-                    .iter()
-                    .map(|&h| Json::str(h_correction_str(h)))
-                    .collect(),
-            ),
-        ));
-    }
-    if !axes.bufferings.is_empty() {
-        fields.push((
-            "buffering",
-            Json::arr(
-                axes.bufferings
-                    .iter()
-                    .map(|&b| Json::str(buffering_str(b)))
-                    .collect(),
-            ),
-        ));
-    }
-    Json::obj(fields)
-}
-
-fn sweep_axes_from_json(j: &Json) -> Result<SweepAxesSpec, DecodeError> {
-    let fields = j
-        .as_obj()
-        .ok_or_else(|| DecodeError::bad("'axes' must be an object"))?;
-    let mut axes = SweepAxesSpec::default();
-    for (key, value) in fields {
-        let arr = value
-            .as_arr()
-            .ok_or_else(|| DecodeError::bad(format!("axis '{key}' must be an array")))?;
-        match key.as_str() {
-            "slew_target_ps" => {
-                axes.slew_targets_ps = arr
-                    .iter()
-                    .map(Json::as_f64)
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| DecodeError::bad("'slew_target_ps' axis must be numbers"))?;
-            }
-            "library_subset" => {
-                axes.library_subsets = arr
-                    .iter()
-                    .map(Json::as_u64)
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| DecodeError::bad("'library_subset' axis must be integers"))?;
-            }
-            "h_correction" => {
-                axes.h_corrections = arr
-                    .iter()
-                    .map(|v| h_correction_from_json(v, "h_correction"))
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "buffering" => {
-                axes.bufferings = arr
-                    .iter()
-                    .map(|v| buffering_from_json(v, "buffering"))
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            other => return Err(DecodeError::bad(format!("unknown sweep axis '{other}'"))),
-        }
-    }
-    Ok(axes)
-}
-
-fn sweep_point_to_json(point: &SweepPointSpec) -> Json {
-    let mut fields = Vec::new();
-    if let Some(ps) = point.slew_target_ps {
-        fields.push(("slew_target_ps", Json::num(ps)));
-    }
-    if let Some(k) = point.library_subset {
-        fields.push(("library_subset", Json::num(k as f64)));
-    }
-    if let Some(h) = point.h_correction {
-        fields.push(("h_correction", Json::str(h_correction_str(h))));
-    }
-    if let Some(b) = point.buffering {
-        fields.push(("buffering", Json::str(buffering_str(b))));
-    }
-    Json::obj(fields)
-}
-
-fn sweep_point_from_json(j: &Json) -> Result<SweepPointSpec, DecodeError> {
-    let fields = j
-        .as_obj()
-        .ok_or_else(|| DecodeError::bad("sweep point must be an object"))?;
-    let mut point = SweepPointSpec::default();
-    for (key, value) in fields {
-        match key.as_str() {
-            "slew_target_ps" => {
-                point.slew_target_ps = Some(
-                    value
-                        .as_f64()
-                        .ok_or_else(|| DecodeError::bad("'slew_target_ps' must be a number"))?,
-                );
-            }
-            "library_subset" => {
-                point.library_subset = Some(
-                    value
-                        .as_u64()
-                        .ok_or_else(|| DecodeError::bad("'library_subset' must be an integer"))?,
-                );
-            }
-            "h_correction" => {
-                point.h_correction = Some(h_correction_from_json(value, "h_correction")?);
-            }
-            "buffering" => point.buffering = Some(buffering_from_json(value, "buffering")?),
-            other => {
-                return Err(DecodeError::bad(format!(
-                    "unknown sweep point key '{other}'"
-                )))
-            }
-        }
-    }
-    Ok(point)
-}
-
 /// A client request (the `seq` correlation id travels alongside, not
 /// inside, so the enum stays pure payload).
 #[derive(Debug, Clone, PartialEq)]
@@ -1306,10 +1192,10 @@ pub fn encode_request(seq: u64, request: &Request) -> Json {
                 fields.push(("base", base.to_json()));
             }
             match range {
-                SweepRange::Axes(axes) => fields.push(("axes", sweep_axes_to_json(axes))),
+                SweepRange::Axes(axes) => fields.push(("axes", axes.to_json())),
                 SweepRange::Points(points) => fields.push((
                     "points",
-                    Json::arr(points.iter().map(sweep_point_to_json).collect()),
+                    Json::arr(points.iter().map(OptionsPatch::to_json).collect()),
                 )),
             }
             scheduling.push_json(&mut fields);
@@ -1355,6 +1241,10 @@ pub fn decode_request(j: &Json) -> Result<(u64, Request), DecodeError> {
                 .ok_or_else(|| DecodeError::bad(format!("'{key}' must be a string"))),
         }
     };
+    let patch = |key: &str| match j.get(key) {
+        None | Some(Json::Null) => Ok(OptionsPatch::default()),
+        Some(o) => OptionsPatch::from_json(o),
+    };
     let need_id = || {
         j.get("id")
             .and_then(Json::as_u64)
@@ -1373,13 +1263,9 @@ pub fn decode_request(j: &Json) -> Result<(u64, Request), DecodeError> {
                 j.get("instance")
                     .ok_or_else(|| DecodeError::bad("submit needs an 'instance'"))?,
             )?;
-            let options = match j.get("options") {
-                None | Some(Json::Null) => OptionsPatch::default(),
-                Some(o) => OptionsPatch::from_json(o)?,
-            };
             Request::Submit {
                 instance,
-                options,
+                options: patch("options")?,
                 scheduling: Scheduling::from_json(j)?,
             }
         }
@@ -1395,23 +1281,19 @@ pub fn decode_request(j: &Json) -> Result<(u64, Request), DecodeError> {
                 .iter()
                 .map(batch_entry_from_json)
                 .collect::<Result<Vec<_>, _>>()?;
-            let options = match j.get("options") {
-                None | Some(Json::Null) => OptionsPatch::default(),
-                Some(o) => OptionsPatch::from_json(o)?,
-            };
-            Request::SubmitBatch { entries, options }
+            Request::SubmitBatch {
+                entries,
+                options: patch("options")?,
+            }
         }
         "submit_sweep" => {
             let instance = instance_from_json(
                 j.get("instance")
                     .ok_or_else(|| DecodeError::bad("submit_sweep needs an 'instance'"))?,
             )?;
-            let base = match j.get("base") {
-                None | Some(Json::Null) => OptionsPatch::default(),
-                Some(o) => OptionsPatch::from_json(o)?,
-            };
+            let base = patch("base")?;
             let range = match (j.get("axes"), j.get("points")) {
-                (Some(axes), None) => SweepRange::Axes(sweep_axes_from_json(axes)?),
+                (Some(axes), None) => SweepRange::Axes(SweepAxesSpec::from_json(axes)?),
                 (None, Some(points)) => {
                     let arr = points
                         .as_arr()
@@ -1421,7 +1303,7 @@ pub fn decode_request(j: &Json) -> Result<(u64, Request), DecodeError> {
                     }
                     SweepRange::Points(
                         arr.iter()
-                            .map(sweep_point_from_json)
+                            .map(|point| OptionsPatch::decode(point, true))
                             .collect::<Result<Vec<_>, _>>()?,
                     )
                 }
@@ -2724,6 +2606,18 @@ mod tests {
         };
         let back = OptionsPatch::from_json(&patch.to_json()).unwrap();
         assert_eq!(back, patch);
+        // The all-keys bytes are pinned: key names, key order, number
+        // and enum spellings.
+        assert_eq!(
+            patch.to_json().to_string(),
+            concat!(
+                r#"{"slew_limit_ps":120,"slew_target_ps":90,"grid_resolution":31,"#,
+                r#""h_correction":"correct","threads":2,"buffering":"van_ginneken","#,
+                r#""library_subset":3,"variation_corners":48,"variation_seed":2010,"#,
+                r#""variation_sigma_buffer":0.08,"variation_sigma_wire":0.04,"#,
+                r#""variation_sigma_slew":0.02,"variation_mode":"resynthesize"}"#
+            )
+        );
 
         let base = CtsOptions::default();
         let applied = patch.apply(&base);
@@ -2908,12 +2802,13 @@ mod tests {
                 instance: spec_instance(),
                 base: OptionsPatch::default(),
                 range: SweepRange::Points(vec![
-                    SweepPointSpec::default(),
-                    SweepPointSpec {
+                    OptionsPatch::default(),
+                    OptionsPatch {
                         slew_target_ps: Some(75.0),
                         library_subset: Some(1),
                         h_correction: Some(HCorrection::ReEstimate),
                         buffering: Some(Buffering::Greedy),
+                        ..OptionsPatch::default()
                     },
                 ]),
                 scheduling: Scheduling::default(),
@@ -3353,26 +3248,150 @@ mod tests {
             assert_eq!(err.code, ErrorCode::BadRequest);
             assert!(err.message.contains(needle), "{}: {}", tail, err.message);
         }
+        // Every non-axis table key is rejected both as a sweep point key
+        // and as a sweep axis.
+        let non_axis: Vec<&str> = OPTION_KEYS
+            .iter()
+            .filter(|&&(_, axis)| !axis)
+            .map(|&(key, _)| key)
+            .collect();
+        assert_eq!(non_axis.len(), 9);
+        for key in non_axis {
+            for (tail, needle) in [
+                (
+                    format!(r#","points":[{{"{key}":1}}]}}"#),
+                    format!("unknown sweep point key '{key}'"),
+                ),
+                (
+                    format!(r#","axes":{{"{key}":[1]}}}}"#),
+                    format!("unknown sweep axis '{key}'"),
+                ),
+            ] {
+                let j = Json::parse(&format!("{base}{tail}")).unwrap();
+                let err = decode_request(&j).unwrap_err();
+                assert_eq!(err.code, ErrorCode::BadRequest);
+                assert_eq!(err.message, needle, "{tail}");
+            }
+        }
     }
 
     #[test]
     fn sweep_axes_convert_like_individual_patches() {
-        // The ps → s conversion must be the exact expression the options
-        // patch applies, so a swept point reproduces an individually
-        // patched submission bit for bit.
+        // A swept point is the very patch an individual submission sends,
+        // so the ps → s conversion is one expression by construction.
         let axes = SweepAxesSpec {
             slew_targets_ps: vec![62.5, 90.0],
             ..SweepAxesSpec::default()
         };
-        let core = axes.to_axes();
-        for (ps, s) in axes.slew_targets_ps.iter().zip(&core.slew_targets) {
+        let points = axes.points().unwrap();
+        for (ps, point) in axes.slew_targets_ps.iter().zip(&points) {
             let patched = OptionsPatch {
                 slew_target_ps: Some(*ps),
                 ..OptionsPatch::default()
             }
             .apply(&CtsOptions::default());
-            assert_eq!(patched.slew_target.to_bits(), s.to_bits());
+            let swept = point.apply(&CtsOptions::default());
+            assert_eq!(patched.slew_target.to_bits(), swept.slew_target.to_bits());
         }
+    }
+
+    #[test]
+    fn cartesian_expansion_is_row_major() {
+        let axes = SweepAxesSpec {
+            slew_targets_ps: vec![70.0, 80.0],
+            library_subsets: vec![],
+            h_corrections: vec![HCorrection::Off, HCorrection::ReEstimate],
+            bufferings: vec![Buffering::Greedy],
+        };
+        let points = axes.points().unwrap();
+        assert_eq!(points.len(), 4);
+        // Buffering innermost, slew target outermost; the empty subset
+        // axis contributes the base value (None).
+        assert_eq!(points[0].slew_target_ps, Some(70.0));
+        assert_eq!(points[0].h_correction, Some(HCorrection::Off));
+        assert_eq!(points[1].h_correction, Some(HCorrection::ReEstimate));
+        assert_eq!(points[2].slew_target_ps, Some(80.0));
+        assert!(points.iter().all(|p| p.library_subset.is_none()));
+        assert!(points
+            .iter()
+            .all(|p| p.buffering == Some(Buffering::Greedy)));
+
+        let expanded: Vec<CtsOptions> = points
+            .iter()
+            .map(|p| p.apply(&CtsOptions::default()))
+            .collect();
+        assert_eq!(expanded[1].slew_target, 70e-12);
+        assert_eq!(expanded[1].h_correction, HCorrection::ReEstimate);
+        assert_eq!(expanded[2].slew_target, 80e-12);
+        // Untouched fields carry the base value.
+        assert_eq!(
+            expanded[3].grid_resolution,
+            CtsOptions::default().grid_resolution
+        );
+
+        // The library-subset axis nests between slew target and
+        // H-correction, whatever the JSON key order of the frame.
+        let j = Json::parse(
+            r#"{"buffering":["greedy","van_ginneken"],"h_correction":["off","correct"],"library_subset":[0,2],"slew_target_ps":[60,90]}"#,
+        )
+        .unwrap();
+        let axes = SweepAxesSpec::from_json(&j).unwrap();
+        let points = axes.points().unwrap();
+        assert_eq!(points.len(), 16);
+        assert_eq!(points[4].library_subset, Some(2));
+        assert_eq!(points[4].slew_target_ps, Some(60.0));
+        assert_eq!(points[2].h_correction, Some(HCorrection::Correct));
+        assert_eq!(points[1].buffering, Some(Buffering::VanGinneken));
+        assert_eq!(points[8].slew_target_ps, Some(90.0));
+        assert_eq!(
+            axes.to_json().to_string(),
+            r#"{"slew_target_ps":[60,90],"library_subset":[0,2],"h_correction":["off","correct"],"buffering":["greedy","van_ginneken"]}"#
+        );
+    }
+
+    #[test]
+    fn explicit_points_keep_order_and_base() {
+        let range = SweepRange::Points(vec![
+            OptionsPatch::default(),
+            OptionsPatch {
+                buffering: Some(Buffering::VanGinneken),
+                ..OptionsPatch::default()
+            },
+        ]);
+        let expanded: Vec<CtsOptions> = range
+            .points()
+            .unwrap()
+            .iter()
+            .map(|p| p.apply(&CtsOptions::default()))
+            .collect();
+        assert_eq!(expanded.len(), 2);
+        assert_eq!(expanded[0], CtsOptions::default());
+        assert_eq!(expanded[1].buffering, Buffering::VanGinneken);
+    }
+
+    #[test]
+    fn oversized_axes_are_rejected_before_expansion() {
+        // 1000^4 points: the product is checked, never allocated.
+        let axes = SweepAxesSpec {
+            slew_targets_ps: vec![80.0; 1000],
+            library_subsets: vec![0; 1000],
+            h_corrections: vec![HCorrection::Off; 1000],
+            bufferings: vec![Buffering::Greedy; 1000],
+        };
+        assert_eq!(
+            axes.points(),
+            Err(SweepError::TooManyPoints {
+                points: 1_000_000_000_000,
+                max: sweep::MAX_SWEEP_POINTS
+            })
+        );
+        let empty = SweepRange::Points(Vec::new());
+        assert_eq!(empty.points(), Err(SweepError::Empty));
+        let wide = SweepRange::Points(vec![OptionsPatch::default(); sweep::MAX_SWEEP_POINTS + 1]);
+        assert!(matches!(
+            wide.points(),
+            Err(SweepError::TooManyPoints { .. })
+        ));
     }
 
     #[test]

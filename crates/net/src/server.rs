@@ -30,12 +30,12 @@ use crate::proto::{
     decode_request, encode_event, encode_pareto_event, encode_response, encode_sweep_progress,
     encode_tree_chunk, encode_tree_done, DecodeError, ErrorCode, MetricsReply, Outcome,
     ParetoEvent, ParetoWirePoint, Request, Response, ResultEvent, Scheduling, SpanStat, StatsReply,
-    SweepPointOutcome, SweepProgressEvent, SweepRange, TreeChunkEvent, TreeDoneEvent, TreeInfo,
+    SweepPointOutcome, SweepProgressEvent, TreeChunkEvent, TreeDoneEvent, TreeInfo,
     DEFAULT_TREE_CHUNK, MAX_TREE_CHUNK, PROTOCOL_VERSION,
 };
 use cts_core::{
     pareto_point, Admission, CtsOptions, Instance, ParetoFront, ParetoPoint, RequestHandle,
-    ServiceError, SubmitError, SweepSpec, SweepSubmitError, SynthesisRequest, SynthesisResult,
+    ServiceError, SubmitError, SweepSubmitError, SynthesisRequest, SynthesisResult,
     SynthesisService, Ticket,
 };
 use cts_util::{CompletionPump, PollPending};
@@ -737,19 +737,20 @@ fn handle_frame(
             scheduling,
         } => {
             // The base patch applies over the server defaults exactly as
-            // a `submit` patch would, and each point perturbs that base
-            // through the same conversions — the invariant that a swept
-            // point's tree is byte-identical to the same options
-            // submitted individually.
+            // a `submit` patch would, and each point patch applies over
+            // that base through the same `OptionsPatch::apply` — so a
+            // swept point's tree is byte-identical to the same patch
+            // submitted alone.
             let base_options = base.apply(ctx.service.options());
-            let spec = match range {
-                SweepRange::Axes(axes) => SweepSpec::cartesian(base_options, axes.to_axes()),
-                SweepRange::Points(points) => {
-                    SweepSpec::explicit(base_options, points.iter().map(|p| p.to_point()).collect())
-                }
-            };
             let template = build_request(state, instance, None, scheduling);
-            match ctx.service.submit_sweep(template, &spec) {
+            let submitted = range
+                .points()
+                .map_err(SweepSubmitError::Spec)
+                .and_then(|points| {
+                    let points = points.iter().map(|p| p.apply(&base_options)).collect();
+                    ctx.service.submit_sweep(template, points)
+                });
+            match submitted {
                 Err(e @ SweepSubmitError::Spec(_)) => Response::Error {
                     code: ErrorCode::BadRequest,
                     message: e.to_string(),

@@ -12,8 +12,8 @@ use cts_geom::Point;
 use cts_net::frame::{read_frame, write_frame};
 use cts_net::proto::{encode_response, encode_tree_chunk, Response, TreeChunkEvent, TreeInfo};
 use cts_net::{
-    ChunkMode, Client, ErrorCode, Json, NetError, Outcome, Server, ServerHandle, SubmitSpec,
-    SweepPointSpec, SweepRange,
+    ChunkMode, Client, ErrorCode, Json, NetError, OptionsPatch, Outcome, Server, ServerHandle,
+    SubmitSpec, SweepRange,
 };
 use cts_spice::Technology;
 use cts_timing::fast_library;
@@ -429,7 +429,7 @@ fn oversized_batch_is_rejected_whole() {
         other => panic!("expected bad_request, got {other:?}"),
     }
     // A sweep expanding past the capacity is rejected the same way.
-    let range = SweepRange::Points(vec![SweepPointSpec::default(); 3]);
+    let range = SweepRange::Points(vec![OptionsPatch::default(); 3]);
     match client.submit_sweep(SubmitSpec::new(tiny("wide", 4)), range) {
         Err(NetError::Remote { code, message }) => {
             assert_eq!(code, ErrorCode::BadRequest);
@@ -449,6 +449,74 @@ fn oversized_batch_is_rejected_whole() {
         .submit_specs(vec![SubmitSpec::new(tiny("fits", 4))])
         .unwrap();
     assert_eq!(ids.len(), 1);
+    ts.stop();
+}
+
+#[test]
+fn oversized_sweep_axes_are_bad_request_without_expanding() {
+    // Four 1,000-entry axes: a ~20 KB frame whose cartesian product is
+    // 10^12 points. The server must bound the product before allocating
+    // any of it, answer bad_request, and keep the connection serving.
+    let ts = TestServer::start(false);
+    let stream = TcpStream::connect(ts.addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let axis = |v: Json| Json::arr(vec![v; 1000]);
+    let frame = Json::obj(vec![
+        ("op", Json::str("submit_sweep")),
+        ("seq", Json::num(1.0)),
+        (
+            "instance",
+            Json::obj(vec![
+                ("name", Json::str("huge")),
+                (
+                    "sinks",
+                    Json::arr(vec![Json::obj(vec![
+                        ("name", Json::str("s0")),
+                        ("x", Json::num(0.0)),
+                        ("y", Json::num(0.0)),
+                        ("cap_f", Json::num(2.5e-14)),
+                    ])]),
+                ),
+            ]),
+        ),
+        (
+            "axes",
+            Json::obj(vec![
+                ("slew_target_ps", axis(Json::num(80.0))),
+                ("library_subset", axis(Json::num(0.0))),
+                ("h_correction", axis(Json::str("off"))),
+                ("buffering", axis(Json::str("greedy"))),
+            ]),
+        ),
+    ]);
+    write_frame(&mut writer, &frame).unwrap();
+    writer.flush().unwrap();
+    let reply = read_frame(&mut reader).unwrap().unwrap().unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(reply.get("seq").and_then(Json::as_u64), Some(1));
+    let error = reply.get("error").unwrap();
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("bad_request")
+    );
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(
+        message.contains("1000000000000 points, more than the maximum of 4096"),
+        "{message}"
+    );
+
+    // The connection survived: a metrics op still answers.
+    write_frame(
+        &mut writer,
+        &Json::obj(vec![("op", Json::str("metrics")), ("seq", Json::num(2.0))]),
+    )
+    .unwrap();
+    writer.flush().unwrap();
+    let reply = read_frame(&mut reader).unwrap().unwrap().unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(reply.get("seq").and_then(Json::as_u64), Some(2));
+    assert_eq!(ts.service.metrics().submitted, 0);
     ts.stop();
 }
 
@@ -486,7 +554,7 @@ fn every_submit_op_answers_shutting_down_once_the_service_drains() {
         client
             .submit_sweep(
                 SubmitSpec::new(tiny("late", 4)),
-                SweepRange::Points(vec![SweepPointSpec::default(); 2]),
+                SweepRange::Points(vec![OptionsPatch::default(); 2]),
             )
             .map(drop),
     );

@@ -81,6 +81,7 @@ fn invalid_options_surface_as_errors() {
         Box::new(|o| o.slew_limit = -1.0),
         Box::new(|o| o.slew_target = 0.0),
         Box::new(|o| o.grid_resolution = 0),
+        Box::new(|o| o.grid_resolution = 100_000),
         Box::new(|o| o.cost_alpha = -2.0),
         Box::new(|o| o.binary_search_iters = 0),
     ];
