@@ -51,10 +51,16 @@ impl<'a> Balancer<'a> {
     }
 
     /// Effective unbuffered pending below `root` in wire-equivalent µm —
-    /// the budget a snaking stage's driver must additionally cover. The
-    /// larger of raw unbuffered depth and shielded capacitance as length.
+    /// the budget a snaking stage's (or routed path's) driver must
+    /// additionally cover. The larger of raw unbuffered depth and shielded
+    /// capacitance as length. The capacitance term matters for wide
+    /// (forked) regions whose total load far exceeds what their depth
+    /// alone suggests — the failure mode of mapping big regions to "the
+    /// nearest buffer by cap".
     pub fn effective_pending_um(&self, tree: &ClockTree, root: TreeNodeId) -> f64 {
         match tree.node(root).kind {
+            // A buffer or sink is a pure gate/pin load; the wire above it
+            // starts a fresh budget.
             NodeKind::Buffer { .. } | NodeKind::Sink { .. } => 0.0,
             _ => {
                 let c_per_um = self.lib.wire().c_per_um();
@@ -62,6 +68,8 @@ impl<'a> Balancer<'a> {
                 let cap = tree.shielded_cap_under(root, c_per_um, &|b| {
                     self.lib.buffer(b).stage1_size() * 1.2e-15
                 });
+                // Near-end capacitance degrades slew less than far-end
+                // wire, hence the mild discount.
                 depth.max(0.8 * cap / c_per_um)
             }
         }

@@ -14,7 +14,7 @@ use crate::options::{CtsError, CtsOptions};
 use crate::topology::{find_matching, MatchCandidate};
 use crate::tree::{ClockTree, NodeKind, TreeNodeId};
 use cts_geom::ManhattanArc;
-use cts_timing::{BufferId, DelaySlewLibrary};
+use cts_timing::DelaySlewLibrary;
 
 /// Result of a baseline construction.
 #[derive(Debug, Clone)]
@@ -142,7 +142,7 @@ pub fn dme_zero_skew(
     }
 
     let (top, _) = active[0];
-    let source = tree.add_source(top, strongest(lib));
+    let source = tree.add_source(top, crate::pipeline::strongest_buffer(lib));
     let elmore_sink_delays = elmore_delays(&tree, source, r, c);
     Ok(BaselineResult {
         tree,
@@ -223,17 +223,6 @@ pub fn merge_node_buffering(
         source,
         elmore_sink_delays,
     })
-}
-
-fn strongest(lib: &DelaySlewLibrary) -> BufferId {
-    lib.buffer_ids()
-        .max_by(|&a, &b| {
-            lib.buffer(a)
-                .size()
-                .partial_cmp(&lib.buffer(b).size())
-                .unwrap()
-        })
-        .expect("non-empty library")
 }
 
 /// Elmore source-to-sink delays of an arbitrary (possibly buffered) tree:

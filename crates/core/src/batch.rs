@@ -8,9 +8,9 @@
 //!
 //! * **Sharding** — instances are claimed by up to
 //!   [`BatchOptions::shards`] workers on the shared [`cts_util`] pool; each
-//!   shard owns one [`MergeScratch`], so the maze router's label stores,
-//!   grid-dimension cache, and segment-limit cache persist across every
-//!   instance the shard processes. The characterized library is shared by
+//!   shard owns one [`MergeScratch`], so the maze router's label stores
+//!   and grid-dimension cache persist across every instance the shard
+//!   processes. The characterized library is shared by
 //!   reference — it is built (or loaded from its disk cache) once, not per
 //!   shard.
 //! * **Overlapped verification** — with

@@ -179,8 +179,8 @@ impl<'a> Synthesizer<'a> {
 
     /// [`Synthesizer::synthesize_unverified`] with caller-provided merge
     /// scratch, so repeated synthesis calls (a batch shard's instance
-    /// stream) reuse the maze router's allocations and caches. The scratch
-    /// never affects results.
+    /// stream) reuse the maze router's allocations. The scratch never
+    /// affects results, whatever library or options it served before.
     ///
     /// # Errors
     ///
@@ -221,10 +221,6 @@ impl<'a> Synthesizer<'a> {
         on_level: Option<&mut dyn FnMut(crate::pipeline::LevelSnapshot)>,
     ) -> Result<CtsResult, CtsError> {
         self.check_library_bounds()?;
-        // A reused scratch may hold caches from a *different* options
-        // context (a service worker's previous request): drop them, or
-        // results would depend on scratch history.
-        scratch.invalidate_context();
         let lib = self.library();
         let pipeline = SynthesisPipeline::new(lib, &self.options)?;
         let out = match on_level {
@@ -448,19 +444,41 @@ mod tests {
 
     #[test]
     fn warm_scratch_does_not_change_results() {
-        // A batch shard drives many instances through one scratch; the
-        // trees must match what fresh-scratch calls produce, bit for bit.
-        let synth = Synthesizer::new(fast_library(), CtsOptions::default());
+        // A batch shard drives many instances through one scratch, and a
+        // service worker or a corner sweep drives one scratch through
+        // changing options and libraries; the trees must match what
+        // fresh-scratch calls produce, bit for bit.
+        let sigma = cts_timing::PerturbSigma {
+            buffer_delay: 0.05,
+            wire_delay: 0.05,
+            slew: 0.05,
+        };
+        let corner = cts_timing::perturb_library(fast_library(), 7, &sigma);
+        let base = Synthesizer::new(fast_library(), CtsOptions::default());
+        let contexts = [
+            base.clone(),
+            base.with_options(
+                CtsOptions::builder()
+                    .slew_target(60.0 * PS)
+                    .build()
+                    .unwrap(),
+            ),
+            base.with_options(CtsOptions::builder().library_subset(2).build().unwrap()),
+            Synthesizer::new(&corner, CtsOptions::default()),
+            base.clone(),
+        ];
         let mut scratch = crate::merge::MergeScratch::new();
-        for seed in 0..3u64 {
-            let inst = random_instance(8, 3000.0, 2000.0, seed);
-            let warm = synth
-                .synthesize_unverified_with(&inst, &mut scratch)
-                .unwrap();
-            let cold = synth.synthesize(&inst).unwrap();
-            assert_eq!(warm.tree, cold.tree);
-            assert_eq!(warm.report, cold.report);
-            assert_eq!(warm.level_stats, cold.level_stats);
+        for synth in &contexts {
+            for seed in 0..3u64 {
+                let inst = random_instance(8, 3000.0, 2000.0, seed);
+                let warm = synth
+                    .synthesize_unverified_with(&inst, &mut scratch)
+                    .unwrap();
+                let cold = synth.synthesize(&inst).unwrap();
+                assert_eq!(warm.tree, cold.tree);
+                assert_eq!(warm.report, cold.report);
+                assert_eq!(warm.level_stats, cold.level_stats);
+            }
         }
     }
 

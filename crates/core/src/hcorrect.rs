@@ -55,6 +55,9 @@ pub fn merge_with_correction(
 
 /// [`merge_with_correction`] with caller-provided reusable scratch.
 ///
+/// Builds a [`MergeRouting`] per call; the synthesis pipeline builds one
+/// per run and shares it across its merges instead.
+///
 /// # Errors
 ///
 /// Propagates [`CtsError`] from merge-routing.
@@ -66,7 +69,22 @@ pub fn merge_with_correction_with(
     a: TreeNodeId,
     b: TreeNodeId,
 ) -> Result<CorrectedMerge, CtsError> {
-    let mr = MergeRouting::new(lib, options);
+    merge_corrected(&MergeRouting::new(lib, options), scratch, tree, a, b)
+}
+
+/// [`merge_with_correction_with`] on a prebuilt [`MergeRouting`].
+///
+/// # Errors
+///
+/// Propagates [`CtsError`] from merge-routing.
+pub(crate) fn merge_corrected(
+    mr: &MergeRouting<'_>,
+    scratch: &mut MergeScratch,
+    tree: &mut ClockTree,
+    a: TreeNodeId,
+    b: TreeNodeId,
+) -> Result<CorrectedMerge, CtsError> {
+    let (lib, options) = (mr.lib, mr.options);
     let (ja, jb) = (merge_joint_of(tree, a), merge_joint_of(tree, b));
     let correctable = options.h_correction != HCorrection::Off && ja.is_some() && jb.is_some();
     if !correctable {

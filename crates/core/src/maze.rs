@@ -90,25 +90,26 @@ pub struct MergePlan {
 }
 
 /// The maze router.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct MazeRouter<'a> {
-    lib: &'a DelaySlewLibrary,
-    options: &'a CtsOptions,
+    pub(crate) lib: &'a DelaySlewLibrary,
+    pub(crate) options: &'a CtsOptions,
+    /// [`max_segment`] per buffer id, derived once from the library and
+    /// slew target (or the error deriving it hit).
+    limits: Result<Vec<f64>, CtsError>,
 }
 
 /// Reusable buffers for [`MazeRouter::route_with`]: per-cell label stores,
-/// the wavefront heap, the cached per-buffer segment limits, and the
-/// routing-grid dimension cache.
+/// the wavefront heap, and the routing-grid dimension cache.
 ///
-/// A scratch belongs to one (library, options) context — the segment-limit
-/// cache is computed on first use and never invalidated — and to one
-/// worker at a time. Reusing it across the merges a worker processes is
-/// what removes the per-merge allocation churn of the original router.
+/// A scratch holds allocations only, so it is valid under any (library,
+/// options) context; it belongs to one worker at a time. Reusing it across
+/// the merges a worker processes is what removes the per-merge allocation
+/// churn of the original router.
 #[derive(Debug, Default, Clone)]
 pub struct MazeScratch {
     labels: [Vec<Option<Label>>; 2],
     heap: BinaryHeap<QueueEntry>,
-    limits: Vec<f64>,
     /// Grid dimensions memoized by routed-region size and resolution.
     /// Merge spans repeat heavily within a topology level (matched pairs
     /// have similar extents, and H-correction re-routes the same pair
@@ -127,25 +128,6 @@ type GridKey = (u64, u64, u32);
 const GRID_DIMS_CACHE_CAP: usize = 32;
 
 impl MazeScratch {
-    /// Ensures the per-buffer segment-limit cache is filled for `router`
-    /// and returns it.
-    pub(crate) fn limits(&mut self, router: &MazeRouter<'_>) -> Result<&[f64], CtsError> {
-        if self.limits.is_empty() {
-            self.limits = router.segment_limits()?;
-        }
-        Ok(&self.limits)
-    }
-
-    /// Drops the caches that depend on the (library, options) context:
-    /// the per-buffer segment limits (a function of the slew target and
-    /// library) and the grid-dimension memo (keyed by resolution, safe in
-    /// principle, but cleared alongside for a context change — it refills
-    /// within one level). Keeps allocations.
-    pub(crate) fn invalidate_context(&mut self) {
-        self.limits.clear();
-        self.grid_dims.clear();
-    }
-
     /// [`RoutingGrid::between`] through the dimension cache: the dynamic
     /// resolution growth is a pure function of the routed region's exact
     /// width/height ([`RoutingGrid::dims_for_region`]), so cached
@@ -208,50 +190,49 @@ impl PartialOrd for QueueEntry {
     }
 }
 
+/// Longest pending segment `lib` can drive into `load` at the slew
+/// `target`, maximized over buffer types (since the eventual driver is
+/// chosen at insertion time).
+///
+/// # Errors
+///
+/// [`CtsError::SlewUnachievable`] if no buffer can drive even the minimum
+/// characterized length.
+fn max_segment(lib: &DelaySlewLibrary, target: f64, load: BufferId) -> Result<f64, CtsError> {
+    let mut best: Option<f64> = None;
+    for drive in lib.buffer_ids() {
+        if let Some(l) = lib.max_wire_length_for_slew(drive, Load::Buffer(load), target, target) {
+            best = Some(best.map_or(l, |b: f64| b.max(l)));
+        }
+    }
+    best.ok_or_else(|| CtsError::SlewUnachievable {
+        context: format!("no buffer can drive load {load} at the slew target"),
+    })
+}
+
 impl<'a> MazeRouter<'a> {
-    /// Creates a router.
+    /// Creates a router, deriving its per-buffer segment limits.
     pub fn new(lib: &'a DelaySlewLibrary, options: &'a CtsOptions) -> MazeRouter<'a> {
-        MazeRouter { lib, options }
+        let limits = lib
+            .buffer_ids()
+            .map(|b| max_segment(lib, options.slew_target, b))
+            .collect();
+        MazeRouter {
+            lib,
+            options,
+            limits,
+        }
     }
 
-    /// The library this router sizes buffers from.
-    pub(crate) fn lib(&self) -> &'a DelaySlewLibrary {
-        self.lib
-    }
-
-    /// The options in effect.
-    pub(crate) fn opts(&self) -> &'a CtsOptions {
-        self.options
-    }
-
-    /// Longest pending segment the library can drive into `load` at the
-    /// slew target, maximized over buffer types (since the eventual driver
-    /// is chosen at insertion time).
+    /// The per-buffer segment limits derived in [`MazeRouter::new`] — the
+    /// expansion loop consults them on every step.
     ///
     /// # Errors
     ///
-    /// [`CtsError::SlewUnachievable`] if no buffer can drive even the
-    /// minimum characterized length.
-    fn max_segment(&self, load: BufferId) -> Result<f64, CtsError> {
-        let target = self.options.slew_target;
-        let mut best: Option<f64> = None;
-        for drive in self.lib.buffer_ids() {
-            if let Some(l) =
-                self.lib
-                    .max_wire_length_for_slew(drive, Load::Buffer(load), target, target)
-            {
-                best = Some(best.map_or(l, |b: f64| b.max(l)));
-            }
-        }
-        best.ok_or_else(|| CtsError::SlewUnachievable {
-            context: format!("no buffer can drive load {load} at the slew target"),
-        })
-    }
-
-    /// Precomputed [`MazeRouter::max_segment`] per buffer id — the
-    /// expansion loop consults this on every step.
-    pub(crate) fn segment_limits(&self) -> Result<Vec<f64>, CtsError> {
-        self.lib.buffer_ids().map(|b| self.max_segment(b)).collect()
+    /// [`CtsError::SlewUnachievable`] if no buffer can drive some load at
+    /// the slew target.
+    pub(crate) fn limits(&self) -> Result<&[f64], CtsError> {
+        self.limits.as_deref().map_err(Clone::clone)
     }
 
     /// Intelligent sizing: the buffer type whose far-end slew over a
@@ -319,10 +300,10 @@ impl<'a> MazeRouter<'a> {
         &self,
         grid: &RoutingGrid,
         side: &MergeSide,
-        limits: &[f64],
         labels: &mut Vec<Option<Label>>,
         heap: &mut BinaryHeap<QueueEntry>,
     ) -> Result<(), CtsError> {
+        let limits = self.limits()?;
         let root_load = self.resolve_load(side.root_load);
         let start = grid.nearest_cell(side.root_point);
         let start_seg =
@@ -399,17 +380,13 @@ impl<'a> MazeRouter<'a> {
     /// Exact re-walk of a geometric path from the root to the merge point:
     /// commits buffer sites late-as-possible with intelligent sizing and
     /// returns the side plan.
-    fn commit_path(
-        &self,
-        points: &[Point],
-        side: &MergeSide,
-        limits: &[f64],
-    ) -> Result<SidePlan, CtsError> {
+    fn commit_path(&self, points: &[Point], side: &MergeSide) -> Result<SidePlan, CtsError> {
         if self.options.buffering == Buffering::VanGinneken {
             let _span = cts_obs::span_with(&SPAN_BUFFER_VG, points.len() as u64);
-            return crate::vanginneken::commit_path_vg(self, points, side, limits);
+            return crate::vanginneken::commit_path_vg(self, points, side);
         }
         let _span = cts_obs::span_with(&SPAN_BUFFER_GREEDY, points.len() as u64);
+        let limits = self.limits()?;
         let mut load = self.resolve_load(side.root_load);
         // The pre-existing unbuffered depth below the root consumes part of
         // the first segment's slew budget but is not new wire.
@@ -493,16 +470,14 @@ impl<'a> MazeRouter<'a> {
         b: &MergeSide,
     ) -> Result<MergePlan, CtsError> {
         let grid = scratch.grid_between(a.root_point, b.root_point, self.options.grid_resolution);
-        scratch.limits(self)?;
         let MazeScratch {
             labels: [la, lb],
             heap,
-            limits,
             ..
         } = scratch;
-        self.expand_side_into(&grid, a, limits, la, heap)?;
-        self.expand_side_into(&grid, b, limits, lb, heap)?;
-        let (la, lb, limits): (&[Option<Label>], &[Option<Label>], &[f64]) = (la, lb, limits);
+        self.expand_side_into(&grid, a, la, heap)?;
+        self.expand_side_into(&grid, b, lb, heap)?;
+        let (la, lb): (&[Option<Label>], &[Option<Label>]) = (la, lb);
 
         // Merge cell: minimum |arrival difference|, then minimum total.
         let mut best: Option<(f64, f64, CellId)> = None;
@@ -532,7 +507,7 @@ impl<'a> MazeRouter<'a> {
             if let Some(last) = points.last_mut() {
                 *last = merge_point;
             }
-            self.commit_path(&points, side, limits)
+            self.commit_path(&points, side)
         };
         let sa = plan_side(la, a)?;
         let sb = plan_side(lb, b)?;

@@ -6,41 +6,26 @@ use crate::engine::{TimingEngine, TimingReport};
 use crate::maze::{MazeRouter, MazeScratch, MergeSide};
 use crate::options::{CtsError, CtsOptions};
 use crate::tree::{ClockTree, NodeKind, TreeNodeId};
-use cts_timing::DelaySlewLibrary;
+use cts_timing::{BufferId, DelaySlewLibrary};
 
-/// Reusable per-worker state for [`MergeRouting::merge_pair_with`]: the
-/// maze router's scratch plus merge-level caches that depend only on the
-/// (library, options) pair — the symmetric arm budget and the strongest
-/// buffer id — so repeated merges stop re-deriving them, and a timing
-/// report buffer the binary-search/sizing inner loops evaluate into.
+/// Reusable per-worker buffers for [`MergeRouting::merge_pair_with`]: the
+/// maze router's scratch and a timing report the binary-search/sizing
+/// inner loops evaluate into.
 ///
-/// Like [`MazeScratch`], a value belongs to one (library, options) context.
+/// A scratch holds allocations only; everything derived from the
+/// (library, options) pair lives in [`MergeRouting`]. One scratch is
+/// therefore valid under any context — a service worker's job stream, a
+/// sweep, or a run of corner libraries.
 #[derive(Debug, Default, Clone)]
 pub struct MergeScratch {
     pub(crate) maze: MazeScratch,
-    arm_budget_um: Option<f64>,
-    strongest: Option<cts_timing::BufferId>,
     report: TimingReport,
 }
 
 impl MergeScratch {
-    /// Fresh scratch (caches fill lazily on first merge).
+    /// Fresh scratch.
     pub fn new() -> MergeScratch {
         MergeScratch::default()
-    }
-
-    /// Drops every cache that depends on the (library, options) context —
-    /// the arm budget, the strongest-buffer id, and the maze router's
-    /// per-buffer segment limits — while keeping the allocations. Each
-    /// synthesis run calls this on entry, so one long-lived scratch can
-    /// serve requests with *different* options (a service worker's job
-    /// stream, a sweep) without the previous context leaking into
-    /// results: a swept point must synthesize bit-identically to the same
-    /// options submitted on a fresh scratch.
-    pub(crate) fn invalidate_context(&mut self) {
-        self.arm_budget_um = None;
-        self.strongest = None;
-        self.maze.invalidate_context();
     }
 }
 
@@ -64,17 +49,32 @@ pub struct MergeOutcome {
     pub snake_stages: usize,
 }
 
-/// The merge-routing engine.
-#[derive(Debug, Clone, Copy)]
+/// The merge-routing engine: the library and options plus everything
+/// derived from them alone — the maze router (with its segment limits),
+/// the balancer, the symmetric arm budget, and the strongest buffer id.
+/// Build it once per synthesis and share it by `&` across merges.
+#[derive(Debug, Clone)]
 pub struct MergeRouting<'a> {
-    lib: &'a DelaySlewLibrary,
-    options: &'a CtsOptions,
+    pub(crate) lib: &'a DelaySlewLibrary,
+    pub(crate) options: &'a CtsOptions,
+    pub(crate) router: MazeRouter<'a>,
+    balancer: Balancer<'a>,
+    arm_budget_um: f64,
+    pub(crate) strongest: BufferId,
 }
 
 impl<'a> MergeRouting<'a> {
-    /// Creates a merge-routing engine.
+    /// Creates a merge-routing engine, deriving its library- and
+    /// slew-target-dependent values.
     pub fn new(lib: &'a DelaySlewLibrary, options: &'a CtsOptions) -> MergeRouting<'a> {
-        MergeRouting { lib, options }
+        MergeRouting {
+            lib,
+            options,
+            router: MazeRouter::new(lib, options),
+            balancer: Balancer::new(lib, options),
+            arm_budget_um: symmetric_arm_budget_um(lib, options.slew_target),
+            strongest: crate::pipeline::strongest_buffer(lib),
+        }
     }
 
     /// Sub-tree delay (max root-to-sink) under the bottom-up assumption.
@@ -91,74 +91,16 @@ impl<'a> MergeRouting<'a> {
 
     /// Longest *symmetric branch arm* (µm) any library buffer can drive at
     /// the slew target: the largest `L` with branch far-end slew ≤ target
-    /// for two `L` µm arms into the heaviest loads. This is the true budget
-    /// for the two wires that join at a merge point — substantially shorter
-    /// than the single-wire budget, since the driver faces both arms.
+    /// for two `L` µm arms into the heaviest loads. Derived once in
+    /// [`MergeRouting::new`].
     pub fn arm_budget_um(&self) -> f64 {
-        let target = self.options.slew_target;
-        let heavy = cts_timing::Load::Buffer(
-            self.lib
-                .buffer_ids()
-                .max_by(|&a, &b| {
-                    self.lib
-                        .buffer(a)
-                        .stage1_size()
-                        .partial_cmp(&self.lib.buffer(b).stage1_size())
-                        .unwrap()
-                })
-                .expect("non-empty library"),
-        );
-        let slew_at = |l: f64| -> f64 {
-            self.lib
-                .buffer_ids()
-                .map(|d| {
-                    let t = self.lib.branch(d, (heavy, heavy), target, (l, l));
-                    t.left_slew.max(t.right_slew)
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        // Bisect within the characterized branch domain (the fits clamp
-        // beyond it, which would fool the bisection).
-        let (mut lo, mut hi) = (1.0f64, self.lib.branch_length_domain().1);
-        if slew_at(lo) > target {
-            return lo;
-        }
-        if slew_at(hi) <= target {
-            return hi;
-        }
-        for _ in 0..50 {
-            let mid = 0.5 * (lo + hi);
-            if slew_at(mid) <= target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.arm_budget_um
     }
 
-    /// Effective unbuffered pending below `node`, in wire-equivalent µm:
-    /// the larger of the raw unbuffered depth and the region's shielded
-    /// capacitance converted to wire length. The capacitance term matters
-    /// for wide (forked) regions whose total load far exceeds what their
-    /// depth alone suggests — the failure mode of mapping big regions to
-    /// "the nearest buffer by cap".
+    /// Effective unbuffered pending below `node`, in wire-equivalent µm
+    /// ([`Balancer::effective_pending_um`]).
     pub fn effective_pending_um(&self, tree: &ClockTree, node: TreeNodeId) -> f64 {
-        match tree.node(node).kind {
-            // A buffer or sink is a pure gate/pin load; the wire above it
-            // starts a fresh budget.
-            NodeKind::Buffer { .. } | NodeKind::Sink { .. } => 0.0,
-            _ => {
-                let c_per_um = self.lib.wire().c_per_um();
-                let depth = tree.unbuffered_depth_um(node);
-                let cap = tree.shielded_cap_under(node, c_per_um, &|b| {
-                    self.lib.buffer(b).stage1_size() * 1.2e-15
-                });
-                // Near-end capacitance degrades slew less than far-end
-                // wire, hence the mild discount.
-                depth.max(0.8 * cap / c_per_um)
-            }
-        }
+        self.balancer.effective_pending_um(tree, node)
     }
 
     /// Merges the sub-trees rooted at `r1` and `r2`; returns the new merge
@@ -195,8 +137,6 @@ impl<'a> MergeRouting<'a> {
         r2: TreeNodeId,
     ) -> Result<MergeOutcome, CtsError> {
         let engine = TimingEngine::new(self.lib);
-        let balancer = Balancer::new(self.lib, self.options);
-        let router = MazeRouter::new(self.lib, self.options);
         // Buffers created during this merge (snaking, paths, splits, caps)
         // are the candidates for the sizing refinement below.
         let first_new_node = tree.len();
@@ -210,11 +150,9 @@ impl<'a> MergeRouting<'a> {
         // the two arm budgets. Anything beyond that must be snaked onto the
         // faster side up front (buffered stages for the bulk, a plain
         // detour wire for the residue).
-        let arm_budget = *scratch
-            .arm_budget_um
-            .get_or_insert_with(|| self.arm_budget_um());
+        let arm_budget = self.arm_budget_um;
         let wire_swing = {
-            let load = balancer.load_of(tree, roots[0]);
+            let load = self.balancer.load_of(tree, roots[0]);
             2.0 * self.lib.single_wire_delay(
                 self.options.virtual_driver,
                 load,
@@ -234,9 +172,10 @@ impl<'a> MergeRouting<'a> {
             // First round may overshoot into the buffered-stage dead zone;
             // later rounds fine-wire the (now) faster sibling to absorb it.
             let out = if round == 0 {
-                balancer.add_delay_overshooting(tree, roots[fast], need, fine_cap)?
+                self.balancer
+                    .add_delay_overshooting(tree, roots[fast], need, fine_cap)?
             } else {
-                balancer.add_delay(tree, roots[fast], need, fine_cap)?
+                self.balancer.add_delay(tree, roots[fast], need, fine_cap)?
             };
             roots[fast] = out.root;
             delays[fast] = self.subtree_delay(tree, roots[fast]);
@@ -250,18 +189,20 @@ impl<'a> MergeRouting<'a> {
         let sides = [
             MergeSide {
                 root_point: tree.node(roots[0]).location,
-                root_load: balancer.load_of(tree, roots[0]),
+                root_load: self.balancer.load_of(tree, roots[0]),
                 subtree_delay: delays[0],
                 unbuffered_depth_um: self.effective_pending_um(tree, roots[0]),
             },
             MergeSide {
                 root_point: tree.node(roots[1]).location,
-                root_load: balancer.load_of(tree, roots[1]),
+                root_load: self.balancer.load_of(tree, roots[1]),
                 subtree_delay: delays[1],
                 unbuffered_depth_um: self.effective_pending_um(tree, roots[1]),
             },
         ];
-        let plan = router.route_with(&mut scratch.maze, &sides[0], &sides[1])?;
+        let plan = self
+            .router
+            .route_with(&mut scratch.maze, &sides[0], &sides[1])?;
 
         // Materialize the two paths in the arena.
         let mut tops = [roots[0], roots[1]];
@@ -285,15 +226,13 @@ impl<'a> MergeRouting<'a> {
         // next level's stem in one driver's slew budget; overweight top
         // wires get a buffer spliced in (before binary search so the search
         // operates on the final structure).
-        let budget_len = scratch
-            .maze
-            .limits(&router)?
+        let budget_len = self
+            .router
+            .limits()?
             .iter()
             .cloned()
             .fold(f64::INFINITY, f64::min);
-        let strongest = *scratch
-            .strongest
-            .get_or_insert_with(|| crate::pipeline::strongest_buffer(self.lib));
+        let strongest = self.strongest;
         for top in &mut tops {
             let w = tree.node(*top).wire_to_parent_um;
             let below = self.effective_pending_um(tree, *top);
@@ -348,7 +287,7 @@ impl<'a> MergeRouting<'a> {
         let candidates: Vec<TreeNodeId> = tree
             .ids()
             .skip(first_new_node)
-            .filter(|&id| matches!(tree.node(id).kind, crate::tree::NodeKind::Buffer { .. }))
+            .filter(|&id| matches!(tree.node(id).kind, NodeKind::Buffer { .. }))
             .collect();
         let _ = skew; // the refinement below re-measures on the final root
         let subtree_skew = |tree: &ClockTree, report: &mut TimingReport| {
@@ -366,7 +305,7 @@ impl<'a> MergeRouting<'a> {
             let mut improved = false;
             for &cand in &candidates {
                 let original = match tree.node(cand).kind {
-                    crate::tree::NodeKind::Buffer { buffer } => buffer,
+                    NodeKind::Buffer { buffer } => buffer,
                     _ => unreachable!("candidates are buffers"),
                 };
                 let mut best = (skew_total, original);
@@ -510,6 +449,49 @@ impl<'a> MergeRouting<'a> {
         let final_diff = diff_at(tree, report, best_r);
         final_diff.abs()
     }
+}
+
+/// [`MergeRouting::arm_budget_um`] of `lib` at the slew `target`. This is
+/// the true budget for the two wires that join at a merge point —
+/// substantially shorter than the single-wire budget, since the driver
+/// faces both arms.
+fn symmetric_arm_budget_um(lib: &DelaySlewLibrary, target: f64) -> f64 {
+    let heavy = cts_timing::Load::Buffer(
+        lib.buffer_ids()
+            .max_by(|&a, &b| {
+                lib.buffer(a)
+                    .stage1_size()
+                    .partial_cmp(&lib.buffer(b).stage1_size())
+                    .unwrap()
+            })
+            .expect("non-empty library"),
+    );
+    let slew_at = |l: f64| -> f64 {
+        lib.buffer_ids()
+            .map(|d| {
+                let t = lib.branch(d, (heavy, heavy), target, (l, l));
+                t.left_slew.max(t.right_slew)
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    // Bisect within the characterized branch domain (the fits clamp
+    // beyond it, which would fool the bisection).
+    let (mut lo, mut hi) = (1.0f64, lib.branch_length_domain().1);
+    if slew_at(lo) > target {
+        return lo;
+    }
+    if slew_at(hi) <= target {
+        return hi;
+    }
+    for _ in 0..50 {
+        let mid = 0.5 * (lo + hi);
+        if slew_at(mid) <= target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]

@@ -14,7 +14,9 @@
 //!    [extracted](ClockTree::extract_forest) into a detached forest and
 //!    merged there by a worker from the shared [`cts_util::exec`] pool,
 //!    with per-worker [`MergeScratch`] so the maze router and merge engine
-//!    reuse allocations across merges.
+//!    reuse allocations across merges. The values derived from the library
+//!    and options alone live in one [`MergeRouting`], built with the
+//!    pipeline and shared by `&` across every merge and worker.
 //! 3. **Graft + H-correction** — the merged forests (H-correction already
 //!    applied inside the worker, where its scratch clones are pair-sized
 //!    instead of whole-tree-sized) are grafted back into the main arena in
@@ -27,9 +29,9 @@
 //! [`SynthesisPipeline::run`].
 
 use crate::engine::{TimingEngine, TimingReport};
-use crate::hcorrect::merge_with_correction_with;
+use crate::hcorrect::merge_corrected;
 use crate::instance::Instance;
-use crate::merge::MergeScratch;
+use crate::merge::{MergeRouting, MergeScratch};
 use crate::options::{CtsError, CtsOptions};
 use crate::topology::{find_matching, MatchCandidate, Matching};
 use crate::tree::{ClockTree, NodeKind, TreeNodeId};
@@ -48,11 +50,6 @@ static SPAN_REFINE: cts_obs::Name = cts_obs::Name::new("pipeline.refine");
 
 /// Everything a synthesis run needs that outlives any single merge: the
 /// characterized library, the options, and the resolved worker count.
-///
-/// Per-worker scratch ([`MergeScratch`]) is *not* stored here — each pool
-/// worker owns one for the jobs it processes — but the context is what
-/// scratches are implicitly keyed by: reuse across contexts with different
-/// libraries or options is invalid.
 #[derive(Debug, Clone, Copy)]
 pub struct SynthesisContext<'a> {
     /// The characterized delay/slew library.
@@ -120,9 +117,10 @@ struct PairMerge {
 
 /// The staged synthesis pipeline. See the module docs for the stage
 /// breakdown.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct SynthesisPipeline<'a> {
     ctx: SynthesisContext<'a>,
+    routing: MergeRouting<'a>,
 }
 
 /// Output of a full pipeline run, consumed by
@@ -153,18 +151,23 @@ impl<'a> SynthesisPipeline<'a> {
     ///
     /// # Errors
     ///
-    /// [`CtsError::BadOptions`] when the options fail validation.
+    /// [`CtsError::BadOptions`] when the options fail validation,
+    /// [`CtsError::SlewUnachievable`] when no buffer can drive some load
+    /// at the slew target — reported here, before any level runs.
     pub fn new(
         lib: &'a DelaySlewLibrary,
         options: &'a CtsOptions,
     ) -> Result<SynthesisPipeline<'a>, CtsError> {
         options.validate()?;
+        let routing = MergeRouting::new(lib, options);
+        routing.router.limits()?;
         Ok(SynthesisPipeline {
             ctx: SynthesisContext {
                 lib,
                 options,
                 threads: resolve_threads(options.threads),
             },
+            routing,
         })
     }
 
@@ -189,10 +192,9 @@ impl<'a> SynthesisPipeline<'a> {
     /// On the serial path (`threads <= 1`, or levels with a single pair)
     /// every merge runs through `scratch`, so a caller synthesizing many
     /// instances — the batch driver's per-shard workers — reuses the maze
-    /// label stores, grid-dimension cache, and segment-limit cache across
-    /// instances instead of re-deriving them per level. Parallel levels
-    /// hand each pool worker its own scratch, as before. The scratch never
-    /// affects results; it belongs to one (library, options) context.
+    /// label stores and grid-dimension cache across instances instead of
+    /// reallocating them per level. Parallel levels hand each pool worker
+    /// its own scratch, as before. The scratch never affects results.
     ///
     /// # Errors
     ///
@@ -273,7 +275,7 @@ impl<'a> SynthesisPipeline<'a> {
 
         let t2 = std::time::Instant::now();
         let top = active[0];
-        let source = tree.add_source(top, strongest_buffer(ctx.lib));
+        let source = tree.add_source(top, self.routing.strongest);
 
         // Global refinement: per-merge balancing cannot anticipate the
         // stems and drivers that upper levels later place above each merge,
@@ -281,7 +283,7 @@ impl<'a> SynthesisPipeline<'a> {
         let engine = TimingEngine::new(ctx.lib);
         {
             let _span = cts_obs::span(&SPAN_REFINE);
-            refine_global(ctx, &mut tree, source, &engine);
+            refine_global(&self.routing, &mut tree, source, &engine);
         }
         merge_seconds += t2.elapsed().as_secs_f64();
 
@@ -359,8 +361,7 @@ impl<'a> SynthesisPipeline<'a> {
             let (mut forest, map) = tree.extract_forest(&[a, b]);
             let la = ClockTree::local_id(&map, a);
             let lb = ClockTree::local_id(&map, b);
-            let out =
-                merge_with_correction_with(ctx.lib, ctx.options, scratch, &mut forest, la, lb)?;
+            let out = merge_corrected(&self.routing, scratch, &mut forest, la, lb)?;
             Ok(PairMerge {
                 root: out.root,
                 forest,
@@ -461,17 +462,15 @@ pub(crate) fn strongest_buffer(lib: &DelaySlewLibrary) -> BufferId {
 ///    the full-tree evaluation — the coarse lever for residuals the wire
 ///    can't reach.
 pub(crate) fn refine_global(
-    ctx: SynthesisContext<'_>,
+    mr: &MergeRouting<'_>,
     tree: &mut ClockTree,
     source: TreeNodeId,
     engine: &TimingEngine<'_>,
 ) {
-    let options = ctx.options;
-    let lib = ctx.lib;
+    let (lib, options) = (mr.lib, mr.options);
     // Stage assumptions require every input slew to stay at/under the
     // synthesis target.
     let slew_gate = options.slew_target * 1.01;
-    let mr = crate::merge::MergeRouting::new(lib, options);
     let arm_budget = mr.arm_budget_um();
     // Reused by every evaluation below: the bisection steps and the
     // re-typing trials refill these instead of allocating reports.

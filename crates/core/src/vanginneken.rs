@@ -134,10 +134,10 @@ pub(crate) fn commit_path_vg(
     router: &MazeRouter<'_>,
     points: &[Point],
     side: &MergeSide,
-    limits: &[f64],
 ) -> Result<SidePlan, CtsError> {
-    let lib = router.lib();
-    let target = router.opts().slew_target;
+    let limits = router.limits()?;
+    let lib = router.lib;
+    let target = router.options.slew_target;
     let root_load = router.resolve_load(side.root_load);
 
     let mut arena: Vec<(BufferSite, Option<u32>)> = Vec::new();
@@ -339,7 +339,7 @@ mod tests {
         side: &MergeSide,
         limits: &[f64],
     ) -> f64 {
-        let target = router.opts().slew_target;
+        let target = router.options.slew_target;
 
         struct State {
             load: BufferId,
@@ -358,7 +358,7 @@ mod tests {
             s: State,
             best: &mut f64,
         ) {
-            let lib = router.lib();
+            let lib = router.lib;
             let Some((&next, rest)) = points.split_first() else {
                 if s.phantom + s.seg <= limits[s.load.0] {
                     let arrival =
@@ -461,7 +461,7 @@ mod tests {
         let lib = fast_library();
         let opts = vg_options();
         let router = MazeRouter::new(lib, &opts);
-        let limits = router.segment_limits().unwrap();
+        let limits = router.limits().unwrap();
         for (steps, depth) in [
             (vec![300.0, 300.0, 400.0, 350.0, 300.0], 0.0),
             (vec![500.0, 500.0, 500.0, 500.0], 150.0),
@@ -470,8 +470,8 @@ mod tests {
         ] {
             let side = merge_side(3.0, depth);
             let points = straight_path(side.root_point, &steps);
-            let plan = commit_path_vg(&router, &points, &side, &limits).unwrap();
-            let best = exhaustive_best(&router, &points, &side, &limits);
+            let plan = commit_path_vg(&router, &points, &side).unwrap();
+            let best = exhaustive_best(&router, &points, &side, limits);
             assert!(
                 (plan.arrival_estimate - best).abs() <= 1e-18 + 1e-12 * best.abs(),
                 "vg {} ps vs exhaustive {} ps on {steps:?}",
@@ -488,7 +488,7 @@ mod tests {
         let lib = fast_library();
         let opts = vg_options();
         let router = MazeRouter::new(lib, &opts);
-        let limits = router.segment_limits().unwrap();
+        let limits = router.limits().unwrap();
         let mut rng = StdRng::seed_from_u64(0xb0ffe5);
         for case in 0..24 {
             let n = rng.gen_range(2..7usize);
@@ -500,8 +500,8 @@ mod tests {
             };
             let side = merge_side(rng.gen_range(0.0..10.0), depth);
             let points = straight_path(side.root_point, &steps);
-            let plan = commit_path_vg(&router, &points, &side, &limits).unwrap();
-            let best = exhaustive_best(&router, &points, &side, &limits);
+            let plan = commit_path_vg(&router, &points, &side).unwrap();
+            let best = exhaustive_best(&router, &points, &side, limits);
             assert!(
                 plan.arrival_estimate <= best + 1e-18 + 1e-12 * best.abs(),
                 "case {case}: vg {} ps vs exhaustive {} ps on {steps:?} depth {depth}",

