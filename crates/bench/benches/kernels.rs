@@ -10,6 +10,7 @@ use cts::geom::Point;
 use cts::spice::units::{NS, PS};
 use cts::spice::{simulate, Circuit, SimOptions, Waveform};
 use cts::timing::fast_library;
+use cts::timing::fit::PolyFit;
 use cts::timing::{BufferId, Load};
 use cts::{CtsOptions, Synthesizer, Technology, TimingEngine};
 
@@ -125,6 +126,64 @@ fn bench_library_lookup(c: &mut Criterion) {
     });
 }
 
+/// A `dims`-variable fit of total degree `order` over a small grid of
+/// delay-like samples in `(slew [s], length [µm], …)`.
+fn grid_fit(dims: usize, order: u32) -> PolyFit {
+    let mut points = vec![Vec::new()];
+    for d in 0..dims {
+        let step = if d == 0 { 20e-12 } else { 300.0 };
+        points = points
+            .iter()
+            .flat_map(|p| {
+                (0..5).map(move |i| {
+                    let mut q = p.clone();
+                    q.push(f64::from(i) * step);
+                    q
+                })
+            })
+            .collect();
+    }
+    let values: Vec<f64> = points
+        .iter()
+        .map(|p| {
+            1e-12
+                + 0.3 * p[0]
+                + p[1..]
+                    .iter()
+                    .map(|l| 1e-15 * l * (1.0 + 1e-4 * l))
+                    .sum::<f64>()
+        })
+        .collect();
+    PolyFit::fit(dims, order, &points, &values).expect("grid fit")
+}
+
+fn bench_fit_eval(c: &mut Criterion) {
+    // The kernel every library query ends in: the single-wire surfaces
+    // are 2-D, the branch volumes 3-D; the fast library fits both at
+    // order 2.
+    let surface = grid_fit(2, 2);
+    c.bench_function("fit_eval_2d_order2", |b| {
+        b.iter(|| surface.eval(&[std::hint::black_box(45e-12), std::hint::black_box(700.0)]));
+    });
+    let volume = grid_fit(3, 2);
+    c.bench_function("fit_eval_3d_order2", |b| {
+        b.iter(|| {
+            volume.eval(&[
+                std::hint::black_box(45e-12),
+                std::hint::black_box(400.0),
+                std::hint::black_box(900.0),
+            ])
+        });
+    });
+    // What the maze router's wavefront evaluates per relaxation: the
+    // virtual driver's wire delay with the input slew pinned.
+    let lib = fast_library();
+    let curve = lib.wire_delay_curve(BufferId(1), BufferId(2), 60.0 * PS);
+    c.bench_function("maze_pending_delay_curve", |b| {
+        b.iter(|| curve.eval(std::hint::black_box(700.0)));
+    });
+}
+
 fn bench_transient_sim(c: &mut Criterion) {
     let tech = Technology::nominal_45nm();
     let mut group = c.benchmark_group("transient_sim");
@@ -159,6 +218,7 @@ criterion_group!(
     bench_maze_route,
     bench_engine_eval,
     bench_library_lookup,
+    bench_fit_eval,
     bench_transient_sim
 );
 criterion_main!(kernels);

@@ -78,10 +78,8 @@ impl<'a> Balancer<'a> {
     /// Delay of one snaking stage: buffer `drive` plus `len` µm of wire
     /// into `load`, under the slew-target input assumption.
     fn stage_delay(&self, drive: BufferId, load: Load, len: f64) -> f64 {
-        let t = self
-            .lib
-            .single_wire(drive, load, self.options.slew_target, len.max(1.0));
-        t.buffer_delay + t.wire_delay
+        self.lib
+            .single_wire_total_delay(drive, load, self.options.slew_target, len.max(1.0))
     }
 
     /// Smallest achievable single-stage delay onto `load` (strongest buffer,

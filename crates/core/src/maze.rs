@@ -18,7 +18,7 @@
 
 use crate::options::{Buffering, CtsError, CtsOptions};
 use cts_geom::{CellId, Point, RoutingGrid};
-use cts_timing::{BufferId, DelaySlewLibrary, Load};
+use cts_timing::{BufferId, DelaySlewLibrary, Load, WireDelayCurve};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -97,6 +97,11 @@ pub struct MazeRouter<'a> {
     /// [`max_segment`] per buffer id, derived once from the library and
     /// slew target (or the error deriving it hit).
     limits: Result<Vec<f64>, CtsError>,
+    /// The virtual driver's wire-delay curve at the slew target, per load
+    /// buffer id: what [`MazeRouter::pending_delay`] evaluates on every
+    /// wavefront step. Empty when the virtual driver is not a library
+    /// buffer (the synthesizer rejects that before routing).
+    pending: Vec<WireDelayCurve>,
 }
 
 /// Reusable buffers for [`MazeRouter::route_with`]: per-cell label stores,
@@ -211,16 +216,26 @@ fn max_segment(lib: &DelaySlewLibrary, target: f64, load: BufferId) -> Result<f6
 }
 
 impl<'a> MazeRouter<'a> {
-    /// Creates a router, deriving its per-buffer segment limits.
+    /// Creates a router, deriving its per-buffer segment limits and
+    /// pending-delay curves.
     pub fn new(lib: &'a DelaySlewLibrary, options: &'a CtsOptions) -> MazeRouter<'a> {
         let limits = lib
             .buffer_ids()
             .map(|b| max_segment(lib, options.slew_target, b))
             .collect();
+        let driver = options.virtual_driver;
+        let pending = if driver.0 < lib.buffers().len() {
+            lib.buffer_ids()
+                .map(|load| lib.wire_delay_curve(driver, load, options.slew_target))
+                .collect()
+        } else {
+            Vec::new()
+        };
         MazeRouter {
             lib,
             options,
             limits,
+            pending,
         }
     }
 
@@ -264,27 +279,28 @@ impl<'a> MazeRouter<'a> {
     /// `seg_len` µm of wire into `load`, under the slew-target input
     /// assumption.
     fn stage_delay(&self, drive: BufferId, load: BufferId, seg_len: f64) -> f64 {
-        let t = self.lib.single_wire(
+        self.lib.single_wire_total_delay(
             drive,
             Load::Buffer(load),
             self.options.slew_target,
             seg_len.max(1.0),
-        );
-        t.buffer_delay + t.wire_delay
+        )
     }
 
     /// Pending-wire delay estimate: the not-yet-driven top segment,
-    /// evaluated under the virtual driver.
+    /// evaluated under the virtual driver at the slew target.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the virtual driver or `load` is not a library buffer.
     pub(crate) fn pending_delay(&self, load: BufferId, seg_len: f64) -> f64 {
         if seg_len <= 0.0 {
             return 0.0;
         }
-        self.lib.single_wire_delay(
-            self.options.virtual_driver,
-            Load::Buffer(load),
-            self.options.slew_target,
-            seg_len.max(1.0),
-        )
+        self.pending
+            .get(load.0)
+            .expect("virtual driver and pending load are library buffers")
+            .eval(seg_len.max(1.0))
     }
 
     pub(crate) fn resolve_load(&self, load: Load) -> BufferId {
@@ -330,6 +346,11 @@ impl<'a> MazeRouter<'a> {
             if arrival > label.arrival {
                 continue; // stale entry
             }
+            let max_seg = limits[label.load.0];
+            // The buffer committed here, and its stage delay, depend only on
+            // the popped label: sized once, on the first neighbour step that
+            // needs it.
+            let mut insertion: Option<(BufferId, f64)> = None;
             for next in grid.neighbors(cell) {
                 let step = grid.cell_dist(cell, next);
                 let mut committed = label.committed;
@@ -338,10 +359,12 @@ impl<'a> MazeRouter<'a> {
                 // Slew control: if the grown segment exceeds what the best
                 // buffer can drive, a buffer is committed at the *current*
                 // cell (as late as possible) before stepping.
-                let max_seg = limits[load.0];
                 if seg > max_seg {
-                    let buf = self.best_buffer_for(load, label.seg_len);
-                    committed += self.stage_delay(buf, load, label.seg_len);
+                    let (buf, stage) = *insertion.get_or_insert_with(|| {
+                        let buf = self.best_buffer_for(load, label.seg_len);
+                        (buf, self.stage_delay(buf, load, label.seg_len))
+                    });
+                    committed += stage;
                     load = buf;
                     seg = step;
                 }
@@ -620,6 +643,74 @@ mod tests {
             diff / PS,
             base_diff / PS
         );
+    }
+
+    #[test]
+    fn pending_delay_is_the_virtual_driver_query() {
+        let lib = fast_library();
+        let opts = options();
+        let router = MazeRouter::new(lib, &opts);
+        for load in lib.buffer_ids() {
+            assert_eq!(router.pending_delay(load, 0.0), 0.0);
+            for seg in [0.25f64, 1.0, 130.0, 777.7, 1e9] {
+                let query = lib.single_wire_delay(
+                    opts.virtual_driver,
+                    Load::Buffer(load),
+                    opts.slew_target,
+                    seg.max(1.0),
+                );
+                assert_eq!(router.pending_delay(load, seg).to_bits(), query.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn new_accepts_a_virtual_driver_outside_the_library() {
+        // The synthesizer rejects such options up front; a direct caller
+        // still gets a router, and only a pending-delay query would panic.
+        let lib = fast_library();
+        let mut opts = options();
+        opts.virtual_driver = BufferId(lib.buffers().len());
+        let router = MazeRouter::new(lib, &opts);
+        assert!(router.limits().is_ok());
+        assert_eq!(router.pending_delay(BufferId(0), 0.0), 0.0);
+    }
+
+    #[test]
+    fn long_route_plan_bits_are_pinned() {
+        // A 6 mm merge crosses segment limits inside the wavefront, so
+        // this pins the insertion decision as well as the pending-delay
+        // arithmetic. The constant was computed before the pending-delay
+        // curves and the hoisted insertion decision landed.
+        let lib = fast_library();
+        let opts = options();
+        let router = MazeRouter::new(lib, &opts);
+        let plan = router
+            .route(&side(0.0, 0.0, 0.0), &side(6000.0, 900.0, 4.0))
+            .unwrap();
+        let mut words = vec![plan.merge_point.x.to_bits(), plan.merge_point.y.to_bits()];
+        for s in &plan.sides {
+            for b in &s.buffers {
+                words.extend([
+                    b.position.x.to_bits(),
+                    b.position.y.to_bits(),
+                    b.buffer.0 as u64,
+                    b.wire_below_um.to_bits(),
+                ]);
+            }
+            words.extend([
+                s.top_wire_um.to_bits(),
+                s.committed_delay.to_bits(),
+                s.arrival_estimate.to_bits(),
+            ]);
+        }
+        let h = words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(h, 0x00bb_f9f4_dd7a_0ccd, "plan bits moved: got {h:#018x}");
     }
 
     #[test]

@@ -134,6 +134,12 @@ impl Standardizer {
         }
     }
 
+    /// Clamps query coordinate `v` of dimension `d` to the fitted domain
+    /// and standardizes it.
+    fn standardize(&self, d: usize, v: f64) -> f64 {
+        (v.clamp(self.lo[d], self.hi[d]) - self.mean[d]) / self.scale[d]
+    }
+
     /// Standardizes a fitting sample (no clamping: samples define the
     /// domain).
     fn apply(&self, x: &[f64]) -> Vec<f64> {
@@ -257,19 +263,52 @@ impl PolyFit {
     /// Panics if `x` has the wrong dimensionality.
     pub fn eval(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
-        // Standardize on the stack: this runs inside the maze router's
-        // wavefront, so it must not allocate.
-        let std = &self.std;
-        let mut z = [0.0; MAX_DIMS];
-        for (d, (zd, &v)) in z.iter_mut().zip(x).enumerate() {
-            *zd = (v.clamp(std.lo[d], std.hi[d]) - std.mean[d]) / std.scale[d];
+        // Everything lives on the stack: this runs inside the maze router's
+        // wavefront, so it must not allocate. Each standardized coordinate
+        // is raised to each power once, into `pw[d][k]`; a term then reads
+        // its factors instead of recomputing them.
+        let mut pw = [[0.0; POWERS]; MAX_DIMS];
+        for (d, (row, &v)) in pw.iter_mut().zip(x).enumerate() {
+            fill_powers(self.std.standardize(d, v), &mut row[..=self.order as usize]);
         }
-        let z = &z[..self.dims];
+        let pw = &pw[..self.dims];
         self.powers
             .iter()
             .zip(&self.coefs)
-            .map(|(p, c)| c * monomial(z, p))
+            .map(|(p, c)| {
+                c * pw
+                    .iter()
+                    .zip(p)
+                    .fold(1.0, |m, (row, &k)| m * row[k as usize])
+            })
             .sum()
+    }
+
+    /// This 2-D fit with its first input fixed at `x0`: a curve in the
+    /// second input whose [`PinnedFit::eval`] returns exactly
+    /// `self.eval(&[x0, x1])`. The pinned coordinate is clamped,
+    /// standardized and raised to each term's power once, here.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the fit has two dimensions.
+    pub(crate) fn pinned(&self, x0: f64) -> PinnedFit {
+        assert_eq!(self.dims, 2, "only a 2-D fit can be pinned");
+        let z0 = self.std.standardize(0, x0);
+        let terms = self
+            .powers
+            .iter()
+            .zip(&self.coefs)
+            .map(|(p, &c)| (c, z0.powi(p[0] as i32), p[1]))
+            .collect();
+        PinnedFit {
+            order: self.order,
+            lo: self.std.lo[1],
+            hi: self.std.hi[1],
+            mean: self.std.mean[1],
+            scale: self.std.scale[1],
+            terms,
+        }
     }
 
     /// A copy of this fit with every coefficient (and the residual
@@ -378,6 +417,53 @@ impl PolyFit {
             max_abs_residual,
             rms_residual,
         })
+    }
+}
+
+/// Length of a per-dimension power table: exponents `0..=MAX_ORDER`.
+const POWERS: usize = MAX_ORDER as usize + 1;
+
+/// `row[k] = z.powi(k)`: the exact factors [`monomial`] would compute.
+/// Powers 0 and 1 are written directly (`powi` returns exactly `1.0` and
+/// `z` for them); higher ones keep `powi`, so the table matches the
+/// platform's `powi` bit for bit wherever it runs.
+fn fill_powers(z: f64, row: &mut [f64]) {
+    for (k, p) in row.iter_mut().enumerate() {
+        *p = match k {
+            0 => 1.0,
+            1 => z,
+            _ => z.powi(k as i32),
+        };
+    }
+}
+
+/// A 2-D [`PolyFit`] with its first input fixed ([`PolyFit::pinned`]).
+///
+/// Each term keeps its coefficient, its pinned factor `z0^p0` and its
+/// second power `p1`; [`PinnedFit::eval`] forms `c * (z0^p0 * z1^p1)`,
+/// which is the fold [`monomial`] computes (`1.0 * a == a` exactly), and
+/// sums the terms in basis order, so the result is bit-identical to the
+/// full evaluation.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PinnedFit {
+    order: u32,
+    lo: f64,
+    hi: f64,
+    mean: f64,
+    scale: f64,
+    terms: Vec<(f64, f64, u32)>,
+}
+
+impl PinnedFit {
+    /// The fit at `(x0, x1)`, `x0` being the pinned input.
+    pub(crate) fn eval(&self, x1: f64) -> f64 {
+        let z1 = (x1.clamp(self.lo, self.hi) - self.mean) / self.scale;
+        let mut pw = [0.0; POWERS];
+        fill_powers(z1, &mut pw[..=self.order as usize]);
+        self.terms
+            .iter()
+            .map(|&(c, a, k)| c * (a * pw[k as usize]))
+            .sum()
     }
 }
 
@@ -558,6 +644,115 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64; 4]).collect();
         let vals = vec![0.0; 40];
         let _ = PolyFit::fit(4, 1, &pts, &vals);
+    }
+
+    /// Fits of every dimensionality and order the kernel supports, on
+    /// jittered grids of `order + 2` samples per dimension (always at least
+    /// as many samples as coefficients), paired with their query points:
+    /// interior, on every domain corner, and clamped in from outside.
+    fn kernel_cases() -> Vec<(PolyFit, Vec<Vec<f64>>)> {
+        let mut cases = Vec::new();
+        for dims in 1..=MAX_DIMS {
+            for order in 1..=MAX_ORDER {
+                let n = order as usize + 2;
+                let mut points = vec![Vec::new()];
+                for d in 0..dims {
+                    points = points
+                        .iter()
+                        .flat_map(|p| {
+                            (0..n).map(move |i| {
+                                let jitter = 0.1 * ((i * 7 + d * 4) % 5) as f64;
+                                let mut q = p.clone();
+                                q.push((d + 1) as f64 * 100.0 * (i as f64 + jitter));
+                                q
+                            })
+                        })
+                        .collect();
+                }
+                // Not separable: mixed terms carry real weight, so a
+                // reassociated product shows in the sum.
+                let values: Vec<f64> = points
+                    .iter()
+                    .map(|p| {
+                        let s: f64 = p.iter().map(|v| v * 1e-3).sum();
+                        let prod: f64 = p.iter().map(|v| 1.0 + v * 1e-3).product();
+                        s.sin() + 0.1 * prod
+                    })
+                    .collect();
+                let fit = PolyFit::fit(dims, order, &points, &values)
+                    .unwrap_or_else(|e| panic!("dims {dims} order {order}: {e}"));
+                let domain = fit.domain();
+                let mut queries: Vec<Vec<f64>> = (0..=8)
+                    .map(|i| {
+                        let t = |d: usize| ((f64::from(i) + 0.37) * 0.618 * (d + 1) as f64).fract();
+                        domain
+                            .iter()
+                            .enumerate()
+                            .map(|(d, (lo, hi))| lo + (hi - lo) * t(d))
+                            .collect()
+                    })
+                    .collect();
+                for corner in 0..(1usize << dims) {
+                    let pick = |d: usize, (lo, hi): (f64, f64)| {
+                        if corner >> d & 1 == 0 {
+                            lo
+                        } else {
+                            hi
+                        }
+                    };
+                    queries.push(
+                        domain
+                            .iter()
+                            .enumerate()
+                            .map(|(d, &b)| pick(d, b))
+                            .collect(),
+                    );
+                    queries.push(
+                        domain
+                            .iter()
+                            .enumerate()
+                            .map(|(d, &(lo, hi))| pick(d, (lo - (hi - lo), hi + 1e9)))
+                            .collect(),
+                    );
+                }
+                cases.push((fit, queries));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn power_table_kernel_is_bit_identical_to_the_reference() {
+        let cases = kernel_cases();
+        assert_eq!(cases.len(), MAX_DIMS * MAX_ORDER as usize);
+        for (fit, queries) in &cases {
+            for x in queries {
+                assert_eq!(
+                    fit.eval(x).to_bits(),
+                    fit.eval_reference(x).to_bits(),
+                    "dims {} order {} at {x:?}",
+                    fit.dims(),
+                    fit.order()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_fit_is_bit_identical_to_the_full_evaluation() {
+        for (fit, queries) in kernel_cases().iter().filter(|(f, _)| f.dims() == 2) {
+            for x0 in queries.iter().map(|q| q[0]) {
+                let pinned = fit.pinned(x0);
+                for x1 in queries.iter().map(|q| q[1]) {
+                    assert_eq!(
+                        pinned.eval(x1).to_bits(),
+                        fit.eval_reference(&[x0, x1]).to_bits(),
+                        "order {} at ({x0}, {x1})",
+                        fit.order()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,6 +74,7 @@ pub use io::{
 };
 pub use library::{
     BranchFns, BranchTiming, BufferId, DelaySlewLibrary, Load, SingleWireFns, StageTiming,
+    WireDelayCurve,
 };
 pub use rctree::{RcNodeId, RcTree};
 pub use variation::{

@@ -1,7 +1,7 @@
 //! The delay/slew library: the paper's pre-characterized timing model
 //! (§3.2.3), queried millions of times by the CTS flow.
 
-use crate::fit::PolyFit;
+use crate::fit::{PinnedFit, PolyFit};
 use cts_spice::{BufferType, WireParams};
 use std::fmt;
 
@@ -119,8 +119,9 @@ impl DelaySlewLibrary {
     ///
     /// # Panics
     ///
-    /// Panics if `single` does not contain exactly `buffers.len()²` entries
-    /// or `branch` lacks a canonical triple.
+    /// Panics if `single` does not contain exactly `buffers.len()²` entries,
+    /// a single-wire fit is not over `(slew, length)`, or `branch` lacks a
+    /// canonical triple.
     pub fn from_parts(
         vdd: f64,
         wire: WireParams,
@@ -131,6 +132,13 @@ impl DelaySlewLibrary {
         let nb = buffers.len();
         assert!(nb > 0, "library needs at least one buffer");
         assert_eq!(single.len(), nb * nb, "single-wire fits incomplete");
+        assert!(
+            single
+                .iter()
+                .flat_map(|f| [&f.intrinsic, &f.wire_delay, &f.wire_slew])
+                .all(|fit| fit.dims() == 2),
+            "single-wire fits must be 2-D"
+        );
         for d in 0..nb {
             for ll in 0..nb {
                 for lr in ll..nb {
@@ -233,10 +241,28 @@ impl DelaySlewLibrary {
         let fns = self.single_fns(drive, self.resolve(load));
         let x = [input_slew, length_um];
         StageTiming {
-            buffer_delay: delay_of(&fns.intrinsic, &x),
-            wire_delay: delay_of(&fns.wire_delay, &x),
-            output_slew: slew_of(&fns.wire_slew, &x),
+            buffer_delay: delay_of(fns.intrinsic.eval(&x)),
+            wire_delay: delay_of(fns.wire_delay.eval(&x)),
+            output_slew: slew_of(fns.wire_slew.eval(&x)),
         }
+    }
+
+    /// [`StageTiming::total_delay`] of [`DelaySlewLibrary::single_wire`],
+    /// evaluating only the intrinsic and wire-delay surfaces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drive` (or a buffer load) is out of range.
+    pub fn single_wire_total_delay(
+        &self,
+        drive: BufferId,
+        load: Load,
+        input_slew: f64,
+        length_um: f64,
+    ) -> f64 {
+        let fns = self.single_fns(drive, self.resolve(load));
+        let x = [input_slew, length_um];
+        delay_of(fns.intrinsic.eval(&x)) + delay_of(fns.wire_delay.eval(&x))
     }
 
     /// [`StageTiming::wire_delay`] of [`DelaySlewLibrary::single_wire`],
@@ -253,7 +279,26 @@ impl DelaySlewLibrary {
         length_um: f64,
     ) -> f64 {
         let fns = self.single_fns(drive, self.resolve(load));
-        delay_of(&fns.wire_delay, &[input_slew, length_um])
+        delay_of(fns.wire_delay.eval(&[input_slew, length_um]))
+    }
+
+    /// [`DelaySlewLibrary::single_wire_delay`] as a curve over wire length,
+    /// with the drive, load and input slew fixed: the slew is clamped,
+    /// standardized and raised to its powers once, here, instead of on
+    /// every query. `curve.eval(len)` returns exactly
+    /// `single_wire_delay(drive, Load::Buffer(load), input_slew, len)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drive` or `load` is out of range.
+    pub fn wire_delay_curve(
+        &self,
+        drive: BufferId,
+        load: BufferId,
+        input_slew: f64,
+    ) -> WireDelayCurve {
+        let fns = self.single_fns(drive, self.resolve(Load::Buffer(load)));
+        WireDelayCurve(fns.wire_delay.pinned(input_slew))
     }
 
     /// [`StageTiming::output_slew`] of [`DelaySlewLibrary::single_wire`],
@@ -270,7 +315,7 @@ impl DelaySlewLibrary {
         length_um: f64,
     ) -> f64 {
         let fns = self.single_fns(drive, self.resolve(load));
-        slew_of(&fns.wire_slew, &[input_slew, length_um])
+        slew_of(fns.wire_slew.eval(&[input_slew, length_um]))
     }
 
     /// Timing of a branch component: `drive` buffer into two wires of
@@ -306,9 +351,15 @@ impl DelaySlewLibrary {
             .expect("canonical branch fit present (checked at construction)")
             .1;
         let x = [input_slew, la, lb];
-        let (d_a, s_a) = (delay_of(&fns.left_delay, &x), slew_of(&fns.left_slew, &x));
-        let (d_b, s_b) = (delay_of(&fns.right_delay, &x), slew_of(&fns.right_slew, &x));
-        let buffer_delay = delay_of(&fns.intrinsic, &x);
+        let (d_a, s_a) = (
+            delay_of(fns.left_delay.eval(&x)),
+            slew_of(fns.left_slew.eval(&x)),
+        );
+        let (d_b, s_b) = (
+            delay_of(fns.right_delay.eval(&x)),
+            slew_of(fns.right_slew.eval(&x)),
+        );
+        let buffer_delay = delay_of(fns.intrinsic.eval(&x));
         if swapped {
             BranchTiming {
                 buffer_delay,
@@ -425,14 +476,28 @@ impl DelaySlewLibrary {
     }
 }
 
-/// A delay surface evaluated at `x`: fitted delays never go negative.
-fn delay_of(fit: &PolyFit, x: &[f64]) -> f64 {
-    fit.eval(x).max(0.0)
+/// A delay surface's raw value, clamped: fitted delays never go negative.
+fn delay_of(raw: f64) -> f64 {
+    raw.max(0.0)
 }
 
-/// A slew surface evaluated at `x`: fitted slews stay strictly positive.
-fn slew_of(fit: &PolyFit, x: &[f64]) -> f64 {
-    fit.eval(x).max(1e-15)
+/// A slew surface's raw value, clamped: fitted slews stay strictly
+/// positive.
+fn slew_of(raw: f64) -> f64 {
+    raw.max(1e-15)
+}
+
+/// One (drive, load, input slew) wire-delay surface as a curve over wire
+/// length ([`DelaySlewLibrary::wire_delay_curve`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct WireDelayCurve(PinnedFit);
+
+impl WireDelayCurve {
+    /// The wire delay (s) over `length_um` µm: bit-identical to the
+    /// [`DelaySlewLibrary::single_wire_delay`] query the curve pins.
+    pub fn eval(&self, length_um: f64) -> f64 {
+        delay_of(self.0.eval(length_um))
+    }
 }
 
 /// 1× gate capacitance used when matching sink caps to buffer input caps.
@@ -687,6 +752,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn wire_delay_curves_equal_the_query_bit_for_bit() {
+        let sigma = crate::PerturbSigma {
+            buffer_delay: 0.1,
+            wire_delay: 0.08,
+            slew: 0.08,
+        };
+        let corner =
+            crate::perturb_library(crate::fast_library(), crate::corner_seed(7, 3), &sigma);
+        for lib in [crate::fast_library(), &corner] {
+            for drive in lib.buffer_ids() {
+                for load in lib.buffer_ids() {
+                    let ((slew_lo, slew_hi), (_, len_hi)) =
+                        lib.single_domain(drive, Load::Buffer(load));
+                    let slews = [
+                        slew_lo,
+                        0.5 * (slew_lo + slew_hi),
+                        slew_hi,
+                        0.0,
+                        2.0 * slew_hi,
+                    ];
+                    let lens = [1.0, 0.37 * len_hi, len_hi, 1.5 * len_hi, 1e9];
+                    for s in slews {
+                        let curve = lib.wire_delay_curve(drive, load, s);
+                        for len in lens {
+                            assert_eq!(
+                                curve.eval(len).to_bits(),
+                                lib.single_wire_delay(drive, Load::Buffer(load), s, len)
+                                    .to_bits(),
+                                "({drive}, {load}) at slew {s}, length {len}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn total_delay_query_is_bit_exact() {
+        let lib = crate::fast_library();
+        for drive in lib.buffer_ids() {
+            for load in lib.buffer_ids().map(Load::Buffer) {
+                for (s, len) in [(40e-12, 1.0), (60e-12, 700.0), (1.0, 1e9)] {
+                    assert_eq!(
+                        lib.single_wire_total_delay(drive, load, s, len).to_bits(),
+                        lib.single_wire(drive, load, s, len).total_delay().to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "single-wire fits must be 2-D")]
+    fn from_parts_rejects_single_fits_of_the_wrong_dimension() {
+        let lib = synthetic_library();
+        let pts: Vec<Vec<f64>> = (0..8).map(|i| vec![f64::from(i)]).collect();
+        let flat = PolyFit::fit(1, 1, &pts, &[0.0; 8]).unwrap();
+        let mut single = lib.single_slice().to_vec();
+        single[0].wire_delay = flat;
+        let _bad = DelaySlewLibrary::from_parts(
+            lib.vdd(),
+            lib.wire(),
+            lib.buffers().to_vec(),
+            single,
+            lib.branch_slice().to_vec(),
+        );
     }
 
     #[test]

@@ -338,3 +338,44 @@ fn library_serialization_roundtrip_preserves_queries() {
         }
     }
 }
+
+/// FNV-1a, written out so the pinned constant below cannot drift with the
+/// standard library's hasher (`DefaultHasher` is not stable across Rust
+/// releases).
+fn fnv1a(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A whole synthesized tree pinned to exact bits: node kinds, buffer ids,
+/// positions, wire lengths and links. Any change to the fitted-surface
+/// arithmetic, the maze router's tie-breaking, or the flow moves this
+/// hash, and must then be deliberate. The constant was computed before the
+/// power-table fit kernel and the pinned pending-delay curves landed, so
+/// it also proves those are bit-exact.
+#[test]
+fn scale_tree_bits_are_pinned() {
+    use cts::NodeKind;
+    let lib = fast_library();
+    let options = CtsOptions::builder().threads(1).build().expect("options");
+    let instance = cts::benchmarks::generate_scale(256, 0x5ca1e);
+    let result = Synthesizer::new(lib, options)
+        .synthesize(&instance)
+        .expect("synthesis");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for node in result.tree.nodes() {
+        h = match node.kind {
+            NodeKind::Source { driver } => fnv1a(fnv1a(h, 0), driver.0 as u64),
+            NodeKind::Sink { index, cap } => fnv1a(fnv1a(fnv1a(h, 1), index as u64), cap.to_bits()),
+            NodeKind::Joint => fnv1a(h, 2),
+            NodeKind::Buffer { buffer } => fnv1a(fnv1a(h, 3), buffer.0 as u64),
+        };
+        h = fnv1a(h, node.location.x.to_bits());
+        h = fnv1a(h, node.location.y.to_bits());
+        h = fnv1a(h, node.wire_to_parent_um.to_bits());
+        h = fnv1a(h, node.parent.map_or(u64::MAX, |p| p.index() as u64));
+    }
+    assert_eq!(result.tree.len(), 550, "node count moved");
+    assert_eq!(h, 0x0d4d_7857_6cd8_df2d, "tree bits moved: got {h:#018x}");
+}
