@@ -15,10 +15,9 @@
 use crate::frame::{read_frame, write_frame};
 use crate::json::Json;
 use crate::proto::{
-    decode_event, decode_pareto_event, decode_response, decode_sweep_progress, decode_tree_event,
-    encode_request, event_op, is_event, BatchEntry, ErrorCode, MetricsReply, OptionsPatch, Outcome,
-    ParetoEvent, RemoteTree, Request, Response, Scheduling, StatsReply, SweepProgressEvent,
-    SweepRange, TreeEvent, TreeInfo, PROTOCOL_VERSION,
+    decode_event, decode_response, encode_request, is_event, BatchEntry, ErrorCode, Event,
+    MetricsReply, OptionsPatch, Outcome, ParetoEvent, RemoteTree, Request, Response, Scheduling,
+    StatsReply, SweepProgressEvent, SweepRange, TreeEvent, TreeInfo, PROTOCOL_VERSION,
 };
 use cts_core::{ClockTree, Instance, LevelStats, RequestStatus, TreeNode, TreeNodeId};
 use std::collections::HashMap;
@@ -61,7 +60,7 @@ impl From<io::Error> for NetError {
 }
 
 /// What the server said about itself in the `hello` reply.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServerInfo {
     /// Protocol version the server speaks.
     pub version: u64,
@@ -193,6 +192,21 @@ pub struct TreeProgress {
     pub level_stats: Vec<LevelStats>,
 }
 
+/// Sends `$request` on `$client` and takes the reply its op expects
+/// apart with `$reply => $value`; any other reply is a protocol error.
+macro_rules! ask {
+    ($client:expr, $request:expr, $reply:pat => $value:expr) => {{
+        let request = $request;
+        match $client.call(&request)? {
+            $reply => Ok($value),
+            other => Err(NetError::Protocol(format!(
+                "unexpected {} reply: {other:?}",
+                request.op()
+            ))),
+        }
+    }};
+}
+
 /// One blocking protocol connection. See the module docs.
 pub struct Client {
     writer: TcpStream,
@@ -239,31 +253,16 @@ impl Client {
             stashed: HashMap::new(),
             sweep_progress: HashMap::new(),
             paretos: HashMap::new(),
-            info: ServerInfo {
-                version: 0,
-                server: String::new(),
-                workers: 0,
-            },
+            info: ServerInfo::default(),
         };
-        let reply = client.call(&Request::Hello {
+        let hello = Request::Hello {
             version: PROTOCOL_VERSION,
             client_id: client_id.map(str::to_string),
+        };
+        client.info = ask!(client, hello, Response::Hello { version, server, workers } => {
+            ServerInfo { version, server, workers }
         })?;
-        match reply {
-            Response::Hello {
-                version,
-                server,
-                workers,
-            } => {
-                client.info = ServerInfo {
-                    version,
-                    server,
-                    workers,
-                };
-                Ok(client)
-            }
-            other => Err(unexpected("hello reply", &other)),
-        }
+        Ok(client)
     }
 
     /// What the server reported at handshake.
@@ -280,15 +279,12 @@ impl Client {
     /// Transport/protocol failures, or a structured rejection (draining
     /// server, invalid spec).
     pub fn submit_spec(&mut self, spec: SubmitSpec) -> Result<u64, NetError> {
-        let reply = self.call(&Request::Submit {
+        let submit = Request::Submit {
             instance: spec.instance,
             options: spec.options,
             scheduling: spec.scheduling,
-        })?;
-        match reply {
-            Response::Submitted { id } => Ok(id),
-            other => Err(unexpected("submit reply", &other)),
-        }
+        };
+        ask!(self, submit, Response::Submitted { id } => id)
     }
 
     /// Submits many typed [`SubmitSpec`]s. Returns the service-assigned
@@ -329,11 +325,8 @@ impl Client {
                 scheduling: spec.scheduling,
             })
             .collect();
-        let reply = self.call(&Request::SubmitBatch { entries, options })?;
-        match reply {
-            Response::BatchSubmitted { ids } => Ok(ids),
-            other => Err(unexpected("submit_batch reply", &other)),
-        }
+        let batch = Request::SubmitBatch { entries, options };
+        ask!(self, batch, Response::BatchSubmitted { ids } => ids)
     }
 
     /// Submits a parameter sweep in **one frame**: the server expands
@@ -358,16 +351,13 @@ impl Client {
         spec: SubmitSpec,
         range: SweepRange,
     ) -> Result<SweepSubmission, NetError> {
-        let reply = self.call(&Request::SubmitSweep {
+        let sweep = Request::SubmitSweep {
             instance: spec.instance,
             base: spec.options,
             range,
             scheduling: spec.scheduling,
-        })?;
-        match reply {
-            Response::SweepSubmitted { sweep, ids } => Ok(SweepSubmission { sweep, ids }),
-            other => Err(unexpected("submit_sweep reply", &other)),
-        }
+        };
+        ask!(self, sweep, Response::SweepSubmitted { sweep, ids } => SweepSubmission { sweep, ids })
     }
 
     /// Blocks until sweep `sweep`'s terminal `pareto` event arrives and
@@ -383,14 +373,7 @@ impl Client {
             if let Some(event) = self.paretos.remove(&sweep) {
                 return Ok(event);
             }
-            let frame = self.read()?;
-            if is_event(&frame) {
-                self.stash_event(&frame)?;
-            } else {
-                return Err(NetError::Protocol(
-                    "unsolicited reply while waiting for a pareto event".into(),
-                ));
-            }
+            self.stash_next_event("a pareto event")?;
         }
     }
 
@@ -416,14 +399,7 @@ impl Client {
             if let Some(outcome) = self.stashed.remove(&id) {
                 return Ok(outcome);
             }
-            let frame = self.read()?;
-            if is_event(&frame) {
-                self.stash_event(&frame)?;
-            } else {
-                return Err(NetError::Protocol(
-                    "unsolicited reply while waiting for a result event".into(),
-                ));
-            }
+            self.stash_next_event("a result event")?;
         }
     }
 
@@ -500,10 +476,8 @@ impl Client {
     /// Sends a `fetch_tree` and validates the stream header.
     fn fetch_tree_header(&mut self, id: u64, mode: ChunkMode) -> Result<TreeInfo, NetError> {
         let (chunk, levels) = mode.wire();
-        let header = match self.call(&Request::FetchTree { id, chunk, levels })? {
-            Response::TreeHeader(h) => h,
-            other => return Err(unexpected("fetch_tree reply", &other)),
-        };
+        let fetch = Request::FetchTree { id, chunk, levels };
+        let header = ask!(self, fetch, Response::TreeHeader(header) => header)?;
         if header.id != id {
             return Err(NetError::Protocol(format!(
                 "fetch_tree reply names id {}, asked for {id}",
@@ -540,11 +514,13 @@ impl Client {
                     "unsolicited reply inside a tree stream".into(),
                 ));
             }
-            if event_op(&frame) != Some("tree") {
-                self.stash_event(&frame)?;
-                continue;
-            }
-            let event = decode_tree_event(&frame).map_err(NetError::Protocol)?;
+            let event = match decode_event(&frame).map_err(NetError::Protocol)? {
+                Event::Tree(event) => event,
+                other => {
+                    self.stash(other);
+                    continue;
+                }
+            };
             if event.id() != header.id {
                 continue; // stale frames of an earlier failed stream
             }
@@ -591,10 +567,7 @@ impl Client {
     ///
     /// Transport/protocol failures, or `unknown_id`.
     pub fn status(&mut self, id: u64) -> Result<RequestStatus, NetError> {
-        match self.call(&Request::Status { id })? {
-            Response::Status { state, .. } => Ok(state),
-            other => Err(unexpected("status reply", &other)),
-        }
+        ask!(self, Request::Status { id }, Response::Status { state, .. } => state)
     }
 
     /// Requests cooperative cancellation of `id`. The terminal outcome
@@ -605,10 +578,7 @@ impl Client {
     ///
     /// Transport/protocol failures, or `unknown_id`.
     pub fn cancel(&mut self, id: u64) -> Result<(), NetError> {
-        match self.call(&Request::Cancel { id })? {
-            Response::Cancelled { .. } => Ok(()),
-            other => Err(unexpected("cancel reply", &other)),
-        }
+        ask!(self, Request::Cancel { id }, Response::Cancelled { .. } => ())
     }
 
     /// Snapshots the server's service metrics.
@@ -617,10 +587,7 @@ impl Client {
     ///
     /// Transport/protocol failures.
     pub fn metrics(&mut self) -> Result<MetricsReply, NetError> {
-        match self.call(&Request::Metrics)? {
-            Response::Metrics(m) => Ok(m),
-            other => Err(unexpected("metrics reply", &other)),
-        }
+        ask!(self, Request::Metrics, Response::Metrics(m) => m)
     }
 
     /// Snapshots the server's full observability state: the `metrics`
@@ -637,10 +604,7 @@ impl Client {
     /// answers `bad_request` (surface as [`NetError::Remote`]) — fall
     /// back to [`Client::metrics`].
     pub fn stats(&mut self) -> Result<StatsReply, NetError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(*s),
-            other => Err(unexpected("stats reply", &other)),
-        }
+        ask!(self, Request::Stats, Response::Stats(s) => *s)
     }
 
     /// Asks the server to drain and stop. Blocks until the server
@@ -652,44 +616,52 @@ impl Client {
     ///
     /// Transport/protocol failures.
     pub fn shutdown(&mut self) -> Result<(), NetError> {
-        match self.call(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            other => Err(unexpected("shutdown reply", &other)),
-        }
+        ask!(self, Request::Shutdown, Response::ShuttingDown => ())
     }
 
-    /// Routes one pushed event frame. Result events are stashed by id
+    /// Reads the next frame, which must be an event, and stashes it.
+    fn stash_next_event(&mut self, waiting_for: &str) -> Result<(), NetError> {
+        let frame = self.read()?;
+        if !is_event(&frame) {
+            return Err(NetError::Protocol(format!(
+                "unsolicited reply while waiting for {waiting_for}"
+            )));
+        }
+        self.stash_event(&frame)
+    }
+
+    /// Decodes one pushed event frame and stashes it; a malformed frame
+    /// fails loudly.
+    fn stash_event(&mut self, frame: &Json) -> Result<(), NetError> {
+        let event = decode_event(frame).map_err(NetError::Protocol)?;
+        self.stash(event);
+        Ok(())
+    }
+
+    /// Routes one pushed event. Result events are stashed by id
     /// **unconditionally** — the id may belong to a submission whose
     /// reply this client has not even read yet (a batch reply racing its
     /// first pushed event); dropping such an event would lose the
     /// request's only terminal outcome. Sweep events stash by sweep
-    /// ordinal the same way. `tree` events seen here are decoded
-    /// (malformed frames still fail loudly) but then discarded: a live
-    /// stream is consumed entirely inside `collect_stream`, so any tree
-    /// frame reaching this point is a stale leftover of a fetch that
+    /// ordinal the same way. `tree` events seen here are discarded: a
+    /// live stream is consumed entirely inside `collect_stream`, so any
+    /// tree frame reaching this point is a stale leftover of a fetch that
     /// already failed — retaining it would only poison a retry.
-    fn stash_event(&mut self, frame: &Json) -> Result<(), NetError> {
-        match event_op(frame) {
-            Some("tree") => {
-                decode_tree_event(frame).map_err(NetError::Protocol)?;
-            }
-            Some("sweep_progress") => {
-                let event = decode_sweep_progress(frame).map_err(NetError::Protocol)?;
-                self.sweep_progress
-                    .entry(event.sweep)
-                    .or_default()
-                    .push(event);
-            }
-            Some("pareto") => {
-                let event = decode_pareto_event(frame).map_err(NetError::Protocol)?;
-                self.paretos.insert(event.sweep, event);
-            }
-            _ => {
-                let event = decode_event(frame).map_err(NetError::Protocol)?;
+    fn stash(&mut self, event: Event) {
+        match event {
+            Event::Result(event) => {
                 self.stashed.insert(event.id, event.outcome);
             }
+            Event::Tree(_) => {}
+            Event::SweepProgress(event) => self
+                .sweep_progress
+                .entry(event.sweep)
+                .or_default()
+                .push(event),
+            Event::Pareto(event) => {
+                self.paretos.insert(event.sweep, event);
+            }
         }
-        Ok(())
     }
 
     /// Sends `request` and reads until its reply arrives, stashing any
@@ -741,8 +713,4 @@ impl fmt::Debug for Client {
             .field("stashed_results", &self.stashed.len())
             .finish()
     }
-}
-
-fn unexpected(context: &str, got: &Response) -> NetError {
-    NetError::Protocol(format!("unexpected {context}: {got:?}"))
 }

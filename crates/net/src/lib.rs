@@ -16,9 +16,13 @@
 //!    atomically), `fetch_tree` (the routed tree geometry of a completed
 //!    request, streamed as chunked `tree` events), `status`, `cancel`,
 //!    `metrics`, `stats` (latency histograms + span summaries),
-//!    `shutdown`, structured error replies, and pushed `result` events
-//!    carrying the full per-request stats. Spec and transcripts:
-//!    `docs/PROTOCOL.md`.
+//!    `shutdown`, and structured error replies. Pushed frames are one
+//!    [`Event`] enum behind one envelope (`{"ok":true,"op":…,"event":true}`):
+//!    `result` (a request resolved, with its full stats), `tree` (a
+//!    `fetch_tree` chunk or its terminal frame), `sweep_progress` (one sweep
+//!    point resolved) and `pareto` (a finished sweep's front). Every
+//!    fixed-shape object is a `wire_struct!` table, each field named once.
+//!    Spec and transcripts: `docs/PROTOCOL.md`.
 //! 3. **[`server`] + [`client`]** — a threaded TCP server (one
 //!    reader/writer/completion-pump thread trio per connection, graceful
 //!    drain on the `shutdown` op) around one [`cts_core::SynthesisService`],
@@ -68,15 +72,17 @@ pub mod frame;
 pub mod json;
 pub mod proto;
 pub mod server;
+mod wire;
 
 pub use client::{
     ChunkMode, Client, NetError, ServerInfo, SubmitSpec, SweepSubmission, TreeProgress,
 };
 pub use json::{Json, JsonError};
 pub use proto::{
-    BatchEntry, ErrorCode, MetricsReply, OptionsPatch, Outcome, ParetoEvent, ParetoWirePoint,
-    RemoteResult, RemoteTree, ResultEvent, Scheduling, SpanStat, StatsReply, SweepAxesSpec,
-    SweepPointOutcome, SweepProgressEvent, SweepRange, TimingStats, TreeChunkEvent, TreeDoneEvent,
-    TreeEvent, TreeInfo, VariationStats, DEFAULT_TREE_CHUNK, MAX_TREE_CHUNK, PROTOCOL_VERSION,
+    BatchEntry, ErrorCode, Event, MetricsReply, OptionsPatch, Outcome, ParetoEvent,
+    ParetoWirePoint, RemoteResult, RemoteTree, ResultEvent, Scheduling, SpanStat, StatsReply,
+    SweepAxesSpec, SweepPointOutcome, SweepProgressEvent, SweepRange, TimingStats, TreeChunkEvent,
+    TreeDoneEvent, TreeEvent, TreeInfo, VariationStats, DEFAULT_TREE_CHUNK, MAX_TREE_CHUNK,
+    PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerHandle};

@@ -10,13 +10,21 @@
 //!   request, `"seq"`-correlated; errors are structured
 //!   ([`Response::Error`] with an [`ErrorCode`]) and never kill the
 //!   connection unless the transport itself is broken.
-//! * **Events** ([`ResultEvent`]) — server → client, pushed (not
-//!   replied) when a submitted request resolves; marked
-//!   `"event":true` and correlated by request id, not `seq`.
+//! * **Events** ([`Event`]) — server → client, pushed (not replied):
+//!   request results, tree-stream frames, sweep progress and sweep
+//!   fronts. Marked `"event":true` and routed by op, not `seq`.
+//!
+//! Every fixed-shape object is a `wire_struct!` (or `wire_variants!`)
+//! table: one row per field, giving its key, type and presence rule, from
+//! which its encode, decode and defaults are generated.
 //!
 //! Everything here is plain data + conversions to/from [`Json`]; no I/O.
 
 use crate::json::Json;
+use crate::wire::{
+    or_default, parse, push_omit, required, spelled, wire_struct, wire_variants, Fields, Spelled,
+    WireTable, WireValue,
+};
 use cts_core::sweep::{self, SweepError};
 use cts_core::{
     Buffering, ClockTree, CtsOptions, DistStats, HCorrection, Instance, LevelStats, NodeKind,
@@ -73,26 +81,13 @@ pub enum ErrorCode {
 impl ErrorCode {
     /// The wire spelling.
     pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadJson => "bad_json",
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::UnsupportedVersion => "unsupported_version",
-            ErrorCode::UnknownId => "unknown_id",
-            ErrorCode::ShuttingDown => "shutting_down",
-        }
+        self.spelling()
     }
 
     /// Parses the wire spelling. (Named `from_wire`, not `from_str`, to
     /// avoid colliding with the `FromStr` trait method.)
     pub fn from_wire(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "bad_json" => ErrorCode::BadJson,
-            "bad_request" => ErrorCode::BadRequest,
-            "unsupported_version" => ErrorCode::UnsupportedVersion,
-            "unknown_id" => ErrorCode::UnknownId,
-            "shutting_down" => ErrorCode::ShuttingDown,
-            _ => return None,
-        })
+        ErrorCode::from_spelling(s)
     }
 }
 
@@ -112,7 +107,7 @@ pub struct DecodeError {
 }
 
 impl DecodeError {
-    fn bad(message: impl Into<String>) -> DecodeError {
+    pub(crate) fn bad(message: impl Into<String>) -> DecodeError {
         DecodeError {
             code: ErrorCode::BadRequest,
             message: message.into(),
@@ -129,6 +124,33 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 // ---------------------------------------------------------------------------
+// Wire spellings
+
+/// `fetch_tree`'s chunking mode, as spelled on the wire.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TreeMode {
+    Nodes,
+    Levels,
+}
+
+spelled! {
+    HCorrection { Off => "off", ReEstimate => "re_estimate", Correct => "correct" }
+    Buffering { Greedy => "greedy", VanGinneken => "van_ginneken" }
+    VariationMode { Evaluate => "evaluate", Resynthesize => "resynthesize" }
+    ErrorCode {
+        BadJson => "bad_json", BadRequest => "bad_request",
+        UnsupportedVersion => "unsupported_version", UnknownId => "unknown_id",
+        ShuttingDown => "shutting_down"
+    }
+    RequestStatus { Queued => "queued", InFlight => "in_flight", Done => "done" }
+    SweepPointOutcome {
+        Completed => "completed", Cancelled => "cancelled", Expired => "expired",
+        Failed => "failed"
+    }
+    TreeMode { Nodes => "nodes", Levels => "levels" }
+}
+
+// ---------------------------------------------------------------------------
 // Instance spec
 
 /// Serializes an instance as the protocol's instance spec:
@@ -139,35 +161,20 @@ impl std::error::Error for DecodeError {}
 /// is that instances (and therefore results) cross the socket
 /// byte-identically.
 pub fn instance_to_json(instance: &Instance) -> Json {
-    let die = instance.die();
+    let (lo, hi) = (instance.die().lo(), instance.die().hi());
+    let sink = |s: &Sink| {
+        Json::obj(vec![
+            ("name", s.name.to_wire()),
+            ("x", s.location.x.to_wire()),
+            ("y", s.location.y.to_wire()),
+            ("cap_f", s.cap.to_wire()),
+        ])
+    };
+    let sinks = instance.sinks().iter().map(sink).collect();
     Json::obj(vec![
         ("name", Json::str(instance.name())),
-        (
-            "die",
-            Json::arr(vec![
-                Json::num(die.lo().x),
-                Json::num(die.lo().y),
-                Json::num(die.hi().x),
-                Json::num(die.hi().y),
-            ]),
-        ),
-        (
-            "sinks",
-            Json::arr(
-                instance
-                    .sinks()
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("name", Json::str(&s.name)),
-                            ("x", Json::num(s.location.x)),
-                            ("y", Json::num(s.location.y)),
-                            ("cap_f", Json::num(s.cap)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("die", vec![lo.x, lo.y, hi.x, hi.y].to_wire()),
+        ("sinks", Json::arr(sinks)),
     ])
 }
 
@@ -181,10 +188,7 @@ pub fn instance_to_json(instance: &Instance) -> Json {
 ///
 /// [`ErrorCode::BadRequest`] with a description of the first problem.
 pub fn instance_from_json(j: &Json) -> Result<Instance, DecodeError> {
-    let name = j
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| DecodeError::bad("instance needs a string 'name'"))?;
+    let name: String = required(j, "instance", "name")?;
     let sinks_json = j
         .get("sinks")
         .and_then(Json::as_arr)
@@ -194,16 +198,11 @@ pub fn instance_from_json(j: &Json) -> Result<Instance, DecodeError> {
     }
     let mut sinks = Vec::with_capacity(sinks_json.len());
     for (i, s) in sinks_json.iter().enumerate() {
-        let field = |key: &str| {
-            s.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| DecodeError::bad(format!("sink {i} needs a number '{key}'")))
-        };
-        let sname = s
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| DecodeError::bad(format!("sink {i} needs a string 'name'")))?;
-        let (x, y, cap) = (field("x")?, field("y")?, field("cap_f")?);
+        let sink = format!("sink {i}");
+        let sname: String = required(s, &sink, "name")?;
+        let x: f64 = required(s, &sink, "x")?;
+        let y: f64 = required(s, &sink, "y")?;
+        let cap: f64 = required(s, &sink, "cap_f")?;
         if !(x.is_finite() && y.is_finite()) {
             return Err(DecodeError::bad(format!("sink {i} location is not finite")));
         }
@@ -214,31 +213,36 @@ pub fn instance_from_json(j: &Json) -> Result<Instance, DecodeError> {
         }
         sinks.push(Sink::new(sname, Point::new(x, y), cap));
     }
-    match j.get("die") {
-        None | Some(Json::Null) => Ok(Instance::new(name, sinks)),
-        Some(die) => {
-            let corners = die
-                .as_arr()
-                .filter(|a| a.len() == 4)
-                .and_then(|a| a.iter().map(Json::as_f64).collect::<Option<Vec<f64>>>())
-                .filter(|c| c.iter().all(|v| v.is_finite()))
-                .ok_or_else(|| {
-                    DecodeError::bad("'die' must be [x0, y0, x1, y1] with finite numbers")
-                })?;
-            let rect = Rect::from_corners(
-                Point::new(corners[0], corners[1]),
-                Point::new(corners[2], corners[3]),
-            );
-            for s in &sinks {
-                if !rect.contains(s.location) {
-                    return Err(DecodeError::bad(format!(
-                        "sink {} lies outside the die",
-                        s.name
-                    )));
-                }
-            }
-            Ok(Instance::with_die(name, sinks, rect))
-        }
+    let Some(die) = j.get("die").filter(|die| !die.is_null()) else {
+        return Ok(Instance::new(name, sinks));
+    };
+    let corners = Vec::<f64>::from_wire(die)?
+        .filter(|c| c.len() == 4 && c.iter().all(|v| v.is_finite()))
+        .ok_or_else(|| DecodeError::bad("'die' must be [x0, y0, x1, y1] with finite numbers"))?;
+    let (lo, hi) = (
+        Point::new(corners[0], corners[1]),
+        Point::new(corners[2], corners[3]),
+    );
+    let rect = Rect::from_corners(lo, hi);
+    if let Some(outside) = sinks.iter().find(|s| !rect.contains(s.location)) {
+        let message = format!("sink {} lies outside the die", outside.name);
+        return Err(DecodeError::bad(message));
+    }
+    Ok(Instance::with_die(name, sinks, rect))
+}
+
+/// An instance spec decodes by [`instance_from_json`], whose errors name
+/// the offending part; `expected` completes "`<object>` needs an
+/// 'instance'".
+impl WireValue for Instance {
+    fn expected() -> String {
+        "an".into()
+    }
+    fn to_wire(&self) -> Json {
+        instance_to_json(self)
+    }
+    fn from_wire(j: &Json) -> Result<Option<Instance>, DecodeError> {
+        instance_from_json(j).map(Some)
     }
 }
 
@@ -248,97 +252,6 @@ pub fn instance_from_json(j: &Json) -> Result<Instance, DecodeError> {
 /// The one ps → s conversion every picosecond wire option applies.
 fn ps_to_s(ps: f64) -> f64 {
     ps * 1e-12
-}
-
-/// A wire option's value type: its one JSON spelling.
-trait WireValue: Copy {
-    /// What a valid value looks like, for the `'key' must be …` error.
-    fn expected() -> String;
-    /// The JSON value.
-    fn to_wire(self) -> Json;
-    /// Parses the JSON value; `None` when it is not one.
-    fn from_wire(j: &Json) -> Option<Self>;
-}
-
-impl WireValue for f64 {
-    fn expected() -> String {
-        "a number".into()
-    }
-    fn to_wire(self) -> Json {
-        Json::num(self)
-    }
-    fn from_wire(j: &Json) -> Option<f64> {
-        j.as_f64()
-    }
-}
-
-/// Integers travel as JSON numbers, exact below 2^53 (which `as_u64`
-/// enforces) and range-checked into the field type.
-macro_rules! wire_integer {
-    ($($t:ty => $expected:literal),*) => {$(
-        impl WireValue for $t {
-            fn expected() -> String {
-                $expected.into()
-            }
-            fn to_wire(self) -> Json {
-                Json::num(self as f64)
-            }
-            fn from_wire(j: &Json) -> Option<$t> {
-                <$t>::try_from(j.as_u64()?).ok()
-            }
-        }
-    )*};
-}
-
-wire_integer!(u32 => "a small integer", u64 => "an integer", usize => "an integer");
-
-/// An option enum's wire spellings, each written once.
-trait Spelled: Copy + PartialEq + 'static {
-    /// Every variant with its wire spelling.
-    const SPELLINGS: &'static [(Self, &'static str)];
-}
-
-macro_rules! spelled {
-    ($($t:ident { $($variant:ident => $s:literal),* })*) => {$(
-        impl Spelled for $t {
-            const SPELLINGS: &'static [($t, &'static str)] = &[$(($t::$variant, $s)),*];
-        }
-    )*};
-}
-
-spelled! {
-    HCorrection { Off => "off", ReEstimate => "re_estimate", Correct => "correct" }
-    Buffering { Greedy => "greedy", VanGinneken => "van_ginneken" }
-    VariationMode { Evaluate => "evaluate", Resynthesize => "resynthesize" }
-}
-
-impl<T: Spelled> WireValue for T {
-    fn expected() -> String {
-        let quoted: Vec<String> = T::SPELLINGS
-            .iter()
-            .map(|(_, s)| format!("\"{s}\""))
-            .collect();
-        let (last, init) = quoted.split_last().expect("an enum has variants");
-        let comma = if init.len() > 1 { "," } else { "" };
-        format!("{}{comma} or {last}", init.join(", "))
-    }
-    fn to_wire(self) -> Json {
-        let (_, s) = T::SPELLINGS
-            .iter()
-            .find(|(v, _)| *v == self)
-            .expect("every variant is spelled");
-        Json::str(*s)
-    }
-    fn from_wire(j: &Json) -> Option<T> {
-        let s = j.as_str()?;
-        T::SPELLINGS.iter().find(|(_, w)| *w == s).map(|&(v, _)| v)
-    }
-}
-
-/// Parses `value` as option `key`'s wire type.
-fn parse<T: WireValue>(key: &str, value: &Json) -> Result<T, DecodeError> {
-    T::from_wire(value)
-        .ok_or_else(|| DecodeError::bad(format!("'{key}' must be {}", T::expected())))
 }
 
 /// One sweep axis, as the option table describes it.
@@ -401,9 +314,7 @@ macro_rules! option_table {
             /// Serializes only the set fields, in table order.
             pub fn to_json(&self) -> Json {
                 let mut fields = Vec::new();
-                $(if let Some(value) = self.$key {
-                    fields.push((stringify!($key), value.to_wire()));
-                })*
+                $(push_omit(&mut fields, stringify!($key), &self.$key);)*
                 Json::obj(fields)
             }
 
@@ -439,7 +350,7 @@ macro_rules! option_table {
                 rank: $rank,
                 key: stringify!($key),
                 len: |a| a.$axis.len(),
-                to_json: |a| Json::arr(a.$axis.iter().map(|v| v.to_wire()).collect()),
+                to_json: |a| a.$axis.to_wire(),
                 parse: |a, values| {
                     a.$axis = values
                         .iter()
@@ -523,6 +434,18 @@ impl OptionsPatch {
             }
         }
         Ok(patch)
+    }
+}
+
+impl WireValue for OptionsPatch {
+    fn expected() -> String {
+        "an object".into()
+    }
+    fn to_wire(&self) -> Json {
+        self.to_json()
+    }
+    fn from_wire(j: &Json) -> Result<Option<OptionsPatch>, DecodeError> {
+        OptionsPatch::from_json(j).map(Some)
     }
 }
 
@@ -614,147 +537,123 @@ impl SweepRange {
     }
 }
 
+/// Exactly one of the `axes` and `points` keys.
+impl WireTable for SweepRange {
+    fn push_fields(&self, fields: &mut Fields) {
+        match self {
+            SweepRange::Axes(axes) => fields.push(("axes", axes.to_json())),
+            SweepRange::Points(points) => fields.push(("points", points.to_wire())),
+        }
+    }
+    fn from_fields(j: &Json, object: &str) -> Result<SweepRange, DecodeError> {
+        match (j.get("axes"), j.get("points")) {
+            (Some(axes), None) => SweepAxesSpec::from_json(axes).map(SweepRange::Axes),
+            (None, Some(points)) => {
+                let points = points
+                    .as_arr()
+                    .ok_or_else(|| DecodeError::bad("'points' must be an array"))?;
+                if points.is_empty() {
+                    return Err(DecodeError::bad(format!(
+                        "{object} needs at least one point"
+                    )));
+                }
+                let points = points.iter().map(|point| OptionsPatch::decode(point, true));
+                points.collect::<Result<_, _>>().map(SweepRange::Points)
+            }
+            (Some(_), Some(_)) => Err(DecodeError::bad(format!(
+                "{object} takes 'axes' or 'points', not both"
+            ))),
+            (None, None) => Err(DecodeError::bad(format!(
+                "{object} needs 'axes' or 'points'"
+            ))),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Routed tree geometry
 
-/// Serializes one tree node as its wire object. The node's id is its
-/// position in the streamed sequence (ids are dense arena indices), so
-/// only the links are explicit: `parent` (omitted for roots) and the
+/// One tree node as its wire object, tagged by `kind`. The node's id is
+/// its position in the streamed sequence (ids are dense arena indices),
+/// so only the links are explicit: `parent` (omitted for roots) and the
 /// `children` array, whose **order** is preserved — child order is part
 /// of the arena's identity and byte-identical round-trips depend on it.
-fn tree_node_to_json(node: &TreeNode) -> Json {
-    let mut fields = Vec::with_capacity(8);
-    match node.kind {
-        NodeKind::Source { driver } => {
-            fields.push(("kind", Json::str("source")));
-            fields.push(("driver", Json::num(driver.0 as f64)));
-        }
-        NodeKind::Sink { index, cap } => {
-            fields.push(("kind", Json::str("sink")));
-            fields.push(("index", Json::num(index as f64)));
-            fields.push(("cap_f", Json::num(cap)));
-        }
-        NodeKind::Joint => fields.push(("kind", Json::str("joint"))),
-        NodeKind::Buffer { buffer } => {
-            fields.push(("kind", Json::str("buffer")));
-            fields.push(("cell", Json::num(buffer.0 as f64)));
-        }
-    }
-    fields.push(("x", Json::num(node.location.x)));
-    fields.push(("y", Json::num(node.location.y)));
-    if let Some(p) = node.parent {
-        fields.push(("parent", Json::num(p.index() as f64)));
-        fields.push(("wire_um", Json::num(node.wire_to_parent_um)));
-    }
-    fields.push((
-        "children",
-        Json::arr(
-            node.children
-                .iter()
-                .map(|c| Json::num(c.index() as f64))
-                .collect(),
-        ),
-    ));
-    Json::obj(fields)
-}
-
-/// Parses one tree node. Link targets are taken verbatim (as indices
-/// into the full streamed sequence); structural validation happens once,
+/// Link targets decode verbatim; structural validation happens once,
 /// over the whole tree, in [`ClockTree::from_nodes`].
-fn tree_node_from_json(j: &Json) -> Result<TreeNode, String> {
-    let idx = |key: &str| {
-        j.get(key)
-            .and_then(Json::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| format!("tree node needs an integer '{key}'"))
-    };
-    let num = |key: &str| {
-        j.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("tree node needs a number '{key}'"))
-    };
-    let kind = match j.get("kind").and_then(Json::as_str) {
-        Some("source") => NodeKind::Source {
-            driver: BufferId(idx("driver")?),
-        },
-        Some("sink") => NodeKind::Sink {
-            index: idx("index")?,
-            cap: num("cap_f")?,
-        },
-        Some("joint") => NodeKind::Joint,
-        Some("buffer") => NodeKind::Buffer {
-            buffer: BufferId(idx("cell")?),
-        },
-        _ => return Err("tree node needs a valid 'kind'".into()),
-    };
-    let parent = match j.get("parent") {
-        None | Some(Json::Null) => None,
-        Some(p) => Some(TreeNodeId::from_index(
-            p.as_u64().ok_or("'parent' must be an integer")? as usize,
-        )),
-    };
-    let wire_to_parent_um = if parent.is_some() {
-        num("wire_um")?
-    } else {
-        0.0
-    };
-    let children = j
-        .get("children")
-        .and_then(Json::as_arr)
-        .ok_or("tree node needs a 'children' array")?
-        .iter()
-        .map(|c| c.as_u64().map(|n| TreeNodeId::from_index(n as usize)))
-        .collect::<Option<Vec<_>>>()
-        .ok_or("'children' must be integers")?;
-    Ok(TreeNode {
-        kind,
-        location: Point::new(num("x")?, num("y")?),
-        parent,
-        wire_to_parent_um,
-        children,
-    })
+impl WireValue for TreeNode {
+    fn expected() -> String {
+        "an object".into()
+    }
+    fn to_wire(&self) -> Json {
+        let link = |id: TreeNodeId| id.index().to_wire();
+        let kind = |tag: &str| ("kind", Json::str(tag));
+        let mut fields = match self.kind {
+            NodeKind::Source { driver } => vec![kind("source"), ("driver", driver.0.to_wire())],
+            NodeKind::Sink { index, cap } => {
+                vec![
+                    kind("sink"),
+                    ("index", index.to_wire()),
+                    ("cap_f", cap.to_wire()),
+                ]
+            }
+            NodeKind::Joint => vec![kind("joint")],
+            NodeKind::Buffer { buffer } => vec![kind("buffer"), ("cell", buffer.0.to_wire())],
+        };
+        fields.push(("x", self.location.x.to_wire()));
+        fields.push(("y", self.location.y.to_wire()));
+        if let Some(p) = self.parent {
+            fields.push(("parent", link(p)));
+            fields.push(("wire_um", self.wire_to_parent_um.to_wire()));
+        }
+        let children = self.children.iter().map(|&c| link(c)).collect();
+        fields.push(("children", Json::arr(children)));
+        Json::obj(fields)
+    }
+    fn from_wire(j: &Json) -> Result<Option<TreeNode>, DecodeError> {
+        fn field<T: WireValue>(j: &Json, key: &str) -> Result<T, DecodeError> {
+            required(j, "tree node", key)
+        }
+        let kind = match j.get("kind").and_then(Json::as_str) {
+            Some("source") => NodeKind::Source {
+                driver: BufferId(field(j, "driver")?),
+            },
+            Some("sink") => NodeKind::Sink {
+                index: field(j, "index")?,
+                cap: field(j, "cap_f")?,
+            },
+            Some("joint") => NodeKind::Joint,
+            Some("buffer") => NodeKind::Buffer {
+                buffer: BufferId(field(j, "cell")?),
+            },
+            _ => return Err(DecodeError::bad("tree node needs a valid 'kind'")),
+        };
+        let parent: Option<usize> = or_default(j, "parent", None)?;
+        let children: Vec<usize> = field(j, "children")?;
+        Ok(Some(TreeNode {
+            kind,
+            location: Point::new(field(j, "x")?, field(j, "y")?),
+            parent: parent.map(TreeNodeId::from_index),
+            wire_to_parent_um: if parent.is_some() {
+                field(j, "wire_um")?
+            } else {
+                0.0
+            },
+            children: children.into_iter().map(TreeNodeId::from_index).collect(),
+        }))
+    }
 }
 
-fn level_stats_to_json(s: &LevelStats) -> Json {
-    Json::obj(vec![
-        ("level", Json::num(s.level as f64)),
-        ("pairs", Json::num(s.pairs as f64)),
-        ("seed_promoted", Json::Bool(s.seed_promoted)),
-        ("flippings", Json::num(s.flippings as f64)),
-        ("buffers_inserted", Json::num(s.buffers_inserted as f64)),
-        ("worst_skew_estimate", Json::num(s.worst_skew_estimate)),
-        ("max_latency_estimate", Json::num(s.max_latency_estimate)),
-        ("nodes_total", Json::num(s.nodes_total as f64)),
-    ])
-}
-
-fn level_stats_from_json(j: &Json) -> Result<LevelStats, String> {
-    let int = |key: &str| {
-        j.get(key)
-            .and_then(Json::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| format!("level stats need an integer '{key}'"))
-    };
-    let num = |key: &str| {
-        j.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("level stats need a number '{key}'"))
-    };
-    Ok(LevelStats {
-        level: int("level")?,
-        pairs: int("pairs")?,
-        seed_promoted: j
-            .get("seed_promoted")
-            .and_then(Json::as_bool)
-            .ok_or("level stats need a boolean 'seed_promoted'")?,
-        flippings: int("flippings")?,
-        buffers_inserted: int("buffers_inserted")?,
-        worst_skew_estimate: num("worst_skew_estimate")?,
-        max_latency_estimate: num("max_latency_estimate")?,
-        // Additive key (level-granular streaming revision): absent on
-        // older servers, defaulting to 0 rather than failing the decode.
-        nodes_total: j.get("nodes_total").and_then(Json::as_u64).unwrap_or(0) as usize,
-    })
+wire_struct! {
+    impl LevelStats as "level stats" {
+        level: usize;
+        pairs: usize;
+        seed_promoted: bool;
+        flippings: usize;
+        buffers_inserted: usize;
+        worst_skew_estimate: f64;
+        max_latency_estimate: f64;
+        nodes_total: usize, additive;
+    }
 }
 
 /// The `fetch_tree` reply payload: what is about to be streamed.
@@ -799,17 +698,49 @@ impl TreeInfo {
     }
 }
 
-/// One `tree` chunk event: a consecutive run of arena nodes. Chunk `k`
-/// carries nodes `[k*chunk_size, ...)` in arena order; the client
-/// concatenates chunks in sequence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeChunkEvent {
-    /// The request id the stream answers.
-    pub id: u64,
-    /// Zero-based chunk ordinal (consecutive; a gap is a protocol error).
-    pub chunk: u64,
-    /// This chunk's nodes, in arena order.
-    pub nodes: Vec<TreeNode>,
+/// A partial header carries `partial` and `levels_done` where a complete
+/// one carries `source`: a rooted forest mid-synthesis has no source yet.
+impl WireTable for TreeInfo {
+    fn push_fields(&self, fields: &mut Fields) {
+        fields.push(("id", self.id.to_wire()));
+        fields.push(("name", self.name.to_wire()));
+        fields.push(("nodes", self.nodes.to_wire()));
+        fields.push(("chunks", self.chunks.to_wire()));
+        if self.partial {
+            fields.push(("partial", Json::Bool(true)));
+            fields.push(("levels_done", self.levels_done.to_wire()));
+        } else {
+            fields.push(("source", self.source.to_wire()));
+        }
+    }
+    fn from_fields(j: &Json, object: &str) -> Result<TreeInfo, DecodeError> {
+        let partial = or_default(j, "partial", None)?;
+        let int = |key| required::<u64>(j, object, key);
+        Ok(TreeInfo {
+            id: int("id")?,
+            name: required(j, object, "name")?,
+            nodes: int("nodes")?,
+            chunks: int("chunks")?,
+            source: if partial { 0 } else { int("source")? },
+            partial,
+            levels_done: if partial { int("levels_done")? } else { 0 },
+        })
+    }
+}
+
+wire_struct! {
+    /// One `tree` chunk event: a consecutive run of arena nodes. Chunk `k`
+    /// carries nodes `[k*chunk_size, ...)` in arena order; the client
+    /// concatenates chunks in sequence.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TreeChunkEvent as "tree chunk" {
+        /// The request id the stream answers.
+        id: u64;
+        /// Zero-based chunk ordinal (consecutive; a gap is a protocol error).
+        chunk: u64;
+        /// This chunk's nodes, in arena order.
+        nodes: Vec<TreeNode>;
+    }
 }
 
 /// The terminal `tree` event: closes the stream and carries the
@@ -841,71 +772,28 @@ impl TreeEvent {
     }
 }
 
-/// Serializes a `tree` chunk event frame.
-pub fn encode_tree_chunk(event: &TreeChunkEvent) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::str("tree")),
-        ("event", Json::Bool(true)),
-        ("id", Json::num(event.id as f64)),
-        ("chunk", Json::num(event.chunk as f64)),
-        (
-            "nodes",
-            Json::arr(event.nodes.iter().map(tree_node_to_json).collect()),
-        ),
-    ])
-}
-
-/// Serializes the terminal `tree` event frame.
-pub fn encode_tree_done(event: &TreeDoneEvent) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::str("tree")),
-        ("event", Json::Bool(true)),
-        ("id", Json::num(event.id as f64)),
-        ("done", Json::Bool(true)),
-        (
-            "levels",
-            Json::arr(event.level_stats.iter().map(level_stats_to_json).collect()),
-        ),
-    ])
-}
-
-/// Decodes a `tree` event frame (chunk or terminal).
-///
-/// # Errors
-///
-/// A description of the malformation.
-pub fn decode_tree_event(j: &Json) -> Result<TreeEvent, String> {
-    if !is_event(j) || event_op(j) != Some("tree") {
-        return Err("not a tree event frame".into());
+/// A chunk is a [`TreeChunkEvent`] table; the terminal frame is marked
+/// `"done":true` between its id and its `levels`.
+impl WireTable for TreeEvent {
+    fn push_fields(&self, fields: &mut Fields) {
+        match self {
+            TreeEvent::Chunk(chunk) => chunk.push_fields(fields),
+            TreeEvent::Done(done) => {
+                fields.push(("id", done.id.to_wire()));
+                fields.push(("done", Json::Bool(true)));
+                fields.push(("levels", done.level_stats.to_wire()));
+            }
+        }
     }
-    let id = j
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or("tree event needs 'id'")?;
-    if j.get("done").and_then(Json::as_bool) == Some(true) {
-        let level_stats = j
-            .get("levels")
-            .and_then(Json::as_arr)
-            .ok_or("terminal tree event needs 'levels'")?
-            .iter()
-            .map(level_stats_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        return Ok(TreeEvent::Done(TreeDoneEvent { id, level_stats }));
+    fn from_fields(j: &Json, object: &str) -> Result<TreeEvent, DecodeError> {
+        if !or_default::<bool>(j, "done", None)? {
+            return TreeChunkEvent::from_fields(j, object).map(TreeEvent::Chunk);
+        }
+        Ok(TreeEvent::Done(TreeDoneEvent {
+            id: required(j, object, "id")?,
+            level_stats: required(j, object, "levels")?,
+        }))
     }
-    let chunk = j
-        .get("chunk")
-        .and_then(Json::as_u64)
-        .ok_or("tree chunk event needs 'chunk'")?;
-    let nodes = j
-        .get("nodes")
-        .and_then(Json::as_arr)
-        .ok_or("tree chunk event needs 'nodes'")?
-        .iter()
-        .map(tree_node_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(TreeEvent::Chunk(TreeChunkEvent { id, chunk, nodes }))
 }
 
 /// A routed tree fetched over the wire, rebuilt into the same in-process
@@ -931,92 +819,37 @@ pub struct RemoteTree {
 // ---------------------------------------------------------------------------
 // Requests
 
-/// The scheduling fields every submit op carries — `priority`,
-/// `deadline_ms`, `client_id` and `publish_levels` — with their one wire
-/// encoding. Each key is omitted on the wire at its default, so a default
-/// [`Scheduling`] adds nothing to a frame.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Scheduling {
-    /// Dispatch priority (higher first; ties in admission order).
-    pub priority: i32,
-    /// Deadline in milliseconds from submission; absent = none.
-    pub deadline_ms: Option<u64>,
-    /// Client id echoed on the result event (defaults to the
-    /// connection's `hello` client id).
-    pub client_id: Option<String>,
-    /// Whether the server should publish level-complete snapshots
-    /// mid-synthesis, for `fetch_tree` in `"levels"` mode. Off by default
-    /// (each level snapshot copies the arena).
-    pub publish_levels: bool,
-}
-
-impl Scheduling {
-    /// Appends the non-default scheduling keys to a frame's fields, in
-    /// their fixed wire order.
-    fn push_json(&self, fields: &mut Vec<(&'static str, Json)>) {
-        if self.priority != 0 {
-            fields.push(("priority", Json::num(self.priority as f64)));
-        }
-        if let Some(ms) = self.deadline_ms {
-            fields.push(("deadline_ms", Json::num(ms as f64)));
-        }
-        if let Some(c) = &self.client_id {
-            fields.push(("client_id", Json::str(c)));
-        }
-        if self.publish_levels {
-            fields.push(("publish_levels", Json::Bool(true)));
-        }
-    }
-
-    /// Decodes the scheduling keys of a submit frame (or batch entry);
-    /// absent or `null` keys take their defaults.
-    fn from_json(j: &Json) -> Result<Scheduling, DecodeError> {
-        let priority = match j.get("priority") {
-            None | Some(Json::Null) => 0,
-            Some(p) => p
-                .as_i64()
-                .filter(|p| i32::try_from(*p).is_ok())
-                .ok_or_else(|| DecodeError::bad("'priority' must be a 32-bit integer"))?
-                as i32,
-        };
-        let deadline_ms =
-            match j.get("deadline_ms") {
-                None | Some(Json::Null) => None,
-                Some(d) => Some(d.as_u64().ok_or_else(|| {
-                    DecodeError::bad("'deadline_ms' must be a non-negative integer")
-                })?),
-            };
-        let client_id = match j.get("client_id") {
-            None | Some(Json::Null) => None,
-            Some(c) => Some(
-                c.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| DecodeError::bad("'client_id' must be a string"))?,
-            ),
-        };
-        let publish_levels = match j.get("publish_levels") {
-            None | Some(Json::Null) => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| DecodeError::bad("'publish_levels' must be a boolean"))?,
-        };
-        Ok(Scheduling {
-            priority,
-            deadline_ms,
-            client_id,
-            publish_levels,
-        })
+wire_struct! {
+    /// The scheduling fields every submit op carries — `priority`,
+    /// `deadline_ms`, `client_id` and `publish_levels` — with their one wire
+    /// encoding. Each key is omitted on the wire at its default, so a default
+    /// [`Scheduling`] adds nothing to a frame.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct Scheduling as "scheduling" {
+        /// Dispatch priority (higher first; ties in admission order).
+        priority: i32, omit;
+        /// Deadline in milliseconds from submission; absent = none.
+        deadline_ms: Option<u64>, omit, "a non-negative integer";
+        /// Client id echoed on the result event (defaults to the
+        /// connection's `hello` client id).
+        client_id: Option<String>, omit;
+        /// Whether the server should publish level-complete snapshots
+        /// mid-synthesis, for `fetch_tree` in `"levels"` mode. Off by default
+        /// (each level snapshot copies the arena).
+        publish_levels: bool, omit;
     }
 }
 
-/// One entry of a `submit_batch` frame: an instance plus its per-entry
-/// scheduling (the [`OptionsPatch`] is shared batch-wide).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchEntry {
-    /// The instance spec.
-    pub instance: Instance,
-    /// Per-entry priority, deadline, client id and level publishing.
-    pub scheduling: Scheduling,
+wire_struct! {
+    /// One entry of a `submit_batch` frame: an instance plus its per-entry
+    /// scheduling (the [`OptionsPatch`] is shared batch-wide).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BatchEntry as "batch entry" {
+        /// The instance spec.
+        instance: Instance;
+        /// Per-entry priority, deadline, client id and level publishing.
+        scheduling: Scheduling, flatten;
+    }
 }
 
 impl BatchEntry {
@@ -1029,190 +862,106 @@ impl BatchEntry {
     }
 }
 
-fn batch_entry_to_json(entry: &BatchEntry) -> Json {
-    let mut fields = vec![("instance", instance_to_json(&entry.instance))];
-    entry.scheduling.push_json(&mut fields);
-    Json::obj(fields)
-}
-
-fn batch_entry_from_json(j: &Json) -> Result<BatchEntry, DecodeError> {
-    let instance = instance_from_json(
-        j.get("instance")
-            .ok_or_else(|| DecodeError::bad("batch entry needs an 'instance'"))?,
-    )?;
-    Ok(BatchEntry {
-        instance,
-        scheduling: Scheduling::from_json(j)?,
-    })
-}
-
-/// A client request (the `seq` correlation id travels alongside, not
-/// inside, so the enum stays pure payload).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Version handshake; servers reject unknown versions.
-    Hello {
-        /// The protocol version the client speaks.
-        version: u64,
-        /// Optional client identifier (diagnostics; also the default
-        /// `client_id` for this connection's submissions).
-        client_id: Option<String>,
-    },
-    /// Submit one instance for synthesis.
-    Submit {
-        /// The instance spec.
-        instance: Instance,
-        /// Per-request options overrides (empty = server defaults).
-        options: OptionsPatch,
-        /// Priority, deadline, client id and level publishing.
-        scheduling: Scheduling,
-    },
-    /// Submit many instances in one frame, admitted atomically into the
-    /// service (all-or-nothing against queue capacity): one round trip
-    /// for a whole sweep.
-    SubmitBatch {
-        /// The batch entries, in submission order.
-        entries: Vec<BatchEntry>,
-        /// Options overrides shared by every entry (empty = server
-        /// defaults).
-        options: OptionsPatch,
-    },
-    /// Submit a parameter sweep in one frame: the server expands the
-    /// range over the base options into deterministic per-point
-    /// requests (admitted atomically, like `submit_batch`), then folds
-    /// the completed points into a Pareto front it pushes as a `pareto`
-    /// event. Additive — no version bump.
-    SubmitSweep {
-        /// The instance spec every point synthesizes.
-        instance: Instance,
-        /// Base options overrides the sweep points perturb (empty =
-        /// server defaults).
-        base: OptionsPatch,
-        /// The points: cartesian axes or an explicit list.
-        range: SweepRange,
-        /// Scheduling shared by every point.
-        scheduling: Scheduling,
-    },
-    /// Stream the routed tree geometry of a completed request as chunked
-    /// `tree` events plus a terminal frame.
-    FetchTree {
-        /// A request id this connection submitted, already resolved
-        /// `completed`.
-        id: u64,
-        /// Maximum nodes per chunk event; `None` uses
-        /// [`DEFAULT_TREE_CHUNK`].
-        chunk: Option<u64>,
-        /// Level-granular mode (`"mode":"levels"` on the wire): chunk
-        /// boundaries align with completed topology levels, and a
-        /// request still in flight answers with a *partial* header over
-        /// its latest level-complete snapshot instead of `unknown_id`.
-        levels: bool,
-    },
-    /// Where is request `id` (queued / in_flight / done)?
-    Status {
-        /// A request id this connection submitted.
-        id: u64,
-    },
-    /// Cooperatively cancel request `id`.
-    Cancel {
-        /// A request id this connection submitted.
-        id: u64,
-    },
-    /// Snapshot the service counters.
-    Metrics,
-    /// Snapshot the full observability state: the same counters as
-    /// `metrics` plus latency histograms (queue wait per priority,
-    /// synthesis, verification) and per-span-name duration summaries.
-    /// Additive — no version bump; old servers answer `bad_request` and
-    /// clients fall back to `metrics`.
-    Stats,
-    /// Drain the service and stop the server.
-    Shutdown,
-}
-
-impl Request {
-    /// The wire op name.
-    pub fn op(&self) -> &'static str {
-        match self {
-            Request::Hello { .. } => "hello",
-            Request::Submit { .. } => "submit",
-            Request::SubmitBatch { .. } => "submit_batch",
-            Request::SubmitSweep { .. } => "submit_sweep",
-            Request::FetchTree { .. } => "fetch_tree",
-            Request::Status { .. } => "status",
-            Request::Cancel { .. } => "cancel",
-            Request::Metrics => "metrics",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
-        }
+wire_variants! {
+    /// A client request (the `seq` correlation id travels alongside, not
+    /// inside, so the enum stays pure payload).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Version handshake; servers reject unknown versions.
+        Hello "hello" as "hello" {
+            /// The protocol version the client speaks.
+            version: u64;
+            /// Optional client identifier (diagnostics; also the default
+            /// `client_id` for this connection's submissions).
+            client_id: Option<String>, omit;
+        },
+        /// Submit one instance for synthesis.
+        Submit "submit" as "submit" {
+            /// The instance spec.
+            instance: Instance;
+            /// Per-request options overrides (empty = server defaults).
+            options: OptionsPatch, omit;
+            /// Priority, deadline, client id and level publishing.
+            scheduling: Scheduling, flatten;
+        },
+        /// Submit many instances in one frame, admitted atomically into the
+        /// service (all-or-nothing against queue capacity): one round trip
+        /// for a whole sweep.
+        SubmitBatch "submit_batch" by_hand {
+            /// The batch entries, in submission order.
+            entries: Vec<BatchEntry>;
+            /// Options overrides shared by every entry (empty = server
+            /// defaults).
+            options: OptionsPatch;
+        },
+        /// Submit a parameter sweep in one frame: the server expands the
+        /// range over the base options into deterministic per-point
+        /// requests (admitted atomically, like `submit_batch`), then folds
+        /// the completed points into a Pareto front it pushes as a `pareto`
+        /// event. Additive — no version bump.
+        SubmitSweep "submit_sweep" as "submit_sweep" {
+            /// The instance spec every point synthesizes.
+            instance: Instance;
+            /// Base options overrides the sweep points perturb (empty =
+            /// server defaults).
+            base: OptionsPatch, omit;
+            /// The points: cartesian axes or an explicit list.
+            range: SweepRange, flatten;
+            /// Scheduling shared by every point.
+            scheduling: Scheduling, flatten;
+        },
+        /// Stream the routed tree geometry of a completed request as chunked
+        /// `tree` events plus a terminal frame.
+        FetchTree "fetch_tree" by_hand {
+            /// A request id this connection submitted, already resolved
+            /// `completed`.
+            id: u64;
+            /// Maximum nodes per chunk event; `None` uses
+            /// [`DEFAULT_TREE_CHUNK`].
+            chunk: Option<u64>;
+            /// Level-granular mode (`"mode":"levels"` on the wire): chunk
+            /// boundaries align with completed topology levels, and a
+            /// request still in flight answers with a *partial* header over
+            /// its latest level-complete snapshot instead of `unknown_id`.
+            levels: bool;
+        },
+        /// Where is request `id` (queued / in_flight / done)?
+        Status "status" as "op" {
+            /// A request id this connection submitted.
+            id: u64;
+        },
+        /// Cooperatively cancel request `id`.
+        Cancel "cancel" as "op" {
+            /// A request id this connection submitted.
+            id: u64;
+        },
+        /// Snapshot the service counters.
+        Metrics "metrics" as "metrics",
+        /// Snapshot the full observability state: the same counters as
+        /// `metrics` plus latency histograms (queue wait per priority,
+        /// synthesis, verification) and per-span-name duration summaries.
+        /// Additive — no version bump; old servers answer `bad_request` and
+        /// clients fall back to `metrics`.
+        Stats "stats" as "stats",
+        /// Drain the service and stop the server.
+        Shutdown "shutdown" as "shutdown",
     }
 }
 
 /// Serializes a request frame: the op payload plus its `seq`.
 pub fn encode_request(seq: u64, request: &Request) -> Json {
-    let mut fields = vec![
-        ("op", Json::str(request.op())),
-        ("seq", Json::num(seq as f64)),
-    ];
+    let mut fields = vec![("op", Json::str(request.op())), ("seq", seq.to_wire())];
     match request {
-        Request::Hello { version, client_id } => {
-            fields.push(("version", Json::num(*version as f64)));
-            if let Some(c) = client_id {
-                fields.push(("client_id", Json::str(c)));
-            }
-        }
-        Request::Submit {
-            instance,
-            options,
-            scheduling,
-        } => {
-            fields.push(("instance", instance_to_json(instance)));
-            if !options.is_empty() {
-                fields.push(("options", options.to_json()));
-            }
-            scheduling.push_json(&mut fields);
-        }
         Request::SubmitBatch { entries, options } => {
-            fields.push((
-                "entries",
-                Json::arr(entries.iter().map(batch_entry_to_json).collect()),
-            ));
-            if !options.is_empty() {
-                fields.push(("options", options.to_json()));
-            }
-        }
-        Request::SubmitSweep {
-            instance,
-            base,
-            range,
-            scheduling,
-        } => {
-            fields.push(("instance", instance_to_json(instance)));
-            if !base.is_empty() {
-                fields.push(("base", base.to_json()));
-            }
-            match range {
-                SweepRange::Axes(axes) => fields.push(("axes", axes.to_json())),
-                SweepRange::Points(points) => fields.push((
-                    "points",
-                    Json::arr(points.iter().map(OptionsPatch::to_json).collect()),
-                )),
-            }
-            scheduling.push_json(&mut fields);
+            fields.push(("entries", entries.to_wire()));
+            push_omit(&mut fields, "options", options);
         }
         Request::FetchTree { id, chunk, levels } => {
-            fields.push(("id", Json::num(*id as f64)));
-            if let Some(c) = chunk {
-                fields.push(("chunk", Json::num(*c as f64)));
-            }
-            if *levels {
-                fields.push(("mode", Json::str("levels")));
-            }
+            fields.push(("id", id.to_wire()));
+            push_omit(&mut fields, "chunk", chunk);
+            push_omit(&mut fields, "mode", &levels.then_some(TreeMode::Levels));
         }
-        Request::Status { id } | Request::Cancel { id } => {
-            fields.push(("id", Json::num(*id as f64)));
-        }
-        Request::Metrics | Request::Stats | Request::Shutdown => {}
+        table => table.push_table_fields(&mut fields),
     }
     Json::obj(fields)
 }
@@ -1224,103 +973,23 @@ pub fn encode_request(seq: u64, request: &Request) -> Json {
 /// [`ErrorCode::BadRequest`] for a missing/unknown op, missing `seq`, or
 /// any malformed field.
 pub fn decode_request(j: &Json) -> Result<(u64, Request), DecodeError> {
-    let op = j
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| DecodeError::bad("frame needs a string 'op'"))?;
-    let seq = j
-        .get("seq")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| DecodeError::bad("frame needs an integer 'seq'"))?;
-    let opt_str = |key: &str| -> Result<Option<String>, DecodeError> {
-        match j.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(|s| Some(s.to_string()))
-                .ok_or_else(|| DecodeError::bad(format!("'{key}' must be a string"))),
-        }
-    };
-    let patch = |key: &str| match j.get(key) {
-        None | Some(Json::Null) => Ok(OptionsPatch::default()),
-        Some(o) => OptionsPatch::from_json(o),
-    };
-    let need_id = || {
-        j.get("id")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| DecodeError::bad("op needs an integer 'id'"))
-    };
-    let request = match op {
-        "hello" => Request::Hello {
-            version: j
-                .get("version")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| DecodeError::bad("hello needs an integer 'version'"))?,
-            client_id: opt_str("client_id")?,
-        },
-        "submit" => {
-            let instance = instance_from_json(
-                j.get("instance")
-                    .ok_or_else(|| DecodeError::bad("submit needs an 'instance'"))?,
-            )?;
-            Request::Submit {
-                instance,
-                options: patch("options")?,
-                scheduling: Scheduling::from_json(j)?,
-            }
-        }
+    let op: String = required(j, "frame", "op")?;
+    let seq = required(j, "frame", "seq")?;
+    let request = match op.as_str() {
         "submit_batch" => {
-            let entries_json = j
+            let entries = j
                 .get("entries")
                 .and_then(Json::as_arr)
                 .ok_or_else(|| DecodeError::bad("submit_batch needs an 'entries' array"))?;
-            if entries_json.is_empty() {
+            if entries.is_empty() {
                 return Err(DecodeError::bad("submit_batch needs at least one entry"));
             }
-            let entries = entries_json
-                .iter()
-                .map(batch_entry_from_json)
-                .collect::<Result<Vec<_>, _>>()?;
             Request::SubmitBatch {
-                entries,
-                options: patch("options")?,
-            }
-        }
-        "submit_sweep" => {
-            let instance = instance_from_json(
-                j.get("instance")
-                    .ok_or_else(|| DecodeError::bad("submit_sweep needs an 'instance'"))?,
-            )?;
-            let base = patch("base")?;
-            let range = match (j.get("axes"), j.get("points")) {
-                (Some(axes), None) => SweepRange::Axes(SweepAxesSpec::from_json(axes)?),
-                (None, Some(points)) => {
-                    let arr = points
-                        .as_arr()
-                        .ok_or_else(|| DecodeError::bad("'points' must be an array"))?;
-                    if arr.is_empty() {
-                        return Err(DecodeError::bad("submit_sweep needs at least one point"));
-                    }
-                    SweepRange::Points(
-                        arr.iter()
-                            .map(|point| OptionsPatch::decode(point, true))
-                            .collect::<Result<Vec<_>, _>>()?,
-                    )
-                }
-                (Some(_), Some(_)) => {
-                    return Err(DecodeError::bad(
-                        "submit_sweep takes 'axes' or 'points', not both",
-                    ))
-                }
-                (None, None) => {
-                    return Err(DecodeError::bad("submit_sweep needs 'axes' or 'points'"))
-                }
-            };
-            Request::SubmitSweep {
-                instance,
-                base,
-                range,
-                scheduling: Scheduling::from_json(j)?,
+                entries: entries
+                    .iter()
+                    .map(|entry| BatchEntry::from_fields(entry, "batch entry"))
+                    .collect::<Result<_, _>>()?,
+                options: or_default(j, "options", None)?,
             }
         }
         "fetch_tree" => {
@@ -1332,26 +1001,15 @@ pub fn decode_request(j: &Json) -> Result<(u64, Request), DecodeError> {
                         .ok_or_else(|| DecodeError::bad("'chunk' must be a positive integer"))?,
                 ),
             };
-            let levels = match j.get("mode") {
-                None | Some(Json::Null) => false,
-                Some(m) => match m.as_str() {
-                    Some("nodes") => false,
-                    Some("levels") => true,
-                    _ => return Err(DecodeError::bad("'mode' must be \"nodes\" or \"levels\"")),
-                },
-            };
+            let mode: Option<TreeMode> = or_default(j, "mode", None)?;
             Request::FetchTree {
-                id: need_id()?,
+                id: required(j, "op", "id")?,
                 chunk,
-                levels,
+                levels: mode == Some(TreeMode::Levels),
             }
         }
-        "status" => Request::Status { id: need_id()? },
-        "cancel" => Request::Cancel { id: need_id()? },
-        "metrics" => Request::Metrics,
-        "stats" => Request::Stats,
-        "shutdown" => Request::Shutdown,
-        other => return Err(DecodeError::bad(format!("unknown op '{other}'"))),
+        op => Request::decode_table(op, j)
+            .unwrap_or_else(|| Err(DecodeError::bad(format!("unknown op '{op}'"))))?,
     };
     Ok((seq, request))
 }
@@ -1359,384 +1017,231 @@ pub fn decode_request(j: &Json) -> Result<(u64, Request), DecodeError> {
 // ---------------------------------------------------------------------------
 // Replies
 
-/// The `metrics` reply payload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricsReply {
-    /// The service counter snapshot.
-    pub metrics: ServiceMetrics,
-    /// The service's worker count.
-    pub workers: u64,
-}
-
-/// One span family's duration summary on the wire: every completed span
-/// with this name, folded into a single histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanStat {
-    /// The span name (e.g. `"pipeline.merge_level"`).
-    pub name: String,
-    /// Span durations in nanoseconds.
-    pub durations: Histogram,
-}
-
-/// The `stats` reply payload: the `metrics` counters plus latency
-/// histograms and per-span summaries.
-///
-/// Histograms travel as their exact wire parts (sparse buckets, count,
-/// total, max); percentile fields on the wire are *derived* from those
-/// parts at encode time, so a client that re-derives them from the
-/// decoded histogram gets bit-identical answers and a decode → re-encode
-/// round trip reproduces the frame byte for byte.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatsReply {
-    /// The service's worker count.
-    pub workers: u64,
-    /// The service counter snapshot (same shape as the `metrics` op).
-    pub metrics: ServiceMetrics,
-    /// Queue-wait histograms keyed by priority, ascending.
-    pub queue_wait: Vec<(i32, Histogram)>,
-    /// Synthesis-stage latency across all completed requests.
-    pub synth_latency: Histogram,
-    /// Verification-stage latency across all verified requests.
-    pub verify_latency: Histogram,
-    /// Per-name span duration summaries from the server's recorder,
-    /// sorted by name; empty when the server runs without tracing.
-    pub spans: Vec<SpanStat>,
-    /// Span events dropped by the server's recorder (ring overflow or
-    /// retention eviction); `0` when tracing is off.
-    pub dropped: u64,
-}
-
-/// A server reply — exactly one per request, correlated by `seq`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Reply to `hello`.
-    Hello {
-        /// The protocol version the server speaks.
-        version: u64,
-        /// Server software identifier (e.g. `cts-serve/0.1.0`).
-        server: String,
+wire_struct! {
+    /// The `metrics` reply payload.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct MetricsReply as "metrics reply" {
         /// The service's worker count.
-        workers: u64,
-    },
-    /// Reply to `submit`: the request was admitted under this id.
-    Submitted {
-        /// The service-assigned request id.
-        id: u64,
-    },
-    /// Reply to `submit_batch`: every entry was admitted atomically; the
-    /// ids map entry order to service-assigned request ids.
-    BatchSubmitted {
-        /// One id per batch entry, in entry order.
-        ids: Vec<u64>,
-    },
-    /// Reply to `submit_sweep`: every expanded point was admitted
-    /// atomically. `sweep_progress` events follow as points resolve and
-    /// a terminal `pareto` event carries the folded front.
-    SweepSubmitted {
-        /// The per-connection sweep ordinal correlating this sweep's
-        /// `sweep_progress`/`pareto` events.
-        sweep: u64,
-        /// One request id per expanded point, in expansion order (the
-        /// point ordinal the `pareto` event refers to).
-        ids: Vec<u64>,
-    },
-    /// Reply to `fetch_tree`: the stream header. The chunked `tree`
-    /// events (and their terminal frame) follow.
-    TreeHeader(TreeInfo),
-    /// Reply to `status`.
-    Status {
-        /// The queried id.
-        id: u64,
-        /// Where the request is.
-        state: RequestStatus,
-    },
-    /// Reply to `cancel` (cancellation is cooperative: the terminal
-    /// outcome still arrives as a result event).
-    Cancelled {
-        /// The cancelled id.
-        id: u64,
-    },
-    /// Reply to `metrics`.
-    Metrics(MetricsReply),
-    /// Reply to `stats`.
-    Stats(Box<StatsReply>),
-    /// Reply to `shutdown`, sent after the service has drained.
-    ShuttingDown,
-    /// Structured failure of the correlated request.
-    Error {
-        /// The machine-readable code.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
-}
-
-fn status_str(s: RequestStatus) -> &'static str {
-    match s {
-        RequestStatus::Queued => "queued",
-        RequestStatus::InFlight => "in_flight",
-        RequestStatus::Done => "done",
+        workers: u64;
+        /// The service counter snapshot.
+        metrics: ServiceMetrics;
     }
 }
 
-fn status_from_str(s: &str) -> Option<RequestStatus> {
-    Some(match s {
-        "queued" => RequestStatus::Queued,
-        "in_flight" => RequestStatus::InFlight,
-        "done" => RequestStatus::Done,
-        _ => return None,
-    })
+wire_struct! {
+    /// One span family's duration summary on the wire: every completed span
+    /// with this name, folded into a single histogram.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SpanStat as "span entry" {
+        /// The span name (e.g. `"pipeline.merge_level"`).
+        name: String;
+        /// Span durations in nanoseconds.
+        durations as "latency": Histogram;
+    }
 }
 
-/// The counters object shared by the `metrics` and `stats` replies. Key
-/// order is part of the byte-level frame contract the conformance
-/// transcripts pin; new counters append at the end.
-fn service_metrics_to_json(s: &ServiceMetrics) -> Json {
-    Json::obj(vec![
-        ("submitted", Json::num(s.submitted as f64)),
-        ("completed", Json::num(s.completed as f64)),
-        ("cancelled", Json::num(s.cancelled as f64)),
-        ("expired", Json::num(s.expired as f64)),
-        ("failed", Json::num(s.failed as f64)),
-        ("queue_depth", Json::num(s.queue_depth as f64)),
-        ("synth_seconds", Json::num(s.synth_seconds)),
-        ("verify_seconds", Json::num(s.verify_seconds)),
-        ("stages_simulated", Json::num(s.stages_simulated as f64)),
-        ("stages_reused", Json::num(s.stages_reused as f64)),
-        ("symbolic_hits", Json::num(s.symbolic_hits as f64)),
-        ("symbolic_misses", Json::num(s.symbolic_misses as f64)),
-        ("topology_seconds", Json::num(s.topology_seconds)),
-        ("merge_seconds", Json::num(s.merge_seconds)),
-        ("sinks_synthesized", Json::num(s.sinks_synthesized as f64)),
-        ("sinks_verified", Json::num(s.sinks_verified as f64)),
-        ("corners_evaluated", Json::num(s.corners_evaluated as f64)),
-        ("corner_lib_hits", Json::num(s.corner_lib_hits as f64)),
-        ("corner_lib_misses", Json::num(s.corner_lib_misses as f64)),
-        (
-            "queue_depth_high_water",
-            Json::num(s.queue_depth_high_water as f64),
-        ),
-        ("sweeps_submitted", Json::num(s.sweeps_submitted as f64)),
-    ])
+wire_struct! {
+    /// The `stats` reply payload: the `metrics` counters plus latency
+    /// histograms and per-span summaries.
+    ///
+    /// Histograms travel as their exact wire parts (sparse buckets, count,
+    /// total, max); percentile fields on the wire are *derived* from those
+    /// parts at encode time, so a client that re-derives them from the
+    /// decoded histogram gets bit-identical answers and a decode → re-encode
+    /// round trip reproduces the frame byte for byte.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct StatsReply as "stats reply" {
+        /// The service's worker count.
+        workers: u64;
+        /// The service counter snapshot (same shape as the `metrics` op).
+        metrics: ServiceMetrics;
+        /// Queue-wait histograms keyed by priority, ascending.
+        queue_wait: Vec<(i32, Histogram)>;
+        /// Synthesis-stage latency across all completed requests.
+        synth_latency: Histogram;
+        /// Verification-stage latency across all verified requests.
+        verify_latency: Histogram;
+        /// Per-name span duration summaries from the server's recorder,
+        /// sorted by name; empty when the server runs without tracing.
+        spans: Vec<SpanStat>;
+        /// Span events dropped by the server's recorder (ring overflow or
+        /// retention eviction); `0` when tracing is off.
+        dropped: u64, additive;
+    }
 }
 
-fn service_metrics_from_json(m: &Json) -> Result<ServiceMetrics, String> {
-    let count = |key: &str| {
-        m.get(key)
-            .and_then(Json::as_u64)
-            .ok_or("bad metrics counter")
-    };
-    let seconds = |key: &str| {
-        m.get(key)
-            .and_then(Json::as_f64)
-            .ok_or("bad metrics seconds")
-    };
-    // Verify-cache and per-stage counters arrived after the v1
-    // frames; default to zero when talking to an older server.
-    let opt_count = |key: &str| m.get(key).and_then(Json::as_u64).unwrap_or(0);
-    let opt_seconds = |key: &str| m.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    Ok(ServiceMetrics {
-        submitted: count("submitted")?,
-        completed: count("completed")?,
-        cancelled: count("cancelled")?,
-        expired: count("expired")?,
-        failed: count("failed")?,
-        queue_depth: count("queue_depth")? as usize,
-        synth_seconds: seconds("synth_seconds")?,
-        verify_seconds: seconds("verify_seconds")?,
-        stages_simulated: opt_count("stages_simulated"),
-        stages_reused: opt_count("stages_reused"),
-        symbolic_hits: opt_count("symbolic_hits"),
-        symbolic_misses: opt_count("symbolic_misses"),
-        topology_seconds: opt_seconds("topology_seconds"),
-        merge_seconds: opt_seconds("merge_seconds"),
-        sinks_synthesized: opt_count("sinks_synthesized"),
-        sinks_verified: opt_count("sinks_verified"),
-        corners_evaluated: opt_count("corners_evaluated"),
-        corner_lib_hits: opt_count("corner_lib_hits"),
-        corner_lib_misses: opt_count("corner_lib_misses"),
-        queue_depth_high_water: opt_count("queue_depth_high_water"),
-        sweeps_submitted: opt_count("sweeps_submitted"),
-    })
+wire_variants! {
+    /// A server reply — exactly one per request, correlated by `seq`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// Reply to `hello`.
+        Hello "hello" as "hello reply" {
+            /// The protocol version the server speaks.
+            version: u64;
+            /// Server software identifier (e.g. `cts-serve/0.1.0`).
+            server: String;
+            /// The service's worker count.
+            workers: u64;
+        },
+        /// Reply to `submit`: the request was admitted under this id.
+        Submitted "submit" as "submit reply" {
+            /// The service-assigned request id.
+            id: u64;
+        },
+        /// Reply to `submit_batch`: every entry was admitted atomically; the
+        /// ids map entry order to service-assigned request ids.
+        BatchSubmitted "submit_batch" as "submit_batch reply" {
+            /// One id per batch entry, in entry order.
+            ids: Vec<u64>;
+        },
+        /// Reply to `submit_sweep`: every expanded point was admitted
+        /// atomically. `sweep_progress` events follow as points resolve and
+        /// a terminal `pareto` event carries the folded front.
+        SweepSubmitted "submit_sweep" as "submit_sweep reply" {
+            /// The per-connection sweep ordinal correlating this sweep's
+            /// `sweep_progress`/`pareto` events.
+            sweep: u64;
+            /// One request id per expanded point, in expansion order (the
+            /// point ordinal the `pareto` event refers to).
+            ids: Vec<u64>;
+        },
+        /// Reply to `fetch_tree`: the stream header. The chunked `tree`
+        /// events (and their terminal frame) follow.
+        TreeHeader "fetch_tree" (TreeInfo),
+        /// Reply to `status`.
+        Status "status" as "status reply" {
+            /// The queried id.
+            id: u64;
+            /// Where the request is.
+            state: RequestStatus;
+        },
+        /// Reply to `cancel` (cancellation is cooperative: the terminal
+        /// outcome still arrives as a result event).
+        Cancelled "cancel" as "cancel reply" {
+            /// The cancelled id.
+            id: u64;
+        },
+        /// Reply to `metrics`.
+        Metrics "metrics" (MetricsReply),
+        /// Reply to `stats`.
+        Stats "stats" (Box<StatsReply>),
+        /// Reply to `shutdown`, sent after the service has drained.
+        ShuttingDown "shutdown" as "shutdown reply",
+        /// Structured failure of the correlated request. Its frame carries
+        /// `"ok":false` and no op; `error` is only its name here.
+        Error "error" by_hand {
+            /// The machine-readable code.
+            code: ErrorCode;
+            /// Human-readable detail.
+            message: String;
+        },
+    }
+}
+
+// The counters object shared by the `metrics` and `stats` replies. New
+// counters append at the end as additive keys.
+wire_struct! {
+    impl ServiceMetrics as "metrics" {
+        submitted: u64;
+        completed: u64;
+        cancelled: u64;
+        expired: u64;
+        failed: u64;
+        queue_depth: usize;
+        synth_seconds: f64;
+        verify_seconds: f64;
+        stages_simulated: u64, additive;
+        stages_reused: u64, additive;
+        symbolic_hits: u64, additive;
+        symbolic_misses: u64, additive;
+        topology_seconds: f64, additive;
+        merge_seconds: f64, additive;
+        sinks_synthesized: u64, additive;
+        sinks_verified: u64, additive;
+        corners_evaluated: u64, additive;
+        corner_lib_hits: u64, additive;
+        corner_lib_misses: u64, additive;
+        queue_depth_high_water: u64, additive;
+        sweeps_submitted: u64, additive;
+    }
 }
 
 /// A histogram as its exact wire parts plus *derived* percentiles. The
 /// buckets/count/total/max quadruple is the source of truth — decode
 /// rebuilds the histogram from it and drops the percentile fields, so
 /// re-encoding re-derives them bit-identically.
-fn histogram_to_json(h: &Histogram) -> Json {
-    Json::obj(vec![
-        ("count", Json::num(h.count() as f64)),
-        ("total_ns", Json::num(h.total() as f64)),
-        ("max_ns", Json::num(h.max() as f64)),
-        ("p50_ns", Json::num(h.percentile(50.0) as f64)),
-        ("p90_ns", Json::num(h.percentile(90.0) as f64)),
-        ("p99_ns", Json::num(h.percentile(99.0) as f64)),
-        (
-            "buckets",
-            Json::arr(
-                h.nonzero_buckets()
-                    .iter()
-                    .map(|&(i, c)| Json::arr(vec![Json::num(i as f64), Json::num(c as f64)]))
-                    .collect(),
-            ),
-        ),
-    ])
+impl WireValue for Histogram {
+    fn expected() -> String {
+        "an object".into()
+    }
+    fn to_wire(&self) -> Json {
+        let buckets = self
+            .nonzero_buckets()
+            .iter()
+            .map(|&(i, c)| Json::arr(vec![Json::num(f64::from(i)), c.to_wire()]))
+            .collect();
+        Json::obj(vec![
+            ("count", self.count().to_wire()),
+            ("total_ns", self.total().to_wire()),
+            ("max_ns", self.max().to_wire()),
+            ("p50_ns", self.percentile(50.0).to_wire()),
+            ("p90_ns", self.percentile(90.0).to_wire()),
+            ("p99_ns", self.percentile(99.0).to_wire()),
+            ("buckets", Json::arr(buckets)),
+        ])
+    }
+    fn from_wire(j: &Json) -> Result<Option<Histogram>, DecodeError> {
+        let int = |key| required::<u64>(j, "histogram", key);
+        let pairs: Vec<Vec<u64>> = required(j, "histogram", "buckets")?;
+        let mut buckets = Vec::with_capacity(pairs.len());
+        for pair in pairs {
+            let [index, count] = pair[..] else {
+                return Err(DecodeError::bad(
+                    "histogram 'buckets' must be [index, count] pairs",
+                ));
+            };
+            // Indices past u8 can't be valid; 255 is equally out-of-range,
+            // and `from_parts` ignores it (lenient).
+            buckets.push((u8::try_from(index).unwrap_or(u8::MAX), count));
+        }
+        let (count, total, max) = (int("count")?, int("total_ns")?, int("max_ns")?);
+        Ok(Some(Histogram::from_parts(&buckets, count, total, max)))
+    }
 }
 
-fn histogram_from_json(j: &Json) -> Result<Histogram, String> {
-    let int = |key: &str| {
-        j.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("histogram needs an integer '{key}'"))
-    };
-    let buckets = j
-        .get("buckets")
-        .and_then(Json::as_arr)
-        .ok_or("histogram needs a 'buckets' array")?
-        .iter()
-        .map(|pair| {
-            let p = pair.as_arr()?;
-            if p.len() != 2 {
-                return None;
-            }
-            // Indices past u8 can't be valid; 255 is equally
-            // out-of-range, and `from_parts` ignores it (lenient).
-            let index = u8::try_from(p[0].as_u64()?).unwrap_or(u8::MAX);
-            Some((index, p[1].as_u64()?))
-        })
-        .collect::<Option<Vec<_>>>()
-        .ok_or("histogram 'buckets' must be [index, count] integer pairs")?;
-    Ok(Histogram::from_parts(
-        &buckets,
-        int("count")?,
-        int("total_ns")?,
-        int("max_ns")?,
-    ))
+/// A `queue_wait` entry: one priority's queue-wait histogram.
+impl WireValue for (i32, Histogram) {
+    fn expected() -> String {
+        "an object".into()
+    }
+    fn to_wire(&self) -> Json {
+        Json::obj(vec![
+            ("priority", self.0.to_wire()),
+            ("latency", self.1.to_wire()),
+        ])
+    }
+    fn from_wire(j: &Json) -> Result<Option<Self>, DecodeError> {
+        let object = "queue_wait entry";
+        Ok(Some((
+            required(j, object, "priority")?,
+            required(j, object, "latency")?,
+        )))
+    }
 }
 
 /// Serializes a reply frame. `seq` is `None` only for errors answering a
 /// frame whose `seq` could not be decoded (serialized as `"seq":null`).
 pub fn encode_response(seq: Option<u64>, response: &Response) -> Json {
-    let seq_json = match seq {
-        Some(s) => Json::num(s as f64),
-        None => Json::Null,
-    };
-    match response {
-        Response::Error { code, message } => Json::obj(vec![
-            ("ok", Json::Bool(false)),
-            ("seq", seq_json),
-            (
-                "error",
-                Json::obj(vec![
-                    ("code", Json::str(code.as_str())),
-                    ("message", Json::str(message.clone())),
-                ]),
-            ),
-        ]),
-        ok => {
-            let mut fields = vec![("ok", Json::Bool(true)), ("seq", seq_json)];
-            match ok {
-                Response::Hello {
-                    version,
-                    server,
-                    workers,
-                } => {
-                    fields.push(("op", Json::str("hello")));
-                    fields.push(("version", Json::num(*version as f64)));
-                    fields.push(("server", Json::str(server.clone())));
-                    fields.push(("workers", Json::num(*workers as f64)));
-                }
-                Response::Submitted { id } => {
-                    fields.push(("op", Json::str("submit")));
-                    fields.push(("id", Json::num(*id as f64)));
-                }
-                Response::BatchSubmitted { ids } => {
-                    fields.push(("op", Json::str("submit_batch")));
-                    fields.push((
-                        "ids",
-                        Json::arr(ids.iter().map(|&id| Json::num(id as f64)).collect()),
-                    ));
-                }
-                Response::SweepSubmitted { sweep, ids } => {
-                    fields.push(("op", Json::str("submit_sweep")));
-                    fields.push(("sweep", Json::num(*sweep as f64)));
-                    fields.push((
-                        "ids",
-                        Json::arr(ids.iter().map(|&id| Json::num(id as f64)).collect()),
-                    ));
-                }
-                Response::TreeHeader(info) => {
-                    fields.push(("op", Json::str("fetch_tree")));
-                    fields.push(("id", Json::num(info.id as f64)));
-                    fields.push(("name", Json::str(&info.name)));
-                    fields.push(("nodes", Json::num(info.nodes as f64)));
-                    fields.push(("chunks", Json::num(info.chunks as f64)));
-                    if info.partial {
-                        fields.push(("partial", Json::Bool(true)));
-                        fields.push(("levels_done", Json::num(info.levels_done as f64)));
-                    } else {
-                        fields.push(("source", Json::num(info.source as f64)));
-                    }
-                }
-                Response::Status { id, state } => {
-                    fields.push(("op", Json::str("status")));
-                    fields.push(("id", Json::num(*id as f64)));
-                    fields.push(("state", Json::str(status_str(*state))));
-                }
-                Response::Cancelled { id } => {
-                    fields.push(("op", Json::str("cancel")));
-                    fields.push(("id", Json::num(*id as f64)));
-                }
-                Response::Metrics(m) => {
-                    fields.push(("op", Json::str("metrics")));
-                    fields.push(("workers", Json::num(m.workers as f64)));
-                    fields.push(("metrics", service_metrics_to_json(&m.metrics)));
-                }
-                Response::Stats(s) => {
-                    fields.push(("op", Json::str("stats")));
-                    fields.push(("workers", Json::num(s.workers as f64)));
-                    fields.push(("metrics", service_metrics_to_json(&s.metrics)));
-                    fields.push((
-                        "queue_wait",
-                        Json::arr(
-                            s.queue_wait
-                                .iter()
-                                .map(|(priority, h)| {
-                                    Json::obj(vec![
-                                        ("priority", Json::num(*priority as f64)),
-                                        ("latency", histogram_to_json(h)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
-                    fields.push(("synth_latency", histogram_to_json(&s.synth_latency)));
-                    fields.push(("verify_latency", histogram_to_json(&s.verify_latency)));
-                    fields.push((
-                        "spans",
-                        Json::arr(
-                            s.spans
-                                .iter()
-                                .map(|span| {
-                                    Json::obj(vec![
-                                        ("name", Json::str(&span.name)),
-                                        ("latency", histogram_to_json(&span.durations)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
-                    fields.push(("dropped", Json::num(s.dropped as f64)));
-                }
-                Response::ShuttingDown => {
-                    fields.push(("op", Json::str("shutdown")));
-                }
-                Response::Error { .. } => unreachable!("handled above"),
-            }
-            Json::obj(fields)
-        }
+    let ok = !matches!(response, Response::Error { .. });
+    let mut fields = vec![("ok", Json::Bool(ok)), ("seq", seq.to_wire())];
+    if let Response::Error { code, message } = response {
+        let error = vec![("code", code.to_wire()), ("message", message.to_wire())];
+        fields.push(("error", Json::obj(error)));
+        return Json::obj(fields);
     }
+    fields.push(("op", Json::str(response.op())));
+    response.push_table_fields(&mut fields);
+    Json::obj(fields)
 }
 
 /// Decodes a reply frame into `(seq, response)` — the client side.
@@ -1746,214 +1251,67 @@ pub fn encode_response(seq: Option<u64>, response: &Response) -> Json {
 /// A description of the malformation (client-side this is a protocol
 /// error; there is no one to send a structured reply to).
 pub fn decode_response(j: &Json) -> Result<(Option<u64>, Response), String> {
-    let seq = match j.get("seq") {
-        Some(Json::Null) | None => None,
-        Some(s) => Some(s.as_u64().ok_or("reply 'seq' must be an integer or null")?),
-    };
-    let ok = j
-        .get("ok")
-        .and_then(Json::as_bool)
-        .ok_or("reply needs 'ok'")?;
-    if !ok {
-        let err = j.get("error").ok_or("error reply needs 'error'")?;
-        let code_str = err
-            .get("code")
-            .and_then(Json::as_str)
-            .ok_or("error needs a string 'code'")?;
-        let code = ErrorCode::from_wire(code_str)
-            .ok_or_else(|| format!("unknown error code '{code_str}'"))?;
-        let message = err
-            .get("message")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        return Ok((seq, Response::Error { code, message }));
+    decode_reply(j).map_err(|e| e.message)
+}
+
+/// [`decode_response`] with the decode's own error.
+fn decode_reply(j: &Json) -> Result<(Option<u64>, Response), DecodeError> {
+    let seq = or_default(j, "seq", None)?;
+    if !required::<bool>(j, "reply", "ok")? {
+        let error = j.get("error").unwrap_or(&Json::Null);
+        let response = Response::Error {
+            code: required(error, "error", "code")?,
+            message: or_default(error, "message", None)?,
+        };
+        return Ok((seq, response));
     }
-    let op = j
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("reply needs a string 'op'")?;
-    let need_id = || j.get("id").and_then(Json::as_u64).ok_or("reply needs 'id'");
-    let response = match op {
-        "hello" => Response::Hello {
-            version: j
-                .get("version")
-                .and_then(Json::as_u64)
-                .ok_or("hello reply needs 'version'")?,
-            server: j
-                .get("server")
-                .and_then(Json::as_str)
-                .ok_or("hello reply needs 'server'")?
-                .to_string(),
-            workers: j
-                .get("workers")
-                .and_then(Json::as_u64)
-                .ok_or("hello reply needs 'workers'")?,
-        },
-        "submit" => Response::Submitted { id: need_id()? },
-        "submit_batch" => Response::BatchSubmitted {
-            ids: j
-                .get("ids")
-                .and_then(Json::as_arr)
-                .ok_or("submit_batch reply needs 'ids'")?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<Vec<_>>>()
-                .ok_or("submit_batch 'ids' must be integers")?,
-        },
-        "submit_sweep" => Response::SweepSubmitted {
-            sweep: j
-                .get("sweep")
-                .and_then(Json::as_u64)
-                .ok_or("submit_sweep reply needs 'sweep'")?,
-            ids: j
-                .get("ids")
-                .and_then(Json::as_arr)
-                .ok_or("submit_sweep reply needs 'ids'")?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<Vec<_>>>()
-                .ok_or("submit_sweep 'ids' must be integers")?,
-        },
-        "fetch_tree" => {
-            let int = |key: &str| {
-                j.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("fetch_tree reply needs '{key}'"))
-            };
-            let partial = j.get("partial").and_then(Json::as_bool).unwrap_or(false);
-            Response::TreeHeader(TreeInfo {
-                id: int("id")?,
-                name: j
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("fetch_tree reply needs 'name'")?
-                    .to_string(),
-                nodes: int("nodes")?,
-                chunks: int("chunks")?,
-                // A partial header is a rooted forest mid-synthesis:
-                // there is no source node yet, so the key is absent.
-                source: if partial { 0 } else { int("source")? },
-                partial,
-                levels_done: if partial { int("levels_done")? } else { 0 },
-            })
-        }
-        "status" => Response::Status {
-            id: need_id()?,
-            state: j
-                .get("state")
-                .and_then(Json::as_str)
-                .and_then(status_from_str)
-                .ok_or("status reply needs a valid 'state'")?,
-        },
-        "cancel" => Response::Cancelled { id: need_id()? },
-        "metrics" => {
-            let workers = j
-                .get("workers")
-                .and_then(Json::as_u64)
-                .ok_or("metrics reply needs 'workers'")?;
-            let m = j.get("metrics").ok_or("metrics reply needs 'metrics'")?;
-            Response::Metrics(MetricsReply {
-                workers,
-                metrics: service_metrics_from_json(m)?,
-            })
-        }
-        "stats" => {
-            let workers = j
-                .get("workers")
-                .and_then(Json::as_u64)
-                .ok_or("stats reply needs 'workers'")?;
-            let metrics =
-                service_metrics_from_json(j.get("metrics").ok_or("stats reply needs 'metrics'")?)?;
-            let queue_wait = j
-                .get("queue_wait")
-                .and_then(Json::as_arr)
-                .ok_or("stats reply needs a 'queue_wait' array")?
-                .iter()
-                .map(|entry| {
-                    let priority = entry
-                        .get("priority")
-                        .and_then(Json::as_i64)
-                        .filter(|p| i32::try_from(*p).is_ok())
-                        .ok_or("queue_wait entry needs a 32-bit 'priority'")?
-                        as i32;
-                    let latency = histogram_from_json(
-                        entry
-                            .get("latency")
-                            .ok_or("queue_wait entry needs 'latency'")?,
-                    )?;
-                    Ok((priority, latency))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let hist = |key: &str| {
-                histogram_from_json(
-                    j.get(key)
-                        .ok_or_else(|| format!("stats reply needs '{key}'"))?,
-                )
-            };
-            let spans = j
-                .get("spans")
-                .and_then(Json::as_arr)
-                .ok_or("stats reply needs a 'spans' array")?
-                .iter()
-                .map(|entry| {
-                    Ok(SpanStat {
-                        name: entry
-                            .get("name")
-                            .and_then(Json::as_str)
-                            .ok_or("span entry needs a string 'name'")?
-                            .to_string(),
-                        durations: histogram_from_json(
-                            entry.get("latency").ok_or("span entry needs 'latency'")?,
-                        )?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Response::Stats(Box::new(StatsReply {
-                workers,
-                metrics,
-                queue_wait,
-                synth_latency: hist("synth_latency")?,
-                verify_latency: hist("verify_latency")?,
-                spans,
-                // Absent on servers that predate drop accounting.
-                dropped: j.get("dropped").and_then(Json::as_u64).unwrap_or(0),
-            }))
-        }
-        "shutdown" => Response::ShuttingDown,
-        other => return Err(format!("unknown reply op '{other}'")),
-    };
+    let op: String = required(j, "reply", "op")?;
+    let response = Response::decode_table(&op, j)
+        .unwrap_or_else(|| Err(DecodeError::bad(format!("unknown reply op '{op}'"))))?;
     Ok((seq, response))
 }
 
 // ---------------------------------------------------------------------------
 // Result events
 
-/// SPICE-or-estimate timing numbers of one result (s).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimingStats {
-    /// Worst 10–90 % slew (s).
-    pub worst_slew: f64,
-    /// Skew: max − min sink arrival (s).
-    pub skew: f64,
-    /// Max source-to-sink latency (s).
-    pub latency: f64,
+wire_struct! {
+    /// SPICE-or-estimate timing numbers of one result (s).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct TimingStats as "timing stats" {
+        /// Worst 10–90 % slew (s).
+        worst_slew: f64;
+        /// Skew: max − min sink arrival (s).
+        skew: f64;
+        /// Max source-to-sink latency (s).
+        latency: f64;
+    }
 }
 
-/// Per-corner distribution stats of one Monte Carlo variation run, as
-/// carried by a result event. Only the folded distributions travel —
-/// per-corner rows stay on the server (clients consume yield numbers,
-/// and a 100k-corner row table has no business on a result frame).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VariationStats {
-    /// Corners evaluated.
-    pub corners: u64,
-    /// Skew distribution across corners (s).
-    pub skew: DistStats,
-    /// Worst-slew distribution across corners (s).
-    pub worst_slew: DistStats,
-    /// Max-latency distribution across corners (s).
-    pub latency: DistStats,
+wire_struct! {
+    impl DistStats as "distribution stats" {
+        min: f64;
+        median: f64;
+        p95: f64;
+        max: f64;
+    }
+}
+
+wire_struct! {
+    /// Per-corner distribution stats of one Monte Carlo variation run, as
+    /// carried by a result event. Only the folded distributions travel —
+    /// per-corner rows stay on the server (clients consume yield numbers,
+    /// and a 100k-corner row table has no business on a result frame).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct VariationStats as "variation stats" {
+        /// Corners evaluated.
+        corners: u64;
+        /// Skew distribution across corners (s).
+        skew: DistStats;
+        /// Worst-slew distribution across corners (s).
+        worst_slew: DistStats;
+        /// Max-latency distribution across corners (s).
+        latency: DistStats;
+    }
 }
 
 impl VariationStats {
@@ -1968,42 +1326,47 @@ impl VariationStats {
     }
 }
 
-/// The stats a completed request streams back — the full
-/// [`SynthesisResult`] summary minus the tree geometry (trees stay on
-/// the server; clients consume numbers).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemoteResult {
-    /// The service-assigned request id.
-    pub id: u64,
-    /// Instance name, echoed.
-    pub name: String,
-    /// Priority the request ran at.
-    pub priority: i32,
-    /// Dispatch ordinal across the service lifetime.
-    pub dispatch_order: u64,
-    /// Client id echoed from the submission.
-    pub client_id: Option<String>,
-    /// Sink count.
-    pub sinks: u64,
-    /// Topology levels built.
-    pub levels: u64,
-    /// Buffers inserted.
-    pub buffers: u64,
-    /// Total inserted buffer input capacitance (F) — the sweep Pareto
-    /// front's cost axis. `0.0` from servers that predate sweeps.
-    pub buffer_cap_f: f64,
-    /// Routed wirelength (µm).
-    pub wirelength_um: f64,
-    /// Wall time of the synthesis stage (s).
-    pub synth_seconds: f64,
-    /// Wall time of the verification stage (s); 0 when skipped.
-    pub verify_seconds: f64,
-    /// Engine-estimated timing.
-    pub estimate: TimingStats,
-    /// SPICE-verified timing, when the server verifies.
-    pub verified: Option<TimingStats>,
-    /// Monte Carlo corner distributions, when the variation axis ran.
-    pub variation: Option<VariationStats>,
+wire_struct! {
+    /// The stats a completed request streams back — the full
+    /// [`SynthesisResult`] summary minus the tree geometry (trees stay on
+    /// the server; clients consume numbers).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RemoteResult as "result" {
+        /// The service-assigned request id (carried by the event, not the
+        /// result object).
+        id: u64, skip;
+        /// Instance name, echoed.
+        name: String;
+        /// Client id echoed from the submission.
+        client_id: Option<String>, omit;
+        /// Priority the request ran at.
+        priority: i32;
+        /// Dispatch ordinal across the service lifetime.
+        dispatch_order: u64;
+        /// Sink count.
+        sinks: u64;
+        /// Topology levels built.
+        levels: u64;
+        /// Buffers inserted.
+        buffers: u64;
+        /// Total inserted buffer input capacitance (F) — the sweep Pareto
+        /// front's cost axis. `0.0` from servers that predate sweeps.
+        buffer_cap_f: f64, additive;
+        /// Routed wirelength (µm).
+        wirelength_um: f64;
+        /// Wall time of the synthesis stage (s).
+        synth_seconds: f64;
+        /// Wall time of the verification stage (s); 0 when skipped.
+        verify_seconds: f64;
+        /// Engine-estimated timing.
+        estimate: TimingStats;
+        /// SPICE-verified timing, when the server verifies.
+        verified: Option<TimingStats>, null;
+        /// Monte Carlo corner distributions, when the variation axis ran.
+        /// Absent otherwise, keeping axis-off frames byte-identical to
+        /// pre-variation servers.
+        variation: Option<VariationStats>, omit;
+    }
 }
 
 impl RemoteResult {
@@ -2065,6 +1428,16 @@ impl Outcome {
             },
         }
     }
+
+    /// The outcome's wire label (shared with `sweep_progress` frames).
+    pub(crate) fn label(&self) -> SweepPointOutcome {
+        match self {
+            Outcome::Completed(_) => SweepPointOutcome::Completed,
+            Outcome::Cancelled => SweepPointOutcome::Cancelled,
+            Outcome::Expired => SweepPointOutcome::Expired,
+            Outcome::Failed { .. } => SweepPointOutcome::Failed,
+        }
+    }
 }
 
 /// A pushed (unsolicited) server → client message: request `id` resolved.
@@ -2076,216 +1449,33 @@ pub struct ResultEvent {
     pub outcome: Outcome,
 }
 
-/// Whether a decoded frame is an event (vs a reply). Clients route on
-/// this before seq-matching.
-pub fn is_event(j: &Json) -> bool {
-    j.get("event").and_then(Json::as_bool) == Some(true)
-}
-
-/// The op of an event frame (`"result"` for terminal request outcomes,
-/// `"tree"` for geometry stream frames, `"sweep_progress"` per resolved
-/// sweep point, `"pareto"` for a finished sweep's folded front) — the
-/// second routing key, after [`is_event`].
-pub fn event_op(j: &Json) -> Option<&str> {
-    j.get("op").and_then(Json::as_str)
-}
-
-fn timing_to_json(t: &TimingStats) -> Json {
-    Json::obj(vec![
-        ("worst_slew", Json::num(t.worst_slew)),
-        ("skew", Json::num(t.skew)),
-        ("latency", Json::num(t.latency)),
-    ])
-}
-
-fn timing_from_json(j: &Json) -> Result<TimingStats, String> {
-    let f = |key: &str| {
-        j.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("timing stats need a number '{key}'"))
-    };
-    Ok(TimingStats {
-        worst_slew: f("worst_slew")?,
-        skew: f("skew")?,
-        latency: f("latency")?,
-    })
-}
-
-fn dist_to_json(d: &DistStats) -> Json {
-    Json::obj(vec![
-        ("min", Json::num(d.min)),
-        ("median", Json::num(d.median)),
-        ("p95", Json::num(d.p95)),
-        ("max", Json::num(d.max)),
-    ])
-}
-
-fn dist_from_json(j: &Json) -> Result<DistStats, String> {
-    let f = |key: &str| {
-        j.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("distribution stats need a number '{key}'"))
-    };
-    Ok(DistStats {
-        min: f("min")?,
-        median: f("median")?,
-        p95: f("p95")?,
-        max: f("max")?,
-    })
-}
-
-fn variation_to_json(v: &VariationStats) -> Json {
-    Json::obj(vec![
-        ("corners", Json::num(v.corners as f64)),
-        ("skew", dist_to_json(&v.skew)),
-        ("worst_slew", dist_to_json(&v.worst_slew)),
-        ("latency", dist_to_json(&v.latency)),
-    ])
-}
-
-fn variation_from_json(j: &Json) -> Result<VariationStats, String> {
-    let dist = |key: &str| {
-        dist_from_json(
-            j.get(key)
-                .ok_or_else(|| format!("variation stats need '{key}'"))?,
-        )
-    };
-    Ok(VariationStats {
-        corners: j
-            .get("corners")
-            .and_then(Json::as_u64)
-            .ok_or("variation stats need an integer 'corners'")?,
-        skew: dist("skew")?,
-        worst_slew: dist("worst_slew")?,
-        latency: dist("latency")?,
-    })
-}
-
-/// Serializes a result event frame.
-pub fn encode_event(event: &ResultEvent) -> Json {
-    let mut fields = vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::str("result")),
-        ("event", Json::Bool(true)),
-        ("id", Json::num(event.id as f64)),
-    ];
-    match &event.outcome {
-        Outcome::Completed(r) => {
-            fields.push(("outcome", Json::str("completed")));
-            let mut res = vec![
-                ("name", Json::str(&r.name)),
-                ("priority", Json::num(r.priority as f64)),
-                ("dispatch_order", Json::num(r.dispatch_order as f64)),
-                ("sinks", Json::num(r.sinks as f64)),
-                ("levels", Json::num(r.levels as f64)),
-                ("buffers", Json::num(r.buffers as f64)),
-                ("buffer_cap_f", Json::num(r.buffer_cap_f)),
-                ("wirelength_um", Json::num(r.wirelength_um)),
-                ("synth_seconds", Json::num(r.synth_seconds)),
-                ("verify_seconds", Json::num(r.verify_seconds)),
-                ("estimate", timing_to_json(&r.estimate)),
-                (
-                    "verified",
-                    r.verified.as_ref().map_or(Json::Null, timing_to_json),
-                ),
-            ];
-            // Only present when the variation axis ran: absent keys keep
-            // axis-off frames byte-identical to pre-variation servers, and
-            // `decode_event` reads by key so old clients skip it unharmed.
-            if let Some(v) = &r.variation {
-                res.push(("variation", variation_to_json(v)));
-            }
-            if let Some(c) = &r.client_id {
-                res.insert(1, ("client_id", Json::str(c)));
-            }
-            fields.push((
-                "result",
-                Json::Obj(res.into_iter().map(|(k, v)| (k.to_string(), v)).collect()),
-            ));
-        }
-        Outcome::Cancelled => fields.push(("outcome", Json::str("cancelled"))),
-        Outcome::Expired => fields.push(("outcome", Json::str("expired"))),
-        Outcome::Failed { error } => {
-            fields.push(("outcome", Json::str("failed")));
-            fields.push(("error", Json::str(error)));
+/// The id, the `outcome` label, then a completed request's `result`
+/// object or a failed one's `error`.
+impl WireTable for ResultEvent {
+    fn push_fields(&self, fields: &mut Fields) {
+        fields.push(("id", self.id.to_wire()));
+        fields.push(("outcome", self.outcome.label().to_wire()));
+        match &self.outcome {
+            Outcome::Completed(r) => fields.push(("result", r.to_wire())),
+            Outcome::Failed { error } => fields.push(("error", error.to_wire())),
+            Outcome::Cancelled | Outcome::Expired => {}
         }
     }
-    Json::obj(fields)
-}
-
-/// Decodes a result event frame.
-///
-/// # Errors
-///
-/// A description of the malformation.
-pub fn decode_event(j: &Json) -> Result<ResultEvent, String> {
-    if !is_event(j) {
-        return Err("not an event frame".into());
-    }
-    let id = j
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or("event needs 'id'")?;
-    let outcome = match j.get("outcome").and_then(Json::as_str) {
-        Some("completed") => {
-            let r = j.get("result").ok_or("completed event needs 'result'")?;
-            let num = |key: &str| {
-                r.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("result needs a number '{key}'"))
-            };
-            let int = |key: &str| {
-                r.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("result needs an integer '{key}'"))
-            };
-            Outcome::Completed(Box::new(RemoteResult {
+    fn from_fields(j: &Json, object: &str) -> Result<ResultEvent, DecodeError> {
+        let id = required(j, object, "id")?;
+        let outcome = match required(j, object, "outcome")? {
+            SweepPointOutcome::Completed => Outcome::Completed(Box::new(RemoteResult {
                 id,
-                name: r
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("result needs 'name'")?
-                    .to_string(),
-                priority: r
-                    .get("priority")
-                    .and_then(Json::as_i64)
-                    .ok_or("result needs 'priority'")? as i32,
-                dispatch_order: int("dispatch_order")?,
-                client_id: r
-                    .get("client_id")
-                    .and_then(Json::as_str)
-                    .map(str::to_string),
-                sinks: int("sinks")?,
-                levels: int("levels")?,
-                buffers: int("buffers")?,
-                // Additive key (sweep revision); zero from older servers.
-                buffer_cap_f: r.get("buffer_cap_f").and_then(Json::as_f64).unwrap_or(0.0),
-                wirelength_um: num("wirelength_um")?,
-                synth_seconds: num("synth_seconds")?,
-                verify_seconds: num("verify_seconds")?,
-                estimate: timing_from_json(r.get("estimate").ok_or("result needs 'estimate'")?)?,
-                verified: match r.get("verified") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(timing_from_json(v)?),
-                },
-                variation: match r.get("variation") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(variation_from_json(v)?),
-                },
-            }))
-        }
-        Some("cancelled") => Outcome::Cancelled,
-        Some("expired") => Outcome::Expired,
-        Some("failed") => Outcome::Failed {
-            error: j
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-        },
-        _ => return Err("event needs a valid 'outcome'".into()),
-    };
-    Ok(ResultEvent { id, outcome })
+                ..required(j, object, "result")?
+            })),
+            SweepPointOutcome::Cancelled => Outcome::Cancelled,
+            SweepPointOutcome::Expired => Outcome::Expired,
+            SweepPointOutcome::Failed => Outcome::Failed {
+                error: or_default(j, "error", None)?,
+            },
+        };
+        Ok(ResultEvent { id, outcome })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2308,116 +1498,66 @@ pub enum SweepPointOutcome {
 impl SweepPointOutcome {
     /// The wire label.
     pub fn as_str(self) -> &'static str {
-        match self {
-            SweepPointOutcome::Completed => "completed",
-            SweepPointOutcome::Cancelled => "cancelled",
-            SweepPointOutcome::Expired => "expired",
-            SweepPointOutcome::Failed => "failed",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<SweepPointOutcome> {
-        Some(match s {
-            "completed" => SweepPointOutcome::Completed,
-            "cancelled" => SweepPointOutcome::Cancelled,
-            "expired" => SweepPointOutcome::Expired,
-            "failed" => SweepPointOutcome::Failed,
-            _ => return None,
-        })
+        self.spelling()
     }
 }
 
-/// A pushed `sweep_progress` event: one of a sweep's points resolved.
-/// The server emits it right after the point's `result` event, so a
-/// client that saw `done == total` has already seen every payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepProgressEvent {
-    /// The sweep ordinal from the `submit_sweep` reply.
-    pub sweep: u64,
-    /// Points resolved so far, including this one.
-    pub done: u64,
-    /// Total points in the sweep.
-    pub total: u64,
-    /// The resolved point's request id.
-    pub id: u64,
-    /// How the point resolved.
-    pub outcome: SweepPointOutcome,
-}
-
-/// Serializes a `sweep_progress` event frame.
-pub fn encode_sweep_progress(event: &SweepProgressEvent) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::str("sweep_progress")),
-        ("event", Json::Bool(true)),
-        ("sweep", Json::num(event.sweep as f64)),
-        ("done", Json::num(event.done as f64)),
-        ("total", Json::num(event.total as f64)),
-        ("id", Json::num(event.id as f64)),
-        ("outcome", Json::str(event.outcome.as_str())),
-    ])
-}
-
-/// Decodes a `sweep_progress` event frame.
-///
-/// # Errors
-///
-/// A description of the malformation.
-pub fn decode_sweep_progress(j: &Json) -> Result<SweepProgressEvent, String> {
-    if !is_event(j) {
-        return Err("not an event frame".into());
+wire_struct! {
+    /// A pushed `sweep_progress` event: one of a sweep's points resolved.
+    /// The server emits it right after the point's `result` event, so a
+    /// client that saw `done == total` has already seen every payload.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct SweepProgressEvent as "sweep_progress" {
+        /// The sweep ordinal from the `submit_sweep` reply.
+        sweep: u64;
+        /// Points resolved so far, including this one.
+        done: u64;
+        /// Total points in the sweep.
+        total: u64;
+        /// The resolved point's request id.
+        id: u64;
+        /// How the point resolved.
+        outcome: SweepPointOutcome;
     }
-    let int = |key: &str| {
-        j.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("sweep_progress needs an integer '{key}'"))
-    };
-    Ok(SweepProgressEvent {
-        sweep: int("sweep")?,
-        done: int("done")?,
-        total: int("total")?,
-        id: int("id")?,
-        outcome: j
-            .get("outcome")
-            .and_then(Json::as_str)
-            .and_then(SweepPointOutcome::from_str)
-            .ok_or("sweep_progress needs a valid 'outcome'")?,
-    })
 }
 
-/// One completed sweep point's objective row on a `pareto` event, tying
-/// the point's expansion ordinal and request id to its three objectives.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParetoWirePoint {
-    /// The point's ordinal in the sweep expansion (index into the
-    /// `submit_sweep` reply's `ids`).
-    pub ordinal: u64,
-    /// The point's request id.
-    pub id: u64,
-    /// Global skew (s).
-    pub skew: f64,
-    /// Total inserted buffer input capacitance (F).
-    pub buffer_cap_f: f64,
-    /// Max source-to-sink latency (s).
-    pub latency: f64,
+wire_struct! {
+    /// One completed sweep point's objective row on a `pareto` event, tying
+    /// the point's expansion ordinal and request id to its three objectives.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ParetoWirePoint as "pareto point" {
+        /// The point's ordinal in the sweep expansion (index into the
+        /// `submit_sweep` reply's `ids`).
+        ordinal: u64;
+        /// The point's request id.
+        id: u64;
+        /// Global skew (s).
+        skew: f64;
+        /// Total inserted buffer input capacitance (F).
+        buffer_cap_f: f64;
+        /// Max source-to-sink latency (s).
+        latency: f64;
+    }
 }
 
-/// The terminal `pareto` event of a sweep: every completed point's
-/// objective row plus the dominance front, exactly as the server's
-/// grouping-independent [`ParetoFront`] fold produced them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParetoEvent {
-    /// The sweep ordinal from the `submit_sweep` reply.
-    pub sweep: u64,
-    /// Total points in the sweep.
-    pub total: u64,
-    /// Points that completed (rows in `points`); cancelled / expired /
-    /// failed points contribute nothing.
-    pub completed: u64,
-    /// One row per completed point, in expansion-ordinal order.
-    pub points: Vec<ParetoWirePoint>,
-    /// Ordinals of the non-dominated points, ascending.
-    pub front: Vec<u64>,
+wire_struct! {
+    /// The terminal `pareto` event of a sweep: every completed point's
+    /// objective row plus the dominance front, exactly as the server's
+    /// grouping-independent [`ParetoFront`] fold produced them.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ParetoEvent as "pareto" {
+        /// The sweep ordinal from the `submit_sweep` reply.
+        sweep: u64;
+        /// Total points in the sweep.
+        total: u64;
+        /// Points that completed (rows in `points`); cancelled / expired /
+        /// failed points contribute nothing.
+        completed: u64;
+        /// One row per completed point, in expansion-ordinal order.
+        points: Vec<ParetoWirePoint>;
+        /// Ordinals of the non-dominated points, ascending.
+        front: Vec<u64>;
+    }
 }
 
 impl ParetoEvent {
@@ -2437,94 +1577,56 @@ impl ParetoEvent {
     }
 }
 
-/// Serializes a `pareto` event frame.
-pub fn encode_pareto_event(event: &ParetoEvent) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::str("pareto")),
-        ("event", Json::Bool(true)),
-        ("sweep", Json::num(event.sweep as f64)),
-        ("total", Json::num(event.total as f64)),
-        ("completed", Json::num(event.completed as f64)),
-        (
-            "points",
-            Json::arr(
-                event
-                    .points
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("ordinal", Json::num(p.ordinal as f64)),
-                            ("id", Json::num(p.id as f64)),
-                            ("skew", Json::num(p.skew)),
-                            ("buffer_cap_f", Json::num(p.buffer_cap_f)),
-                            ("latency", Json::num(p.latency)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "front",
-            Json::arr(event.front.iter().map(|&o| Json::num(o as f64)).collect()),
-        ),
-    ])
+// ---------------------------------------------------------------------------
+// The event envelope
+
+wire_variants! {
+    /// A pushed (unsolicited) server → client frame. Every event shares one
+    /// envelope, `{"ok":true,"op":…,"event":true, …}`, and is routed by its
+    /// op rather than correlated by `seq`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Event {
+        /// `result`: a submitted request resolved.
+        Result "result" (ResultEvent),
+        /// `tree`: one frame of a `fetch_tree` geometry stream.
+        Tree "tree" (TreeEvent),
+        /// `sweep_progress`: one of a sweep's points resolved (sent right
+        /// after that point's `result` event).
+        SweepProgress "sweep_progress" (SweepProgressEvent),
+        /// `pareto`: a sweep finished; its folded front.
+        Pareto "pareto" (ParetoEvent),
+    }
 }
 
-/// Decodes a `pareto` event frame.
+/// Whether a decoded frame is an event (vs a reply). Clients route on
+/// this before seq-matching.
+pub fn is_event(j: &Json) -> bool {
+    j.get("event").and_then(Json::as_bool) == Some(true)
+}
+
+/// Serializes an event frame.
+pub fn encode_event(event: &Event) -> Json {
+    let mut fields = vec![
+        ("ok", Json::Bool(true)),
+        ("op", Json::str(event.op())),
+        ("event", Json::Bool(true)),
+    ];
+    event.push_table_fields(&mut fields);
+    Json::obj(fields)
+}
+
+/// Decodes an event frame.
 ///
 /// # Errors
 ///
 /// A description of the malformation.
-pub fn decode_pareto_event(j: &Json) -> Result<ParetoEvent, String> {
-    if !is_event(j) {
+pub fn decode_event(j: &Json) -> Result<Event, String> {
+    if !is_event(j) || j.get("ok").and_then(Json::as_bool) != Some(true) {
         return Err("not an event frame".into());
     }
-    let int = |key: &str| {
-        j.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("pareto needs an integer '{key}'"))
-    };
-    let points = j
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("pareto needs a 'points' array")?
-        .iter()
-        .map(|p| {
-            let pint = |key: &str| {
-                p.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("pareto point needs an integer '{key}'"))
-            };
-            let pnum = |key: &str| {
-                p.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("pareto point needs a number '{key}'"))
-            };
-            Ok(ParetoWirePoint {
-                ordinal: pint("ordinal")?,
-                id: pint("id")?,
-                skew: pnum("skew")?,
-                buffer_cap_f: pnum("buffer_cap_f")?,
-                latency: pnum("latency")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let front = j
-        .get("front")
-        .and_then(Json::as_arr)
-        .ok_or("pareto needs a 'front' array")?
-        .iter()
-        .map(Json::as_u64)
-        .collect::<Option<Vec<_>>>()
-        .ok_or("pareto 'front' must be integers")?;
-    Ok(ParetoEvent {
-        sweep: int("sweep")?,
-        total: int("total")?,
-        completed: int("completed")?,
-        points,
-        front,
-    })
+    let op = j.get("op").and_then(Json::as_str).unwrap_or_default();
+    let event = Event::decode_table(op, j).ok_or("event needs a valid 'op'")?;
+    event.map_err(|e| e.message)
 }
 
 #[cfg(test)]
@@ -2730,10 +1832,10 @@ mod tests {
                 variation: None,
             })),
         };
-        let frame = encode_event(&ev).to_string();
+        let frame = encode_event(&Event::Result(ev.clone())).to_string();
         assert!(!frame.contains("variation"), "{frame}");
         let back = decode_event(&Json::parse(&frame).unwrap()).unwrap();
-        assert_eq!(back, ev);
+        assert_eq!(back, Event::Result(ev));
     }
 
     #[test]
@@ -3161,11 +2263,12 @@ mod tests {
             },
         ];
         for ev in &events {
-            let frame = encode_event(ev);
+            let ev = Event::Result(ev.clone());
+            let frame = encode_event(&ev);
             let reparsed = Json::parse(&frame.to_string()).unwrap();
             assert!(is_event(&reparsed));
             let back = decode_event(&reparsed).unwrap();
-            assert_eq!(&back, ev);
+            assert_eq!(back, ev);
         }
     }
 
@@ -3191,15 +2294,16 @@ mod tests {
                 chunk: k as u64,
                 nodes: chunk.to_vec(),
             };
-            let frame = Json::parse(&encode_tree_chunk(&ev).to_string()).unwrap();
+            let frame = encode_event(&Event::Tree(TreeEvent::Chunk(ev.clone())));
+            let frame = Json::parse(&frame.to_string()).unwrap();
             assert!(is_event(&frame));
-            assert_eq!(event_op(&frame), Some("tree"));
-            match decode_tree_event(&frame).unwrap() {
-                TreeEvent::Chunk(back) => {
+            assert_eq!(frame.get("op").and_then(Json::as_str), Some("tree"));
+            match decode_event(&frame).unwrap() {
+                Event::Tree(TreeEvent::Chunk(back)) => {
                     assert_eq!(back, ev);
                     rebuilt.extend(back.nodes);
                 }
-                TreeEvent::Done(_) => panic!("chunk decoded as terminal"),
+                other => panic!("chunk decoded as {other:?}"),
             }
         }
         let back = ClockTree::from_nodes(rebuilt).expect("streamed tree is valid");
@@ -3219,10 +2323,11 @@ mod tests {
                 nodes_total: 5,
             }],
         };
-        let frame = Json::parse(&encode_tree_done(&done).to_string()).unwrap();
-        match decode_tree_event(&frame).unwrap() {
-            TreeEvent::Done(back) => assert_eq!(back, done),
-            TreeEvent::Chunk(_) => panic!("terminal decoded as chunk"),
+        let frame = encode_event(&Event::Tree(TreeEvent::Done(done.clone())));
+        let frame = Json::parse(&frame.to_string()).unwrap();
+        match decode_event(&frame).unwrap() {
+            Event::Tree(TreeEvent::Done(back)) => assert_eq!(back, done),
+            other => panic!("terminal decoded as {other:?}"),
         }
     }
 
@@ -3403,10 +2508,17 @@ mod tests {
             id: 14,
             outcome: SweepPointOutcome::Completed,
         };
-        let frame = Json::parse(&encode_sweep_progress(&progress).to_string()).unwrap();
+        let frame = encode_event(&Event::SweepProgress(progress));
+        let frame = Json::parse(&frame.to_string()).unwrap();
         assert!(is_event(&frame));
-        assert_eq!(event_op(&frame), Some("sweep_progress"));
-        assert_eq!(decode_sweep_progress(&frame).unwrap(), progress);
+        assert_eq!(
+            frame.get("op").and_then(Json::as_str),
+            Some("sweep_progress")
+        );
+        assert_eq!(
+            decode_event(&frame).unwrap(),
+            Event::SweepProgress(progress)
+        );
 
         let pareto = ParetoEvent {
             sweep: 2,
@@ -3430,10 +2542,13 @@ mod tests {
             ],
             front: vec![0, 2],
         };
-        let frame = Json::parse(&encode_pareto_event(&pareto).to_string()).unwrap();
+        let frame = encode_event(&Event::Pareto(pareto.clone()));
+        let frame = Json::parse(&frame.to_string()).unwrap();
         assert!(is_event(&frame));
-        assert_eq!(event_op(&frame), Some("pareto"));
-        let back = decode_pareto_event(&frame).unwrap();
+        assert_eq!(frame.get("op").and_then(Json::as_str), Some("pareto"));
+        let Event::Pareto(back) = decode_event(&frame).unwrap() else {
+            panic!("pareto frame decoded as another event");
+        };
         assert_eq!(back, pareto);
         // The client-side refold reproduces the server's front.
         assert_eq!(
@@ -3458,5 +2573,783 @@ mod tests {
             assert_eq!(ErrorCode::from_wire(code.as_str()), Some(code));
         }
         assert_eq!(ErrorCode::from_wire("nope"), None);
+    }
+
+    /// Any frame the protocol sends, for the byte pins.
+    enum Pinned {
+        Request(u64, Request),
+        Response(Option<u64>, Response),
+        Event(Event),
+    }
+
+    fn encode_pinned(frame: &Pinned) -> String {
+        match frame {
+            Pinned::Request(seq, r) => encode_request(*seq, r),
+            Pinned::Response(seq, r) => encode_response(*seq, r),
+            Pinned::Event(e) => encode_event(e),
+        }
+        .to_string()
+    }
+
+    /// Decodes `text` as the same kind of frame as `frame` and re-encodes
+    /// it.
+    fn reencode_pinned(frame: &Pinned, text: &str) -> String {
+        let j = Json::parse(text).unwrap();
+        match frame {
+            Pinned::Request(..) => {
+                let (seq, r) = decode_request(&j).unwrap();
+                encode_request(seq, &r)
+            }
+            Pinned::Response(..) => {
+                let (seq, r) = decode_response(&j).unwrap();
+                encode_response(seq, &r)
+            }
+            Pinned::Event(_) => encode_event(&decode_event(&j).unwrap()),
+        }
+        .to_string()
+    }
+
+    fn pinned_result(id: u64, all_set: bool) -> ResultEvent {
+        let timing = |s: f64| TimingStats {
+            worst_slew: 81.5e-12 * s,
+            skew: 3.25e-12 * s,
+            latency: 1.75e-9 * s,
+        };
+        let dist = |base: f64| DistStats {
+            min: base,
+            median: base * 1.125,
+            p95: base * 1.375,
+            max: base * 1.5,
+        };
+        ResultEvent {
+            id,
+            outcome: Outcome::Completed(Box::new(RemoteResult {
+                id,
+                name: "r1".into(),
+                priority: -2,
+                dispatch_order: 11,
+                client_id: all_set.then(|| "tenant".into()),
+                sinks: 267,
+                levels: 9,
+                buffers: 120,
+                buffer_cap_f: 1.375e-13,
+                wirelength_um: 12_345.625,
+                synth_seconds: 2.5,
+                verify_seconds: 1.25,
+                estimate: timing(1.0),
+                verified: all_set.then(|| timing(1.0625)),
+                variation: all_set.then(|| VariationStats {
+                    corners: 64,
+                    skew: dist(3.0e-12),
+                    worst_slew: dist(80.0e-12),
+                    latency: dist(1.7e-9),
+                }),
+            })),
+        }
+    }
+
+    fn pinned_level(level: usize) -> LevelStats {
+        LevelStats {
+            level,
+            pairs: 4 / level,
+            seed_promoted: level == 2,
+            flippings: level - 1,
+            buffers_inserted: 3 * level,
+            worst_skew_estimate: 1.5e-12 * level as f64,
+            max_latency_estimate: 2.5e-10 * level as f64,
+            nodes_total: 7 + 6 * level,
+        }
+    }
+
+    fn pinned_metrics() -> ServiceMetrics {
+        ServiceMetrics {
+            submitted: 10,
+            completed: 7,
+            cancelled: 1,
+            expired: 1,
+            failed: 1,
+            queue_depth: 3,
+            synth_seconds: 1.25,
+            verify_seconds: 0.5,
+            stages_simulated: 42,
+            stages_reused: 18,
+            symbolic_hits: 40,
+            symbolic_misses: 2,
+            topology_seconds: 0.25,
+            merge_seconds: 0.75,
+            sinks_synthesized: 640,
+            sinks_verified: 512,
+            corners_evaluated: 96,
+            corner_lib_hits: 80,
+            corner_lib_misses: 16,
+            queue_depth_high_water: 4,
+            sweeps_submitted: 2,
+        }
+    }
+
+    /// A kind-complete arena: two sinks, a buffer, a joint whose children
+    /// are listed out of index order, and the parentless source root.
+    fn pinned_nodes() -> Vec<TreeNode> {
+        let mut tree = ClockTree::new();
+        let a = tree.add_sink(0, &Sink::new("a", Point::new(0.0, 0.0), 25e-15));
+        let b = tree.add_sink(1, &Sink::new("b", Point::new(200.125, 0.0), 30e-15));
+        let m = tree.add_joint(Point::new(100.0, 0.5));
+        tree.attach(m, b, 100.625);
+        let buf = tree.add_buffer(Point::new(50.5, 0.0), BufferId(1));
+        tree.attach(buf, a, 50.5);
+        tree.attach(m, buf, 49.5);
+        tree.add_source(m, BufferId(2));
+        tree.nodes().to_vec()
+    }
+
+    fn pinned_scheduling() -> Scheduling {
+        Scheduling {
+            priority: -4,
+            deadline_ms: Some(1500),
+            client_id: Some("c0".into()),
+            publish_levels: true,
+        }
+    }
+
+    fn pinned_frames() -> Vec<(Pinned, &'static str)> {
+        let tiny = || {
+            Instance::with_die(
+                "t",
+                vec![Sink::new("a", Point::new(10.0, 20.0), 25e-15)],
+                Rect::from_corners(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
+            )
+        };
+        vec![
+            (
+                Pinned::Request(
+                    0,
+                    Request::Hello {
+                        version: PROTOCOL_VERSION,
+                        client_id: Some("pin".into()),
+                    },
+                ),
+                r#"{"op":"hello","seq":0,"version":2,"client_id":"pin"}"#,
+            ),
+            (
+                Pinned::Request(
+                    1,
+                    Request::Hello {
+                        version: PROTOCOL_VERSION,
+                        client_id: None,
+                    },
+                ),
+                r#"{"op":"hello","seq":1,"version":2}"#,
+            ),
+            (
+                Pinned::Request(
+                    2,
+                    Request::Submit {
+                        instance: tiny(),
+                        options: OptionsPatch {
+                            slew_target_ps: Some(90.0),
+                            buffering: Some(Buffering::VanGinneken),
+                            ..OptionsPatch::default()
+                        },
+                        scheduling: pinned_scheduling(),
+                    },
+                ),
+                r#"{"op":"submit","seq":2,"instance":{"name":"t","die":[0,0,100,100],"sinks":[{"name":"a","x":10,"y":20,"cap_f":0.000000000000025}]},"options":{"slew_target_ps":90,"buffering":"van_ginneken"},"priority":-4,"deadline_ms":1500,"client_id":"c0","publish_levels":true}"#,
+            ),
+            (
+                Pinned::Request(
+                    3,
+                    Request::Submit {
+                        instance: tiny(),
+                        options: OptionsPatch::default(),
+                        scheduling: Scheduling::default(),
+                    },
+                ),
+                r#"{"op":"submit","seq":3,"instance":{"name":"t","die":[0,0,100,100],"sinks":[{"name":"a","x":10,"y":20,"cap_f":0.000000000000025}]}}"#,
+            ),
+            (
+                Pinned::Request(
+                    4,
+                    Request::SubmitBatch {
+                        entries: vec![
+                            BatchEntry {
+                                instance: tiny(),
+                                scheduling: pinned_scheduling(),
+                            },
+                            BatchEntry::new(tiny()),
+                        ],
+                        options: OptionsPatch {
+                            h_correction: Some(HCorrection::Correct),
+                            ..OptionsPatch::default()
+                        },
+                    },
+                ),
+                r#"{"op":"submit_batch","seq":4,"entries":[{"instance":{"name":"t","die":[0,0,100,100],"sinks":[{"name":"a","x":10,"y":20,"cap_f":0.000000000000025}]},"priority":-4,"deadline_ms":1500,"client_id":"c0","publish_levels":true},{"instance":{"name":"t","die":[0,0,100,100],"sinks":[{"name":"a","x":10,"y":20,"cap_f":0.000000000000025}]}}],"options":{"h_correction":"correct"}}"#,
+            ),
+            (
+                Pinned::Request(
+                    5,
+                    Request::SubmitSweep {
+                        instance: tiny(),
+                        base: OptionsPatch {
+                            grid_resolution: Some(21),
+                            ..OptionsPatch::default()
+                        },
+                        range: SweepRange::Axes(SweepAxesSpec {
+                            slew_targets_ps: vec![60.0, 90.0],
+                            library_subsets: vec![0, 2],
+                            h_corrections: vec![HCorrection::Off],
+                            bufferings: vec![Buffering::Greedy, Buffering::VanGinneken],
+                        }),
+                        scheduling: pinned_scheduling(),
+                    },
+                ),
+                r#"{"op":"submit_sweep","seq":5,"instance":{"name":"t","die":[0,0,100,100],"sinks":[{"name":"a","x":10,"y":20,"cap_f":0.000000000000025}]},"base":{"grid_resolution":21},"axes":{"slew_target_ps":[60,90],"library_subset":[0,2],"h_correction":["off"],"buffering":["greedy","van_ginneken"]},"priority":-4,"deadline_ms":1500,"client_id":"c0","publish_levels":true}"#,
+            ),
+            (
+                Pinned::Request(
+                    6,
+                    Request::SubmitSweep {
+                        instance: tiny(),
+                        base: OptionsPatch::default(),
+                        range: SweepRange::Points(vec![
+                            OptionsPatch::default(),
+                            OptionsPatch {
+                                slew_target_ps: Some(75.0),
+                                library_subset: Some(1),
+                                h_correction: Some(HCorrection::ReEstimate),
+                                buffering: Some(Buffering::Greedy),
+                                ..OptionsPatch::default()
+                            },
+                        ]),
+                        scheduling: Scheduling::default(),
+                    },
+                ),
+                r#"{"op":"submit_sweep","seq":6,"instance":{"name":"t","die":[0,0,100,100],"sinks":[{"name":"a","x":10,"y":20,"cap_f":0.000000000000025}]},"points":[{},{"slew_target_ps":75,"h_correction":"re_estimate","buffering":"greedy","library_subset":1}]}"#,
+            ),
+            (
+                Pinned::Request(
+                    7,
+                    Request::FetchTree {
+                        id: 12,
+                        chunk: Some(64),
+                        levels: true,
+                    },
+                ),
+                r#"{"op":"fetch_tree","seq":7,"id":12,"chunk":64,"mode":"levels"}"#,
+            ),
+            (
+                Pinned::Request(
+                    8,
+                    Request::FetchTree {
+                        id: 13,
+                        chunk: None,
+                        levels: false,
+                    },
+                ),
+                r#"{"op":"fetch_tree","seq":8,"id":13}"#,
+            ),
+            (
+                Pinned::Request(9, Request::Status { id: 7 }),
+                r#"{"op":"status","seq":9,"id":7}"#,
+            ),
+            (
+                Pinned::Request(10, Request::Cancel { id: 9 }),
+                r#"{"op":"cancel","seq":10,"id":9}"#,
+            ),
+            (
+                Pinned::Request(11, Request::Metrics),
+                r#"{"op":"metrics","seq":11}"#,
+            ),
+            (
+                Pinned::Request(12, Request::Stats),
+                r#"{"op":"stats","seq":12}"#,
+            ),
+            (
+                Pinned::Request(13, Request::Shutdown),
+                r#"{"op":"shutdown","seq":13}"#,
+            ),
+            (
+                Pinned::Response(
+                    Some(0),
+                    Response::Hello {
+                        version: PROTOCOL_VERSION,
+                        server: "cts-serve/0.1.0".into(),
+                        workers: 2,
+                    },
+                ),
+                r#"{"ok":true,"seq":0,"op":"hello","version":2,"server":"cts-serve/0.1.0","workers":2}"#,
+            ),
+            (
+                Pinned::Response(Some(1), Response::Submitted { id: 3 }),
+                r#"{"ok":true,"seq":1,"op":"submit","id":3}"#,
+            ),
+            (
+                Pinned::Response(Some(2), Response::BatchSubmitted { ids: vec![4, 5] }),
+                r#"{"ok":true,"seq":2,"op":"submit_batch","ids":[4,5]}"#,
+            ),
+            (
+                Pinned::Response(
+                    Some(3),
+                    Response::SweepSubmitted {
+                        sweep: 1,
+                        ids: vec![6, 7, 8],
+                    },
+                ),
+                r#"{"ok":true,"seq":3,"op":"submit_sweep","sweep":1,"ids":[6,7,8]}"#,
+            ),
+            (
+                Pinned::Response(
+                    Some(4),
+                    Response::TreeHeader(TreeInfo::complete(4, "blk".into(), 57, 2, 56)),
+                ),
+                r#"{"ok":true,"seq":4,"op":"fetch_tree","id":4,"name":"blk","nodes":57,"chunks":2,"source":56}"#,
+            ),
+            (
+                Pinned::Response(
+                    Some(5),
+                    Response::TreeHeader(TreeInfo {
+                        id: 5,
+                        name: String::new(),
+                        nodes: 24,
+                        chunks: 1,
+                        source: 0,
+                        partial: true,
+                        levels_done: 3,
+                    }),
+                ),
+                r#"{"ok":true,"seq":5,"op":"fetch_tree","id":5,"name":"","nodes":24,"chunks":1,"partial":true,"levels_done":3}"#,
+            ),
+            (
+                Pinned::Response(
+                    Some(6),
+                    Response::Status {
+                        id: 3,
+                        state: RequestStatus::InFlight,
+                    },
+                ),
+                r#"{"ok":true,"seq":6,"op":"status","id":3,"state":"in_flight"}"#,
+            ),
+            (
+                Pinned::Response(Some(7), Response::Cancelled { id: 3 }),
+                r#"{"ok":true,"seq":7,"op":"cancel","id":3}"#,
+            ),
+            (
+                Pinned::Response(
+                    Some(8),
+                    Response::Metrics(MetricsReply {
+                        workers: 2,
+                        metrics: pinned_metrics(),
+                    }),
+                ),
+                r#"{"ok":true,"seq":8,"op":"metrics","workers":2,"metrics":{"submitted":10,"completed":7,"cancelled":1,"expired":1,"failed":1,"queue_depth":3,"synth_seconds":1.25,"verify_seconds":0.5,"stages_simulated":42,"stages_reused":18,"symbolic_hits":40,"symbolic_misses":2,"topology_seconds":0.25,"merge_seconds":0.75,"sinks_synthesized":640,"sinks_verified":512,"corners_evaluated":96,"corner_lib_hits":80,"corner_lib_misses":16,"queue_depth_high_water":4,"sweeps_submitted":2}}"#,
+            ),
+            (
+                Pinned::Response(
+                    Some(9),
+                    Response::Stats(Box::new(StatsReply {
+                        workers: 2,
+                        metrics: pinned_metrics(),
+                        queue_wait: vec![
+                            (-1, sample_histogram(&[0, 90_000])),
+                            (5, sample_histogram(&[12])),
+                        ],
+                        synth_latency: sample_histogram(&[1_000_000, 2_000_000, 3_500_000]),
+                        verify_latency: Histogram::new(),
+                        spans: vec![SpanStat {
+                            name: "pipeline.merge_level".into(),
+                            durations: sample_histogram(&[250_000, 300_000]),
+                        }],
+                        dropped: 1,
+                    })),
+                ),
+                r#"{"ok":true,"seq":9,"op":"stats","workers":2,"metrics":{"submitted":10,"completed":7,"cancelled":1,"expired":1,"failed":1,"queue_depth":3,"synth_seconds":1.25,"verify_seconds":0.5,"stages_simulated":42,"stages_reused":18,"symbolic_hits":40,"symbolic_misses":2,"topology_seconds":0.25,"merge_seconds":0.75,"sinks_synthesized":640,"sinks_verified":512,"corners_evaluated":96,"corner_lib_hits":80,"corner_lib_misses":16,"queue_depth_high_water":4,"sweeps_submitted":2},"queue_wait":[{"priority":-1,"latency":{"count":2,"total_ns":90000,"max_ns":90000,"p50_ns":0,"p90_ns":90000,"p99_ns":90000,"buckets":[[0,1],[17,1]]}},{"priority":5,"latency":{"count":1,"total_ns":12,"max_ns":12,"p50_ns":12,"p90_ns":12,"p99_ns":12,"buckets":[[4,1]]}}],"synth_latency":{"count":3,"total_ns":6500000,"max_ns":3500000,"p50_ns":2097151,"p90_ns":3500000,"p99_ns":3500000,"buckets":[[20,1],[21,1],[22,1]]},"verify_latency":{"count":0,"total_ns":0,"max_ns":0,"p50_ns":0,"p90_ns":0,"p99_ns":0,"buckets":[]},"spans":[{"name":"pipeline.merge_level","latency":{"count":2,"total_ns":550000,"max_ns":300000,"p50_ns":262143,"p90_ns":300000,"p99_ns":300000,"buckets":[[18,1],[19,1]]}}],"dropped":1}"#,
+            ),
+            (
+                Pinned::Response(Some(10), Response::ShuttingDown),
+                r#"{"ok":true,"seq":10,"op":"shutdown"}"#,
+            ),
+            (
+                Pinned::Response(
+                    Some(11),
+                    Response::Error {
+                        code: ErrorCode::UnknownId,
+                        message: "request 9 was not submitted on this connection".into(),
+                    },
+                ),
+                r#"{"ok":false,"seq":11,"error":{"code":"unknown_id","message":"request 9 was not submitted on this connection"}}"#,
+            ),
+            (
+                Pinned::Response(
+                    None,
+                    Response::Error {
+                        code: ErrorCode::BadJson,
+                        message: "unparseable".into(),
+                    },
+                ),
+                r#"{"ok":false,"seq":null,"error":{"code":"bad_json","message":"unparseable"}}"#,
+            ),
+            (
+                Pinned::Event(Event::Result(pinned_result(5, true))),
+                r#"{"ok":true,"op":"result","event":true,"id":5,"outcome":"completed","result":{"name":"r1","client_id":"tenant","priority":-2,"dispatch_order":11,"sinks":267,"levels":9,"buffers":120,"buffer_cap_f":0.0000000000001375,"wirelength_um":12345.625,"synth_seconds":2.5,"verify_seconds":1.25,"estimate":{"worst_slew":0.0000000000815,"skew":0.00000000000325,"latency":0.00000000175},"verified":{"worst_slew":0.00000000008659375,"skew":0.000000000003453125,"latency":0.000000001859375},"variation":{"corners":64,"skew":{"min":0.000000000003,"median":0.000000000003375,"p95":0.000000000004125,"max":0.000000000004500000000000001},"worst_slew":{"min":0.00000000008,"median":0.00000000009,"p95":0.00000000011,"max":0.00000000012},"latency":{"min":0.0000000017,"median":0.0000000019124999999999998,"p95":0.0000000023375,"max":0.0000000025499999999999997}}}}"#,
+            ),
+            (
+                Pinned::Event(Event::Result(pinned_result(6, false))),
+                r#"{"ok":true,"op":"result","event":true,"id":6,"outcome":"completed","result":{"name":"r1","priority":-2,"dispatch_order":11,"sinks":267,"levels":9,"buffers":120,"buffer_cap_f":0.0000000000001375,"wirelength_um":12345.625,"synth_seconds":2.5,"verify_seconds":1.25,"estimate":{"worst_slew":0.0000000000815,"skew":0.00000000000325,"latency":0.00000000175},"verified":null}}"#,
+            ),
+            (
+                Pinned::Event(Event::Result(ResultEvent {
+                    id: 7,
+                    outcome: Outcome::Cancelled,
+                })),
+                r#"{"ok":true,"op":"result","event":true,"id":7,"outcome":"cancelled"}"#,
+            ),
+            (
+                Pinned::Event(Event::Result(ResultEvent {
+                    id: 8,
+                    outcome: Outcome::Expired,
+                })),
+                r#"{"ok":true,"op":"result","event":true,"id":8,"outcome":"expired"}"#,
+            ),
+            (
+                Pinned::Event(Event::Result(ResultEvent {
+                    id: 9,
+                    outcome: Outcome::Failed {
+                        error: "slew target unachievable".into(),
+                    },
+                })),
+                r#"{"ok":true,"op":"result","event":true,"id":9,"outcome":"failed","error":"slew target unachievable"}"#,
+            ),
+            (
+                Pinned::Event(Event::Tree(TreeEvent::Chunk(TreeChunkEvent {
+                    id: 9,
+                    chunk: 0,
+                    nodes: pinned_nodes(),
+                }))),
+                r#"{"ok":true,"op":"tree","event":true,"id":9,"chunk":0,"nodes":[{"kind":"sink","index":0,"cap_f":0.000000000000025,"x":0,"y":0,"parent":3,"wire_um":50.5,"children":[]},{"kind":"sink","index":1,"cap_f":0.00000000000003,"x":200.125,"y":0,"parent":2,"wire_um":100.625,"children":[]},{"kind":"joint","x":100,"y":0.5,"parent":4,"wire_um":0,"children":[1,3]},{"kind":"buffer","cell":1,"x":50.5,"y":0,"parent":2,"wire_um":49.5,"children":[0]},{"kind":"source","driver":2,"x":100,"y":0.5,"children":[2]}]}"#,
+            ),
+            (
+                Pinned::Event(Event::Tree(TreeEvent::Done(TreeDoneEvent {
+                    id: 9,
+                    level_stats: vec![pinned_level(1), pinned_level(2)],
+                }))),
+                r#"{"ok":true,"op":"tree","event":true,"id":9,"done":true,"levels":[{"level":1,"pairs":4,"seed_promoted":false,"flippings":0,"buffers_inserted":3,"worst_skew_estimate":0.0000000000015,"max_latency_estimate":0.00000000025,"nodes_total":13},{"level":2,"pairs":2,"seed_promoted":true,"flippings":1,"buffers_inserted":6,"worst_skew_estimate":0.000000000003,"max_latency_estimate":0.0000000005,"nodes_total":19}]}"#,
+            ),
+            (
+                Pinned::Event(Event::SweepProgress(SweepProgressEvent {
+                    sweep: 2,
+                    done: 1,
+                    total: 3,
+                    id: 14,
+                    outcome: SweepPointOutcome::Completed,
+                })),
+                r#"{"ok":true,"op":"sweep_progress","event":true,"sweep":2,"done":1,"total":3,"id":14,"outcome":"completed"}"#,
+            ),
+            (
+                Pinned::Event(Event::Pareto(ParetoEvent {
+                    sweep: 2,
+                    total: 3,
+                    completed: 2,
+                    points: vec![
+                        ParetoWirePoint {
+                            ordinal: 0,
+                            id: 14,
+                            skew: 3.25e-12,
+                            buffer_cap_f: 1.5e-13,
+                            latency: 1.75e-9,
+                        },
+                        ParetoWirePoint {
+                            ordinal: 2,
+                            id: 16,
+                            skew: 2.0e-12,
+                            buffer_cap_f: 2.5e-13,
+                            latency: 1.5e-9,
+                        },
+                    ],
+                    front: vec![0, 2],
+                })),
+                r#"{"ok":true,"op":"pareto","event":true,"sweep":2,"total":3,"completed":2,"points":[{"ordinal":0,"id":14,"skew":0.00000000000325,"buffer_cap_f":0.00000000000015,"latency":0.00000000175},{"ordinal":2,"id":16,"skew":0.000000000002,"buffer_cap_f":0.00000000000025,"latency":0.0000000015}],"front":[0,2]}"#,
+            ),
+        ]
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // Every frame kind outside the conformance transcript, with the
+        // bytes the protocol has always sent. Each frame must also decode
+        // and re-encode to the same bytes.
+        for (i, (frame, expected)) in pinned_frames().iter().enumerate() {
+            let text = encode_pinned(frame);
+            assert_eq!(text, *expected, "frame {i}");
+            assert_eq!(reencode_pinned(frame, &text), text, "frame {i}");
+        }
+    }
+
+    #[test]
+    fn decode_error_messages_are_pinned() {
+        // The server sends these messages verbatim as `error.message`, so
+        // they are wire bytes too.
+        let cases: &[(&str, &str)] = &[
+            (r#"{"seq":1}"#, "frame needs a string 'op'"),
+            (r#"{"op":7,"seq":1}"#, "frame needs a string 'op'"),
+            (r#"{"op":"status","id":1}"#, "frame needs an integer 'seq'"),
+            (
+                r#"{"op":"status","seq":-1,"id":1}"#,
+                "frame needs an integer 'seq'",
+            ),
+            (r#"{"op":"launch","seq":1}"#, "unknown op 'launch'"),
+            (
+                r#"{"op":"hello","seq":1}"#,
+                "hello needs an integer 'version'",
+            ),
+            (
+                r#"{"op":"hello","seq":1,"version":"2"}"#,
+                "hello needs an integer 'version'",
+            ),
+            (
+                r#"{"op":"hello","seq":1,"version":2,"client_id":5}"#,
+                "'client_id' must be a string",
+            ),
+            (r#"{"op":"submit","seq":1}"#, "submit needs an 'instance'"),
+            (
+                r#"{"op":"submit","seq":1,"instance":5}"#,
+                "instance needs a string 'name'",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[]}}"#,
+                "instance needs at least one sink",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"options":5}"#,
+                "'options' must be an object",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"options":{"slew":1}}"#,
+                "unknown options key 'slew'",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"options":{"threads":-1}}"#,
+                "'threads' must be an integer",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"priority":"high"}"#,
+                "'priority' must be a 32-bit integer",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"priority":1.5}"#,
+                "'priority' must be a 32-bit integer",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"priority":4294967297}"#,
+                "'priority' must be a 32-bit integer",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"priority":-2147483649}"#,
+                "'priority' must be a 32-bit integer",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"deadline_ms":-1}"#,
+                "'deadline_ms' must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"deadline_ms":"soon"}"#,
+                "'deadline_ms' must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"client_id":7}"#,
+                "'client_id' must be a string",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"publish_levels":1}"#,
+                "'publish_levels' must be a boolean",
+            ),
+            (
+                r#"{"op":"submit_batch","seq":1}"#,
+                "submit_batch needs an 'entries' array",
+            ),
+            (
+                r#"{"op":"submit_batch","seq":1,"entries":{}}"#,
+                "submit_batch needs an 'entries' array",
+            ),
+            (
+                r#"{"op":"submit_batch","seq":1,"entries":[]}"#,
+                "submit_batch needs at least one entry",
+            ),
+            (
+                r#"{"op":"submit_batch","seq":1,"entries":[5]}"#,
+                "batch entry needs an 'instance'",
+            ),
+            (
+                r#"{"op":"submit_batch","seq":1,"entries":[{"priority":1}]}"#,
+                "batch entry needs an 'instance'",
+            ),
+            (
+                r#"{"op":"submit_batch","seq":1,"entries":[{"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"priority":"x"}]}"#,
+                "'priority' must be a 32-bit integer",
+            ),
+            (
+                r#"{"op":"submit_batch","seq":1,"entries":[{"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"deadline_ms":1.5}]}"#,
+                "'deadline_ms' must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"submit_batch","seq":1,"entries":[{"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]}}],"options":[]}"#,
+                "'options' must be an object",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"axes":{}}"#,
+                "submit_sweep needs an 'instance'",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]}}"#,
+                "submit_sweep needs 'axes' or 'points'",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"axes":{},"points":[{}]}"#,
+                "submit_sweep takes 'axes' or 'points', not both",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"points":[]}"#,
+                "submit_sweep needs at least one point",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"points":{}}"#,
+                "'points' must be an array",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"points":[5]}"#,
+                "sweep point must be an object",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"axes":[]}"#,
+                "'axes' must be an object",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"axes":{"buffering":"greedy"}}"#,
+                "axis 'buffering' must be an array",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"base":{"grid":1},"axes":{}}"#,
+                "unknown options key 'grid'",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"axes":{},"publish_levels":"yes"}"#,
+                "'publish_levels' must be a boolean",
+            ),
+            (r#"{"op":"fetch_tree","seq":1}"#, "op needs an integer 'id'"),
+            (
+                r#"{"op":"fetch_tree","seq":1,"id":3,"chunk":0}"#,
+                "'chunk' must be a positive integer",
+            ),
+            (
+                r#"{"op":"fetch_tree","seq":1,"id":3,"chunk":"big"}"#,
+                "'chunk' must be a positive integer",
+            ),
+            (
+                r#"{"op":"fetch_tree","seq":1,"id":3,"mode":"leaves"}"#,
+                r#"'mode' must be "nodes" or "levels""#,
+            ),
+            (
+                r#"{"op":"fetch_tree","seq":1,"id":3,"mode":2}"#,
+                r#"'mode' must be "nodes" or "levels""#,
+            ),
+            (r#"{"op":"status","seq":1}"#, "op needs an integer 'id'"),
+            (
+                r#"{"op":"status","seq":1,"id":-3}"#,
+                "op needs an integer 'id'",
+            ),
+            (
+                r#"{"op":"cancel","seq":1,"id":"3"}"#,
+                "op needs an integer 'id'",
+            ),
+            (
+                r#"{"op":"hello","seq":1,"version":"2","client_id":5}"#,
+                "hello needs an integer 'version'",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"options":5,"priority":"x"}"#,
+                "'options' must be an object",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"priority":"x","deadline_ms":-1}"#,
+                "'priority' must be a 32-bit integer",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"deadline_ms":-1,"client_id":7,"publish_levels":1}"#,
+                "'deadline_ms' must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"submit_batch","seq":1,"entries":[{"priority":1}],"options":5}"#,
+                "batch entry needs an 'instance'",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"base":5,"priority":"x"}"#,
+                "'options' must be an object",
+            ),
+            (
+                r#"{"op":"submit_sweep","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15}]},"points":[],"priority":"x"}"#,
+                "submit_sweep needs at least one point",
+            ),
+            (
+                r#"{"op":"fetch_tree","seq":1,"chunk":0,"mode":"leaves"}"#,
+                "'chunk' must be a positive integer",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":5}}"#,
+                "instance needs a 'sinks' array",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"x":1,"y":2,"cap_f":1e-15}]}}"#,
+                "sink 0 needs a string 'name'",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":"1","y":2,"cap_f":1e-15}]}}"#,
+                "sink 0 needs a number 'x'",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2}]}}"#,
+                "sink 0 needs a number 'cap_f'",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":-1e-15}]}}"#,
+                "sink 0 capacitance -0.000000000000001 F is invalid",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","sinks":[{"name":"s","x":1,"y":2,"cap_f":1e-15},{"name":"t","x":1}]}}"#,
+                "sink 1 needs a number 'y'",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","die":[0,0,1],"sinks":[{"name":"s","x":0,"y":0,"cap_f":1e-15}]}}"#,
+                "'die' must be [x0, y0, x1, y1] with finite numbers",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","die":[0,0,1,"1"],"sinks":[{"name":"s","x":0,"y":0,"cap_f":1e-15}]}}"#,
+                "'die' must be [x0, y0, x1, y1] with finite numbers",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":"x","die":[0,0,1,1],"sinks":[{"name":"s","x":5,"y":0,"cap_f":1e-15}]}}"#,
+                "sink s lies outside the die",
+            ),
+            (
+                r#"{"op":"submit","seq":1,"instance":{"name":7,"sinks":[{"name":"s","x":0,"y":0,"cap_f":1e-15}]}}"#,
+                "instance needs a string 'name'",
+            ),
+        ];
+        for (frame, expected) in cases {
+            let err = decode_request(&Json::parse(frame).unwrap()).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest, "{frame}");
+            assert_eq!(err.message, *expected, "{frame}");
+        }
+    }
+
+    #[test]
+    fn result_priority_out_of_i32_range_is_rejected() {
+        // 2^32 + 1 must not wrap to priority 1.
+        let frame = concat!(
+            r#"{"ok":true,"op":"result","event":true,"id":3,"outcome":"completed","result":{"#,
+            r#""name":"r","priority":4294967297,"dispatch_order":0,"sinks":1,"levels":0,"#,
+            r#""buffers":0,"buffer_cap_f":0,"wirelength_um":0,"synth_seconds":0,"#,
+            r#""verify_seconds":0,"estimate":{"worst_slew":0,"skew":0,"latency":0},"#,
+            r#""verified":null}}"#
+        );
+        assert!(decode_event(&Json::parse(frame).unwrap()).is_err());
     }
 }

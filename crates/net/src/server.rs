@@ -27,16 +27,15 @@
 use crate::frame::{read_frame, write_frame};
 use crate::json::Json;
 use crate::proto::{
-    decode_request, encode_event, encode_pareto_event, encode_response, encode_sweep_progress,
-    encode_tree_chunk, encode_tree_done, DecodeError, ErrorCode, MetricsReply, Outcome,
-    ParetoEvent, ParetoWirePoint, Request, Response, ResultEvent, Scheduling, SpanStat, StatsReply,
-    SweepPointOutcome, SweepProgressEvent, TreeChunkEvent, TreeDoneEvent, TreeInfo,
+    decode_request, encode_event, encode_response, DecodeError, ErrorCode, Event, MetricsReply,
+    Outcome, ParetoEvent, ParetoWirePoint, Request, Response, ResultEvent, Scheduling, SpanStat,
+    StatsReply, SweepProgressEvent, TreeChunkEvent, TreeDoneEvent, TreeEvent, TreeInfo,
     DEFAULT_TREE_CHUNK, MAX_TREE_CHUNK, PROTOCOL_VERSION,
 };
 use cts_core::{
-    pareto_point, Admission, CtsOptions, Instance, ParetoFront, ParetoPoint, RequestHandle,
-    ServiceError, SubmitError, SweepSubmitError, SynthesisRequest, SynthesisResult,
-    SynthesisService, Ticket,
+    pareto_point, Admission, CtsOptions, Instance, LevelStats, ParetoFront, ParetoPoint,
+    RequestHandle, ServiceError, SubmitError, SweepSubmitError, SynthesisRequest, SynthesisResult,
+    SynthesisService, Ticket, TreeNode,
 };
 use cts_util::{CompletionPump, PollPending};
 use std::collections::HashMap;
@@ -285,30 +284,24 @@ fn sweep_frames(
         return Vec::new();
     };
     agg.done += 1;
-    let label = match outcome {
-        Ok(result) => {
-            agg.rows
-                .push((id, pareto_point(ordinal as usize, &result.item.result)));
-            SweepPointOutcome::Completed
-        }
-        Err(ServiceError::Cancelled) => SweepPointOutcome::Cancelled,
-        Err(ServiceError::Expired) => SweepPointOutcome::Expired,
-        Err(_) => SweepPointOutcome::Failed,
-    };
-    let mut frames = vec![encode_sweep_progress(&SweepProgressEvent {
+    if let Ok(result) = outcome {
+        agg.rows
+            .push((id, pareto_point(ordinal as usize, &result.item.result)));
+    }
+    let mut frames = vec![encode_event(&Event::SweepProgress(SweepProgressEvent {
         sweep,
         done: agg.done,
         total: agg.total,
         id,
-        outcome: label,
-    })];
+        outcome: Outcome::from_service(outcome).label(),
+    }))];
     if agg.done == agg.total {
         let mut agg = sweeps.remove(&sweep).expect("sweep aggregate vanished");
         // Expansion-ordinal order, not completion order: the frame's
         // bytes must not depend on worker scheduling.
         agg.rows.sort_by_key(|(_, row)| row.ordinal);
         let front = ParetoFront::from_points(agg.rows.iter().map(|&(_, row)| row));
-        frames.push(encode_pareto_event(&ParetoEvent {
+        frames.push(encode_event(&Event::Pareto(ParetoEvent {
             sweep,
             total: agg.total,
             completed: agg.rows.len() as u64,
@@ -324,7 +317,7 @@ fn sweep_frames(
                 })
                 .collect(),
             front: front.front_ordinals().iter().map(|&o| o as u64).collect(),
-        }));
+        })));
     }
     frames
 }
@@ -348,6 +341,7 @@ const TREE_CACHE_NODE_CAP: usize = 512 * 1024;
 /// Exactly what `fetch_tree` serves and nothing more — the result's
 /// stats were already streamed in its event and are not retained, so a
 /// connection pays for precisely the geometry it could still ask for.
+#[derive(Clone)]
 struct RetainedTree {
     name: String,
     tree: cts_core::ClockTree,
@@ -406,11 +400,10 @@ fn resolve_event(
     id: u64,
     outcome: Result<SynthesisResult, ServiceError>,
 ) -> Json {
-    let event = ResultEvent {
+    let frame = encode_event(&Event::Result(ResultEvent {
         id,
         outcome: Outcome::from_service(&outcome),
-    };
-    let frame = encode_event(&event);
+    }));
     if let Ok(result) = outcome {
         let retained = RetainedTree {
             name: result.item.name,
@@ -561,10 +554,7 @@ fn serve_connection(ctx: &ServerCtx, stream: TcpStream) {
             Ok(Some(Err(json_err))) => {
                 // Malformed JSON on an intact line: structured error
                 // reply, connection survives.
-                let reply = Response::Error {
-                    code: ErrorCode::BadJson,
-                    message: json_err.to_string(),
-                };
+                let reply = error_reply(ErrorCode::BadJson, json_err.to_string());
                 if wtx.send(encode_response(None, &reply)).is_err() {
                     break;
                 }
@@ -625,16 +615,13 @@ fn track_admitted(
     let tickets = match admitted {
         Ok(tickets) => tickets,
         Err(e @ SubmitError::TooLarge(_)) => {
-            return Response::Error {
-                code: ErrorCode::BadRequest,
-                message: e.to_string(),
-            }
+            return error_reply(ErrorCode::BadRequest, e.to_string())
         }
         Err(SubmitError::ShuttingDown(_)) => {
-            return Response::Error {
-                code: ErrorCode::ShuttingDown,
-                message: "service is draining; no new work admitted".into(),
-            }
+            return error_reply(
+                ErrorCode::ShuttingDown,
+                "service is draining; no new work admitted",
+            )
         }
         Err(e @ SubmitError::WouldBlock(_)) => {
             unreachable!("blocking admission cannot report back-pressure: {e}")
@@ -688,12 +675,10 @@ fn handle_frame(
     let reply = match request {
         Request::Hello { version, client_id } => {
             if version != PROTOCOL_VERSION {
-                Response::Error {
-                    code: ErrorCode::UnsupportedVersion,
-                    message: format!(
-                        "server speaks version {PROTOCOL_VERSION}, client asked for {version}"
-                    ),
-                }
+                error_reply(
+                    ErrorCode::UnsupportedVersion,
+                    format!("server speaks version {PROTOCOL_VERSION}, client asked for {version}"),
+                )
             } else {
                 state.client_id = client_id;
                 Response::Hello {
@@ -751,10 +736,9 @@ fn handle_frame(
                     ctx.service.submit_sweep(template, points)
                 });
             match submitted {
-                Err(e @ SweepSubmitError::Spec(_)) => Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: e.to_string(),
-                },
+                Err(e @ SweepSubmitError::Spec(_)) => {
+                    error_reply(ErrorCode::BadRequest, e.to_string())
+                }
                 Err(SweepSubmitError::Batch(e)) => {
                     track_admitted(state, ptx, Err(e), SubmitOp::Sweep)
                 }
@@ -768,17 +752,12 @@ fn handle_frame(
             // then encode and send the stream frame by frame: header
             // reply, chunk events, terminal event. Only one chunk's JSON
             // is in flight at a time on this side of the writer queue.
-            let snapshot = {
-                let trees = state.trees.lock().expect("tree cache poisoned");
-                trees.get(id).map(|retained| {
-                    (
-                        retained.name.clone(),
-                        retained.tree.clone(),
-                        retained.source,
-                        retained.level_stats.clone(),
-                    )
-                })
-            };
+            let retained = state
+                .trees
+                .lock()
+                .expect("tree cache poisoned")
+                .get(id)
+                .cloned();
             // Clamp: decode already rejects 0, and anything above
             // MAX_TREE_CHUNK could serialize past the reader-side
             // 8 MiB frame cap — a fatal transport error for the
@@ -787,95 +766,58 @@ fn handle_frame(
             let chunk_size = chunk
                 .map_or(DEFAULT_TREE_CHUNK, |c| c as usize)
                 .min(MAX_TREE_CHUNK);
-            match snapshot {
-                Some((name, tree, source, level_stats)) => {
-                    let nodes = tree.nodes();
-                    // Level mode aligns chunk boundaries with the
-                    // completed-level watermarks recorded per level, so a
-                    // consumer can hand each level off (e.g. to a
-                    // verifier) as its last chunk arrives.
-                    let runs = if levels {
-                        let watermarks: Vec<usize> =
-                            level_stats.iter().map(|s| s.nodes_total).collect();
-                        level_chunk_runs(nodes.len(), &watermarks, chunk_size)
-                    } else {
-                        level_chunk_runs(nodes.len(), &[], chunk_size)
-                    };
-                    let header = Response::TreeHeader(TreeInfo::complete(
-                        id,
-                        name,
-                        nodes.len() as u64,
-                        runs.len() as u64,
-                        source.index() as u64,
-                    ));
-                    let send = |frame: Json| wtx.send(frame).is_ok();
-                    if send(encode_response(Some(seq), &header)) {
-                        for (k, &(start, end)) in runs.iter().enumerate() {
-                            if !send(encode_tree_chunk(&TreeChunkEvent {
-                                id,
-                                chunk: k as u64,
-                                nodes: nodes[start..end].to_vec(),
-                            })) {
-                                break;
-                            }
-                        }
-                        let _ = send(encode_tree_done(&TreeDoneEvent { id, level_stats }));
-                    }
-                    return false;
-                }
+            if let Some(RetainedTree {
+                name,
+                tree,
+                source,
+                level_stats,
+            }) = retained
+            {
+                let nodes = tree.nodes();
+                // Level mode aligns chunk boundaries with the
+                // completed-level watermarks recorded per level, so a
+                // consumer can hand each level off (e.g. to a
+                // verifier) as its last chunk arrives.
+                let watermarks: Vec<usize> = if levels {
+                    level_stats.iter().map(|s| s.nodes_total).collect()
+                } else {
+                    Vec::new()
+                };
+                let runs = level_chunk_runs(nodes.len(), &watermarks, chunk_size);
+                let (total, chunks) = (nodes.len() as u64, runs.len() as u64);
+                let header = TreeInfo::complete(id, name, total, chunks, source.index() as u64);
+                send_tree_stream(wtx, seq, header, nodes, &runs, level_stats);
+                return false;
+            }
+            match state.handles.get(&id) {
                 // Level mode on a request still in flight streams the
                 // latest level-complete snapshot as a *partial* header —
                 // a watcher polls this while the tree grows. A request
                 // that published nothing yet (or does not publish)
                 // streams an empty partial, never an error.
-                None if levels => match state.handles.get(&id) {
-                    Some(handle) if handle.status() != cts_core::RequestStatus::Done => {
-                        let snap = handle.level_snapshot();
-                        let (nodes, levels_done) = match &snap {
-                            Some(s) => (s.nodes.as_slice(), s.levels_done as u64),
-                            None => (&[][..], 0),
-                        };
-                        let runs = level_chunk_runs(nodes.len(), &[], chunk_size);
-                        let header = Response::TreeHeader(TreeInfo {
-                            id,
-                            name: String::new(),
-                            nodes: nodes.len() as u64,
-                            chunks: runs.len() as u64,
-                            source: 0,
-                            partial: true,
-                            levels_done,
-                        });
-                        let send = |frame: Json| wtx.send(frame).is_ok();
-                        if send(encode_response(Some(seq), &header)) {
-                            for (k, &(start, end)) in runs.iter().enumerate() {
-                                if !send(encode_tree_chunk(&TreeChunkEvent {
-                                    id,
-                                    chunk: k as u64,
-                                    nodes: nodes[start..end].to_vec(),
-                                })) {
-                                    break;
-                                }
-                            }
-                            let _ = send(encode_tree_done(&TreeDoneEvent {
-                                id,
-                                level_stats: Vec::new(),
-                            }));
-                        }
-                        return false;
-                    }
-                    _ => Response::Error {
-                        code: ErrorCode::UnknownId,
-                        message: format!(
-                            "no completed result retained for request {id} on this connection"
-                        ),
-                    },
-                },
-                None => Response::Error {
-                    code: ErrorCode::UnknownId,
-                    message: format!(
-                        "no completed result retained for request {id} on this connection"
-                    ),
-                },
+                Some(handle) if levels && handle.status() != cts_core::RequestStatus::Done => {
+                    let snap = handle.level_snapshot();
+                    let (nodes, levels_done) = match &snap {
+                        Some(s) => (s.nodes.as_slice(), s.levels_done as u64),
+                        None => (&[][..], 0),
+                    };
+                    let runs = level_chunk_runs(nodes.len(), &[], chunk_size);
+                    let header = TreeInfo {
+                        id,
+                        name: String::new(),
+                        nodes: nodes.len() as u64,
+                        chunks: runs.len() as u64,
+                        source: 0,
+                        partial: true,
+                        levels_done,
+                    };
+                    send_tree_stream(wtx, seq, header, nodes, &runs, Vec::new());
+                    return false;
+                }
+                _ => error_reply(
+                    ErrorCode::UnknownId,
+                    format!("no completed result retained for request {id} on this connection"),
+                ),
             }
         }
         Request::Status { id } => match state.handles.get(&id) {
@@ -940,6 +882,34 @@ fn handle_frame(
     false
 }
 
+/// Sends a `fetch_tree` stream: the header reply, one `tree` chunk event
+/// per `(start, end)` run of `nodes`, and the terminal event. Stops early
+/// once the writer is gone.
+fn send_tree_stream(
+    wtx: &Sender<Json>,
+    seq: u64,
+    header: TreeInfo,
+    nodes: &[TreeNode],
+    runs: &[(usize, usize)],
+    level_stats: Vec<LevelStats>,
+) {
+    let id = header.id;
+    let chunks = runs.iter().enumerate().map(|(k, &(start, end))| {
+        let nodes = nodes[start..end].to_vec();
+        TreeEvent::Chunk(TreeChunkEvent {
+            id,
+            chunk: k as u64,
+            nodes,
+        })
+    });
+    let done = TreeEvent::Done(TreeDoneEvent { id, level_stats });
+    let events = chunks.chain(std::iter::once(done));
+    let header = encode_response(Some(seq), &Response::TreeHeader(header));
+    let mut frames = std::iter::once(header).chain(events.map(|e| encode_event(&Event::Tree(e))));
+    // Stops at the first frame the writer can no longer take.
+    let _ = frames.try_for_each(|frame| wtx.send(frame));
+}
+
 /// Splits `total` nodes into `(start, end)` chunk runs. `watermarks` are
 /// hard boundaries no run may straddle (the per-level arena lengths in
 /// level mode; empty for plain node mode); runs longer than `cap` are
@@ -968,8 +938,15 @@ fn level_chunk_runs(total: usize, watermarks: &[usize], cap: usize) -> Vec<(usiz
 }
 
 fn unknown_id(id: u64) -> Response {
+    error_reply(
+        ErrorCode::UnknownId,
+        format!("request {id} was not submitted on this connection"),
+    )
+}
+
+fn error_reply(code: ErrorCode, message: impl Into<String>) -> Response {
     Response::Error {
-        code: ErrorCode::UnknownId,
-        message: format!("request {id} was not submitted on this connection"),
+        code,
+        message: message.into(),
     }
 }

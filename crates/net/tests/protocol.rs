@@ -10,7 +10,9 @@ use cts_core::{
 };
 use cts_geom::Point;
 use cts_net::frame::{read_frame, write_frame};
-use cts_net::proto::{encode_response, encode_tree_chunk, Response, TreeChunkEvent, TreeInfo};
+use cts_net::proto::{
+    encode_event, encode_response, Event, Response, TreeChunkEvent, TreeEvent, TreeInfo,
+};
 use cts_net::{
     ChunkMode, Client, ErrorCode, Json, NetError, OptionsPatch, Outcome, Server, ServerHandle,
     SubmitSpec, SweepRange,
@@ -737,11 +739,11 @@ fn truncated_tree_stream_is_a_transport_error_not_a_partial_tree() {
             wire_to_parent_um: 0.0,
             children: Vec::new(),
         };
-        let chunk = encode_tree_chunk(&TreeChunkEvent {
+        let chunk = encode_event(&Event::Tree(TreeEvent::Chunk(TreeChunkEvent {
             id: 0,
             chunk: 0,
             nodes: vec![joint(0.0), joint(1.0)],
-        });
+        })));
         write_frame(&mut writer, &chunk).unwrap();
         writer.flush().unwrap();
         // Drop both halves: the stream ends mid-geometry.

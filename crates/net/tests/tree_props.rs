@@ -8,7 +8,7 @@
 
 use cts_core::{ClockTree, NodeKind, Sink, TreeNode, TreeNodeId};
 use cts_geom::Point;
-use cts_net::proto::{decode_tree_event, encode_tree_chunk, TreeChunkEvent, TreeEvent};
+use cts_net::proto::{decode_event, encode_event, Event, TreeChunkEvent, TreeEvent};
 use cts_net::Json;
 use cts_timing::BufferId;
 use proptest::prelude::*;
@@ -87,16 +87,16 @@ impl Strategy for WildTree {
 fn wire_roundtrip(tree: &ClockTree, chunk: usize) -> Result<ClockTree, String> {
     let mut collected: Vec<TreeNode> = Vec::new();
     for (k, run) in tree.nodes().chunks(chunk).enumerate() {
-        let frame = encode_tree_chunk(&TreeChunkEvent {
+        let frame = encode_event(&Event::Tree(TreeEvent::Chunk(TreeChunkEvent {
             id: 42,
             chunk: k as u64,
             nodes: run.to_vec(),
-        });
+        })));
         // Through text, as on the wire.
         let reparsed = Json::parse(&frame.to_string()).map_err(|e| e.to_string())?;
-        match decode_tree_event(&reparsed)? {
-            TreeEvent::Chunk(c) => collected.extend(c.nodes),
-            TreeEvent::Done(_) => return Err("chunk decoded as terminal".into()),
+        match decode_event(&reparsed)? {
+            Event::Tree(TreeEvent::Chunk(c)) => collected.extend(c.nodes),
+            _ => return Err("chunk decoded as terminal".into()),
         }
     }
     ClockTree::from_nodes(collected).map_err(|e| e.to_string())

@@ -282,10 +282,10 @@ fn tracing_does_not_change_results() {
         let mut r = r.clone();
         r.item.synth_seconds = 0.0;
         r.item.verify_seconds = 0.0;
-        let event = cts::net::proto::ResultEvent {
+        let event = cts::net::proto::Event::Result(cts::net::proto::ResultEvent {
             id: r.id.0,
             outcome: cts::net::Outcome::from_service(&Ok(r)),
-        };
+        });
         cts::net::proto::encode_event(&event).to_string()
     };
     assert_eq!(frame(&traced), frame(&baseline));
