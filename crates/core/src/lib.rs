@@ -71,8 +71,8 @@ pub use pareto::{ParetoFront, ParetoPoint};
 pub use pipeline::{LevelSnapshot, LevelStats, SynthesisContext, SynthesisPipeline};
 pub use service::{
     Admission, RequestHandle, RequestId, RequestStatus, ServiceError, ServiceMetrics,
-    ServiceOptions, ServiceStats, SubmitError, SweepOutcome, SweepSubmitError, SweepTicket,
-    SynthesisRequest, SynthesisResult, SynthesisService, Ticket,
+    ServiceOptions, ServiceStats, SubmitError, SweepSubmitError, SynthesisRequest, SynthesisResult,
+    SynthesisService, Ticket,
 };
 pub use sweep::{pareto_point, SweepError};
 pub use tree::{ClockTree, NodeKind, TreeNode, TreeNodeId, TreeStructureError};

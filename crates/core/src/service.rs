@@ -42,9 +42,12 @@
 //! * **Request metadata and overrides** — requests carry an opaque
 //!   [`SynthesisRequest::client_id`] (echoed on the result) and an
 //!   optional per-request [`CtsOptions`] override, validated per request.
-//! * **Metrics** — [`SynthesisService::metrics`] snapshots lock-free
-//!   lifetime counters (admissions, resolutions by kind, queue depth,
-//!   cumulative per-stage wall time) for monitoring front ends.
+//! * **Metrics** — [`SynthesisService::metrics`] and
+//!   [`SynthesisService::stats`] copy one mutex-guarded ledger: lifetime
+//!   counters (admissions, resolutions by kind, queue depth, cumulative
+//!   per-stage wall time) and latency histograms, one queue-wait sample
+//!   per request that left the queue. Every snapshot is consistent:
+//!   `completed + cancelled + expired + failed + queue_depth ≤ submitted`.
 //! * **Graceful shutdown** — [`SynthesisService::shutdown`] stops
 //!   admissions, drains every request already admitted (queued and
 //!   in-flight), then joins the workers. Dropping the service does the
@@ -93,20 +96,19 @@ use crate::batch::{BatchItem, BatchOptions, BatchRunner, StagedSynthesis};
 use crate::instance::Instance;
 use crate::merge::MergeScratch;
 use crate::options::{CtsError, CtsOptions};
-use crate::pareto::ParetoFront;
 use crate::pipeline::LevelSnapshot;
-use crate::sweep::{self, pareto_point, SweepError};
-use crate::verify::{Verifier, VerifyOptions, VerifyStats};
+use crate::sweep::{self, SweepError};
+use crate::verify::{Verifier, VerifyStats};
 use cts_obs::Histogram;
 use cts_spice::Technology;
 use cts_timing::{CornerLibraryCache, DelaySlewLibrary};
 use cts_util::{resolve_threads, run_two_stage_pull, Pull};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -130,15 +132,10 @@ pub struct ServiceOptions {
     /// [`Admission::NonBlocking`] returns [`SubmitError::WouldBlock`] —
     /// this is the back-pressure seam. `0` means unbounded.
     pub queue_capacity: usize,
-    /// Run SPICE verification as each request's second stage. Off, results
-    /// carry engine estimates only ([`BatchItem::verified`] is `None`).
+    /// Run SPICE verification (default [`crate::verify::VerifyOptions`])
+    /// as each request's second stage. Off, results carry engine
+    /// estimates only ([`BatchItem::verified`] is `None`).
     pub verify: bool,
-    /// Options for the verification stage.
-    pub verify_options: VerifyOptions,
-    /// Start with dispatch paused: admitted requests queue up until
-    /// [`SynthesisService::resume`]. Useful to stage a burst so priorities
-    /// decide the order, rather than arrival timing.
-    pub start_paused: bool,
 }
 
 impl Default for ServiceOptions {
@@ -147,8 +144,6 @@ impl Default for ServiceOptions {
             workers: 0,
             queue_capacity: 64,
             verify: true,
-            verify_options: VerifyOptions::default(),
-            start_paused: false,
         }
     }
 }
@@ -180,11 +175,10 @@ pub struct SynthesisRequest {
     /// forwards it verbatim).
     pub client_id: Option<String>,
     /// Publish level-complete arena snapshots while the request
-    /// synthesizes, observable through [`Ticket::level_snapshot`] /
-    /// [`RequestHandle::level_snapshot`] — the seam the wire protocol's
-    /// mid-synthesis `fetch_tree` streaming sits on. Off (the default),
-    /// no snapshot copies are taken and synthesis runs exactly as
-    /// before; either way the final tree is bit-identical.
+    /// synthesizes, observable through [`RequestHandle::level_snapshot`]
+    /// — the seam the wire protocol's mid-synthesis `fetch_tree`
+    /// streaming sits on. Off (the default), no snapshot copies are
+    /// taken; either way the final tree is bit-identical.
     pub publish_levels: bool,
 }
 
@@ -387,142 +381,15 @@ impl fmt::Display for SweepSubmitError {
 
 impl std::error::Error for SweepSubmitError {}
 
-/// A resolved sweep: per-point outcomes in expansion order plus the
-/// exactly-folded Pareto front over the successful points.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// One outcome per sweep point, index = expansion ordinal.
-    pub results: Vec<Result<SynthesisResult, ServiceError>>,
-    /// All successful points as [`ParetoFront`] rows (ordinal = sweep
-    /// ordinal); failed points simply contribute no row.
-    pub pareto: ParetoFront,
-}
-
-/// The handle [`SynthesisService::submit_sweep`] returns: one [`Ticket`]
-/// per expanded sweep point, in expansion order, admitted atomically
-/// with consecutive ids.
-pub struct SweepTicket {
-    tickets: Vec<Ticket>,
-}
-
-impl SweepTicket {
-    /// The per-point tickets, index = expansion ordinal.
-    pub fn tickets(&self) -> &[Ticket] {
-        &self.tickets
-    }
-
-    /// Consumes the handle into its per-point tickets (expansion order),
-    /// for callers that pump results themselves — the wire front end.
-    pub fn into_tickets(self) -> Vec<Ticket> {
-        self.tickets
-    }
-
-    /// Number of sweep points admitted.
-    pub fn len(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// Whether the sweep admitted zero points (never happens through
-    /// [`SynthesisService::submit_sweep`], which rejects empty sweeps).
-    pub fn is_empty(&self) -> bool {
-        self.tickets.is_empty()
-    }
-
-    /// Blocks until every point resolves; returns the per-point outcomes
-    /// plus the folded Pareto front. The front is assembled by folding
-    /// one single-row [`ParetoFront`] per successful point — the same
-    /// grouping-independent discipline a distributed front end uses —
-    /// so it is byte-identical however the points were scheduled.
-    pub fn wait(self) -> SweepOutcome {
-        let results: Vec<Result<SynthesisResult, ServiceError>> =
-            self.tickets.into_iter().map(Ticket::wait).collect();
-        let parts: Vec<ParetoFront> = results
-            .iter()
-            .enumerate()
-            .filter_map(|(ordinal, outcome)| outcome.as_ref().ok().map(|r| (ordinal, r)))
-            .map(|(ordinal, r)| ParetoFront::from_points([pareto_point(ordinal, &r.item.result)]))
-            .collect();
-        SweepOutcome {
-            results,
-            pareto: ParetoFront::fold(&parts),
-        }
-    }
-}
-
-impl fmt::Debug for SweepTicket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SweepTicket")
-            .field("points", &self.tickets.len())
-            .finish()
-    }
-}
-
-/// Lock-free lifetime counters, shared between the service handle (for
-/// snapshots) and the engine closures (for increments).
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    cancelled: AtomicU64,
-    expired: AtomicU64,
-    failed: AtomicU64,
-    synth_nanos: AtomicU64,
-    verify_nanos: AtomicU64,
-    topology_nanos: AtomicU64,
-    merge_nanos: AtomicU64,
-    sinks_synthesized: AtomicU64,
-    sinks_verified: AtomicU64,
-    corners_evaluated: AtomicU64,
-    stages_simulated: AtomicU64,
-    stages_reused: AtomicU64,
-    symbolic_hits: AtomicU64,
-    symbolic_misses: AtomicU64,
-    /// Deepest the submission queue has ever been (monotone max, updated
-    /// under the queue lock at admission).
-    queue_high_water: AtomicU64,
-    /// Sweeps admitted via [`SynthesisService::submit_sweep`] (each also
-    /// counts its points into `submitted`).
-    sweeps_submitted: AtomicU64,
-}
-
-impl Counters {
-    fn add_nanos(cell: &AtomicU64, seconds: f64) {
-        // Saturating accumulation in whole nanoseconds; 2^64 ns ≈ 584
-        // years of cumulative stage time, so saturation is theoretical.
-        let ns = (seconds * 1e9).max(0.0).min(u64::MAX as f64) as u64;
-        cell.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Accumulates a worker verifier's counter growth since the last
-    /// flush. Verifier counters are monotone, so the delta against the
-    /// previous snapshot is exactly the new work.
-    fn flush_verify_stats(&self, now: VerifyStats, flushed: &mut VerifyStats) {
-        self.stages_simulated.fetch_add(
-            now.stages_simulated - flushed.stages_simulated,
-            Ordering::Relaxed,
-        );
-        self.stages_reused
-            .fetch_add(now.stages_reused - flushed.stages_reused, Ordering::Relaxed);
-        self.symbolic_hits
-            .fetch_add(now.symbolic_hits - flushed.symbolic_hits, Ordering::Relaxed);
-        self.symbolic_misses.fetch_add(
-            now.symbolic_misses - flushed.symbolic_misses,
-            Ordering::Relaxed,
-        );
-        *flushed = now;
-    }
-}
-
 /// A point-in-time snapshot of the service's lifetime counters — the
 /// payload of [`SynthesisService::metrics`] and of the wire protocol's
 /// `metrics` op.
 ///
 /// Counter semantics: `submitted` counts admissions;
 /// `completed + cancelled + expired + failed` counts resolutions; the
-/// difference that is not in `queue_depth` is currently in flight. The
-/// snapshot is assembled from independent relaxed atomics, so during
-/// concurrent activity the counters may be mutually inconsistent by a
-/// request or two; each counter is individually exact.
+/// difference that is not in `queue_depth` is currently in flight. Every
+/// snapshot is consistent:
+/// `completed + cancelled + expired + failed + queue_depth ≤ submitted`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServiceMetrics {
     /// Requests admitted over the service lifetime.
@@ -644,17 +511,6 @@ impl fmt::Display for ServiceMetrics {
     }
 }
 
-/// Latency distributions shared between the service handle (snapshots)
-/// and the engine workers (recording). Recording takes a brief
-/// uncontended mutex once per stage per request — far off the synthesis
-/// hot paths — and never feeds back into results.
-#[derive(Debug, Default)]
-struct Latencies {
-    queue_wait: Mutex<BTreeMap<i32, Histogram>>,
-    synth: Mutex<Histogram>,
-    verify: Mutex<Histogram>,
-}
-
 /// A point-in-time snapshot of the service's latency distributions — the
 /// payload of [`SynthesisService::stats`] and of the wire protocol's
 /// `stats` op. All histograms are log2-bucketed nanoseconds
@@ -663,8 +519,8 @@ struct Latencies {
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Queue wait (admission → dispatch), per priority, ascending
-    /// priority order. Aborted-at-dispatch requests are included: their
-    /// wait ended, whatever the outcome.
+    /// priority order: one sample per request that left the queue,
+    /// whether it then synthesized or resolved cancelled or expired.
     pub queue_wait_by_priority: Vec<(i32, Histogram)>,
     /// Per-request synthesis-stage wall time.
     pub synth_latency: Histogram,
@@ -673,7 +529,42 @@ pub struct ServiceStats {
     pub verify_latency: Histogram,
 }
 
-/// State shared between a [`Ticket`] and the request's queue entry.
+/// The service's one record of its work: written by the engine under one
+/// mutex (about three times per request, far off the synthesis hot
+/// paths) and copied whole by [`SynthesisService::metrics`] and
+/// [`SynthesisService::stats`]. The metrics fields owned elsewhere —
+/// `submitted`, `queue_depth` and its high-water mark (the queue), the
+/// corner-cache counts (the cache) — stay zero here and are filled in at
+/// snapshot time. Never feeds back into results.
+#[derive(Debug, Default)]
+struct Ledger {
+    metrics: ServiceMetrics,
+    stats: ServiceStats,
+}
+
+impl Ledger {
+    /// Adds one queue-wait sample to its priority's histogram, keeping
+    /// the per-priority list in ascending priority order.
+    fn record_queue_wait(&mut self, priority: i32, nanos: u64) {
+        let waits = &mut self.stats.queue_wait_by_priority;
+        let at = waits
+            .binary_search_by_key(&priority, |&(p, _)| p)
+            .unwrap_or_else(|at| {
+                waits.insert(at, (priority, Histogram::default()));
+                at
+            });
+        waits[at].1.record(nanos);
+    }
+}
+
+/// Whole nanoseconds of a stage's wall time, for the latency histograms.
+fn nanos(seconds: f64) -> u64 {
+    (seconds * 1e9).max(0.0) as u64
+}
+
+/// State shared between a request's controls and its queue entry.
+/// `status` starts at `ST_QUEUED` (0).
+#[derive(Default)]
 struct ReqShared {
     cancelled: AtomicBool,
     status: AtomicU8,
@@ -684,61 +575,34 @@ struct ReqShared {
     levels: Mutex<Option<Arc<LevelSnapshot>>>,
 }
 
-/// Flags a request for cooperative cancellation and nudges parked
-/// workers — the common implementation behind [`Ticket::cancel`] and
-/// [`RequestHandle::cancel`].
-fn cancel_request(shared: &ReqShared, queue: &Weak<ServiceQueue>) {
-    shared.cancelled.store(true, Ordering::Release);
-    // Wake parked workers so the cancellation resolves promptly even
-    // on an idle or paused service.
-    if let Some(queue) = queue.upgrade() {
-        queue.avail.notify_all();
-    }
-}
-
-fn level_snapshot_of(shared: &ReqShared) -> Option<Arc<LevelSnapshot>> {
-    shared
-        .levels
-        .lock()
-        .expect("level snapshot poisoned")
-        .clone()
-}
-
-fn status_of(shared: &ReqShared) -> RequestStatus {
-    match shared.status.load(Ordering::Acquire) {
-        ST_QUEUED => RequestStatus::Queued,
-        ST_IN_FLIGHT => RequestStatus::InFlight,
-        _ => RequestStatus::Done,
-    }
-}
-
-/// The handle a submission returns: one request's result stream plus its
-/// cancellation and status controls. Dropping the ticket discards the
-/// eventual result but does not cancel the request.
-pub struct Ticket {
+/// Cancel, status and level-snapshot controls for one request, detached
+/// from its result stream ([`Ticket::handle`]). The ticket can move to
+/// whatever thread waits the result (a completion pump) while handles
+/// stay behind to serve `cancel`/`status` ops — the seam the network
+/// front end is built on. Clone-cheap, `Send + Sync`; holding one never
+/// keeps a dropped service alive.
+#[derive(Clone)]
+pub struct RequestHandle {
     id: RequestId,
-    priority: i32,
     shared: Arc<ReqShared>,
-    rx: Receiver<Result<SynthesisResult, ServiceError>>,
-    /// Weak so an outstanding ticket never keeps a dropped service's
+    /// Weak so an outstanding handle never keeps a dropped service's
     /// queue alive; used to nudge parked workers on cancel.
-    queue: Weak<ServiceQueue>,
+    service: Weak<Shared>,
 }
 
-impl Ticket {
-    /// The admitted request's id.
+impl RequestHandle {
+    /// The request's id.
     pub fn id(&self) -> RequestId {
         self.id
     }
 
-    /// The priority the request was admitted with.
-    pub fn priority(&self) -> i32 {
-        self.priority
-    }
-
     /// Where the request currently is: queued, in flight, or done.
     pub fn status(&self) -> RequestStatus {
-        status_of(&self.shared)
+        match self.shared.status.load(Ordering::Acquire) {
+            ST_QUEUED => RequestStatus::Queued,
+            ST_IN_FLIGHT => RequestStatus::InFlight,
+            _ => RequestStatus::Done,
+        }
     }
 
     /// Requests cooperative cancellation. The flag is checked at stage
@@ -748,7 +612,12 @@ impl Ticket {
     /// then resolves cancelled instead of continuing. Cancelling a
     /// finished request is a no-op — the result already streamed.
     pub fn cancel(&self) {
-        cancel_request(&self.shared, &self.queue);
+        self.shared.cancelled.store(true, Ordering::Release);
+        // Wake parked workers so the cancellation resolves promptly even
+        // on an idle or paused service.
+        if let Some(service) = self.service.upgrade() {
+            service.queue.avail.notify_all();
+        }
     }
 
     /// The latest level-complete arena snapshot the synthesis worker has
@@ -758,20 +627,61 @@ impl Ticket {
     /// than the one it replaces), so a poller never observes a partial
     /// level.
     pub fn level_snapshot(&self) -> Option<Arc<LevelSnapshot>> {
-        level_snapshot_of(&self.shared)
+        self.shared
+            .levels
+            .lock()
+            .expect("level snapshot poisoned")
+            .clone()
+    }
+}
+
+impl fmt::Debug for RequestHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RequestHandle")
+            .field("id", &self.id)
+            .field("status", &self.status())
+            .finish()
+    }
+}
+
+/// The handle a submission returns: one request's result stream plus its
+/// [`RequestHandle`] controls. Dropping the ticket discards the eventual
+/// result but does not cancel the request.
+pub struct Ticket {
+    handle: RequestHandle,
+    priority: i32,
+    rx: Receiver<Result<SynthesisResult, ServiceError>>,
+}
+
+impl Ticket {
+    /// The admitted request's id.
+    pub fn id(&self) -> RequestId {
+        self.handle.id
     }
 
-    /// A detachable control handle for this request: cancel and status
-    /// without the result stream. The ticket can then move to whatever
-    /// thread waits the result (a completion pump) while the handle stays
-    /// behind to serve `cancel`/`status` ops — the seam the network
-    /// front end is built on.
+    /// The priority the request was admitted with.
+    pub fn priority(&self) -> i32 {
+        self.priority
+    }
+
+    /// See [`RequestHandle::status`].
+    pub fn status(&self) -> RequestStatus {
+        self.handle.status()
+    }
+
+    /// See [`RequestHandle::cancel`].
+    pub fn cancel(&self) {
+        self.handle.cancel();
+    }
+
+    /// See [`RequestHandle::level_snapshot`].
+    pub fn level_snapshot(&self) -> Option<Arc<LevelSnapshot>> {
+        self.handle.level_snapshot()
+    }
+
+    /// A detachable control handle for this request.
     pub fn handle(&self) -> RequestHandle {
-        RequestHandle {
-            id: self.id,
-            shared: Arc::clone(&self.shared),
-            queue: Weak::clone(&self.queue),
-        }
+        self.handle.clone()
     }
 
     /// Blocks until the request resolves and returns its outcome. If the
@@ -800,72 +710,24 @@ impl Ticket {
 impl fmt::Debug for Ticket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Ticket")
-            .field("id", &self.id)
+            .field("id", &self.id())
             .field("priority", &self.priority)
             .field("status", &self.status())
             .finish()
     }
 }
 
-/// Cancel/status controls for one request, detached from its result
-/// stream ([`Ticket::handle`]). Clone-cheap, `Send + Sync`; holding one
-/// never keeps a dropped service alive.
-#[derive(Clone)]
-pub struct RequestHandle {
-    id: RequestId,
-    shared: Arc<ReqShared>,
-    queue: Weak<ServiceQueue>,
-}
-
-impl RequestHandle {
-    /// The request's id.
-    pub fn id(&self) -> RequestId {
-        self.id
-    }
-
-    /// Where the request currently is: queued, in flight, or done.
-    pub fn status(&self) -> RequestStatus {
-        status_of(&self.shared)
-    }
-
-    /// Requests cooperative cancellation; same semantics as
-    /// [`Ticket::cancel`].
-    pub fn cancel(&self) {
-        cancel_request(&self.shared, &self.queue);
-    }
-
-    /// The latest published level snapshot; same semantics as
-    /// [`Ticket::level_snapshot`].
-    pub fn level_snapshot(&self) -> Option<Arc<LevelSnapshot>> {
-        level_snapshot_of(&self.shared)
-    }
-}
-
-impl fmt::Debug for RequestHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RequestHandle")
-            .field("id", &self.id)
-            .field("status", &self.status())
-            .finish()
-    }
-}
-
-/// An admitted request travelling through the executor. The result sender
-/// lives here — on the engine side only — so if the engine dies, the
-/// channel disconnects and the ticket observes it instead of blocking on
-/// a sender it itself keeps alive.
+/// An admitted request travelling through the executor: the request as
+/// submitted, plus what admission adds. The result sender lives here — on
+/// the engine side only — so if the engine dies, the channel disconnects
+/// and the ticket observes it instead of blocking on a sender it itself
+/// keeps alive.
 struct Job {
     id: RequestId,
-    priority: i32,
-    instance: Instance,
+    request: SynthesisRequest,
     /// Absolute expiry instant (submission + deadline), when set and
     /// representable.
     expires_at: Option<Instant>,
-    /// Per-request options override.
-    options: Option<CtsOptions>,
-    client_id: Option<String>,
-    /// Publish level snapshots into `shared.levels` during synthesis.
-    publish_levels: bool,
     /// Admission timestamp on the [`cts_obs::now_ns`] clock; the queue
     /// wait ends when a worker pulls the job.
     admitted_ns: u64,
@@ -903,35 +765,15 @@ impl Job {
     }
 }
 
-/// Heap entry: max-heap on (priority, earliest admission).
-struct QueuedJob(Job);
-
-impl QueuedJob {
-    fn key(&self) -> (i32, Reverse<u64>) {
-        (self.0.priority, Reverse(self.0.id.0))
-    }
-}
-
-impl PartialEq for QueuedJob {
-    fn eq(&self, other: &QueuedJob) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for QueuedJob {}
-impl PartialOrd for QueuedJob {
-    fn partial_cmp(&self, other: &QueuedJob) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedJob {
-    fn cmp(&self, other: &QueuedJob) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
+#[derive(Default)]
 struct QueueInner {
-    heap: BinaryHeap<QueuedJob>,
+    /// Admitted, undispatched jobs keyed in dispatch order: priority
+    /// descending, then admission order.
+    jobs: BTreeMap<(Reverse<i32>, u64), Job>,
+    /// Id of the next admission — also the lifetime admission count.
     next_id: u64,
+    /// Deepest `jobs` has ever been.
+    high_water: usize,
     shutting_down: bool,
     paused: bool,
 }
@@ -947,56 +789,88 @@ struct ServiceQueue {
 }
 
 impl ServiceQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueInner> {
+        self.inner.lock().expect("service queue poisoned")
+    }
+
     /// The worker-side pull source; see [`cts_util::run_two_stage_pull`].
     /// Yields the highest-priority queued job, parks briefly when there is
     /// nothing to dispatch, and reports closed once shutdown has begun and
-    /// the queue is drained.
-    fn pull(&self) -> Pull<Job> {
-        let mut inner = self.inner.lock().expect("service queue poisoned");
+    /// the queue is drained. The one place a job leaves the queue for the
+    /// executor, so the one place its queue wait is recorded.
+    fn pull(&self, ledger: &Mutex<Ledger>) -> Pull<Job> {
+        let mut inner = self.lock();
         // Shutdown overrides pause: the drain must always make progress,
-        // whatever a client does with the pause control.
-        if inner.shutting_down || !inner.paused {
-            if let Some(QueuedJob(job)) = inner.heap.pop() {
-                // notify_all, not notify_one: batch submitters need room
-                // for their *whole* batch, so a single freed slot may wake
-                // a waiter that cannot proceed yet — which would consume
-                // the only wakeup while a one-slot submitter keeps
-                // sleeping next to a free slot.
-                self.space.notify_all();
-                return Pull::Job(job);
-            }
+        // whatever a client does with the pause control. Even while
+        // paused, a cancelled (or deadline-expired) queued request must
+        // resolve — it dispatches no work, and its client may be blocked
+        // in `wait` — so it is handed out; the executor's abort check
+        // routes it straight to delivery.
+        let next = if inner.shutting_down || !inner.paused {
+            inner.jobs.keys().next().copied()
+        } else {
+            inner
+                .jobs
+                .iter()
+                .find_map(|(&key, job)| job.aborted().then_some(key))
+        };
+        let Some(key) = next else {
             if inner.shutting_down {
                 return Pull::Closed;
             }
-        } else if inner.heap.iter().any(|qj| qj.0.aborted()) {
-            // Even while paused, a cancelled (or deadline-expired) queued
-            // request must resolve — it dispatches no work, and its client
-            // may be blocked in `wait`. BinaryHeap has no targeted
-            // removal, so rebuild the (capacity-bounded) heap without one
-            // aborted entry and hand that job out; the executor's abort
-            // check routes it straight to delivery.
-            let mut jobs = std::mem::take(&mut inner.heap).into_vec();
-            let pos = jobs
-                .iter()
-                .position(|qj| qj.0.aborted())
-                .expect("checked above");
-            let QueuedJob(job) = jobs.swap_remove(pos);
-            inner.heap = jobs.into();
-            self.space.notify_all(); // see above: waiters need unequal slot counts
-            return Pull::Job(job);
-        }
-        // Nothing dispatchable right now (empty or paused): park until
-        // admit/cancel/resume/shutdown notifies. The timeout is only a
-        // missed-wakeup guard, long enough that an idle service costs a
-        // handful of wakeups per second per worker; responsiveness comes
-        // from the notifies. (Parked workers are never needed for their
-        // peers' stage-2 work: a producer drains its own ready queue
-        // first.)
-        let _ = self
-            .avail
-            .wait_timeout(inner, Duration::from_millis(200))
-            .expect("service queue poisoned");
-        Pull::Pending
+            // Nothing dispatchable right now (empty or paused): park until
+            // admit/cancel/resume/shutdown notifies. The timeout is only a
+            // missed-wakeup guard, long enough that an idle service costs a
+            // handful of wakeups per second per worker; responsiveness
+            // comes from the notifies. (Parked workers are never needed for
+            // their peers' stage-2 work: a producer drains its own ready
+            // queue first.)
+            let _ = self
+                .avail
+                .wait_timeout(inner, Duration::from_millis(200))
+                .expect("service queue poisoned");
+            return Pull::Pending;
+        };
+        let job = inner.jobs.remove(&key).expect("key taken from the map");
+        drop(inner);
+        // notify_all, not notify_one: batch submitters need room for their
+        // *whole* batch, so a single freed slot may wake a waiter that
+        // cannot proceed yet — which would consume the only wakeup while a
+        // one-slot submitter keeps sleeping next to a free slot.
+        self.space.notify_all();
+        // The queue wait ends here, whether the job then synthesizes or
+        // resolves an abort: one histogram sample (for `stats`) and one
+        // manual cross-thread span (for traces).
+        let dispatched_ns = cts_obs::now_ns();
+        let priority = job.request.priority;
+        ledger
+            .lock()
+            .expect("service ledger poisoned")
+            .record_queue_wait(priority, dispatched_ns.saturating_sub(job.admitted_ns));
+        cts_obs::record(
+            &SPAN_QUEUE_WAIT,
+            0,
+            job.admitted_ns,
+            dispatched_ns,
+            priority as i64 as u64,
+        );
+        Pull::Job(job)
+    }
+}
+
+/// Everything the service handle, its engine and its request handles
+/// share.
+struct Shared {
+    queue: ServiceQueue,
+    ledger: Mutex<Ledger>,
+    /// The engine's batch runner derives corner libraries through it;
+    /// [`SynthesisService::metrics`] reports its hit/miss counts.
+    corner_cache: Arc<CornerLibraryCache>,
+}
+
+impl Shared {
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().expect("service ledger poisoned")
     }
 }
 
@@ -1004,17 +878,9 @@ impl ServiceQueue {
 /// guarantees; construction spawns the engine immediately, and the service
 /// accepts submissions from any number of threads (`&self` throughout).
 pub struct SynthesisService {
-    queue: Arc<ServiceQueue>,
+    shared: Arc<Shared>,
     engine: Mutex<Option<JoinHandle<()>>>,
     workers: usize,
-    counters: Arc<Counters>,
-    /// Shared with the engine's batch runner; held here so
-    /// [`SynthesisService::metrics`] can report derivation hit/miss
-    /// counts.
-    corner_cache: Arc<CornerLibraryCache>,
-    /// Shared with the engine workers; snapshotted by
-    /// [`SynthesisService::stats`].
-    latencies: Arc<Latencies>,
     options: CtsOptions,
 }
 
@@ -1039,50 +905,30 @@ impl SynthesisService {
         } else {
             service.queue_capacity
         };
-        let queue = Arc::new(ServiceQueue {
-            inner: Mutex::new(QueueInner {
-                heap: BinaryHeap::new(),
-                next_id: 0,
-                shutting_down: false,
-                paused: service.start_paused,
-            }),
-            space: Condvar::new(),
-            avail: Condvar::new(),
-            capacity,
+        let shared = Arc::new(Shared {
+            queue: ServiceQueue {
+                inner: Mutex::default(),
+                space: Condvar::new(),
+                avail: Condvar::new(),
+                capacity,
+            },
+            ledger: Mutex::default(),
+            corner_cache: Arc::new(CornerLibraryCache::new()),
         });
-        let counters = Arc::new(Counters::default());
-        let corner_cache = Arc::new(CornerLibraryCache::new());
-        let latencies = Arc::new(Latencies::default());
-        let base_options = options.clone();
-        let engine_queue = Arc::clone(&queue);
-        let engine_counters = Arc::clone(&counters);
-        let engine_corner_cache = Arc::clone(&corner_cache);
-        let engine_latencies = Arc::clone(&latencies);
-        let engine = std::thread::Builder::new()
-            .name("cts-service-engine".into())
-            .spawn(move || {
-                engine_loop(
-                    engine_queue,
-                    engine_counters,
-                    lib,
-                    tech,
-                    options,
-                    service.verify,
-                    service.verify_options,
-                    workers,
-                    engine_corner_cache,
-                    engine_latencies,
-                )
-            })
-            .expect("spawning the service engine thread");
+        let engine = {
+            let shared = Arc::clone(&shared);
+            let options = options.clone();
+            let service = ServiceOptions { workers, ..service };
+            std::thread::Builder::new()
+                .name("cts-service-engine".into())
+                .spawn(move || engine_loop(shared, lib, tech, options, service))
+                .expect("spawning the service engine thread")
+        };
         SynthesisService {
-            queue,
+            shared,
             engine: Mutex::new(Some(engine)),
             workers,
-            counters,
-            corner_cache,
-            latencies,
-            options: base_options,
+            options,
         }
     }
 
@@ -1094,33 +940,21 @@ impl SynthesisService {
 
     /// A point-in-time snapshot of the lifetime counters: admissions,
     /// resolutions by kind, current queue depth, and cumulative per-stage
-    /// wall time. Lock-free on the counter side (the queue depth takes
-    /// the queue lock briefly); safe to poll from a monitoring thread.
+    /// wall time. Takes the ledger and queue locks briefly, one after the
+    /// other; safe to poll from a monitoring thread.
     pub fn metrics(&self) -> ServiceMetrics {
-        let c = &self.counters;
-        ServiceMetrics {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            expired: c.expired.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            queue_depth: self.pending(),
-            synth_seconds: c.synth_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            verify_seconds: c.verify_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            stages_simulated: c.stages_simulated.load(Ordering::Relaxed),
-            stages_reused: c.stages_reused.load(Ordering::Relaxed),
-            symbolic_hits: c.symbolic_hits.load(Ordering::Relaxed),
-            symbolic_misses: c.symbolic_misses.load(Ordering::Relaxed),
-            topology_seconds: c.topology_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            merge_seconds: c.merge_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            sinks_synthesized: c.sinks_synthesized.load(Ordering::Relaxed),
-            sinks_verified: c.sinks_verified.load(Ordering::Relaxed),
-            corners_evaluated: c.corners_evaluated.load(Ordering::Relaxed),
-            corner_lib_hits: self.corner_cache.hits(),
-            corner_lib_misses: self.corner_cache.misses(),
-            queue_depth_high_water: c.queue_high_water.load(Ordering::Relaxed),
-            sweeps_submitted: c.sweeps_submitted.load(Ordering::Relaxed),
-        }
+        // Ledger first, queue second: every resolution the ledger counts
+        // left the queue before the queue is read, so resolutions plus
+        // queue depth never exceed admissions.
+        let mut m = self.shared.ledger().metrics;
+        let queue = self.shared.queue.lock();
+        m.submitted = queue.next_id;
+        m.queue_depth = queue.jobs.len();
+        m.queue_depth_high_water = queue.high_water as u64;
+        drop(queue);
+        m.corner_lib_hits = self.shared.corner_cache.hits();
+        m.corner_lib_misses = self.shared.corner_cache.misses();
+        m
     }
 
     /// A point-in-time snapshot of the service's latency distributions:
@@ -1128,29 +962,7 @@ impl SynthesisService {
     /// stage times. Histograms fold exactly, so a fleet monitor can merge
     /// snapshots across processes; safe to poll from a monitoring thread.
     pub fn stats(&self) -> ServiceStats {
-        let queue_wait_by_priority = self
-            .latencies
-            .queue_wait
-            .lock()
-            .expect("latency stats poisoned")
-            .iter()
-            .map(|(&priority, hist)| (priority, hist.clone()))
-            .collect();
-        ServiceStats {
-            queue_wait_by_priority,
-            synth_latency: self
-                .latencies
-                .synth
-                .lock()
-                .expect("latency stats poisoned")
-                .clone(),
-            verify_latency: self
-                .latencies
-                .verify
-                .lock()
-                .expect("latency stats poisoned")
-                .clone(),
-        }
+        self.shared.ledger().stats.clone()
     }
 
     /// The resolved worker count requests are scheduled over.
@@ -1160,33 +972,25 @@ impl SynthesisService {
 
     /// Requests admitted but not yet dispatched.
     pub fn pending(&self) -> usize {
-        self.queue
-            .inner
-            .lock()
-            .expect("service queue poisoned")
-            .heap
-            .len()
+        self.shared.queue.lock().jobs.len()
     }
 
     /// Pauses dispatch: workers finish what they hold, admitted requests
     /// queue up. Admission (and its back-pressure) is unaffected. Once
     /// shutdown has begun, pausing is a no-op — the drain must finish.
+    /// Called before the first admission, it stages a burst so priorities
+    /// decide the order rather than arrival timing.
     pub fn pause(&self) {
-        let mut inner = self.queue.inner.lock().expect("service queue poisoned");
+        let mut inner = self.shared.queue.lock();
         if !inner.shutting_down {
             inner.paused = true;
         }
     }
 
-    /// Resumes dispatch after [`SynthesisService::pause`] (or
-    /// [`ServiceOptions::start_paused`]).
+    /// Resumes dispatch after [`SynthesisService::pause`].
     pub fn resume(&self) {
-        self.queue
-            .inner
-            .lock()
-            .expect("service queue poisoned")
-            .paused = false;
-        self.queue.avail.notify_all();
+        self.shared.queue.lock().paused = false;
+        self.shared.queue.avail.notify_all();
     }
 
     /// Admits a request list atomically — the one admission path every
@@ -1221,7 +1025,8 @@ impl SynthesisService {
         requests: Vec<SynthesisRequest>,
         admission: Admission,
     ) -> Result<Vec<Ticket>, SubmitError> {
-        if requests.len() > self.queue.capacity {
+        let queue = &self.shared.queue;
+        if requests.len() > queue.capacity {
             return Err(SubmitError::TooLarge(requests));
         }
         // Expiry instants are computed outside the queue lock, and an
@@ -1233,33 +1038,25 @@ impl SynthesisService {
             .iter()
             .map(|r| r.deadline.and_then(|d| now.checked_add(d)))
             .collect();
-        let mut inner = self.queue.inner.lock().expect("service queue poisoned");
+        let mut inner = queue.lock();
         loop {
             if inner.shutting_down {
                 return Err(SubmitError::ShuttingDown(requests));
             }
-            if self.queue.capacity - inner.heap.len() >= requests.len() {
+            if queue.capacity - inner.jobs.len() >= requests.len() {
                 break;
             }
             if admission == Admission::NonBlocking {
                 return Err(SubmitError::WouldBlock(requests));
             }
-            inner = self
-                .queue
-                .space
-                .wait(inner)
-                .expect("service queue poisoned");
+            inner = queue.space.wait(inner).expect("service queue poisoned");
         }
         let tickets = requests
             .into_iter()
             .zip(expiries)
             .map(|(request, expires_at)| self.enqueue(&mut inner, request, expires_at))
             .collect();
-        // High-water update rides the queue lock the pushes already hold,
-        // so the gauge is never stale with respect to the heap.
-        self.counters
-            .queue_high_water
-            .fetch_max(inner.heap.len() as u64, Ordering::Relaxed);
+        inner.high_water = inner.high_water.max(inner.jobs.len());
         Ok(tickets)
     }
 
@@ -1297,7 +1094,7 @@ impl SynthesisService {
         &self,
         template: SynthesisRequest,
         points: Vec<CtsOptions>,
-    ) -> Result<SweepTicket, SweepSubmitError> {
+    ) -> Result<Vec<Ticket>, SweepSubmitError> {
         sweep::check_points(&points).map_err(SweepSubmitError::Spec)?;
         let requests: Vec<SynthesisRequest> = points
             .into_iter()
@@ -1310,14 +1107,12 @@ impl SynthesisService {
         let tickets = self
             .admit(requests, Admission::Blocking)
             .map_err(SweepSubmitError::Batch)?;
-        self.counters
-            .sweeps_submitted
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(SweepTicket { tickets })
+        self.shared.ledger().metrics.sweeps_submitted += 1;
+        Ok(tickets)
     }
 
-    /// Pushes one request onto the queue (the caller holds the lock and
-    /// has checked capacity) and returns its ticket.
+    /// Puts one request on the queue (the caller holds the lock and has
+    /// checked capacity) and returns its ticket.
     fn enqueue(
         &self,
         inner: &mut QueueInner,
@@ -1327,31 +1122,26 @@ impl SynthesisService {
         let id = RequestId(inner.next_id);
         inner.next_id += 1;
         let (tx, rx) = channel();
-        let shared = Arc::new(ReqShared {
-            cancelled: AtomicBool::new(false),
-            status: AtomicU8::new(ST_QUEUED),
-            levels: Mutex::new(None),
-        });
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        inner.heap.push(QueuedJob(Job {
+        let shared = Arc::new(ReqShared::default());
+        let priority = request.priority;
+        let job = Job {
             id,
-            priority: request.priority,
-            instance: request.instance,
+            request,
             expires_at,
-            options: request.options,
-            client_id: request.client_id,
-            publish_levels: request.publish_levels,
             admitted_ns: cts_obs::now_ns(),
             shared: Arc::clone(&shared),
             tx,
-        }));
-        self.queue.avail.notify_one();
+        };
+        inner.jobs.insert((Reverse(priority), id.0), job);
+        self.shared.queue.avail.notify_one();
         Ticket {
-            id,
-            priority: request.priority,
-            shared,
+            handle: RequestHandle {
+                id,
+                shared,
+                service: Arc::downgrade(&self.shared),
+            },
+            priority,
             rx,
-            queue: Arc::downgrade(&self.queue),
         }
     }
 
@@ -1361,13 +1151,14 @@ impl SynthesisService {
     /// automatically on drop. Blocked submitters are woken and receive
     /// [`SubmitError::ShuttingDown`].
     pub fn shutdown(&self) {
+        let queue = &self.shared.queue;
         {
-            let mut inner = self.queue.inner.lock().expect("service queue poisoned");
+            let mut inner = queue.lock();
             inner.shutting_down = true;
             inner.paused = false;
         }
-        self.queue.avail.notify_all();
-        self.queue.space.notify_all();
+        queue.avail.notify_all();
+        queue.space.notify_all();
         // The handle lock is held across the join on purpose: a concurrent
         // shutdown caller parks here until the drain completes, so *every*
         // caller returns only once all admitted requests have resolved.
@@ -1381,15 +1172,8 @@ impl SynthesisService {
         // queue* — a panicked engine never pops them, and a healthy drain
         // leaves none. Resolve whatever remains so no ticket waits on a
         // request nothing will ever run.
-        let leftovers = std::mem::take(
-            &mut self
-                .queue
-                .inner
-                .lock()
-                .expect("service queue poisoned")
-                .heap,
-        );
-        for QueuedJob(job) in leftovers.into_vec() {
+        let leftovers = std::mem::take(&mut queue.lock().jobs);
+        for job in leftovers.into_values() {
             job.deliver(Err(ServiceError::Disconnected));
         }
     }
@@ -1405,7 +1189,7 @@ impl fmt::Debug for SynthesisService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SynthesisService")
             .field("workers", &self.workers)
-            .field("capacity", &self.queue.capacity)
+            .field("capacity", &self.shared.queue.capacity)
             .field("pending", &self.pending())
             .finish()
     }
@@ -1413,99 +1197,78 @@ impl fmt::Debug for SynthesisService {
 
 /// The engine: owns the shared library for the process lifetime and runs
 /// the worker set over the pull source until shutdown drains the queue.
-#[allow(clippy::too_many_arguments)] // one call site; mirrors ServiceOptions
+/// `service.workers` is already resolved.
 fn engine_loop(
-    queue: Arc<ServiceQueue>,
-    counters: Arc<Counters>,
+    shared: Arc<Shared>,
     lib: Arc<DelaySlewLibrary>,
     tech: Arc<Technology>,
     options: CtsOptions,
-    verify: bool,
-    verify_options: VerifyOptions,
-    workers: usize,
-    corner_cache: Arc<CornerLibraryCache>,
-    latencies: Arc<Latencies>,
+    service: ServiceOptions,
 ) {
-    // The queue wait ends the moment a worker takes the job off the
-    // queue — whether it then synthesizes or resolves an abort. Recorded
-    // both as a histogram sample (for `stats`) and as a manual
-    // cross-thread span (for traces).
-    let note_queue_wait = |job: &Job| {
-        let dispatched_ns = cts_obs::now_ns();
-        latencies
-            .queue_wait
-            .lock()
-            .expect("latency stats poisoned")
-            .entry(job.priority)
-            .or_default()
-            .record(dispatched_ns.saturating_sub(job.admitted_ns));
-        cts_obs::record(
-            &SPAN_QUEUE_WAIT,
-            0,
-            job.admitted_ns,
-            dispatched_ns,
-            job.priority as i64 as u64,
-        );
-    };
     let batch = BatchOptions {
-        shards: workers, // informational; scheduling is the pull source's
+        shards: service.workers, // informational; scheduling is the pull source's
         overlap_verify: true,
-        verify,
-        verify_options,
+        verify: service.verify,
+        ..BatchOptions::default()
     };
-    let runner = BatchRunner::new(&lib, &tech, options, batch).with_corner_cache(corner_cache);
+    let runner = BatchRunner::new(&lib, &tech, options, batch)
+        .with_corner_cache(Arc::clone(&shared.corner_cache));
     let dispatch = AtomicU64::new(0);
     run_two_stage_pull(
-        workers,
-        || queue.pull(),
+        service.workers,
+        || shared.queue.pull(&shared.ledger),
         |job: &Job| job.aborted(),
         |job: Job| {
-            note_queue_wait(&job);
             let err = job.abort_error();
-            match err {
-                ServiceError::Cancelled => counters.cancelled.fetch_add(1, Ordering::Relaxed),
-                _ => counters.expired.fetch_add(1, Ordering::Relaxed),
-            };
+            {
+                let m = &mut shared.ledger().metrics;
+                match err {
+                    ServiceError::Cancelled => m.cancelled += 1,
+                    _ => m.expired += 1,
+                }
+            }
             job.deliver(Err(err));
         },
         MergeScratch::new,
         |scratch, job: &Job| {
-            note_queue_wait(job);
             job.shared.status.store(ST_IN_FLIGHT, Ordering::Release);
             let order = dispatch.fetch_add(1, Ordering::Relaxed);
+            let request = &job.request;
+            let sinks = request.instance.sinks().len() as u64;
             let mut publish = |snap| {
                 *job.shared.levels.lock().expect("level snapshot poisoned") = Some(Arc::new(snap));
             };
-            let on_level = job
+            let on_level = request
                 .publish_levels
                 .then_some(&mut publish as &mut dyn FnMut(LevelSnapshot));
             let staged = {
-                let _span =
-                    cts_obs::span_with(&SPAN_SERVICE_SYNTH, job.instance.sinks().len() as u64);
-                runner.synth_stage(scratch, &job.instance, job.options.clone(), on_level)
+                let _span = cts_obs::span_with(&SPAN_SERVICE_SYNTH, sinks);
+                runner.synth_stage(
+                    scratch,
+                    &request.instance,
+                    request.options.clone(),
+                    on_level,
+                )
             };
+            let mut ledger = shared.ledger();
             match staged {
                 Ok(staged) => {
-                    latencies
-                        .synth
-                        .lock()
-                        .expect("latency stats poisoned")
-                        .record((staged.synth_seconds * 1e9).max(0.0) as u64);
-                    Counters::add_nanos(&counters.synth_nanos, staged.synth_seconds);
-                    Counters::add_nanos(&counters.topology_nanos, staged.result.topology_seconds);
-                    Counters::add_nanos(&counters.merge_nanos, staged.result.merge_seconds);
-                    counters
-                        .sinks_synthesized
-                        .fetch_add(job.instance.sinks().len() as u64, Ordering::Relaxed);
-                    if let Some(v) = &staged.variation {
-                        counters
-                            .corners_evaluated
-                            .fetch_add(v.rows.len() as u64, Ordering::Relaxed);
-                    }
+                    ledger
+                        .stats
+                        .synth_latency
+                        .record(nanos(staged.synth_seconds));
+                    let m = &mut ledger.metrics;
+                    m.synth_seconds += staged.synth_seconds;
+                    m.topology_seconds += staged.result.topology_seconds;
+                    m.merge_seconds += staged.result.merge_seconds;
+                    m.sinks_synthesized += sinks;
+                    m.corners_evaluated +=
+                        staged.variation.as_ref().map_or(0, |v| v.rows.len() as u64);
                     Some((staged, order))
                 }
                 Err(e) => {
-                    counters.failed.fetch_add(1, Ordering::Relaxed);
+                    ledger.metrics.failed += 1;
+                    drop(ledger);
                     job.deliver(Err(ServiceError::Synthesis(e)));
                     None
                 }
@@ -1513,45 +1276,48 @@ fn engine_loop(
         },
         // Each finishing worker keeps a long-lived verifier, so solve
         // plans and unchanged stages are shared across every request it
-        // verifies; the paired snapshot tracks what was last flushed into
-        // the service counters.
+        // verifies; the paired snapshot tracks what was last booked into
+        // the ledger (verifier counters are monotone, so the delta is
+        // exactly the new work).
         || (Verifier::new(), VerifyStats::default()),
-        |(verifier, flushed): &mut (Verifier, VerifyStats),
+        |(verifier, booked): &mut (Verifier, VerifyStats),
          job: Job,
          (staged, order): (StagedSynthesis, u64)| {
             let finished = {
-                let _span =
-                    cts_obs::span_with(&SPAN_SERVICE_VERIFY, job.instance.sinks().len() as u64);
-                runner.finish_stage(verifier, staged, &job.instance)
+                let sinks = job.request.instance.sinks().len() as u64;
+                let _span = cts_obs::span_with(&SPAN_SERVICE_VERIFY, sinks);
+                runner.finish_stage(verifier, staged, &job.request.instance)
             };
+            let now = verifier.stats();
+            let mut ledger = shared.ledger();
+            let Ledger { metrics: m, stats } = &mut *ledger;
+            m.stages_simulated += now.stages_simulated - booked.stages_simulated;
+            m.stages_reused += now.stages_reused - booked.stages_reused;
+            m.symbolic_hits += now.symbolic_hits - booked.symbolic_hits;
+            m.symbolic_misses += now.symbolic_misses - booked.symbolic_misses;
+            *booked = now;
             let outcome = match finished {
                 Ok(item) => {
-                    counters.completed.fetch_add(1, Ordering::Relaxed);
-                    latencies
-                        .verify
-                        .lock()
-                        .expect("latency stats poisoned")
-                        .record((item.verify_seconds * 1e9).max(0.0) as u64);
-                    Counters::add_nanos(&counters.verify_nanos, item.verify_seconds);
+                    m.completed += 1;
+                    stats.verify_latency.record(nanos(item.verify_seconds));
+                    m.verify_seconds += item.verify_seconds;
                     if item.verified.is_some() {
-                        counters
-                            .sinks_verified
-                            .fetch_add(item.sinks as u64, Ordering::Relaxed);
+                        m.sinks_verified += item.sinks as u64;
                     }
                     Ok(SynthesisResult {
                         id: job.id,
-                        priority: job.priority,
+                        priority: job.request.priority,
                         dispatch_order: order,
-                        client_id: job.client_id.clone(),
+                        client_id: job.request.client_id.clone(),
                         item,
                     })
                 }
                 Err(e) => {
-                    counters.failed.fetch_add(1, Ordering::Relaxed);
+                    m.failed += 1;
                     Err(ServiceError::Synthesis(e))
                 }
             };
-            counters.flush_verify_stats(verifier.stats(), flushed);
+            drop(ledger);
             job.deliver(outcome);
         },
     );
@@ -1562,7 +1328,9 @@ mod tests {
     use super::*;
     use crate::flow::Synthesizer;
     use crate::instance::Sink;
-    use crate::verify::verify_tree;
+    use crate::pareto::ParetoFront;
+    use crate::sweep::pareto_point;
+    use crate::verify::{verify_tree, VerifyOptions};
     use cts_geom::Point;
     use cts_timing::fast_library;
 
@@ -1592,14 +1360,17 @@ mod tests {
         let mut svc = ServiceOptions::default();
         svc.workers = workers;
         svc.queue_capacity = capacity;
-        svc.start_paused = paused;
         svc.verify = verify;
-        SynthesisService::new(
+        let service = SynthesisService::new(
             Arc::new(fast_library().clone()),
             Arc::new(Technology::nominal_45nm()),
             options(),
             svc,
-        )
+        );
+        if paused {
+            service.pause();
+        }
+        service
     }
 
     #[test]
@@ -1727,6 +1498,16 @@ mod tests {
             .submit(SynthesisRequest::new(tiny("after", 3, 700.0)))
             .unwrap();
         assert!(after.wait().is_ok());
+        // Each request left the queue once, so it waited once — however
+        // many stage boundaries observed its cancellation.
+        let waits: u64 = svc
+            .stats()
+            .queue_wait_by_priority
+            .iter()
+            .map(|(_, h)| h.count())
+            .sum();
+        assert_eq!(waits, svc.metrics().submitted);
+        assert_eq!(waits, 2);
     }
 
     #[test]
@@ -2255,14 +2036,25 @@ mod tests {
             .expect("sweep admits");
         assert_eq!(sweep.len(), 4);
         // Consecutive ids in expansion order.
-        let ids: Vec<u64> = sweep.tickets().iter().map(|t| t.id().0).collect();
+        let ids: Vec<u64> = sweep.iter().map(|t| t.id().0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
-        let outcome = sweep.wait();
+        let results: Vec<_> = sweep.into_iter().map(Ticket::wait).collect();
+        // The front a distributed front end assembles: one single-row
+        // front per successful point, folded.
+        let parts: Vec<ParetoFront> = results
+            .iter()
+            .enumerate()
+            .filter_map(|(ordinal, r)| r.as_ref().ok().map(|res| (ordinal, res)))
+            .map(|(ordinal, res)| {
+                ParetoFront::from_points([pareto_point(ordinal, &res.item.result)])
+            })
+            .collect();
+        let pareto = ParetoFront::fold(&parts);
 
         // The standing invariant: each swept point's tree is byte-identical
         // to the same options submitted individually.
         for (ordinal, opts) in expanded.iter().enumerate() {
-            let swept = outcome.results[ordinal].as_ref().expect("point completes");
+            let swept = results[ordinal].as_ref().expect("point completes");
             let solo = svc
                 .submit(SynthesisRequest::new(inst.clone()).with_options(opts.clone()))
                 .unwrap()
@@ -2278,16 +2070,15 @@ mod tests {
 
         // The front folds exactly: rebuilding it from the per-point stats
         // reproduces it bit for bit.
-        let direct = ParetoFront::from_points(outcome.results.iter().enumerate().filter_map(
-            |(ordinal, r)| {
+        let direct =
+            ParetoFront::from_points(results.iter().enumerate().filter_map(|(ordinal, r)| {
                 r.as_ref()
                     .ok()
                     .map(|res| pareto_point(ordinal, &res.item.result))
-            },
-        ));
-        assert_eq!(outcome.pareto, direct);
-        assert_eq!(outcome.pareto.len(), 4);
-        assert!(!outcome.pareto.front().is_empty());
+            }));
+        assert_eq!(pareto, direct);
+        assert_eq!(pareto.len(), 4);
+        assert!(!pareto.front().is_empty());
         assert_eq!(svc.metrics().sweeps_submitted, 1);
         svc.shutdown();
     }

@@ -490,12 +490,12 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Json>) {
     }
 }
 
-/// Per-connection request state the reader keeps.
 /// Handle-map size that triggers a prune of resolved entries, so a
 /// long-lived connection streaming unbounded submissions does not grow
 /// the reader's memory without bound.
 const HANDLE_PRUNE_THRESHOLD: usize = 1024;
 
+/// Per-connection request state the reader keeps.
 struct ConnState {
     /// Handles of this connection's requests, for `status`/`cancel` (the
     /// tickets themselves live in the pump). Pruned of resolved entries
@@ -742,7 +742,7 @@ fn handle_frame(
                 Err(SweepSubmitError::Batch(e)) => {
                     track_admitted(state, ptx, Err(e), SubmitOp::Sweep)
                 }
-                Ok(sweep) => track_admitted(state, ptx, Ok(sweep.into_tickets()), SubmitOp::Sweep),
+                Ok(tickets) => track_admitted(state, ptx, Ok(tickets), SubmitOp::Sweep),
             }
         }
         Request::FetchTree { id, chunk, levels } => {

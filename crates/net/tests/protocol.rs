@@ -47,7 +47,6 @@ impl TestServer {
         let mut svc = ServiceOptions::default();
         svc.workers = 1;
         svc.verify = false;
-        svc.start_paused = paused;
         svc.queue_capacity = capacity;
         let service = Arc::new(SynthesisService::new(
             Arc::new(fast_library().clone()),
@@ -55,6 +54,9 @@ impl TestServer {
             cts,
             svc,
         ));
+        if paused {
+            service.pause();
+        }
         let server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("ephemeral bind");
         let addr = server.local_addr();
         let handle = server.handle();

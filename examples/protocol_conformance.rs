@@ -195,13 +195,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     svc.workers = 1;
     svc.queue_capacity = 4;
     svc.verify = false;
-    svc.start_paused = true;
     let service = Arc::new(SynthesisService::new(
         Arc::new(library.clone()),
         Arc::new(tech),
         options,
         svc,
     ));
+    // Paused before the first admission, so every request the script
+    // submits stays queued until its closing `shutdown` drains them.
+    service.pause();
     let server = Server::bind("127.0.0.1:0", Arc::clone(&service))?;
     let addr = server.local_addr();
     let running = std::thread::spawn(move || server.run());

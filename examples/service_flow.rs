@@ -98,6 +98,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // reject new submissions.
     service.shutdown();
 
+    // The ledger accounts for every admission exactly once: each request
+    // resolved one way, and each left the queue (one queue-wait sample).
+    let m = service.metrics();
+    assert_eq!(
+        m.completed + m.cancelled + m.expired + m.failed,
+        m.submitted,
+        "every admitted request resolved exactly once: {m}"
+    );
+    let waits: u64 = service
+        .stats()
+        .queue_wait_by_priority
+        .iter()
+        .map(|(_, h)| h.count())
+        .sum();
+    assert_eq!(waits, m.submitted, "one queue-wait sample per request");
+
     let mut results = results.into_inner().unwrap();
     results.sort_by_key(|(_, r)| r.id);
     println!(

@@ -1,8 +1,8 @@
 //! Service metrics under concurrency: counters must be monotone while
 //! four workers hammer mixed batches, and the final totals must equal
-//! what a serial accounting of the same work predicts. The counters are
-//! relaxed atomics — this suite pins that "relaxed" never means
-//! "backwards" or "lossy", only "momentarily skewed between counters".
+//! what a serial accounting of the same work predicts. Every snapshot is
+//! a copy of one ledger, so it must also be consistent across counters:
+//! no snapshot shows more resolved-plus-queued requests than admitted.
 
 use cts::{
     Admission, CtsOptions, Instance, ServiceMetrics, ServiceOptions, SynthesisRequest,
@@ -129,6 +129,16 @@ fn hammered_counters_stay_monotone_and_sum_exactly() {
             while !stop.load(Ordering::Acquire) {
                 let now = service.metrics();
                 assert_monotone(&previous, &now);
+                let accounted = now.completed
+                    + now.cancelled
+                    + now.expired
+                    + now.failed
+                    + now.queue_depth as u64;
+                assert!(
+                    accounted <= now.submitted,
+                    "inconsistent snapshot: {accounted} resolved or queued > {} submitted",
+                    now.submitted
+                );
                 previous = now;
                 samples += 1;
             }
@@ -155,7 +165,9 @@ fn hammered_counters_stay_monotone_and_sum_exactly() {
     }
     service.shutdown();
     stop.store(true, Ordering::Release);
-    let samples = sampler.join().expect("sampler saw only monotone counters");
+    let samples = sampler
+        .join()
+        .expect("sampler saw only monotone, consistent counters");
     assert!(samples > 0, "the sampler never ran");
 
     // Final totals: exactly the serial accounting of the same work.
