@@ -577,7 +577,7 @@ struct ReqShared {
 
 /// Cancel, status and level-snapshot controls for one request, detached
 /// from its result stream ([`Ticket::handle`]). The ticket can move to
-/// whatever thread waits the result (a completion pump) while handles
+/// whatever thread waits the result (a connection's writer) while handles
 /// stay behind to serve `cancel`/`status` ops — the seam the network
 /// front end is built on. Clone-cheap, `Send + Sync`; holding one never
 /// keeps a dropped service alive.
@@ -1889,7 +1889,7 @@ mod tests {
     #[test]
     fn request_handle_controls_without_the_ticket() {
         // The handle cancels and reports status while the ticket itself is
-        // parked elsewhere (a completion pump) — the network front end's
+        // parked elsewhere (a connection's writer) — the network front end's
         // split.
         let svc = service(1, 8, true, false);
         let ticket = svc

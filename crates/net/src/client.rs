@@ -213,9 +213,9 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     next_seq: u64,
     /// Result events that arrived while waiting for something else.
-    /// Stashed **by id unconditionally** — including ids this client has
-    /// not yet learned about, because a batch reply can race the first
-    /// pushed event of one of its own requests.
+    /// Stashed **by id unconditionally**: other requests' events
+    /// interleave with any reply, whichever request this client is
+    /// waiting on.
     stashed: HashMap<u64, Outcome>,
     /// `sweep_progress` events by sweep ordinal, in arrival order.
     sweep_progress: HashMap<u64, Vec<SweepProgressEvent>>,
@@ -369,12 +369,7 @@ impl Client {
     /// Transport/protocol failures (a lost connection rejects every
     /// outstanding wait).
     pub fn wait_pareto(&mut self, sweep: u64) -> Result<ParetoEvent, NetError> {
-        loop {
-            if let Some(event) = self.paretos.remove(&sweep) {
-                return Ok(event);
-            }
-            self.stash_next_event("a pareto event")?;
-        }
+        self.wait_event("a pareto event", |client| client.paretos.remove(&sweep))
     }
 
     /// Drains the `sweep_progress` events stashed so far for `sweep`, in
@@ -395,12 +390,7 @@ impl Client {
     /// Transport/protocol failures (a lost connection rejects every
     /// outstanding wait).
     pub fn wait_result(&mut self, id: u64) -> Result<Outcome, NetError> {
-        loop {
-            if let Some(outcome) = self.stashed.remove(&id) {
-                return Ok(outcome);
-            }
-            self.stash_next_event("a result event")?;
-        }
+        self.wait_event("a result event", |client| client.stashed.remove(&id))
     }
 
     /// Fetches the full routed tree geometry of a completed request:
@@ -619,29 +609,31 @@ impl Client {
         ask!(self, Request::Shutdown, Response::ShuttingDown => ())
     }
 
-    /// Reads the next frame, which must be an event, and stashes it.
-    fn stash_next_event(&mut self, waiting_for: &str) -> Result<(), NetError> {
-        let frame = self.read()?;
-        if !is_event(&frame) {
-            return Err(NetError::Protocol(format!(
-                "unsolicited reply while waiting for {waiting_for}"
-            )));
+    /// Reads and stashes events until `take` finds what the caller waits
+    /// for in the stash. Every frame read here must be an event; a
+    /// malformed one fails loudly.
+    fn wait_event<T>(
+        &mut self,
+        waiting_for: &str,
+        mut take: impl FnMut(&mut Client) -> Option<T>,
+    ) -> Result<T, NetError> {
+        loop {
+            if let Some(found) = take(self) {
+                return Ok(found);
+            }
+            let frame = self.read()?;
+            if !is_event(&frame) {
+                return Err(NetError::Protocol(format!(
+                    "unsolicited reply while waiting for {waiting_for}"
+                )));
+            }
+            self.stash(decode_event(&frame).map_err(NetError::Protocol)?);
         }
-        self.stash_event(&frame)
-    }
-
-    /// Decodes one pushed event frame and stashes it; a malformed frame
-    /// fails loudly.
-    fn stash_event(&mut self, frame: &Json) -> Result<(), NetError> {
-        let event = decode_event(frame).map_err(NetError::Protocol)?;
-        self.stash(event);
-        Ok(())
     }
 
     /// Routes one pushed event. Result events are stashed by id
-    /// **unconditionally** — the id may belong to a submission whose
-    /// reply this client has not even read yet (a batch reply racing its
-    /// first pushed event); dropping such an event would lose the
+    /// **unconditionally** — the id may belong to any request in flight
+    /// on this connection; dropping such an event would lose the
     /// request's only terminal outcome. Sweep events stash by sweep
     /// ordinal the same way. `tree` events seen here are discarded: a
     /// live stream is consumed entirely inside `collect_stream`, so any
@@ -675,7 +667,7 @@ impl Client {
         loop {
             let frame = self.read()?;
             if is_event(&frame) {
-                self.stash_event(&frame)?;
+                self.stash(decode_event(&frame).map_err(NetError::Protocol)?);
                 continue;
             }
             let (reply_seq, response) = decode_response(&frame).map_err(NetError::Protocol)?;

@@ -23,9 +23,10 @@
 //!    point resolved) and `pareto` (a finished sweep's front). Every
 //!    fixed-shape object is a `wire_struct!` table, each field named once.
 //!    Spec and transcripts: `docs/PROTOCOL.md`.
-//! 3. **[`server`] + [`client`]** — a threaded TCP server (one
-//!    reader/writer/completion-pump thread trio per connection, graceful
-//!    drain on the `shutdown` op) around one [`cts_core::SynthesisService`],
+//! 3. **[`server`] + [`client`]** — a threaded TCP server (a reader and
+//!    a writer thread per connection, the writer owning every request
+//!    after admission; graceful drain on the `shutdown` op) around one
+//!    [`cts_core::SynthesisService`],
 //!    and a blocking [`Client`]. The `cts-serve` binary wraps the server
 //!    for standalone deployment.
 //!

@@ -4,19 +4,19 @@
 //! Thread shape, per connection:
 //!
 //! * a **reader** (the connection thread itself) — decodes request
-//!   frames, performs the op against the shared service, and queues the
-//!   reply. A malformed frame gets a structured error reply and the
-//!   connection keeps going; only transport failures (I/O error,
-//!   oversized frame) end it.
-//! * a **writer** — owns the socket's write half and serializes frames
-//!   from an mpsc channel, so replies (reader) and result events (pump)
-//!   interleave without tearing.
-//! * a **completion pump** — owns the connection's outstanding
-//!   [`Ticket`]s in a [`cts_util::CompletionPump`], sweeps them between
-//!   control messages, and pushes a result event as each resolves. When
-//!   the reader goes away (client disconnect), the pump flushes what
-//!   already resolved and **cancels every still-pending ticket** — a
-//!   dead client's queued work never occupies the service.
+//!   frames and answers what it can at once: `hello`, admission, and
+//!   `status`/`cancel` from its map of request handles. Everything else
+//!   goes to the writer, in request order, over one channel. A malformed
+//!   frame gets a structured error reply and the connection keeps going;
+//!   only transport failures (I/O error, oversized frame) end it.
+//! * a **writer** — owns the socket's write half and every request after
+//!   admission: it writes each submit reply, then polls the admitted
+//!   [`Ticket`]s and pushes a result event (plus a sweep's progress and
+//!   `pareto` frames) as each resolves, files completed trees, and
+//!   streams `fetch_tree` from them. When the reader goes away (client
+//!   disconnect), the writer flushes what already resolved and **cancels
+//!   every still-pending ticket** — a dead client's queued work never
+//!   occupies the service.
 //!
 //! Server lifecycle: [`Server::run`] accepts until a `shutdown` op (or
 //! [`ServerHandle::shutdown`]) arrives, then drains the service
@@ -37,7 +37,6 @@ use cts_core::{
     RequestHandle, ServiceError, SubmitError, SweepSubmitError, SynthesisRequest, SynthesisResult,
     SynthesisService, Ticket, TreeNode,
 };
-use cts_util::{CompletionPump, PollPending};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -179,85 +178,78 @@ impl Server {
     ///
     /// A fatal `accept` failure (address-level, not per-connection).
     pub fn run(self) -> io::Result<()> {
-        let mut workers = Vec::new();
-        let mut conn_id: u64 = 0;
-        loop {
-            let (stream, _peer) = match self.listener.accept() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    if self.ctx.shutting_down.load(Ordering::Acquire) {
+        let ctx = &*self.ctx;
+        // Connection threads are scoped: the scope joins each as it ends,
+        // so nothing here holds a handle per connection ever accepted.
+        std::thread::scope(|scope| {
+            for id in 0u64.. {
+                let stream = match self.listener.accept() {
+                    Ok((stream, _peer)) => stream,
+                    Err(_) if ctx.shutting_down.load(Ordering::Acquire) => break,
+                    Err(e) => {
+                        // Wind the live connections down, or the scope
+                        // would wait on their readers forever.
+                        ctx.stop();
+                        return Err(e);
+                    }
+                };
+                {
+                    // Register, then re-check the flag under the same lock
+                    // stop() flips it under: a racing stop() either sees
+                    // this entry in the registry or the re-check sees its
+                    // flag and winds the connection down here. See
+                    // ServerCtx::stop.
+                    let mut conns = ctx.conns.lock().expect("connection registry poisoned");
+                    if ctx.shutting_down.load(Ordering::Acquire) {
+                        // The wake-up connection (or a late client): refuse.
                         break;
                     }
-                    return Err(e);
+                    if let Ok(clone) = stream.try_clone() {
+                        conns.insert(id, clone);
+                    }
                 }
-            };
-            let id = conn_id;
-            conn_id += 1;
-            {
-                // Register, then re-check the flag under the same lock
-                // stop() flips it under: a racing stop() either sees this
-                // entry in the registry or the re-check sees its flag and
-                // winds the connection down here. See ServerCtx::stop.
-                let mut conns = self.ctx.conns.lock().expect("connection registry poisoned");
-                if self.ctx.shutting_down.load(Ordering::Acquire) {
-                    // The wake-up connection (or a late client): refuse.
-                    drop(conns);
-                    drop(stream);
-                    break;
-                }
-                if let Ok(clone) = stream.try_clone() {
-                    conns.insert(id, clone);
-                }
-            }
-            let ctx = Arc::clone(&self.ctx);
-            workers.push(
                 std::thread::Builder::new()
                     .name(format!("cts-net-conn-{id}"))
-                    .spawn(move || {
-                        serve_connection(&ctx, stream);
+                    .spawn_scoped(scope, move || {
+                        serve_connection(ctx, stream);
                         ctx.conns
                             .lock()
                             .expect("connection registry poisoned")
                             .remove(&id);
                     })
-                    .expect("spawning a connection thread"),
-            );
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-        Ok(())
+                    .expect("spawning a connection thread");
+            }
+            Ok(())
+        })
     }
 }
 
-/// A ticket adapted to the completion pump.
-struct PendingTicket(Ticket);
-
-impl PollPending for PendingTicket {
-    type Output = Result<SynthesisResult, ServiceError>;
-    fn poll_pending(&mut self) -> Option<Self::Output> {
-        self.0.try_wait()
-    }
-}
-
-/// Messages from the reader to the connection's completion pump.
-enum PumpMsg {
-    /// Track a freshly submitted ticket.
-    Track(u64, Ticket),
-    /// Track a sweep's tickets: `(expansion ordinal, request id, ticket)`
-    /// per point, under the connection's sweep ordinal. The pump pushes a
-    /// `sweep_progress` event after each point's result event and the
-    /// terminal `pareto` event once every point resolved.
-    TrackSweep {
-        /// The per-connection sweep ordinal from the `submit_sweep`
-        /// reply.
-        sweep: u64,
-        /// One entry per expanded point, in expansion order.
-        points: Vec<(u64, u64, Ticket)>,
+/// What the reader hands the connection's writer. One channel carries
+/// every kind, so the writer sees them in request order and replies
+/// leave in request order.
+enum Out {
+    /// A finished frame (a reply or an error reply), written as is.
+    Frame(Json),
+    /// An admitted submission: its reply, which the writer writes before
+    /// it first polls the tickets, so no result event can precede it. A
+    /// sweep's tickets come under their per-connection sweep ordinal and
+    /// in expansion order.
+    Admitted {
+        reply: Json,
+        tickets: Vec<Ticket>,
+        sweep: Option<u64>,
+    },
+    /// A `fetch_tree`, answered from the writer's own state.
+    FetchTree {
+        seq: u64,
+        id: u64,
+        /// Nodes per chunk, already clamped.
+        chunk: usize,
+        levels: bool,
     },
 }
 
-/// The pump's accumulator for one in-flight sweep.
+/// The writer's accumulator for one in-flight sweep.
 struct SweepAgg {
     /// Points resolved so far (any outcome).
     done: u64,
@@ -269,17 +261,17 @@ struct SweepAgg {
     rows: Vec<(u64, ParetoPoint)>,
 }
 
-/// One completion's sweep bookkeeping: the `sweep_progress` frame, plus
-/// the terminal `pareto` frame when this point was the sweep's last.
+/// A sweep point's place: `(sweep ordinal, expansion ordinal)`.
+type SweepSlot = (u64, u64);
+
+/// One sweep point's completion: the `sweep_progress` frame, plus the
+/// terminal `pareto` frame when this point was the sweep's last.
 fn sweep_frames(
     sweeps: &mut HashMap<u64, SweepAgg>,
-    members: &HashMap<u64, (u64, u64)>,
+    (sweep, ordinal): SweepSlot,
     id: u64,
     outcome: &Result<SynthesisResult, ServiceError>,
 ) -> Vec<Json> {
-    let Some(&(sweep, ordinal)) = members.get(&id) else {
-        return Vec::new();
-    };
     let Some(agg) = sweeps.get_mut(&sweep) else {
         return Vec::new();
     };
@@ -322,9 +314,10 @@ fn sweep_frames(
     frames
 }
 
-/// How often the pump sweeps its pending set when no control message
-/// arrives. Bounds result-event latency; sweeps are cheap `try_recv`s.
-const PUMP_SWEEP: Duration = Duration::from_millis(2);
+/// How often the writer polls its pending tickets while any is pending;
+/// with none pending it blocks on its channel instead. Bounds
+/// result-event latency; polls are cheap `try_recv`s.
+const POLL: Duration = Duration::from_millis(2);
 
 /// How many completed results a connection retains for `fetch_tree`.
 /// Bounded FIFO: once full, streaming the geometry of the oldest
@@ -341,18 +334,17 @@ const TREE_CACHE_NODE_CAP: usize = 512 * 1024;
 /// Exactly what `fetch_tree` serves and nothing more — the result's
 /// stats were already streamed in its event and are not retained, so a
 /// connection pays for precisely the geometry it could still ask for.
-#[derive(Clone)]
 struct RetainedTree {
     name: String,
     tree: cts_core::ClockTree,
     source: cts_core::TreeNodeId,
-    level_stats: Vec<cts_core::LevelStats>,
+    level_stats: Vec<LevelStats>,
 }
 
 /// Completed results retained per connection so a later `fetch_tree` can
-/// stream the routed geometry. The pump inserts as requests complete;
-/// the reader looks up on `fetch_tree`. Bounded by [`TREE_CACHE_CAP`]
-/// (oldest evicted first).
+/// stream the routed geometry. Owned by the writer, which inserts as
+/// requests complete and streams from it. Bounded by [`TREE_CACHE_CAP`]
+/// and [`TREE_CACHE_NODE_CAP`] (oldest evicted first).
 #[derive(Default)]
 struct TreeCache {
     map: HashMap<u64, RetainedTree>,
@@ -392,101 +384,174 @@ impl TreeCache {
     }
 }
 
-/// Encodes one resolution: parks a completed result's geometry in the
-/// tree cache (for later `fetch_tree` streaming), then returns its
-/// result event.
-fn resolve_event(
-    trees: &Mutex<TreeCache>,
-    id: u64,
-    outcome: Result<SynthesisResult, ServiceError>,
-) -> Json {
-    let frame = encode_event(&Event::Result(ResultEvent {
-        id,
-        outcome: Outcome::from_service(&outcome),
-    }));
-    if let Ok(result) = outcome {
-        let retained = RetainedTree {
-            name: result.item.name,
-            tree: result.item.result.tree,
-            source: result.item.result.source,
-            level_stats: result.item.result.level_stats,
-        };
-        trees
-            .lock()
-            .expect("tree cache poisoned")
-            .insert(id, retained);
-    }
-    frame
+/// The socket's write half. Each frame is written and flushed on its
+/// own; once a write fails the connection is dead and later frames are
+/// dropped.
+struct FrameOut {
+    w: BufWriter<TcpStream>,
+    dead: bool,
 }
 
-fn pump_loop(rx: Receiver<PumpMsg>, wtx: Sender<Json>, trees: Arc<Mutex<TreeCache>>) {
-    let mut pump: CompletionPump<u64, PendingTicket> = CompletionPump::new();
-    // Sweep bookkeeping: request id → (sweep ordinal, expansion ordinal),
-    // and each sweep's accumulator. Completion order is the pump's
-    // push-order poll, so `done` counters are deterministic per schedule.
-    let mut members: HashMap<u64, (u64, u64)> = HashMap::new();
-    let mut sweeps: HashMap<u64, SweepAgg> = HashMap::new();
-    loop {
-        match rx.recv_timeout(PUMP_SWEEP) {
-            Ok(PumpMsg::Track(id, ticket)) => pump.push(id, PendingTicket(ticket)),
-            Ok(PumpMsg::TrackSweep { sweep, points }) => {
-                sweeps.insert(
+impl FrameOut {
+    fn send(&mut self, frame: &Json) {
+        if !self.dead
+            && write_frame(&mut self.w, frame)
+                .and_then(|()| self.w.flush())
+                .is_err()
+        {
+            self.dead = true;
+        }
+    }
+}
+
+/// A connection's writer thread: the one owner of every request after
+/// admission. See the module docs.
+struct Writer {
+    out: FrameOut,
+    /// Admitted tickets not yet resolved, in admission order, each with
+    /// its slot when it is a sweep point.
+    pending: Vec<(u64, Ticket, Option<SweepSlot>)>,
+    /// Accumulators of the sweeps with points still pending.
+    sweeps: HashMap<u64, SweepAgg>,
+    /// Completed results retained for `fetch_tree`.
+    trees: TreeCache,
+}
+
+impl Writer {
+    fn run(mut self, rx: Receiver<Out>) {
+        loop {
+            let msg = if self.pending.is_empty() {
+                rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+            } else {
+                rx.recv_timeout(POLL)
+            };
+            // Resolve before acting on the message: a `fetch_tree` then
+            // finds every tree that has completed by now, and the
+            // shutdown reply follows the events its drain resolved.
+            self.resolve();
+            match msg {
+                Ok(Out::Frame(frame)) => self.out.send(&frame),
+                Ok(Out::Admitted {
+                    reply,
+                    tickets,
                     sweep,
-                    SweepAgg {
-                        done: 0,
-                        total: points.len() as u64,
-                        rows: Vec::new(),
-                    },
-                );
-                for (ordinal, id, ticket) in points {
-                    members.insert(id, (sweep, ordinal));
-                    pump.push(id, PendingTicket(ticket));
+                }) => {
+                    self.out.send(&reply);
+                    if let Some(sweep) = sweep {
+                        let agg = SweepAgg {
+                            done: 0,
+                            total: tickets.len() as u64,
+                            rows: Vec::new(),
+                        };
+                        self.sweeps.insert(sweep, agg);
+                    }
+                    for (ordinal, ticket) in tickets.into_iter().enumerate() {
+                        let member = sweep.map(|sweep| (sweep, ordinal as u64));
+                        self.pending.push((ticket.id().0, ticket, member));
+                    }
+                }
+                Ok(Out::FetchTree {
+                    seq,
+                    id,
+                    chunk,
+                    levels,
+                }) => self.fetch_tree(seq, id, chunk, levels),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        // Reader gone (disconnect or shutdown); what had resolved was
+        // flushed just above. Cancel the rest: a disconnected client's
+        // pending work must not keep burning the service ("client
+        // disconnect mid-request → ticket cancelled").
+        for (_, ticket, _) in self.pending {
+            ticket.cancel();
+        }
+    }
+
+    /// Polls every pending ticket once, in admission order. Each resolved
+    /// one writes its result event, then its sweep frames right behind it
+    /// (so a client that saw `done == total`, or `pareto`, has every
+    /// payload already), and files a completed tree for `fetch_tree`.
+    fn resolve(&mut self) {
+        let mut i = 0;
+        while i < self.pending.len() {
+            let Some(outcome) = self.pending[i].1.try_wait() else {
+                i += 1;
+                continue;
+            };
+            let (id, _, member) = self.pending.remove(i);
+            self.out.send(&encode_event(&Event::Result(ResultEvent {
+                id,
+                outcome: Outcome::from_service(&outcome),
+            })));
+            if let Some(member) = member {
+                for frame in sweep_frames(&mut self.sweeps, member, id, &outcome) {
+                    self.out.send(&frame);
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        for (id, outcome) in pump.poll_completed() {
-            // The point's sweep frames ride right behind its result
-            // event, so a client that saw `done == total` (or `pareto`)
-            // has every payload already.
-            let extra = sweep_frames(&mut sweeps, &members, id, &outcome);
-            if wtx.send(resolve_event(&trees, id, outcome)).is_err() {
-                // Writer gone: nothing can reach the client anymore.
-                break;
-            }
-            if extra.into_iter().any(|f| wtx.send(f).is_err()) {
-                break;
+            if let Ok(result) = outcome {
+                let retained = RetainedTree {
+                    name: result.item.name,
+                    tree: result.item.result.tree,
+                    source: result.item.result.source,
+                    level_stats: result.item.result.level_stats,
+                };
+                self.trees.insert(id, retained);
             }
         }
     }
-    // Reader gone (disconnect or shutdown). Flush what has already
-    // resolved — the writer may still drain it — then cancel the rest:
-    // a disconnected client's pending work must not keep burning the
-    // service ("client disconnect mid-request → ticket cancelled").
-    for (id, outcome) in pump.poll_completed() {
-        let extra = sweep_frames(&mut sweeps, &members, id, &outcome);
-        let _ = wtx.send(resolve_event(&trees, id, outcome));
-        for f in extra {
-            let _ = wtx.send(f);
-        }
-    }
-    for (_, PendingTicket(ticket)) in pump.drain_pending() {
-        ticket.cancel();
-    }
-}
 
-fn writer_loop(stream: TcpStream, rx: Receiver<Json>) {
-    let mut w = BufWriter::new(stream);
-    while let Ok(frame) = rx.recv() {
-        if write_frame(&mut w, &frame)
-            .and_then(|()| w.flush())
-            .is_err()
-        {
-            // Connection dead; drain silently so senders never block.
-            for _ in rx.iter() {}
+    /// Streams `fetch_tree`: a retained tree in full; in level mode, a
+    /// request still pending here as its latest level-complete snapshot
+    /// (a *partial* header — a watcher polls this while the tree grows;
+    /// one that published nothing yet streams an empty partial, never an
+    /// error); anything else answers `unknown_id`.
+    fn fetch_tree(&mut self, seq: u64, id: u64, chunk: usize, levels: bool) {
+        if let Some(retained) = self.trees.get(id) {
+            let nodes = retained.tree.nodes();
+            // Level mode aligns chunk boundaries with the completed-level
+            // watermarks recorded per level, so a consumer can hand each
+            // level off (e.g. to a verifier) as its last chunk arrives.
+            let watermarks: Vec<usize> = if levels {
+                retained.level_stats.iter().map(|s| s.nodes_total).collect()
+            } else {
+                Vec::new()
+            };
+            let runs = level_chunk_runs(nodes.len(), &watermarks, chunk);
+            let (total, chunks) = (nodes.len() as u64, runs.len() as u64);
+            let name = retained.name.clone();
+            let source = retained.source.index() as u64;
+            let header = TreeInfo::complete(id, name, total, chunks, source);
+            let level_stats = retained.level_stats.clone();
+            send_tree_stream(&mut self.out, seq, header, nodes, &runs, level_stats);
             return;
         }
+        let pending = self.pending.iter().find(|(pending, ..)| *pending == id);
+        if let Some((_, ticket, _)) = pending.filter(|_| levels) {
+            let snap = ticket.level_snapshot();
+            let (nodes, levels_done) = match &snap {
+                Some(s) => (s.nodes.as_slice(), s.levels_done as u64),
+                None => (&[][..], 0),
+            };
+            let runs = level_chunk_runs(nodes.len(), &[], chunk);
+            let header = TreeInfo {
+                id,
+                name: String::new(),
+                nodes: nodes.len() as u64,
+                chunks: runs.len() as u64,
+                source: 0,
+                partial: true,
+                levels_done,
+            };
+            send_tree_stream(&mut self.out, seq, header, nodes, &runs, Vec::new());
+            return;
+        }
+        let reply = error_reply(
+            ErrorCode::UnknownId,
+            format!("no completed result retained for request {id} on this connection"),
+        );
+        self.out.send(&encode_response(Some(seq), &reply));
     }
 }
 
@@ -498,16 +563,13 @@ const HANDLE_PRUNE_THRESHOLD: usize = 1024;
 /// Per-connection request state the reader keeps.
 struct ConnState {
     /// Handles of this connection's requests, for `status`/`cancel` (the
-    /// tickets themselves live in the pump). Pruned of resolved entries
+    /// tickets themselves live in the writer). Pruned of resolved entries
     /// once it grows past [`HANDLE_PRUNE_THRESHOLD`]: the protocol lets
     /// the server forget an id after its result event, so `status`/
     /// `cancel` on a long-resolved id may answer `unknown_id`.
     handles: HashMap<u64, RequestHandle>,
     /// Default client id from `hello`, used when a submit has none.
     client_id: Option<String>,
-    /// Completed results retained for `fetch_tree` (shared with the
-    /// pump, which fills it).
-    trees: Arc<Mutex<TreeCache>>,
     /// Next sweep ordinal for `submit_sweep` replies; per-connection,
     /// starting at 1 so `0` never aliases a real sweep in client code.
     next_sweep: u64,
@@ -527,53 +589,52 @@ fn serve_connection(ctx: &ServerCtx, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (wtx, wrx) = channel::<Json>();
-    let writer = std::thread::Builder::new()
-        .name("cts-net-writer".into())
-        .spawn(move || writer_loop(write_half, wrx))
-        .expect("spawning a writer thread");
-    let (ptx, prx) = channel::<PumpMsg>();
-    let pump_wtx = wtx.clone();
-    let trees = Arc::new(Mutex::new(TreeCache::default()));
-    let pump_trees = Arc::clone(&trees);
-    let pump = std::thread::Builder::new()
-        .name("cts-net-pump".into())
-        .spawn(move || pump_loop(prx, pump_wtx, pump_trees))
-        .expect("spawning a pump thread");
-
-    let mut state = ConnState {
-        handles: HashMap::new(),
-        client_id: None,
-        trees,
-        next_sweep: 1,
+    let (tx, rx) = channel::<Out>();
+    let writer = Writer {
+        out: FrameOut {
+            w: BufWriter::new(write_half),
+            dead: false,
+        },
+        pending: Vec::new(),
+        sweeps: HashMap::new(),
+        trees: TreeCache::default(),
     };
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_frame(&mut reader) {
-            Err(_) | Ok(None) => break, // transport over
-            Ok(Some(Err(json_err))) => {
-                // Malformed JSON on an intact line: structured error
-                // reply, connection survives.
-                let reply = error_reply(ErrorCode::BadJson, json_err.to_string());
-                if wtx.send(encode_response(None, &reply)).is_err() {
-                    break;
+    std::thread::scope(|scope| {
+        let writer = std::thread::Builder::new()
+            .name("cts-net-writer".into())
+            .spawn_scoped(scope, move || writer.run(rx))
+            .expect("spawning a writer thread");
+        let mut state = ConnState {
+            handles: HashMap::new(),
+            client_id: None,
+            next_sweep: 1,
+        };
+        let mut reader = BufReader::new(stream);
+        loop {
+            match read_frame(&mut reader) {
+                Err(_) | Ok(None) => break, // transport over
+                Ok(Some(Err(json_err))) => {
+                    // Malformed JSON on an intact line: structured error
+                    // reply, connection survives.
+                    let reply = error_reply(ErrorCode::BadJson, json_err.to_string());
+                    if tx.send(Out::Frame(encode_response(None, &reply))).is_err() {
+                        break;
+                    }
                 }
-            }
-            Ok(Some(Ok(frame))) => {
-                let stop = handle_frame(ctx, &mut state, &frame, &wtx, &ptx);
-                if stop {
-                    break;
+                Ok(Some(Ok(frame))) => {
+                    if handle_frame(ctx, &mut state, &frame, &tx) {
+                        break;
+                    }
                 }
             }
         }
-    }
-    // Teardown: dropping the pump sender makes the pump flush resolved
-    // results and cancel pending ones; dropping the writer sender (after
-    // the pump's) lets the writer drain every queued frame first.
-    drop(ptx);
-    let _ = pump.join();
-    drop(wtx);
-    let _ = writer.join();
+        // Teardown: dropping the sender lets the writer flush what has
+        // resolved, cancel what is still pending, and exit. Joined here,
+        // so a writer panic stays within this connection instead of
+        // propagating out of `Server::run`.
+        drop(tx);
+        let _ = writer.join();
+    });
 }
 
 /// A wire submission's request: the instance, its (already patched)
@@ -602,26 +663,28 @@ enum SubmitOp {
     Sweep,
 }
 
-/// Turns an admission outcome into the op's reply — the one place
+/// Turns an admission outcome into what the writer gets — the one place
 /// admission errors map to wire errors. Admitted tickets are remembered
-/// for `status`/`cancel` and handed to the completion pump (a sweep's
-/// under a fresh per-connection sweep ordinal).
+/// for `status`/`cancel` and travel to the writer behind their reply (a
+/// sweep's under a fresh per-connection sweep ordinal).
 fn track_admitted(
     state: &mut ConnState,
-    ptx: &Sender<PumpMsg>,
+    seq: u64,
     admitted: Result<Vec<Ticket>, SubmitError>,
     op: SubmitOp,
-) -> Response {
+) -> Out {
     let tickets = match admitted {
         Ok(tickets) => tickets,
         Err(e @ SubmitError::TooLarge(_)) => {
-            return error_reply(ErrorCode::BadRequest, e.to_string())
+            let reply = error_reply(ErrorCode::BadRequest, e.to_string());
+            return Out::Frame(encode_response(Some(seq), &reply));
         }
         Err(SubmitError::ShuttingDown(_)) => {
-            return error_reply(
+            let reply = error_reply(
                 ErrorCode::ShuttingDown,
                 "service is draining; no new work admitted",
-            )
+            );
+            return Out::Frame(encode_response(Some(seq), &reply));
         }
         Err(e @ SubmitError::WouldBlock(_)) => {
             unreachable!("blocking admission cannot report back-pressure: {e}")
@@ -631,63 +694,52 @@ fn track_admitted(
     for ticket in &tickets {
         state.remember(ticket.id().0, ticket.handle());
     }
-    // The pump cannot be gone while the reader lives.
-    if let SubmitOp::Sweep = op {
-        let sweep = state.next_sweep;
-        state.next_sweep += 1;
-        let points = tickets
-            .into_iter()
-            .enumerate()
-            .map(|(ordinal, ticket)| (ordinal as u64, ticket.id().0, ticket))
-            .collect();
-        let _ = ptx.send(PumpMsg::TrackSweep { sweep, points });
-        return Response::SweepSubmitted { sweep, ids };
-    }
-    for ticket in tickets {
-        let _ = ptx.send(PumpMsg::Track(ticket.id().0, ticket));
-    }
-    match op {
-        SubmitOp::Submit => Response::Submitted { id: ids[0] },
-        _ => Response::BatchSubmitted { ids },
+    let (reply, sweep) = match op {
+        SubmitOp::Submit => (Response::Submitted { id: ids[0] }, None),
+        SubmitOp::Batch => (Response::BatchSubmitted { ids }, None),
+        SubmitOp::Sweep => {
+            let sweep = state.next_sweep;
+            state.next_sweep += 1;
+            (Response::SweepSubmitted { sweep, ids }, Some(sweep))
+        }
+    };
+    Out::Admitted {
+        reply: encode_response(Some(seq), &reply),
+        tickets,
+        sweep,
     }
 }
 
 /// Handles one decoded frame; returns `true` when the connection should
 /// close (after a `shutdown` op).
-fn handle_frame(
-    ctx: &ServerCtx,
-    state: &mut ConnState,
-    frame: &Json,
-    wtx: &Sender<Json>,
-    ptx: &Sender<PumpMsg>,
-) -> bool {
+fn handle_frame(ctx: &ServerCtx, state: &mut ConnState, frame: &Json, tx: &Sender<Out>) -> bool {
     // `seq` is extracted even when decoding fails, so error replies
     // correlate whenever the client gave us anything to correlate with.
     let seq = frame.get("seq").and_then(Json::as_u64);
     let (seq, request) = match decode_request(frame) {
         Ok(decoded) => decoded,
         Err(DecodeError { code, message }) => {
-            let _ = wtx.send(encode_response(seq, &Response::Error { code, message }));
+            let reply = Response::Error { code, message };
+            let _ = tx.send(Out::Frame(encode_response(seq, &reply)));
             return false;
         }
     };
     let _span = cts_obs::span_with(&SPAN_HANDLE_FRAME, seq);
-    let reply = match request {
-        Request::Hello { version, client_id } => {
-            if version != PROTOCOL_VERSION {
-                error_reply(
-                    ErrorCode::UnsupportedVersion,
-                    format!("server speaks version {PROTOCOL_VERSION}, client asked for {version}"),
-                )
-            } else {
-                state.client_id = client_id;
-                Response::Hello {
-                    version: PROTOCOL_VERSION,
-                    server: server_ident(),
-                    workers: ctx.service.workers() as u64,
-                }
+    let reply = |reply: Response| Out::Frame(encode_response(Some(seq), &reply));
+    let out = match request {
+        Request::Hello { version, client_id } => reply(if version != PROTOCOL_VERSION {
+            error_reply(
+                ErrorCode::UnsupportedVersion,
+                format!("server speaks version {PROTOCOL_VERSION}, client asked for {version}"),
+            )
+        } else {
+            state.client_id = client_id;
+            Response::Hello {
+                version: PROTOCOL_VERSION,
+                server: server_ident(),
+                workers: ctx.service.workers() as u64,
             }
-        }
+        }),
         // All three submit ops become a request list through one builder
         // and take the service's one blocking, atomic admission path: a
         // full queue back-pressures this connection's reader (the client
@@ -700,7 +752,7 @@ fn handle_frame(
             let options = (!options.is_empty()).then(|| options.apply(ctx.service.options()));
             let request = build_request(state, instance, options, scheduling);
             let admitted = ctx.service.admit(vec![request], Admission::Blocking);
-            track_admitted(state, ptx, admitted, SubmitOp::Submit)
+            track_admitted(state, seq, admitted, SubmitOp::Submit)
         }
         Request::SubmitBatch { entries, options } => {
             // The shared patch is applied once; every entry runs the same
@@ -713,7 +765,7 @@ fn handle_frame(
                 })
                 .collect();
             let admitted = ctx.service.admit(requests, Admission::Blocking);
-            track_admitted(state, ptx, admitted, SubmitOp::Batch)
+            track_admitted(state, seq, admitted, SubmitOp::Batch)
         }
         Request::SubmitSweep {
             instance,
@@ -737,107 +789,44 @@ fn handle_frame(
                 });
             match submitted {
                 Err(e @ SweepSubmitError::Spec(_)) => {
-                    error_reply(ErrorCode::BadRequest, e.to_string())
+                    reply(error_reply(ErrorCode::BadRequest, e.to_string()))
                 }
                 Err(SweepSubmitError::Batch(e)) => {
-                    track_admitted(state, ptx, Err(e), SubmitOp::Sweep)
+                    track_admitted(state, seq, Err(e), SubmitOp::Sweep)
                 }
-                Ok(tickets) => track_admitted(state, ptx, Ok(tickets), SubmitOp::Sweep),
+                Ok(tickets) => track_admitted(state, seq, Ok(tickets), SubmitOp::Sweep),
             }
         }
-        Request::FetchTree { id, chunk, levels } => {
-            // Snapshot the tree under the cache lock (held only for the
-            // clone, so the pump — which inserts completions under the
-            // same lock — is never stalled behind a large serialization),
-            // then encode and send the stream frame by frame: header
-            // reply, chunk events, terminal event. Only one chunk's JSON
-            // is in flight at a time on this side of the writer queue.
-            let retained = state
-                .trees
-                .lock()
-                .expect("tree cache poisoned")
-                .get(id)
-                .cloned();
-            // Clamp: decode already rejects 0, and anything above
-            // MAX_TREE_CHUNK could serialize past the reader-side
-            // 8 MiB frame cap — a fatal transport error for the
-            // requesting client, which a size request must never
-            // cause.
-            let chunk_size = chunk
+        // Clamp: decode already rejects 0, and anything above
+        // MAX_TREE_CHUNK could serialize past the reader-side 8 MiB frame
+        // cap — a fatal transport error for the requesting client, which
+        // a size request must never cause.
+        Request::FetchTree { id, chunk, levels } => Out::FetchTree {
+            seq,
+            id,
+            chunk: chunk
                 .map_or(DEFAULT_TREE_CHUNK, |c| c as usize)
-                .min(MAX_TREE_CHUNK);
-            if let Some(RetainedTree {
-                name,
-                tree,
-                source,
-                level_stats,
-            }) = retained
-            {
-                let nodes = tree.nodes();
-                // Level mode aligns chunk boundaries with the
-                // completed-level watermarks recorded per level, so a
-                // consumer can hand each level off (e.g. to a
-                // verifier) as its last chunk arrives.
-                let watermarks: Vec<usize> = if levels {
-                    level_stats.iter().map(|s| s.nodes_total).collect()
-                } else {
-                    Vec::new()
-                };
-                let runs = level_chunk_runs(nodes.len(), &watermarks, chunk_size);
-                let (total, chunks) = (nodes.len() as u64, runs.len() as u64);
-                let header = TreeInfo::complete(id, name, total, chunks, source.index() as u64);
-                send_tree_stream(wtx, seq, header, nodes, &runs, level_stats);
-                return false;
-            }
-            match state.handles.get(&id) {
-                // Level mode on a request still in flight streams the
-                // latest level-complete snapshot as a *partial* header —
-                // a watcher polls this while the tree grows. A request
-                // that published nothing yet (or does not publish)
-                // streams an empty partial, never an error.
-                Some(handle) if levels && handle.status() != cts_core::RequestStatus::Done => {
-                    let snap = handle.level_snapshot();
-                    let (nodes, levels_done) = match &snap {
-                        Some(s) => (s.nodes.as_slice(), s.levels_done as u64),
-                        None => (&[][..], 0),
-                    };
-                    let runs = level_chunk_runs(nodes.len(), &[], chunk_size);
-                    let header = TreeInfo {
-                        id,
-                        name: String::new(),
-                        nodes: nodes.len() as u64,
-                        chunks: runs.len() as u64,
-                        source: 0,
-                        partial: true,
-                        levels_done,
-                    };
-                    send_tree_stream(wtx, seq, header, nodes, &runs, Vec::new());
-                    return false;
-                }
-                _ => error_reply(
-                    ErrorCode::UnknownId,
-                    format!("no completed result retained for request {id} on this connection"),
-                ),
-            }
-        }
-        Request::Status { id } => match state.handles.get(&id) {
+                .min(MAX_TREE_CHUNK),
+            levels,
+        },
+        Request::Status { id } => reply(match state.handles.get(&id) {
             Some(handle) => Response::Status {
                 id,
                 state: handle.status(),
             },
             None => unknown_id(id),
-        },
-        Request::Cancel { id } => match state.handles.get(&id) {
+        }),
+        Request::Cancel { id } => reply(match state.handles.get(&id) {
             Some(handle) => {
                 handle.cancel();
                 Response::Cancelled { id }
             }
             None => unknown_id(id),
-        },
-        Request::Metrics => Response::Metrics(MetricsReply {
+        }),
+        Request::Metrics => reply(Response::Metrics(MetricsReply {
             metrics: ctx.service.metrics(),
             workers: ctx.service.workers() as u64,
-        }),
+        })),
         Request::Stats => {
             let latencies = ctx.service.stats();
             // Span summaries come from the process-global recorder; a
@@ -858,7 +847,7 @@ fn handle_frame(
                 }
                 None => (Vec::new(), 0),
             };
-            Response::Stats(Box::new(StatsReply {
+            reply(Response::Stats(Box::new(StatsReply {
                 workers: ctx.service.workers() as u64,
                 metrics: ctx.service.metrics(),
                 queue_wait: latencies.queue_wait_by_priority,
@@ -866,27 +855,27 @@ fn handle_frame(
                 verify_latency: latencies.verify_latency,
                 spans,
                 dropped,
-            }))
+            })))
         }
         Request::Shutdown => {
             // Drain first: every admitted request (this connection's and
             // everyone else's) resolves and streams its event before the
             // shutdown reply confirms completion.
             ctx.drain();
-            let _ = wtx.send(encode_response(Some(seq), &Response::ShuttingDown));
+            let _ = tx.send(reply(Response::ShuttingDown));
             ctx.stop();
             return true;
         }
     };
-    let _ = wtx.send(encode_response(Some(seq), &reply));
+    let _ = tx.send(out);
     false
 }
 
-/// Sends a `fetch_tree` stream: the header reply, one `tree` chunk event
-/// per `(start, end)` run of `nodes`, and the terminal event. Stops early
-/// once the writer is gone.
+/// Writes a `fetch_tree` stream: the header reply, one `tree` chunk event
+/// per `(start, end)` run of `nodes`, and the terminal event — one frame
+/// encoded at a time.
 fn send_tree_stream(
-    wtx: &Sender<Json>,
+    out: &mut FrameOut,
     seq: u64,
     header: TreeInfo,
     nodes: &[TreeNode],
@@ -894,20 +883,17 @@ fn send_tree_stream(
     level_stats: Vec<LevelStats>,
 ) {
     let id = header.id;
-    let chunks = runs.iter().enumerate().map(|(k, &(start, end))| {
-        let nodes = nodes[start..end].to_vec();
-        TreeEvent::Chunk(TreeChunkEvent {
+    out.send(&encode_response(Some(seq), &Response::TreeHeader(header)));
+    for (k, &(start, end)) in runs.iter().enumerate() {
+        let chunk = TreeEvent::Chunk(TreeChunkEvent {
             id,
             chunk: k as u64,
-            nodes,
-        })
-    });
+            nodes: nodes[start..end].to_vec(),
+        });
+        out.send(&encode_event(&Event::Tree(chunk)));
+    }
     let done = TreeEvent::Done(TreeDoneEvent { id, level_stats });
-    let events = chunks.chain(std::iter::once(done));
-    let header = encode_response(Some(seq), &Response::TreeHeader(header));
-    let mut frames = std::iter::once(header).chain(events.map(|e| encode_event(&Event::Tree(e))));
-    // Stops at the first frame the writer can no longer take.
-    let _ = frames.try_for_each(|frame| wtx.send(frame));
+    out.send(&encode_event(&Event::Tree(done)));
 }
 
 /// Splits `total` nodes into `(start, end)` chunk runs. `watermarks` are
@@ -948,5 +934,66 @@ fn error_reply(code: ErrorCode, message: impl Into<String>) -> Response {
     Response::Error {
         code,
         message: message.into(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cts_core::ClockTree;
+    use cts_geom::Point;
+
+    fn retained(nodes: usize) -> RetainedTree {
+        let mut tree = ClockTree::new();
+        for _ in 0..nodes {
+            tree.add_joint(Point::new(0.0, 0.0));
+        }
+        RetainedTree {
+            name: String::new(),
+            tree,
+            source: cts_core::TreeNodeId::from_index(0),
+            level_stats: Vec::new(),
+        }
+    }
+
+    /// Inserts `(id, nodes)` and checks the node total against the trees
+    /// actually retained.
+    fn insert(cache: &mut TreeCache, id: u64, nodes: usize) {
+        cache.insert(id, retained(nodes));
+        let held: usize = cache.map.values().map(|r| r.tree.len()).sum();
+        assert_eq!(cache.nodes, held, "node total drifted after inserting {id}");
+        assert_eq!(cache.order.len(), cache.map.len());
+    }
+
+    #[test]
+    fn tree_cache_evicts_the_oldest_entry_past_its_entry_cap() {
+        let mut cache = TreeCache::default();
+        for id in 0..TREE_CACHE_CAP as u64 {
+            insert(&mut cache, id, 3);
+        }
+        assert_eq!(cache.map.len(), TREE_CACHE_CAP);
+        assert!(cache.get(0).is_some());
+        // The 65th entry evicts the oldest, and only it.
+        insert(&mut cache, 1000, 5);
+        assert_eq!(cache.map.len(), TREE_CACHE_CAP);
+        assert!(cache.get(0).is_none());
+        assert!(cache.get(1).is_some() && cache.get(1000).is_some());
+        assert_eq!(cache.nodes, 3 * (TREE_CACHE_CAP - 1) + 5);
+    }
+
+    #[test]
+    fn tree_cache_evicts_oldest_first_past_its_node_cap() {
+        let mut cache = TreeCache::default();
+        let half = TREE_CACHE_NODE_CAP / 2;
+        insert(&mut cache, 1, 10);
+        insert(&mut cache, 2, half);
+        insert(&mut cache, 3, 7);
+        assert_eq!(cache.nodes, half + 17);
+        // Pushing the total past the cap evicts from the front until the
+        // newcomer fits: entry 1 first, then entry 2; entry 3 stays.
+        insert(&mut cache, 4, half);
+        assert!(cache.get(1).is_none() && cache.get(2).is_none());
+        assert!(cache.get(3).is_some() && cache.get(4).is_some());
+        assert_eq!(cache.nodes, half + 7);
     }
 }

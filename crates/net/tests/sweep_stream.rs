@@ -4,7 +4,8 @@
 //! worker count and any chunk mode; the terminal `pareto` event is
 //! reproducible client-side from individually fetched stats; and a
 //! mid-synthesis `fetch_tree` in levels mode only ever shows
-//! level-complete prefixes, never a torn level.
+//! level-complete prefixes, never a torn level, and answers every poll
+//! until the request resolves.
 
 use cts_core::{
     ClockTree, CtsOptions, Instance, ParetoFront, ParetoPoint, ServiceOptions, Sink,
@@ -243,5 +244,29 @@ fn mid_synthesis_level_stream_never_shows_a_torn_level() {
         client.fetch_tree(id, ChunkMode::Default).unwrap().tree,
         remote.tree
     );
+    ts.stop();
+}
+
+/// A levels-mode watcher polls from submission until the full tree
+/// comes back. A poll that lands just after the service resolved the
+/// request, but before the connection filed its tree, must still answer
+/// (partial or full) — never `unknown_id`. The sizes vary so completions
+/// fall at every phase of the poll cadence; 60 requests in a row give the
+/// window many chances.
+#[test]
+fn levels_poll_never_misses_a_just_resolved_request() {
+    let ts = TestServer::start(1);
+    let mut client = Client::connect(ts.addr).unwrap();
+    for k in 0..60 {
+        let instance = spread(&format!("race{k}"), 16 + 4 * (k % 12));
+        let id = client
+            .submit_spec(SubmitSpec::new(instance).with_publish_levels(true))
+            .unwrap();
+        while client
+            .fetch_tree_progress(id)
+            .unwrap_or_else(|e| panic!("request {k} (id {id}): levels poll failed: {e}"))
+            .partial
+        {}
+    }
     ts.stop();
 }

@@ -16,11 +16,8 @@
 #![warn(missing_docs)]
 
 //!
-//! [`pump`] holds the other service-front-end primitive: a
-//! [`pump::CompletionPump`] that resolves a dynamic set of pending
-//! handles (service tickets, a network connection's in-flight requests)
-//! by polling sweeps, plus the [`pump::wait_with_deadline`] single-handle
-//! helper.
+//! [`pump`] holds [`pump::wait_with_deadline`]: poll one pending handle
+//! until it yields or a deadline passes.
 
 pub mod exec;
 pub mod pump;
@@ -29,4 +26,4 @@ pub use exec::{
     available_threads, resolve_threads, run_parallel, run_parallel_with, run_two_stage,
     run_two_stage_pull, Pull,
 };
-pub use pump::{wait_with_deadline, CompletionPump, PollPending};
+pub use pump::wait_with_deadline;

@@ -1,95 +1,10 @@
-//! Completion pump: resolve a dynamic set of pending handles by polling.
+//! Polling helpers for pending handles.
 //!
-//! A long-running front end that fans requests out (the synthesis
-//! service's tickets, a connection's in-flight submissions) ends up
-//! holding many *pending* handles at once, each resolving at its own
-//! time. Blocking on any single one starves the others; spinning on all
-//! of them burns a core. [`CompletionPump`] is the middle ground: it
-//! owns the pending set and, on each [`CompletionPump::poll_completed`]
-//! call, sweeps every entry once and hands back whichever completed —
-//! the caller decides the pacing (typically a short channel
-//! `recv_timeout` between sweeps, so new handles and completions share
-//! one loop).
-//!
-//! [`wait_with_deadline`] is the single-handle cousin: poll one source
-//! until it yields or a deadline passes, parking between polls.
+//! [`wait_with_deadline`] polls one source (a service ticket, a metrics
+//! condition) until it yields or a deadline passes, parking between
+//! polls.
 
 use std::time::{Duration, Instant};
-
-/// A handle that will eventually yield an output, observable without
-/// blocking — the shape of `Ticket::try_wait` and friends.
-pub trait PollPending {
-    /// The value the handle resolves to.
-    type Output;
-
-    /// Polls once: `Some(out)` when resolved (the pump removes the entry
-    /// and will not poll it again), `None` while still pending.
-    fn poll_pending(&mut self) -> Option<Self::Output>;
-}
-
-/// A keyed set of pending handles, swept by polling. See the module docs
-/// for the intended loop shape.
-#[derive(Debug)]
-pub struct CompletionPump<K, P> {
-    pending: Vec<(K, P)>,
-}
-
-impl<K, P: PollPending> CompletionPump<K, P> {
-    /// An empty pump.
-    pub fn new() -> CompletionPump<K, P> {
-        CompletionPump {
-            pending: Vec::new(),
-        }
-    }
-
-    /// Adds a pending handle under `key`. Keys are caller-defined and
-    /// need not be unique; they come back verbatim with the output.
-    pub fn push(&mut self, key: K, handle: P) {
-        self.pending.push((key, handle));
-    }
-
-    /// Handles still pending.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Polls every pending handle once; completed entries are removed and
-    /// returned in the order they were pushed.
-    pub fn poll_completed(&mut self) -> Vec<(K, P::Output)> {
-        let mut done = Vec::new();
-        // Retain in push order: completion order across sweeps is then
-        // deterministic given the completion times, and within one sweep
-        // it is the push order.
-        let mut i = 0;
-        while i < self.pending.len() {
-            match self.pending[i].1.poll_pending() {
-                Some(out) => {
-                    let (key, _) = self.pending.remove(i);
-                    done.push((key, out));
-                }
-                None => i += 1,
-            }
-        }
-        done
-    }
-
-    /// Removes and returns every still-pending entry — the teardown hook
-    /// (cancel each handle when the consumer of the outputs went away).
-    pub fn drain_pending(&mut self) -> Vec<(K, P)> {
-        std::mem::take(&mut self.pending)
-    }
-}
-
-impl<K, P: PollPending> Default for CompletionPump<K, P> {
-    fn default() -> CompletionPump<K, P> {
-        CompletionPump::new()
-    }
-}
 
 /// Polls `poll` until it yields, parking `interval` between attempts, for
 /// at most `deadline`. Returns `None` when the deadline passes first.
@@ -117,81 +32,6 @@ pub fn wait_with_deadline<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Resolves to its label after `countdown` polls.
-    struct After {
-        countdown: usize,
-        label: &'static str,
-    }
-
-    impl PollPending for After {
-        type Output = &'static str;
-        fn poll_pending(&mut self) -> Option<&'static str> {
-            if self.countdown == 0 {
-                Some(self.label)
-            } else {
-                self.countdown -= 1;
-                None
-            }
-        }
-    }
-
-    #[test]
-    fn completions_come_back_keyed_in_push_order() {
-        let mut pump = CompletionPump::new();
-        pump.push(
-            1u64,
-            After {
-                countdown: 0,
-                label: "a",
-            },
-        );
-        pump.push(
-            2,
-            After {
-                countdown: 2,
-                label: "b",
-            },
-        );
-        pump.push(
-            3,
-            After {
-                countdown: 0,
-                label: "c",
-            },
-        );
-        assert_eq!(pump.len(), 3);
-        // First sweep: the two immediately-ready entries, push order.
-        assert_eq!(pump.poll_completed(), vec![(1, "a"), (3, "c")]);
-        assert_eq!(pump.len(), 1);
-        assert!(pump.poll_completed().is_empty());
-        assert_eq!(pump.poll_completed(), vec![(2, "b")]);
-        assert!(pump.is_empty());
-    }
-
-    #[test]
-    fn drain_hands_back_pending_entries() {
-        let mut pump = CompletionPump::new();
-        pump.push(
-            "x",
-            After {
-                countdown: 5,
-                label: "x",
-            },
-        );
-        pump.push(
-            "y",
-            After {
-                countdown: 0,
-                label: "y",
-            },
-        );
-        assert_eq!(pump.poll_completed(), vec![("y", "y")]);
-        let drained = pump.drain_pending();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].0, "x");
-        assert!(pump.is_empty());
-    }
 
     #[test]
     fn wait_with_deadline_returns_immediately_when_ready() {

@@ -120,8 +120,8 @@ fn run_script(addr: std::net::SocketAddr, script: &[Step]) -> Result<usize, Stri
     let mut reader = BufReader::new(stream);
     // Every E: expectation is registered up front: events are pushed
     // asynchronously, so one may hit the wire before the reply of the
-    // very request that triggered it (the cancel reply and the pump's
-    // cancelled event race through the same writer queue). Wherever an
+    // very request that triggered it (the cancel reply and the writer's
+    // poll of the cancelled ticket race). Wherever an
     // event lands in the byte stream, it must match one E: line exactly.
     let mut pending_events: Vec<String> = script
         .iter()
