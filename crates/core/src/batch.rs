@@ -3,8 +3,10 @@
 //! The paper evaluates whole benchmark *suites* (Tables 5.1–5.3), and a
 //! production deployment synthesizes a queue of independent requests; both
 //! reduce to "run N instances through the flow as fast as the hardware
-//! allows". [`BatchRunner`] does that on top of the split
-//! [`Synthesizer::synthesize_unverified`] / [`Synthesizer::verify`] stages:
+//! allows". [`BatchRunner`] does that in two stages per instance:
+//! [`BatchRunner::synth_stage`] runs the synthesizer's one level loop and
+//! returns the instance's [`BatchItem`] row, and
+//! [`BatchRunner::finish_stage`] fills in its SPICE verification:
 //!
 //! * **Sharding** — instances are claimed by up to
 //!   [`BatchOptions::shards`] workers on the shared [`cts_util`] pool; each
@@ -198,21 +200,6 @@ impl BatchSummary {
     }
 }
 
-/// A finished synthesis stage awaiting its verification stage — the value
-/// that travels between [`BatchRunner::synth_stage`] and
-/// [`BatchRunner::finish_stage`].
-#[derive(Debug, Clone)]
-pub struct StagedSynthesis {
-    /// The synthesized tree and engine-estimated metrics.
-    pub result: CtsResult,
-    /// Monte Carlo corner distribution, when the instance's options
-    /// enable variation. Corners are evaluated in the synthesis stage —
-    /// they query the (perturbed) library, not the SPICE simulator.
-    pub variation: Option<VariationSummary>,
-    /// Wall time the synthesis stage took (s).
-    pub synth_seconds: f64,
-}
-
 /// Output of a batch run: per-instance rows in **input order** plus the
 /// suite summary.
 #[derive(Debug, Clone)]
@@ -298,16 +285,6 @@ impl<'a> BatchRunner<'a> {
         &self.corner_cache
     }
 
-    /// The per-instance synthesizer in effect.
-    pub fn synthesizer(&self) -> &Synthesizer<'a> {
-        &self.synth
-    }
-
-    /// The batch options in effect.
-    pub fn batch_options(&self) -> &BatchOptions {
-        &self.batch
-    }
-
     fn base_fingerprint(&self) -> u64 {
         *self
             .base_fp
@@ -315,7 +292,9 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// The synthesis stage for one instance: builds the tree with the
-    /// shared library (engine-estimated metrics only) and times the stage.
+    /// shared library (engine-estimated metrics only), times the stage,
+    /// and returns the instance's row with `verified: None` and
+    /// `verify_seconds: 0.0` for [`BatchRunner::finish_stage`] to fill.
     ///
     /// `options` overrides the runner's [`CtsOptions`] for this instance
     /// (`None` runs with the defaults) — how the synthesis service honors
@@ -340,7 +319,7 @@ impl<'a> BatchRunner<'a> {
         instance: &Instance,
         options: Option<CtsOptions>,
         on_level: Option<&mut dyn FnMut(LevelSnapshot)>,
-    ) -> Result<StagedSynthesis, CtsError> {
+    ) -> Result<BatchItem, CtsError> {
         let t0 = Instant::now();
         let owned;
         let synth = match options {
@@ -352,18 +331,17 @@ impl<'a> BatchRunner<'a> {
         };
         let result = {
             let _span = cts_obs::span_with(&SPAN_BATCH_SYNTH, instance.sinks().len() as u64);
-            match on_level {
-                None => synth.synthesize_unverified_with(instance, scratch)?,
-                Some(observer) => {
-                    synth.synthesize_unverified_observed(instance, scratch, observer)?
-                }
-            }
+            synth.run_levels(instance, scratch, on_level)?
         };
         let variation = self.corner_stage(synth, instance, &result)?;
-        Ok(StagedSynthesis {
+        Ok(BatchItem {
+            name: instance.name().to_string(),
+            sinks: instance.sinks().len(),
             result,
+            verified: None,
             variation,
             synth_seconds: t0.elapsed().as_secs_f64(),
+            verify_seconds: 0.0,
         })
     }
 
@@ -395,8 +373,9 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// The finishing stage for one instance: SPICE verification (when
-    /// [`BatchOptions::verify`] is on) and row assembly. Stage 2 of the
-    /// overlapped schedule; see [`BatchRunner::synth_stage`].
+    /// [`BatchOptions::verify`] is on) of the row
+    /// [`BatchRunner::synth_stage`] returned, filling in `verified` and
+    /// `verify_seconds`. Stage 2 of the overlapped schedule.
     ///
     /// Verification runs through the caller's [`Verifier`], so one
     /// worker's stream of verifications shares solve plans and stage
@@ -411,33 +390,17 @@ impl<'a> BatchRunner<'a> {
     pub fn finish_stage(
         &self,
         verifier: &mut Verifier,
-        staged: StagedSynthesis,
-        instance: &Instance,
+        mut item: BatchItem,
     ) -> Result<BatchItem, CtsError> {
-        let StagedSynthesis {
-            result,
-            variation,
-            synth_seconds,
-        } = staged;
-        let (verified, verify_seconds) = if self.batch.verify {
+        if self.batch.verify {
             let t0 = Instant::now();
-            let _span = cts_obs::span_with(&SPAN_BATCH_VERIFY, instance.sinks().len() as u64);
-            let v =
-                self.synth
-                    .verify_with(&result, self.tech, &self.batch.verify_options, verifier)?;
-            (Some(v), t0.elapsed().as_secs_f64())
-        } else {
-            (None, 0.0)
-        };
-        Ok(BatchItem {
-            name: instance.name().to_string(),
-            sinks: instance.sinks().len(),
-            result,
-            verified,
-            variation,
-            synth_seconds,
-            verify_seconds,
-        })
+            let _span = cts_obs::span_with(&SPAN_BATCH_VERIFY, item.sinks as u64);
+            let r = &item.result;
+            let v = verifier.verify(&r.tree, r.source, self.tech, &self.batch.verify_options)?;
+            item.verified = Some(v);
+            item.verify_seconds = t0.elapsed().as_secs_f64();
+        }
+        Ok(item)
     }
 
     /// Runs the batch and returns per-instance rows (input order) plus the
@@ -460,7 +423,7 @@ impl<'a> BatchRunner<'a> {
                 MergeScratch::new,
                 |scratch, instance| self.synth_stage(scratch, instance, None, None),
                 Verifier::new,
-                |verifier, staged, instance| self.finish_stage(verifier, staged, instance),
+                |verifier, item, _| self.finish_stage(verifier, item),
             )?
         } else {
             // Fused per-shard loop: each shard synthesizes (and, when
@@ -471,8 +434,8 @@ impl<'a> BatchRunner<'a> {
                 instances,
                 || (MergeScratch::new(), Verifier::new()),
                 |(scratch, verifier), instance| {
-                    let staged = self.synth_stage(scratch, instance, None, None)?;
-                    self.finish_stage(verifier, staged, instance)
+                    let item = self.synth_stage(scratch, instance, None, None)?;
+                    self.finish_stage(verifier, item)
                 },
             )?
         };

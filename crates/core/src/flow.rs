@@ -1,22 +1,22 @@
 //! The top-level synthesis flow (paper §4.1, Fig. 4.1): levelized topology
 //! generation driving merge-routing until a single tree remains.
 //!
-//! The heavy lifting lives in [`crate::pipeline::SynthesisPipeline`];
-//! [`Synthesizer`] is the stable public entry point around it. The flow is
-//! split into two explicitly separate stages — [`Synthesizer::synthesize`]
-//! (library-estimated tree construction) and [`Synthesizer::verify`]
-//! (SPICE simulation of the finished netlist) — so callers that process
-//! many instances can overlap one instance's verification with the next
-//! instance's synthesis (see [`crate::batch::BatchRunner`]).
+//! [`Synthesizer`] is the public entry point: [`Synthesizer::synthesize`]
+//! (a synonym of [`Synthesizer::synthesize_unverified`]) and
+//! [`Synthesizer::synthesize_unverified_observed`] run the one level loop
+//! in [`crate::pipeline`] and return library-estimated timing. SPICE
+//! verification of the finished netlist is a separate stage
+//! ([`crate::verify::verify_tree`], or a warm [`crate::verify::Verifier`]),
+//! so callers that process many instances can overlap one instance's
+//! verification with the next instance's synthesis (see
+//! [`crate::batch::BatchRunner`]).
 
-use crate::engine::{TimingEngine, TimingReport};
+use crate::engine::TimingReport;
 use crate::instance::Instance;
 use crate::merge::MergeScratch;
 use crate::options::{CtsError, CtsOptions};
-use crate::pipeline::{LevelStats, SynthesisPipeline};
-use crate::tree::{ClockTree, NodeKind, TreeNodeId};
-use crate::verify::{verify_tree, VerifiedTiming, Verifier, VerifyOptions};
-use cts_spice::Technology;
+use crate::pipeline::{LevelSnapshot, LevelStats};
+use crate::tree::{ClockTree, TreeNodeId};
 use cts_timing::DelaySlewLibrary;
 use std::sync::Arc;
 
@@ -73,11 +73,11 @@ pub struct CtsResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Synthesizer<'a> {
-    lib: &'a DelaySlewLibrary,
+    pub(crate) lib: &'a DelaySlewLibrary,
     /// Owned restriction of `lib` when `options.library_subset` names a
     /// strict prefix of its buffer types; `None` means `lib` itself.
     subset: Option<Arc<DelaySlewLibrary>>,
-    options: CtsOptions,
+    pub(crate) options: CtsOptions,
 }
 
 impl<'a> Synthesizer<'a> {
@@ -123,36 +123,16 @@ impl<'a> Synthesizer<'a> {
         Synthesizer::new(self.lib, options)
     }
 
-    /// Rejects options the base library cannot satisfy: a subset wider
-    /// than the library, or a virtual driver outside the (possibly
-    /// restricted) library.
-    fn check_library_bounds(&self) -> Result<(), CtsError> {
-        let nb = self.lib.buffers().len();
-        let k = self.options.library_subset;
-        if k > nb {
-            return Err(CtsError::BadOptions(format!(
-                "library_subset ({k}) exceeds the library's {nb} buffer types"
-            )));
-        }
-        let usable = if k == 0 { nb } else { k };
-        if self.options.virtual_driver.0 >= usable {
-            return Err(CtsError::BadOptions(format!(
-                "virtual_driver ({}) is outside the usable library of {} buffer types",
-                self.options.virtual_driver.0, usable
-            )));
-        }
-        Ok(())
-    }
-
     /// Synthesizes a buffered clock tree for `instance`.
     ///
-    /// Runs the staged [`SynthesisPipeline`]: per-level topology matching,
-    /// parallel per-pair merge-routing (`options.threads` workers; the
-    /// result is bit-identical for every worker count), deterministic
-    /// grafting, and global refinement.
+    /// Runs the staged [level loop](crate::pipeline): per-level topology
+    /// matching, parallel per-pair merge-routing (`options.threads`
+    /// workers; the result is bit-identical for every worker count),
+    /// deterministic grafting, and global refinement.
     ///
     /// The result carries *engine-estimated* timing; the SPICE numbers the
-    /// paper reports come from the separate [`Synthesizer::verify`] stage.
+    /// paper reports come from the separate
+    /// [`verify_tree`](crate::verify::verify_tree) stage.
     /// `synthesize` is a synonym of [`Synthesizer::synthesize_unverified`],
     /// kept as the short name for the common entry point.
     ///
@@ -174,134 +154,28 @@ impl<'a> Synthesizer<'a> {
     /// [`CtsError::SlewUnachievable`] when the buffer library cannot meet
     /// the slew target.
     pub fn synthesize_unverified(&self, instance: &Instance) -> Result<CtsResult, CtsError> {
-        self.synthesize_unverified_with(instance, &mut MergeScratch::new())
+        self.run_levels(instance, &mut MergeScratch::new(), None)
     }
 
-    /// [`Synthesizer::synthesize_unverified`] with caller-provided merge
-    /// scratch, so repeated synthesis calls (a batch shard's instance
-    /// stream) reuse the maze router's allocations. The scratch never
-    /// affects results, whatever library or options it served before.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::BadOptions`] for invalid options,
-    /// [`CtsError::SlewUnachievable`] when the buffer library cannot meet
-    /// the slew target.
-    pub fn synthesize_unverified_with(
-        &self,
-        instance: &Instance,
-        scratch: &mut MergeScratch,
-    ) -> Result<CtsResult, CtsError> {
-        self.synthesize_impl(instance, scratch, None)
-    }
-
-    /// [`Synthesizer::synthesize_unverified_with`] plus a level observer:
-    /// `on_level` receives a [`crate::LevelSnapshot`] copy of the growing
-    /// arena after each level's grafts land, so a streaming front end can
-    /// publish level-complete subtrees mid-synthesis. The observer is
-    /// telemetry-only — the produced tree is bit-identical to an
+    /// [`Synthesizer::synthesize_unverified`] through caller-provided
+    /// merge scratch, plus a level observer: `on_level` receives a
+    /// [`LevelSnapshot`] copy of the growing arena after each level's
+    /// grafts land, so a streaming front end can publish level-complete
+    /// subtrees mid-synthesis. Neither the scratch nor the observer
+    /// affects results — the produced tree is bit-identical to an
     /// unobserved run.
     ///
     /// # Errors
     ///
-    /// As for [`Synthesizer::synthesize_unverified_with`].
+    /// As for [`Synthesizer::synthesize_unverified`].
     pub fn synthesize_unverified_observed(
         &self,
         instance: &Instance,
         scratch: &mut MergeScratch,
-        on_level: &mut dyn FnMut(crate::pipeline::LevelSnapshot),
+        on_level: &mut dyn FnMut(LevelSnapshot),
     ) -> Result<CtsResult, CtsError> {
-        self.synthesize_impl(instance, scratch, Some(on_level))
+        self.run_levels(instance, scratch, Some(on_level))
     }
-
-    fn synthesize_impl(
-        &self,
-        instance: &Instance,
-        scratch: &mut MergeScratch,
-        on_level: Option<&mut dyn FnMut(crate::pipeline::LevelSnapshot)>,
-    ) -> Result<CtsResult, CtsError> {
-        self.check_library_bounds()?;
-        let lib = self.library();
-        let pipeline = SynthesisPipeline::new(lib, &self.options)?;
-        let out = match on_level {
-            None => pipeline.run_with(instance, scratch)?,
-            Some(observer) => pipeline.run_observed(instance, scratch, observer)?,
-        };
-
-        let engine = TimingEngine::new(lib);
-        let report = engine.evaluate(&out.tree, out.source, self.options.source_slew);
-        let buffers = out.tree.buffer_count_under(out.source);
-        let wirelength_um = out.tree.wirelength_under(out.source);
-        let buffer_cap_f = buffer_cap_under(&out.tree, out.source, lib);
-
-        Ok(CtsResult {
-            tree: out.tree,
-            source: out.source,
-            report,
-            levels: out.levels,
-            buffers,
-            wirelength_um,
-            flippings: out.flippings,
-            buffer_cap_f,
-            level_stats: out.level_stats,
-            topology_seconds: out.topology_seconds,
-            merge_seconds: out.merge_seconds,
-        })
-    }
-
-    /// The verification stage: SPICE-simulates a synthesized tree and
-    /// measures the paper's reported numbers (worst slew, skew, max
-    /// latency). Separately invokable from synthesis so batch drivers can
-    /// overlap the two stages across instances.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::Verify`] if any stage fails to simulate or a node never
-    /// completes its transition.
-    pub fn verify(
-        &self,
-        result: &CtsResult,
-        tech: &Technology,
-        opts: &VerifyOptions,
-    ) -> Result<VerifiedTiming, CtsError> {
-        verify_tree(&result.tree, result.source, tech, opts)
-    }
-
-    /// [`Synthesizer::verify`] through a caller-provided [`Verifier`], so
-    /// repeated verification (a batch shard's instance stream, a service
-    /// worker's lifetime) reuses solve plans across stages and replays
-    /// unchanged stages outright. The verifier never affects results —
-    /// warm and cold verification are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Synthesizer::verify`].
-    pub fn verify_with(
-        &self,
-        result: &CtsResult,
-        tech: &Technology,
-        opts: &VerifyOptions,
-        verifier: &mut Verifier,
-    ) -> Result<VerifiedTiming, CtsError> {
-        verifier.verify(&result.tree, result.source, tech, opts)
-    }
-}
-
-/// Sums the input capacitance of every buffer under `root`, using the
-/// engine's cap-matching convention (`stage1_size × cg_1x`). Traversal
-/// order is deterministic (preorder, right child first), so the sum is
-/// bit-identical across runs of the same tree.
-fn buffer_cap_under(tree: &ClockTree, root: TreeNodeId, lib: &DelaySlewLibrary) -> f64 {
-    let mut total = 0.0;
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        let node = tree.node(id);
-        if let NodeKind::Buffer { buffer } = node.kind {
-            total += lib.buffer(buffer).stage1_size() * 1.2e-15;
-        }
-        stack.extend(node.children.iter().copied());
-    }
-    total
 }
 
 #[cfg(test)]
@@ -471,31 +345,13 @@ mod tests {
         for synth in &contexts {
             for seed in 0..3u64 {
                 let inst = random_instance(8, 3000.0, 2000.0, seed);
-                let warm = synth
-                    .synthesize_unverified_with(&inst, &mut scratch)
-                    .unwrap();
+                let warm = synth.run_levels(&inst, &mut scratch, None).unwrap();
                 let cold = synth.synthesize(&inst).unwrap();
                 assert_eq!(warm.tree, cold.tree);
                 assert_eq!(warm.report, cold.report);
                 assert_eq!(warm.level_stats, cold.level_stats);
             }
         }
-    }
-
-    #[test]
-    fn split_stages_match_fused_flow() {
-        use crate::verify::VerifyOptions;
-        let synth = Synthesizer::new(fast_library(), CtsOptions::default());
-        let inst = random_instance(5, 1500.0, 1500.0, 3);
-        let r = synth.synthesize_unverified(&inst).unwrap();
-        let tech = cts_spice::Technology::nominal_45nm();
-        let v = synth.verify(&r, &tech, &VerifyOptions::default()).unwrap();
-        let direct =
-            crate::verify::verify_tree(&r.tree, r.source, &tech, &VerifyOptions::default())
-                .unwrap();
-        assert_eq!(v.worst_slew, direct.worst_slew);
-        assert_eq!(v.skew, direct.skew);
-        assert_eq!(v.sink_arrivals, direct.sink_arrivals);
     }
 
     #[test]

@@ -34,26 +34,9 @@ pub struct CorrectedMerge {
     pub latency_estimate: f64,
 }
 
-/// Merges the pair `(a, b)`, applying the configured H-structure
-/// correction when both nodes are merge joints with two children.
-///
-/// Convenience wrapper over [`merge_with_correction_with`] that allocates
-/// fresh scratch.
-///
-/// # Errors
-///
-/// Propagates [`CtsError`] from merge-routing.
-pub fn merge_with_correction(
-    lib: &DelaySlewLibrary,
-    options: &CtsOptions,
-    tree: &mut ClockTree,
-    a: TreeNodeId,
-    b: TreeNodeId,
-) -> Result<CorrectedMerge, CtsError> {
-    merge_with_correction_with(lib, options, &mut MergeScratch::default(), tree, a, b)
-}
-
-/// [`merge_with_correction`] with caller-provided reusable scratch.
+/// Merges the pair `(a, b)` through reusable `scratch`, applying the
+/// configured H-structure correction when both nodes are merge joints
+/// with two children.
 ///
 /// Builds a [`MergeRouting`] per call; the synthesis pipeline builds one
 /// per run and shares it across its merges instead.
@@ -245,8 +228,14 @@ mod tests {
             t.add_sink(3, &Sink::new("d", Point::new(3000.0, 300.0), 20e-15)),
         ];
         // Deliberately bad pairing: diagonal merges (a with d, b with c).
-        let m1 = mr.merge_pair(&mut t, s[0], s[3]).unwrap().merge_node;
-        let m2 = mr.merge_pair(&mut t, s[1], s[2]).unwrap().merge_node;
+        let m1 = mr
+            .merge_pair_with(&mut MergeScratch::new(), &mut t, s[0], s[3])
+            .unwrap()
+            .merge_node;
+        let m2 = mr
+            .merge_pair_with(&mut MergeScratch::new(), &mut t, s[1], s[2])
+            .unwrap()
+            .merge_node;
         (t, m1, m2)
     }
 
@@ -255,7 +244,8 @@ mod tests {
         let lib = fast_library();
         let opts = CtsOptions::default();
         let (mut t, m1, m2) = intertwined_forest();
-        let out = merge_with_correction(lib, &opts, &mut t, m1, m2).unwrap();
+        let out = merge_with_correction_with(lib, &opts, &mut MergeScratch::new(), &mut t, m1, m2)
+            .unwrap();
         assert!(!out.flipped);
         t.validate_under(out.root);
         assert_eq!(t.sinks_under(out.root).len(), 4);
@@ -267,7 +257,8 @@ mod tests {
         let mut opts = CtsOptions::default();
         opts.h_correction = HCorrection::Correct;
         let (mut t, m1, m2) = intertwined_forest();
-        let out = merge_with_correction(lib, &opts, &mut t, m1, m2).unwrap();
+        let out = merge_with_correction_with(lib, &opts, &mut MergeScratch::new(), &mut t, m1, m2)
+            .unwrap();
         // All four sinks must still be reachable regardless of flipping.
         assert_eq!(t.sinks_under(out.root).len(), 4);
         t.validate_under(out.root);
@@ -279,7 +270,8 @@ mod tests {
         let mut opts = CtsOptions::default();
         opts.h_correction = HCorrection::ReEstimate;
         let (mut t, m1, m2) = intertwined_forest();
-        let out = merge_with_correction(lib, &opts, &mut t, m1, m2).unwrap();
+        let out = merge_with_correction_with(lib, &opts, &mut MergeScratch::new(), &mut t, m1, m2)
+            .unwrap();
         assert_eq!(t.sinks_under(out.root).len(), 4);
         t.validate_under(out.root);
     }
@@ -292,7 +284,8 @@ mod tests {
         let mut t = ClockTree::new();
         let s0 = t.add_sink(0, &Sink::new("a", Point::new(0.0, 0.0), 20e-15));
         let s1 = t.add_sink(1, &Sink::new("b", Point::new(500.0, 0.0), 20e-15));
-        let out = merge_with_correction(lib, &opts, &mut t, s0, s1).unwrap();
+        let out = merge_with_correction_with(lib, &opts, &mut MergeScratch::new(), &mut t, s0, s1)
+            .unwrap();
         assert!(!out.flipped, "sink pairs have no grandchildren to flip");
         assert_eq!(t.sinks_under(out.root).len(), 2);
     }

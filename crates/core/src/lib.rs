@@ -12,7 +12,7 @@
 //! * [`MergeRouting`] — the three-stage merge (§4.2): wire-snaking
 //!   *balance*, bi-directional slew-aware *maze routing* with intelligent
 //!   buffer sizing, and merge-point *binary search*;
-//! * [`merge_with_correction`] — H-structure re-estimation/correction of
+//! * [`merge_with_correction_with`] — H-structure re-estimation/correction of
 //!   intertwined pairings (§4.1.2);
 //! * [`TimingEngine`] — top-down delay/slew propagation over the
 //!   characterized library;
@@ -57,10 +57,10 @@ mod vanginneken;
 pub mod variation;
 pub mod verify;
 
-pub use batch::{BatchItem, BatchOptions, BatchOutput, BatchRunner, BatchSummary, StagedSynthesis};
+pub use batch::{BatchItem, BatchOptions, BatchOutput, BatchRunner, BatchSummary};
 pub use engine::{TimingEngine, TimingReport};
 pub use flow::{CtsResult, Synthesizer};
-pub use hcorrect::{merge_with_correction, merge_with_correction_with, CorrectedMerge};
+pub use hcorrect::{merge_with_correction_with, CorrectedMerge};
 pub use instance::{Instance, Sink};
 pub use merge::{MergeOutcome, MergeRouting, MergeScratch};
 pub use options::{
@@ -68,7 +68,7 @@ pub use options::{
     VariationMode,
 };
 pub use pareto::{ParetoFront, ParetoPoint};
-pub use pipeline::{LevelSnapshot, LevelStats, SynthesisContext, SynthesisPipeline};
+pub use pipeline::{LevelSnapshot, LevelStats};
 pub use service::{
     Admission, RequestHandle, RequestId, RequestStatus, ServiceError, ServiceMetrics,
     ServiceOptions, ServiceStats, SubmitError, SweepSubmitError, SynthesisRequest, SynthesisResult,

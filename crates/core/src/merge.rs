@@ -103,27 +103,8 @@ impl<'a> MergeRouting<'a> {
         self.balancer.effective_pending_um(tree, node)
     }
 
-    /// Merges the sub-trees rooted at `r1` and `r2`; returns the new merge
-    /// node and quality estimates.
-    ///
-    /// Convenience wrapper over [`MergeRouting::merge_pair_with`] that
-    /// allocates fresh scratch; the synthesis pipeline holds a per-worker
-    /// [`MergeScratch`] instead.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::SlewUnachievable`] if buffer insertion cannot satisfy
-    /// the slew target anywhere along the route.
-    pub fn merge_pair(
-        &self,
-        tree: &mut ClockTree,
-        r1: TreeNodeId,
-        r2: TreeNodeId,
-    ) -> Result<MergeOutcome, CtsError> {
-        self.merge_pair_with(&mut MergeScratch::default(), tree, r1, r2)
-    }
-
-    /// [`MergeRouting::merge_pair`] with caller-provided reusable scratch.
+    /// Merges the sub-trees rooted at `r1` and `r2` through reusable
+    /// `scratch`; returns the new merge node and quality estimates.
     ///
     /// # Errors
     ///
@@ -520,7 +501,9 @@ mod tests {
         let opts = CtsOptions::default();
         let mr = MergeRouting::new(lib, &opts);
         let (mut t, ids) = sink_tree(&[(0.0, 0.0), (600.0, 0.0)]);
-        let out = mr.merge_pair(&mut t, ids[0], ids[1]).unwrap();
+        let out = mr
+            .merge_pair_with(&mut MergeScratch::new(), &mut t, ids[0], ids[1])
+            .unwrap();
         assert_eq!(t.roots(), vec![out.merge_node]);
         assert!(
             out.skew_estimate < 2.0 * PS,
@@ -536,7 +519,9 @@ mod tests {
         let opts = CtsOptions::default();
         let mr = MergeRouting::new(lib, &opts);
         let (mut t, ids) = sink_tree(&[(0.0, 0.0), (5000.0, 400.0)]);
-        let out = mr.merge_pair(&mut t, ids[0], ids[1]).unwrap();
+        let out = mr
+            .merge_pair_with(&mut MergeScratch::new(), &mut t, ids[0], ids[1])
+            .unwrap();
         assert!(out.buffers_inserted >= 2, "got {}", out.buffers_inserted);
         assert!(
             out.skew_estimate < 5.0 * PS,
@@ -564,7 +549,9 @@ mod tests {
         let d_fast = mr.subtree_delay(&t, ids[0]);
         assert!(d_slow > d_fast + 10.0 * PS, "setup should be unbalanced");
 
-        let out = mr.merge_pair(&mut t, ids[0], b2).unwrap();
+        let out = mr
+            .merge_pair_with(&mut MergeScratch::new(), &mut t, ids[0], b2)
+            .unwrap();
         assert!(
             out.skew_estimate < 30.0 * PS,
             "skew {} ps (snakes: {})",
@@ -581,7 +568,9 @@ mod tests {
         let mr = MergeRouting::new(lib, &opts);
         let engine = TimingEngine::new(lib);
         let (mut t, ids) = sink_tree(&[(0.0, 0.0), (4000.0, 0.0)]);
-        let out = mr.merge_pair(&mut t, ids[0], ids[1]).unwrap();
+        let out = mr
+            .merge_pair_with(&mut MergeScratch::new(), &mut t, ids[0], ids[1])
+            .unwrap();
         let rep =
             engine.evaluate_subtree(&t, out.merge_node, opts.virtual_driver, opts.slew_target);
         assert!(

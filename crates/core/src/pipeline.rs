@@ -1,11 +1,10 @@
-//! The staged, parallel synthesis pipeline.
+//! The staged, parallel synthesis level loop.
 //!
 //! The paper's flow (§4.1, Fig. 4.1) is levelized: every topology level
 //! pairs up the active sub-tree roots and merge-routes each pair
 //! *independently*, which makes the dominant cost — balance + slew-aware
 //! maze routing per merge (§4.2) — embarrassingly parallel within a level.
-//! This module restructures the old inline per-level loop into explicit
-//! stages:
+//! Each level runs as explicit stages:
 //!
 //! 1. **Topology matching** — per-root timing candidates (evaluated in
 //!    parallel, order-preserving) feed the farthest-from-centroid greedy
@@ -15,8 +14,8 @@
 //!    merged there by a worker from the shared [`cts_util::exec`] pool,
 //!    with per-worker [`MergeScratch`] so the maze router and merge engine
 //!    reuse allocations across merges. The values derived from the library
-//!    and options alone live in one [`MergeRouting`], built with the
-//!    pipeline and shared by `&` across every merge and worker.
+//!    and options alone live in one [`MergeRouting`], built once per
+//!    synthesis and shared by `&` across every merge and worker.
 //! 3. **Graft + H-correction** — the merged forests (H-correction already
 //!    applied inside the worker, where its scratch clones are pair-sized
 //!    instead of whole-tree-sized) are grafted back into the main arena in
@@ -25,14 +24,18 @@
 //! 4. **Level timing** — per-level statistics ([`LevelStats`]) aggregated
 //!    from the merge outcomes, surfaced on [`crate::CtsResult`].
 //!
-//! [`crate::Synthesizer::synthesize`] is a thin wrapper over
-//! [`SynthesisPipeline::run`].
+//! [`crate::Synthesizer::synthesize`],
+//! [`crate::Synthesizer::synthesize_unverified`] and
+//! [`crate::Synthesizer::synthesize_unverified_observed`] all run this
+//! one loop; the batch driver and the variation axis call it directly
+//! with their own [`MergeScratch`].
 
 use crate::engine::{TimingEngine, TimingReport};
+use crate::flow::{CtsResult, Synthesizer};
 use crate::hcorrect::merge_corrected;
 use crate::instance::Instance;
 use crate::merge::{MergeRouting, MergeScratch};
-use crate::options::{CtsError, CtsOptions};
+use crate::options::CtsError;
 use crate::topology::{find_matching, MatchCandidate, Matching};
 use crate::tree::{ClockTree, NodeKind, TreeNodeId};
 use cts_timing::{BufferId, DelaySlewLibrary};
@@ -47,18 +50,6 @@ static SPAN_MERGE_PAIR: cts_obs::Name = cts_obs::Name::new("pipeline.merge_pair"
 static SPAN_LEVEL_STATS: cts_obs::Name = cts_obs::Name::new("pipeline.level_stats");
 static SPAN_GRAFT: cts_obs::Name = cts_obs::Name::new("pipeline.graft");
 static SPAN_REFINE: cts_obs::Name = cts_obs::Name::new("pipeline.refine");
-
-/// Everything a synthesis run needs that outlives any single merge: the
-/// characterized library, the options, and the resolved worker count.
-#[derive(Debug, Clone, Copy)]
-pub struct SynthesisContext<'a> {
-    /// The characterized delay/slew library.
-    pub lib: &'a DelaySlewLibrary,
-    /// Synthesis options (validated).
-    pub options: &'a CtsOptions,
-    /// Resolved worker count (`options.threads` with `0` = all cores).
-    pub threads: usize,
-}
 
 /// Per-level statistics from the pipeline's level-timing stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,9 +78,9 @@ pub struct LevelStats {
 }
 
 /// A point-in-time, level-complete copy of the growing arena, published
-/// by [`SynthesisPipeline::run_observed`] after each level's grafts
-/// land. The nodes form a valid *forest* (the remaining active roots
-/// are parentless) that [`ClockTree::from_nodes`] accepts, so a
+/// by [`Synthesizer::synthesize_unverified_observed`] after each level's
+/// grafts land. The nodes form a valid *forest* (the remaining active
+/// roots are parentless) that [`ClockTree::from_nodes`] accepts, so a
 /// mid-synthesis observer can rebuild and inspect completed levels
 /// while upper levels are still merging. Snapshots are copies: later
 /// refinement does not retroactively edit them.
@@ -115,125 +106,57 @@ struct PairMerge {
     latency_estimate: f64,
 }
 
-/// The staged synthesis pipeline. See the module docs for the stage
-/// breakdown.
-#[derive(Debug, Clone)]
-pub struct SynthesisPipeline<'a> {
-    ctx: SynthesisContext<'a>,
-    routing: MergeRouting<'a>,
-}
-
-/// Output of a full pipeline run, consumed by
-/// [`crate::Synthesizer::synthesize`] to assemble the public
-/// [`crate::CtsResult`].
-#[derive(Debug, Clone)]
-pub struct PipelineOutput {
-    /// The finished tree (crowned with its source).
-    pub tree: ClockTree,
-    /// The source node.
-    pub source: TreeNodeId,
-    /// Topology levels built.
-    pub levels: usize,
-    /// Total H-structure flippings.
-    pub flippings: usize,
-    /// Per-level statistics.
-    pub level_stats: Vec<LevelStats>,
-    /// Wall-clock seconds spent in topology matching (stage 1) across all
-    /// levels. Telemetry only; never feeds back into results.
-    pub topology_seconds: f64,
-    /// Wall-clock seconds spent merge-routing, grafting, and globally
-    /// refining (stages 2–4 plus refinement). Telemetry only.
-    pub merge_seconds: f64,
-}
-
-impl<'a> SynthesisPipeline<'a> {
-    /// Builds a pipeline over a library and validated options.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::BadOptions`] when the options fail validation,
-    /// [`CtsError::SlewUnachievable`] when no buffer can drive some load
-    /// at the slew target — reported here, before any level runs.
-    pub fn new(
-        lib: &'a DelaySlewLibrary,
-        options: &'a CtsOptions,
-    ) -> Result<SynthesisPipeline<'a>, CtsError> {
-        options.validate()?;
-        let routing = MergeRouting::new(lib, options);
-        routing.router.limits()?;
-        Ok(SynthesisPipeline {
-            ctx: SynthesisContext {
-                lib,
-                options,
-                threads: resolve_threads(options.threads),
-            },
-            routing,
-        })
-    }
-
-    /// The run context.
-    pub fn context(&self) -> SynthesisContext<'a> {
-        self.ctx
-    }
-
-    /// Runs the full levelized flow for `instance` and returns the crowned
-    /// tree plus per-level statistics.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::SlewUnachievable`] when the buffer library cannot meet
-    /// the slew target.
-    pub fn run(&self, instance: &Instance) -> Result<PipelineOutput, CtsError> {
-        self.run_with(instance, &mut MergeScratch::new())
-    }
-
-    /// [`SynthesisPipeline::run`] with caller-provided merge scratch.
+impl Synthesizer<'_> {
+    /// The one synthesis body behind every entry point: checks the
+    /// options, runs the levelized flow for `instance` (see the module
+    /// docs for the stage breakdown), crowns the tree with its source,
+    /// refines it globally, and reports engine-estimated timing.
     ///
     /// On the serial path (`threads <= 1`, or levels with a single pair)
     /// every merge runs through `scratch`, so a caller synthesizing many
     /// instances — the batch driver's per-shard workers — reuses the maze
     /// label stores and grid-dimension cache across instances instead of
     /// reallocating them per level. Parallel levels hand each pool worker
-    /// its own scratch, as before. The scratch never affects results.
+    /// its own scratch. The scratch never affects results.
+    ///
+    /// `on_level`, when given, is invoked after each level's grafts land
+    /// with a [`LevelSnapshot`] copy of the arena at that watermark. The
+    /// observer is telemetry-only — the produced tree is bit-identical to
+    /// an unobserved run.
     ///
     /// # Errors
     ///
-    /// [`CtsError::SlewUnachievable`] when the buffer library cannot meet
-    /// the slew target.
-    pub fn run_with(
-        &self,
-        instance: &Instance,
-        scratch: &mut MergeScratch,
-    ) -> Result<PipelineOutput, CtsError> {
-        self.run_impl(instance, scratch, None)
-    }
-
-    /// [`SynthesisPipeline::run_with`] plus a level observer: `on_level`
-    /// is invoked after each level's grafts land, with a
-    /// [`LevelSnapshot`] copy of the arena at that watermark. The
-    /// observer is telemetry-only — it cannot influence the synthesis,
-    /// and the produced tree is bit-identical to an unobserved run.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::SlewUnachievable`] when the buffer library cannot meet
-    /// the slew target.
-    pub fn run_observed(
-        &self,
-        instance: &Instance,
-        scratch: &mut MergeScratch,
-        on_level: &mut dyn FnMut(LevelSnapshot),
-    ) -> Result<PipelineOutput, CtsError> {
-        self.run_impl(instance, scratch, Some(on_level))
-    }
-
-    fn run_impl(
+    /// [`CtsError::BadOptions`] for options the library cannot satisfy or
+    /// that fail validation, [`CtsError::SlewUnachievable`] when no buffer
+    /// can drive some load at the slew target — all three reported before
+    /// any level runs — or when a merge cannot meet it.
+    pub(crate) fn run_levels(
         &self,
         instance: &Instance,
         scratch: &mut MergeScratch,
         mut on_level: Option<&mut dyn FnMut(LevelSnapshot)>,
-    ) -> Result<PipelineOutput, CtsError> {
-        let ctx = self.ctx;
+    ) -> Result<CtsResult, CtsError> {
+        let options = &self.options;
+        let nb = self.lib.buffers().len();
+        let k = options.library_subset;
+        if k > nb {
+            return Err(CtsError::BadOptions(format!(
+                "library_subset ({k}) exceeds the library's {nb} buffer types"
+            )));
+        }
+        let usable = if k == 0 { nb } else { k };
+        if options.virtual_driver.0 >= usable {
+            return Err(CtsError::BadOptions(format!(
+                "virtual_driver ({}) is outside the usable library of {} buffer types",
+                options.virtual_driver.0, usable
+            )));
+        }
+        options.validate()?;
+        let lib = self.library();
+        let routing = MergeRouting::new(lib, options);
+        routing.router.limits()?;
+        let threads = resolve_threads(options.threads);
+
         let mut tree = ClockTree::new();
         let mut active: Vec<TreeNodeId> = instance
             .sinks()
@@ -253,13 +176,21 @@ impl<'a> SynthesisPipeline<'a> {
             let t0 = std::time::Instant::now();
             let matching = {
                 let _span = cts_obs::span_with(&SPAN_MATCH, levels as u64);
-                self.match_level(&tree, &active, centroid)?
+                match_level(&routing, threads, &tree, &active, centroid)?
             };
             topology_seconds += t0.elapsed().as_secs_f64();
             let t1 = std::time::Instant::now();
             let stats = {
                 let _span = cts_obs::span_with(&SPAN_MERGE, levels as u64);
-                self.merge_level(&mut tree, &mut active, &matching, levels, scratch)?
+                merge_level(
+                    &routing,
+                    threads,
+                    &mut tree,
+                    &mut active,
+                    &matching,
+                    levels,
+                    scratch,
+                )?
             };
             merge_seconds += t1.elapsed().as_secs_f64();
             flippings += stats.flippings;
@@ -275,20 +206,24 @@ impl<'a> SynthesisPipeline<'a> {
 
         let t2 = std::time::Instant::now();
         let top = active[0];
-        let source = tree.add_source(top, self.routing.strongest);
+        let source = tree.add_source(top, routing.strongest);
 
         // Global refinement: per-merge balancing cannot anticipate the
         // stems and drivers that upper levels later place above each merge,
         // which re-opens small skew gaps; see [`refine_global`].
-        let engine = TimingEngine::new(ctx.lib);
+        let engine = TimingEngine::new(lib);
         {
             let _span = cts_obs::span(&SPAN_REFINE);
-            refine_global(&self.routing, &mut tree, source, &engine);
+            refine_global(&routing, &mut tree, source, &engine);
         }
         merge_seconds += t2.elapsed().as_secs_f64();
 
         tree.validate_under(source);
-        Ok(PipelineOutput {
+        Ok(CtsResult {
+            report: engine.evaluate(&tree, source, options.source_slew),
+            buffers: tree.buffer_count_under(source),
+            wirelength_um: tree.wirelength_under(source),
+            buffer_cap_f: buffer_cap_under(&tree, source, lib),
             tree,
             source,
             levels,
@@ -298,141 +233,149 @@ impl<'a> SynthesisPipeline<'a> {
             merge_seconds,
         })
     }
+}
 
-    /// Stage 1 — topology matching: evaluate every active root's sub-tree
-    /// delay (in parallel, order preserved) and run the paper's greedy
-    /// matching heuristic.
-    fn match_level(
-        &self,
-        tree: &ClockTree,
-        active: &[TreeNodeId],
-        centroid: cts_geom::Point,
-    ) -> Result<Matching, CtsError> {
-        let ctx = self.ctx;
-        let engine = TimingEngine::new(ctx.lib);
-        let candidates: Vec<MatchCandidate> = run_parallel(ctx.threads, active, |&root| {
-            Ok::<_, CtsError>(MatchCandidate {
-                location: tree.node(root).location,
-                delay: engine
-                    .evaluate_subtree(
-                        tree,
-                        root,
-                        ctx.options.virtual_driver,
-                        ctx.options.slew_target,
-                    )
-                    .latency,
-            })
-        })?;
-        find_matching(
-            &candidates,
-            centroid,
-            ctx.options.cost_alpha,
-            ctx.options.cost_beta,
-        )
+/// Stage 1 — topology matching: evaluate every active root's sub-tree
+/// delay (in parallel, order preserved) and run the paper's greedy
+/// matching heuristic.
+fn match_level(
+    mr: &MergeRouting<'_>,
+    threads: usize,
+    tree: &ClockTree,
+    active: &[TreeNodeId],
+    centroid: cts_geom::Point,
+) -> Result<Matching, CtsError> {
+    let options = mr.options;
+    let engine = TimingEngine::new(mr.lib);
+    let candidates: Vec<MatchCandidate> = run_parallel(threads, active, |&root| {
+        Ok::<_, CtsError>(MatchCandidate {
+            location: tree.node(root).location,
+            delay: engine
+                .evaluate_subtree(tree, root, options.virtual_driver, options.slew_target)
+                .latency,
+        })
+    })?;
+    find_matching(&candidates, centroid, options.cost_alpha, options.cost_beta)
+}
+
+/// Stages 2–4 — merge every matched pair on detached forests (in
+/// parallel), graft the results back in deterministic pair order, and
+/// aggregate the level's timing statistics. `active` is replaced by the
+/// next level's roots.
+fn merge_level(
+    mr: &MergeRouting<'_>,
+    threads: usize,
+    tree: &mut ClockTree,
+    active: &mut Vec<TreeNodeId>,
+    matching: &Matching,
+    level: usize,
+    scratch: &mut MergeScratch,
+) -> Result<LevelStats, CtsError> {
+    let jobs: Vec<(TreeNodeId, TreeNodeId)> = matching
+        .pairs
+        .iter()
+        .map(|&(i, j)| (active[i], active[j]))
+        .collect();
+
+    // Stage 2 + 3a: merge-route each pair (with its H-correction) on a
+    // detached forest. Workers only read the shared arena during
+    // extraction; all mutation happens on the private forest.
+    let merge_one = |scratch: &mut MergeScratch,
+                     tree: &ClockTree,
+                     &(a, b): &(TreeNodeId, TreeNodeId)|
+     -> Result<PairMerge, CtsError> {
+        let _span = cts_obs::span_with(&SPAN_MERGE_PAIR, level as u64);
+        let (mut forest, map) = tree.extract_forest(&[a, b]);
+        let la = ClockTree::local_id(&map, a);
+        let lb = ClockTree::local_id(&map, b);
+        let out = merge_corrected(mr, scratch, &mut forest, la, lb)?;
+        Ok(PairMerge {
+            root: out.root,
+            forest,
+            map,
+            flipped: out.flipped,
+            skew_estimate: out.skew_estimate,
+            latency_estimate: out.latency_estimate,
+        })
+    };
+    let merged: Vec<PairMerge> = {
+        let tree: &ClockTree = tree;
+        if threads <= 1 || jobs.len() <= 1 {
+            // Serial path: run through the caller's scratch, which then
+            // persists across levels (and across the instances a batch
+            // shard processes).
+            jobs.iter()
+                .map(|job| merge_one(scratch, tree, job))
+                .collect::<Result<_, _>>()?
+        } else {
+            run_parallel_with(threads, &jobs, MergeScratch::new, |scratch, job| {
+                merge_one(scratch, tree, job)
+            })?
+        }
+    };
+
+    // Stage 3b: graft in pair order — arena layout (and therefore the
+    // whole downstream flow) is independent of the worker count.
+    let mut next: Vec<TreeNodeId> = Vec::with_capacity(active.len() / 2 + 1);
+    if let Some(seed) = matching.seed {
+        next.push(active[seed]);
     }
-
-    /// Stages 2–4 — merge every matched pair on detached forests (in
-    /// parallel), graft the results back in deterministic pair order, and
-    /// aggregate the level's timing statistics. `active` is replaced by
-    /// the next level's roots.
-    fn merge_level(
-        &self,
-        tree: &mut ClockTree,
-        active: &mut Vec<TreeNodeId>,
-        matching: &Matching,
-        level: usize,
-        scratch: &mut MergeScratch,
-    ) -> Result<LevelStats, CtsError> {
-        let ctx = self.ctx;
-        let jobs: Vec<(TreeNodeId, TreeNodeId)> = matching
-            .pairs
-            .iter()
-            .map(|&(i, j)| (active[i], active[j]))
-            .collect();
-
-        // Stage 2 + 3a: merge-route each pair (with its H-correction) on a
-        // detached forest. Workers only read the shared arena during
-        // extraction; all mutation happens on the private forest.
-        let merge_one = |scratch: &mut MergeScratch,
-                         tree: &ClockTree,
-                         &(a, b): &(TreeNodeId, TreeNodeId)|
-         -> Result<PairMerge, CtsError> {
-            let _span = cts_obs::span_with(&SPAN_MERGE_PAIR, level as u64);
-            let (mut forest, map) = tree.extract_forest(&[a, b]);
-            let la = ClockTree::local_id(&map, a);
-            let lb = ClockTree::local_id(&map, b);
-            let out = merge_corrected(&self.routing, scratch, &mut forest, la, lb)?;
-            Ok(PairMerge {
-                root: out.root,
-                forest,
-                map,
-                flipped: out.flipped,
-                skew_estimate: out.skew_estimate,
-                latency_estimate: out.latency_estimate,
-            })
-        };
-        let merged: Vec<PairMerge> = {
-            let tree: &ClockTree = tree;
-            if ctx.threads <= 1 || jobs.len() <= 1 {
-                // Serial path: run through the caller's scratch, which then
-                // persists across levels (and across the instances a batch
-                // shard processes).
-                jobs.iter()
-                    .map(|job| merge_one(scratch, tree, job))
-                    .collect::<Result<_, _>>()?
-            } else {
-                run_parallel_with(ctx.threads, &jobs, MergeScratch::new, |scratch, job| {
-                    merge_one(scratch, tree, job)
-                })?
-            }
-        };
-
-        // Stage 3b: graft in pair order — arena layout (and therefore the
-        // whole downstream flow) is independent of the worker count.
-        let mut next: Vec<TreeNodeId> = Vec::with_capacity(active.len() / 2 + 1);
-        if let Some(seed) = matching.seed {
-            next.push(active[seed]);
+    let mut stats = LevelStats {
+        level,
+        pairs: merged.len(),
+        seed_promoted: matching.seed.is_some(),
+        flippings: 0,
+        buffers_inserted: 0,
+        worst_skew_estimate: 0.0,
+        max_latency_estimate: 0.0,
+        nodes_total: 0,
+    };
+    // Stage 4 first: the level's statistics are a pure read over the
+    // merge outcomes, so they aggregate before grafting consumes the
+    // forests — in the same pair order, keeping every fold (including
+    // the f64 max folds) arithmetically identical to the old fused
+    // loop.
+    {
+        let _span = cts_obs::span_with(&SPAN_LEVEL_STATS, level as u64);
+        for m in &merged {
+            stats.flippings += m.flipped as usize;
+            stats.worst_skew_estimate = stats.worst_skew_estimate.max(m.skew_estimate);
+            stats.max_latency_estimate = stats.max_latency_estimate.max(m.latency_estimate);
+            stats.buffers_inserted += m
+                .forest
+                .ids()
+                .skip(m.map.len())
+                .filter(|&id| matches!(m.forest.node(id).kind, NodeKind::Buffer { .. }))
+                .count();
         }
-        let mut stats = LevelStats {
-            level,
-            pairs: merged.len(),
-            seed_promoted: matching.seed.is_some(),
-            flippings: 0,
-            buffers_inserted: 0,
-            worst_skew_estimate: 0.0,
-            max_latency_estimate: 0.0,
-            nodes_total: 0,
-        };
-        // Stage 4 first: the level's statistics are a pure read over the
-        // merge outcomes, so they aggregate before grafting consumes the
-        // forests — in the same pair order, keeping every fold (including
-        // the f64 max folds) arithmetically identical to the old fused
-        // loop.
-        {
-            let _span = cts_obs::span_with(&SPAN_LEVEL_STATS, level as u64);
-            for m in &merged {
-                stats.flippings += m.flipped as usize;
-                stats.worst_skew_estimate = stats.worst_skew_estimate.max(m.skew_estimate);
-                stats.max_latency_estimate = stats.max_latency_estimate.max(m.latency_estimate);
-                stats.buffers_inserted += m
-                    .forest
-                    .ids()
-                    .skip(m.map.len())
-                    .filter(|&id| matches!(m.forest.node(id).kind, NodeKind::Buffer { .. }))
-                    .count();
-            }
-        }
-        {
-            let _span = cts_obs::span_with(&SPAN_GRAFT, level as u64);
-            for m in merged {
-                let global = tree.graft_forest(m.forest, &m.map);
-                next.push(global[m.root.index()]);
-            }
-        }
-        *active = next;
-        stats.nodes_total = tree.len();
-        Ok(stats)
     }
+    {
+        let _span = cts_obs::span_with(&SPAN_GRAFT, level as u64);
+        for m in merged {
+            let global = tree.graft_forest(m.forest, &m.map);
+            next.push(global[m.root.index()]);
+        }
+    }
+    *active = next;
+    stats.nodes_total = tree.len();
+    Ok(stats)
+}
+
+/// Sums the input capacitance of every buffer under `root`, using the
+/// engine's cap-matching convention (`stage1_size × cg_1x`). Traversal
+/// order is deterministic (preorder, right child first), so the sum is
+/// bit-identical across runs of the same tree.
+fn buffer_cap_under(tree: &ClockTree, root: TreeNodeId, lib: &DelaySlewLibrary) -> f64 {
+    let mut total = 0.0;
+    let mut stack = vec![root];
+    while let Some(id) = stack.pop() {
+        let node = tree.node(id);
+        if let NodeKind::Buffer { buffer } = node.kind {
+            total += lib.buffer(buffer).stage1_size() * 1.2e-15;
+        }
+        stack.extend(node.children.iter().copied());
+    }
+    total
 }
 
 /// The strongest (largest) buffer in the library — the source driver.
@@ -630,6 +573,7 @@ pub(crate) fn refine_global(
 mod tests {
     use super::*;
     use crate::instance::Sink;
+    use crate::options::CtsOptions;
     use cts_geom::Point;
     use cts_timing::fast_library;
 
@@ -642,9 +586,8 @@ mod tests {
 
     #[test]
     fn pipeline_reports_per_level_stats() {
-        let options = CtsOptions::default();
-        let pipe = SynthesisPipeline::new(fast_library(), &options).unwrap();
-        let out = pipe.run(&line_instance(8, 600.0)).unwrap();
+        let synth = Synthesizer::new(fast_library(), CtsOptions::default());
+        let out = synth.synthesize(&line_instance(8, 600.0)).unwrap();
         assert_eq!(out.levels, 3);
         assert_eq!(out.level_stats.len(), 3);
         assert_eq!(out.level_stats[0].pairs, 4);
@@ -657,9 +600,8 @@ mod tests {
 
     #[test]
     fn odd_counts_promote_seeds() {
-        let options = CtsOptions::default();
-        let pipe = SynthesisPipeline::new(fast_library(), &options).unwrap();
-        let out = pipe.run(&line_instance(5, 500.0)).unwrap();
+        let synth = Synthesizer::new(fast_library(), CtsOptions::default());
+        let out = synth.synthesize(&line_instance(5, 500.0)).unwrap();
         assert!(out.level_stats.iter().any(|s| s.seed_promoted));
         assert_eq!(out.tree.sinks_under(out.source).len(), 5);
     }
@@ -671,13 +613,11 @@ mod tests {
         serial.threads = 1;
         let mut wide = CtsOptions::default();
         wide.threads = 4;
-        let a = SynthesisPipeline::new(fast_library(), &serial)
-            .unwrap()
-            .run(&inst)
+        let a = Synthesizer::new(fast_library(), serial)
+            .synthesize(&inst)
             .unwrap();
-        let b = SynthesisPipeline::new(fast_library(), &wide)
-            .unwrap()
-            .run(&inst)
+        let b = Synthesizer::new(fast_library(), wide)
+            .synthesize(&inst)
             .unwrap();
         assert_eq!(a.tree, b.tree);
         assert_eq!(a.source, b.source);
@@ -686,12 +626,11 @@ mod tests {
 
     #[test]
     fn observer_sees_level_complete_forests() {
-        let options = CtsOptions::default();
-        let pipe = SynthesisPipeline::new(fast_library(), &options).unwrap();
+        let synth = Synthesizer::new(fast_library(), CtsOptions::default());
         let inst = line_instance(8, 600.0);
         let mut snaps = Vec::new();
-        let out = pipe
-            .run_observed(&inst, &mut MergeScratch::new(), &mut |s| snaps.push(s))
+        let out = synth
+            .synthesize_unverified_observed(&inst, &mut MergeScratch::new(), &mut |s| snaps.push(s))
             .unwrap();
         assert_eq!(snaps.len(), out.levels);
         for (snap, stats) in snaps.iter().zip(&out.level_stats) {
@@ -714,19 +653,8 @@ mod tests {
             .all(|w| w[0].nodes.len() < w[1].nodes.len()));
         assert_eq!(snaps.last().unwrap().nodes.len() + 1, out.tree.len());
         // Observing never perturbs the synthesis.
-        let plain = pipe.run(&inst).unwrap();
+        let plain = synth.synthesize_unverified(&inst).unwrap();
         assert_eq!(plain.tree, out.tree);
         assert_eq!(plain.level_stats, out.level_stats);
-    }
-
-    #[test]
-    fn context_resolves_threads() {
-        let mut options = CtsOptions::default();
-        options.threads = 1;
-        let pipe = SynthesisPipeline::new(fast_library(), &options).unwrap();
-        assert_eq!(pipe.context().threads, 1);
-        options.threads = 0;
-        let pipe = SynthesisPipeline::new(fast_library(), &options).unwrap();
-        assert!(pipe.context().threads >= 1);
     }
 }

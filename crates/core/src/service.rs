@@ -56,7 +56,9 @@
 //!   [`crate::batch::BatchRunner::synth_stage`] /
 //!   [`crate::batch::BatchRunner::finish_stage`], the exact code the batch
 //!   driver schedules on the same worker loop, with one warm
-//!   [`MergeScratch`] per worker. Every result is byte-identical to a
+//!   [`MergeScratch`] per worker; the request's [`BatchItem`] row travels
+//!   from the first stage to the second and becomes
+//!   [`SynthesisResult::item`]. Every result is byte-identical to a
 //!   direct serial [`crate::flow::Synthesizer::synthesize`] +
 //!   [`crate::verify::verify_tree`] call, for every worker count; the
 //!   tier-1 determinism suite asserts it.
@@ -92,7 +94,7 @@
 //! service.shutdown();
 //! ```
 
-use crate::batch::{BatchItem, BatchOptions, BatchRunner, StagedSynthesis};
+use crate::batch::{BatchItem, BatchOptions, BatchRunner};
 use crate::instance::Instance;
 use crate::merge::MergeScratch;
 use crate::options::{CtsError, CtsOptions};
@@ -1206,8 +1208,6 @@ fn engine_loop(
     service: ServiceOptions,
 ) {
     let batch = BatchOptions {
-        shards: service.workers, // informational; scheduling is the pull source's
-        overlap_verify: true,
         verify: service.verify,
         ..BatchOptions::default()
     };
@@ -1282,11 +1282,10 @@ fn engine_loop(
         || (Verifier::new(), VerifyStats::default()),
         |(verifier, booked): &mut (Verifier, VerifyStats),
          job: Job,
-         (staged, order): (StagedSynthesis, u64)| {
+         (staged, order): (BatchItem, u64)| {
             let finished = {
-                let sinks = job.request.instance.sinks().len() as u64;
-                let _span = cts_obs::span_with(&SPAN_SERVICE_VERIFY, sinks);
-                runner.finish_stage(verifier, staged, &job.request.instance)
+                let _span = cts_obs::span_with(&SPAN_SERVICE_VERIFY, staged.sinks as u64);
+                runner.finish_stage(verifier, staged)
             };
             let now = verifier.stats();
             let mut ledger = shared.ledger();

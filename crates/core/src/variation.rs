@@ -181,7 +181,7 @@ impl Synthesizer<'_> {
                 }
                 VariationMode::Resynthesize => {
                     let corner_synth = Synthesizer::new(&lib, self.options().clone());
-                    let result = corner_synth.synthesize_unverified_with(instance, &mut scratch)?;
+                    let result = corner_synth.run_levels(instance, &mut scratch, None)?;
                     (result.report, true)
                 }
             };

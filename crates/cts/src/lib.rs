@@ -86,10 +86,10 @@ pub use cts_core::{
     Buffering, ClockTree, CornerRow, CtsError, CtsOptions, CtsOptionsBuilder, CtsResult, DistStats,
     HCorrection, Instance, LevelStats, NodeKind, OptionsError, ParetoFront, ParetoPoint,
     RequestHandle, RequestId, RequestStatus, ServiceError, ServiceMetrics, ServiceOptions,
-    ServiceStats, Sink, StagedSynthesis, SubmitError, SynthesisContext, SynthesisPipeline,
-    SynthesisRequest, SynthesisResult, SynthesisService, Synthesizer, Ticket, TimingEngine,
-    TimingReport, TreeNode, TreeNodeId, TreeStructureError, Variation, VariationMode,
-    VariationSummary, VerifiedTiming, Verifier, VerifyOptions, VerifyStats,
+    ServiceStats, Sink, SubmitError, SynthesisRequest, SynthesisResult, SynthesisService,
+    Synthesizer, Ticket, TimingEngine, TimingReport, TreeNode, TreeNodeId, TreeStructureError,
+    Variation, VariationMode, VariationSummary, VerifiedTiming, Verifier, VerifyOptions,
+    VerifyStats,
 };
 pub use cts_spice::Technology;
 pub use cts_timing::{

@@ -412,19 +412,12 @@ impl Client {
     /// request is still synthesizing under [`ChunkMode::Levels`]) —
     /// watch those with [`Client::fetch_tree_progress`] instead.
     pub fn fetch_tree(&mut self, id: u64, mode: ChunkMode) -> Result<RemoteTree, NetError> {
-        let header = self.fetch_tree_header(id, mode)?;
-        let (nodes, level_stats) = self.collect_stream(&header)?;
+        let (header, nodes, level_stats) = self.fetch_tree_stream(id, mode)?;
         if header.partial {
             return Err(NetError::Protocol(format!(
                 "request {id} is still synthesizing ({} levels published); \
                  use fetch_tree_progress to watch a partial tree",
                 header.levels_done
-            )));
-        }
-        if header.source >= header.nodes {
-            return Err(NetError::Protocol(format!(
-                "tree source {} is outside the {}-node arena",
-                header.source, header.nodes
             )));
         }
         let tree = ClockTree::from_nodes(nodes).map_err(|e| NetError::Protocol(e.to_string()))?;
@@ -450,8 +443,7 @@ impl Client {
     /// Transport/protocol failures, or `unknown_id` for an id this
     /// connection never submitted (or whose geometry was evicted).
     pub fn fetch_tree_progress(&mut self, id: u64) -> Result<TreeProgress, NetError> {
-        let header = self.fetch_tree_header(id, ChunkMode::Levels)?;
-        let (nodes, level_stats) = self.collect_stream(&header)?;
+        let (header, nodes, level_stats) = self.fetch_tree_stream(id, ChunkMode::Levels)?;
         Ok(TreeProgress {
             id: header.id,
             name: header.name,
@@ -463,8 +455,20 @@ impl Client {
         })
     }
 
-    /// Sends a `fetch_tree` and validates the stream header.
-    fn fetch_tree_header(&mut self, id: u64, mode: ChunkMode) -> Result<TreeInfo, NetError> {
+    /// Sends a `fetch_tree`, validates the stream header, and consumes
+    /// the chunked `tree` events that follow: returns the header, the
+    /// streamed nodes, and the terminal frame's level stats. A completed
+    /// header's `source` is checked against its node count here, once for
+    /// both fetch methods. Result events that interleave are stashed;
+    /// `tree` events for *other* ids cannot belong to a live stream (this
+    /// synchronous client runs at most one at a time — they are stale
+    /// leftovers of an earlier failed fetch) and are discarded, so a
+    /// failed stream never poisons a later retry.
+    fn fetch_tree_stream(
+        &mut self,
+        id: u64,
+        mode: ChunkMode,
+    ) -> Result<(TreeInfo, Vec<TreeNode>, Vec<LevelStats>), NetError> {
         let (chunk, levels) = mode.wire();
         let fetch = Request::FetchTree { id, chunk, levels };
         let header = ask!(self, fetch, Response::TreeHeader(header) => header)?;
@@ -474,20 +478,6 @@ impl Client {
                 header.id
             )));
         }
-        Ok(header)
-    }
-
-    /// Consumes the chunked `tree` events following a stream header and
-    /// returns the streamed nodes plus the terminal frame's level stats.
-    /// Result events that interleave are stashed; `tree` events for
-    /// *other* ids cannot belong to a live stream (this synchronous
-    /// client runs at most one at a time — they are stale leftovers of
-    /// an earlier failed fetch) and are discarded, so a failed stream
-    /// never poisons a later retry.
-    fn collect_stream(
-        &mut self,
-        header: &TreeInfo,
-    ) -> Result<(Vec<TreeNode>, Vec<LevelStats>), NetError> {
         // `header.nodes` is server-supplied: cap the preallocation so a
         // buggy or hostile peer cannot panic/abort this process with an
         // absurd claim — the vector grows normally past the hint, and a
@@ -545,7 +535,13 @@ impl Client {
                             header.chunks
                         )));
                     }
-                    return Ok((nodes, done.level_stats));
+                    if !header.partial && header.source >= header.nodes {
+                        return Err(NetError::Protocol(format!(
+                            "tree source {} is outside the {}-node arena",
+                            header.source, header.nodes
+                        )));
+                    }
+                    return Ok((header, nodes, done.level_stats));
                 }
             }
         }

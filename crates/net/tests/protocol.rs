@@ -11,7 +11,8 @@ use cts_core::{
 use cts_geom::Point;
 use cts_net::frame::{read_frame, write_frame};
 use cts_net::proto::{
-    encode_event, encode_response, Event, Response, TreeChunkEvent, TreeEvent, TreeInfo,
+    encode_event, encode_response, Event, Response, TreeChunkEvent, TreeDoneEvent, TreeEvent,
+    TreeInfo,
 };
 use cts_net::{
     ChunkMode, Client, ErrorCode, Json, NetError, OptionsPatch, Outcome, Server, ServerHandle,
@@ -702,11 +703,9 @@ fn hello_v1_is_rejected_with_unsupported_version_not_a_hang() {
     ts.stop();
 }
 
-#[test]
-fn truncated_tree_stream_is_a_transport_error_not_a_partial_tree() {
-    // A hand-rolled fake server: answers the handshake, then replies to
-    // `fetch_tree` with a header promising 4 nodes in 2 chunks, streams
-    // one chunk, and drops the connection mid-stream.
+/// A hand-rolled fake server: answers the handshake, then replies to the
+/// first `fetch_tree` with `header` followed by `events`, and hangs up.
+fn fake_tree_server(header: TreeInfo, events: Vec<TreeEvent>) -> (SocketAddr, JoinHandle<()>) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let fake = std::thread::spawn(move || {
@@ -726,34 +725,74 @@ fn truncated_tree_stream_is_a_transport_error_not_a_partial_tree() {
         );
         write_frame(&mut writer, &reply).unwrap();
         writer.flush().unwrap();
-        // fetch_tree → header + one of two chunks, then hang up.
         let fetch = read_frame(&mut reader).unwrap().unwrap().unwrap();
         let seq = fetch.get("seq").and_then(Json::as_u64);
-        let header = encode_response(
-            seq,
-            &Response::TreeHeader(TreeInfo::complete(0, "cut".into(), 4, 2, 3)),
-        );
-        write_frame(&mut writer, &header).unwrap();
-        let joint = |x: f64| TreeNode {
-            kind: NodeKind::Joint,
-            location: Point::new(x, 0.0),
-            parent: None,
-            wire_to_parent_um: 0.0,
-            children: Vec::new(),
-        };
-        let chunk = encode_event(&Event::Tree(TreeEvent::Chunk(TreeChunkEvent {
+        write_frame(
+            &mut writer,
+            &encode_response(seq, &Response::TreeHeader(header)),
+        )
+        .unwrap();
+        for event in events {
+            write_frame(&mut writer, &encode_event(&Event::Tree(event))).unwrap();
+        }
+        writer.flush().unwrap();
+        // Drop both halves: the connection ends after the last event.
+    });
+    (addr, fake)
+}
+
+fn joint(x: f64) -> TreeNode {
+    TreeNode {
+        kind: NodeKind::Joint,
+        location: Point::new(x, 0.0),
+        parent: None,
+        wire_to_parent_um: 0.0,
+        children: Vec::new(),
+    }
+}
+
+#[test]
+fn truncated_tree_stream_is_a_transport_error_not_a_partial_tree() {
+    // A header promising 4 nodes in 2 chunks, one chunk, then the
+    // connection drops mid-stream.
+    let (addr, fake) = fake_tree_server(
+        TreeInfo::complete(0, "cut".into(), 4, 2, 3),
+        vec![TreeEvent::Chunk(TreeChunkEvent {
             id: 0,
             chunk: 0,
             nodes: vec![joint(0.0), joint(1.0)],
-        })));
-        write_frame(&mut writer, &chunk).unwrap();
-        writer.flush().unwrap();
-        // Drop both halves: the stream ends mid-geometry.
-    });
+        })],
+    );
     let mut client = Client::connect(addr).unwrap();
     match client.fetch_tree(0, ChunkMode::Default) {
         Err(NetError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
         other => panic!("expected a transport error, got {other:?}"),
+    }
+    fake.join().unwrap();
+}
+
+#[test]
+fn tree_progress_rejects_a_source_outside_the_arena() {
+    // A complete, well-formed stream whose header names source == nodes:
+    // the server-supplied id must not reach `TreeProgress::source`.
+    let (addr, fake) = fake_tree_server(
+        TreeInfo::complete(0, "bad_source".into(), 2, 1, 2),
+        vec![
+            TreeEvent::Chunk(TreeChunkEvent {
+                id: 0,
+                chunk: 0,
+                nodes: vec![joint(0.0), joint(1.0)],
+            }),
+            TreeEvent::Done(TreeDoneEvent {
+                id: 0,
+                level_stats: Vec::new(),
+            }),
+        ],
+    );
+    let mut client = Client::connect(addr).unwrap();
+    match client.fetch_tree_progress(0) {
+        Err(NetError::Protocol(msg)) => assert!(msg.contains("outside"), "{msg}"),
+        other => panic!("expected a protocol error, got {other:?}"),
     }
     fake.join().unwrap();
 }
