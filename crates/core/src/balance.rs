@@ -9,6 +9,7 @@
 //! as still needed), repeated until the target delay is reached. The last
 //! inserted buffer becomes the new sub-tree root.
 
+use crate::merge::StageAt;
 use crate::options::{CtsError, CtsOptions};
 use crate::tree::{ClockTree, NodeKind, TreeNodeId};
 use cts_timing::{BufferId, DelaySlewLibrary, Load};
@@ -97,6 +98,12 @@ impl<'a> Balancer<'a> {
     /// plain snaked wire of up to `fine_wire_cap_um` µm, bisected against
     /// the timing engine, for the residue.
     ///
+    /// `allow_overshoot` is an escape hatch for a residue in the dead zone
+    /// between the largest plain-wire gain and the smallest buffered
+    /// stage: it inserts one minimum stage anyway, and the caller then
+    /// compensates on the *other* side, whose plain wire can absorb the
+    /// (smaller) overshoot.
+    ///
     /// Returns the new root. Stages are inserted at the root's location —
     /// snaking is a physical detour loop whose geometry the flow abstracts;
     /// the wirelength (and therefore the delay and capacitance) is real.
@@ -106,32 +113,6 @@ impl<'a> Balancer<'a> {
     /// [`CtsError::SlewUnachievable`] if no buffer can drive any wire at
     /// the slew target.
     pub fn add_delay(
-        &self,
-        tree: &mut ClockTree,
-        root: TreeNodeId,
-        delay_needed: f64,
-        fine_wire_cap_um: f64,
-    ) -> Result<BalanceOutcome, CtsError> {
-        self.add_delay_impl(tree, root, delay_needed, fine_wire_cap_um, false)
-    }
-
-    /// [`Balancer::add_delay`] with an overshoot escape hatch: when the
-    /// residue falls in the dead zone between the largest plain-wire gain
-    /// and the smallest buffered stage, `allow_overshoot` inserts one
-    /// minimum stage anyway — the caller then compensates on the *other*
-    /// side, whose plain wire can absorb the (smaller) overshoot.
-    pub fn add_delay_overshooting(
-        &self,
-        tree: &mut ClockTree,
-        root: TreeNodeId,
-        delay_needed: f64,
-        fine_wire_cap_um: f64,
-    ) -> Result<BalanceOutcome, CtsError> {
-        self.add_delay_impl(tree, root, delay_needed, fine_wire_cap_um, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn add_delay_impl(
         &self,
         tree: &mut ClockTree,
         root: TreeNodeId,
@@ -222,13 +203,8 @@ impl<'a> Balancer<'a> {
         if remaining > 0.5e-12 && fine_wire_cap_um > 2.0 {
             let engine = crate::engine::TimingEngine::new(self.lib);
             let latency = |tree: &ClockTree, at: TreeNodeId| {
-                engine
-                    .evaluate_subtree(
-                        tree,
-                        at,
-                        self.options.virtual_driver,
-                        self.options.slew_target,
-                    )
+                StageAt::bottom_up(at, self.options)
+                    .report(&engine, tree)
                     .latency
             };
             let base = latency(tree, current);
@@ -326,7 +302,7 @@ mod tests {
         let opts = CtsOptions::default();
         let bal = Balancer::new(lib, &opts);
         let (mut t, s) = one_sink_tree();
-        let out = bal.add_delay(&mut t, s, 0.0, 500.0).unwrap();
+        let out = bal.add_delay(&mut t, s, 0.0, 500.0, false).unwrap();
         assert_eq!(out.root, s);
         assert_eq!(out.stages, 0);
         assert_eq!(out.added_delay, 0.0);
@@ -341,12 +317,12 @@ mod tests {
 
         for &need_ps in &[120.0, 400.0, 900.0] {
             let (mut t, s) = one_sink_tree();
-            let before = engine
-                .evaluate_subtree(&t, s, opts.virtual_driver, opts.slew_target)
-                .latency;
-            let out = bal.add_delay(&mut t, s, need_ps * PS, 400.0).unwrap();
-            let after = engine
-                .evaluate_subtree(&t, out.root, opts.virtual_driver, opts.slew_target)
+            let before = StageAt::bottom_up(s, &opts).report(&engine, &t).latency;
+            let out = bal
+                .add_delay(&mut t, s, need_ps * PS, 400.0, false)
+                .unwrap();
+            let after = StageAt::bottom_up(out.root, &opts)
+                .report(&engine, &t)
                 .latency;
             let gained = after - before;
             assert!(out.stages >= 1, "need {need_ps} ps should insert stages");
@@ -366,7 +342,7 @@ mod tests {
         // A request below the minimum stage delay is honored by doing
         // nothing (the binary-search stage absorbs such residues).
         let (mut t, s) = one_sink_tree();
-        let out = bal.add_delay(&mut t, s, 5.0 * PS, 0.0).unwrap();
+        let out = bal.add_delay(&mut t, s, 5.0 * PS, 0.0, false).unwrap();
         assert_eq!(out.stages, 0);
     }
 
@@ -377,8 +353,8 @@ mod tests {
         let bal = Balancer::new(lib, &opts);
         let engine = TimingEngine::new(lib);
         let (mut t, s) = one_sink_tree();
-        let out = bal.add_delay(&mut t, s, 300.0 * PS, 400.0).unwrap();
-        let rep = engine.evaluate_subtree(&t, out.root, opts.virtual_driver, opts.slew_target);
+        let out = bal.add_delay(&mut t, s, 300.0 * PS, 400.0, false).unwrap();
+        let rep = StageAt::bottom_up(out.root, &opts).report(&engine, &t);
         assert!(
             rep.worst_slew <= opts.slew_limit,
             "snaking violated slew: {} ps",

@@ -14,25 +14,10 @@
 //!   most expensive but best-performing option (Table 5.3).
 
 use crate::engine::TimingEngine;
-use crate::merge::{MergeRouting, MergeScratch};
+use crate::merge::{MergeOutcome, MergeRouting, MergeScratch, StageAt};
 use crate::options::{CtsError, CtsOptions, HCorrection};
 use crate::tree::{ClockTree, NodeKind, TreeNodeId};
 use cts_timing::DelaySlewLibrary;
-
-/// Result of merging one matched pair, with correction bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CorrectedMerge {
-    /// Root of the merged structure.
-    pub root: TreeNodeId,
-    /// Whether the original pairing was flipped (the paper's
-    /// "# of flippings" column).
-    pub flipped: bool,
-    /// Engine-estimated skew of the committed merge (s) — the pipeline's
-    /// per-level timing stage aggregates these.
-    pub skew_estimate: f64,
-    /// Engine-estimated latency of the committed merge (s).
-    pub latency_estimate: f64,
-}
 
 /// Merges the pair `(a, b)` through reusable `scratch`, applying the
 /// configured H-structure correction when both nodes are merge joints
@@ -51,7 +36,7 @@ pub fn merge_with_correction_with(
     tree: &mut ClockTree,
     a: TreeNodeId,
     b: TreeNodeId,
-) -> Result<CorrectedMerge, CtsError> {
+) -> Result<MergeOutcome, CtsError> {
     merge_corrected(&MergeRouting::new(lib, options), scratch, tree, a, b)
 }
 
@@ -66,18 +51,12 @@ pub(crate) fn merge_corrected(
     tree: &mut ClockTree,
     a: TreeNodeId,
     b: TreeNodeId,
-) -> Result<CorrectedMerge, CtsError> {
+) -> Result<MergeOutcome, CtsError> {
     let (lib, options) = (mr.lib, mr.options);
     let (ja, jb) = (merge_joint_of(tree, a), merge_joint_of(tree, b));
     let correctable = options.h_correction != HCorrection::Off && ja.is_some() && jb.is_some();
     if !correctable {
-        let out = mr.merge_pair_with(scratch, tree, a, b)?;
-        return Ok(CorrectedMerge {
-            root: out.merge_node,
-            flipped: false,
-            skew_estimate: out.skew_estimate,
-            latency_estimate: out.latency_estimate,
-        });
+        return mr.merge_pair_with(scratch, tree, a, b);
     }
     let (ja, jb) = (ja.expect("checked"), jb.expect("checked"));
 
@@ -119,9 +98,7 @@ pub(crate) fn merge_corrected(
             // its skews are measured in place.
             let engine = TimingEngine::new(lib);
             let measured_skew = |t: &ClockTree, n: TreeNodeId| {
-                engine
-                    .evaluate_subtree(t, n, options.virtual_driver, options.slew_target)
-                    .skew()
+                StageAt::bottom_up(n, options).report(&engine, t).skew()
             };
             let mut scores = [f64::INFINITY; 3];
             scores[0] = measured_skew(tree, a).max(measured_skew(tree, b));
@@ -153,13 +130,7 @@ pub(crate) fn merge_corrected(
 
     if choice == 0 {
         // Keep the original pairing: merge a and b directly.
-        let out = mr.merge_pair_with(scratch, tree, a, b)?;
-        return Ok(CorrectedMerge {
-            root: out.merge_node,
-            flipped: false,
-            skew_estimate: out.skew_estimate,
-            latency_estimate: out.latency_estimate,
-        });
+        return mr.merge_pair_with(scratch, tree, a, b);
     }
 
     // Flip: dissolve the two old merges and rebuild with the chosen pairs.
@@ -175,11 +146,9 @@ pub(crate) fn merge_corrected(
         .merge_pair_with(scratch, tree, pairing[1].0, pairing[1].1)?
         .merge_node;
     let out = mr.merge_pair_with(scratch, tree, m1, m2)?;
-    Ok(CorrectedMerge {
-        root: out.merge_node,
+    Ok(MergeOutcome {
         flipped: true,
-        skew_estimate: out.skew_estimate,
-        latency_estimate: out.latency_estimate,
+        ..out
     })
 }
 
@@ -247,8 +216,8 @@ mod tests {
         let out = merge_with_correction_with(lib, &opts, &mut MergeScratch::new(), &mut t, m1, m2)
             .unwrap();
         assert!(!out.flipped);
-        t.validate_under(out.root);
-        assert_eq!(t.sinks_under(out.root).len(), 4);
+        t.validate_under(out.merge_node);
+        assert_eq!(t.sinks_under(out.merge_node).len(), 4);
     }
 
     #[test]
@@ -260,8 +229,8 @@ mod tests {
         let out = merge_with_correction_with(lib, &opts, &mut MergeScratch::new(), &mut t, m1, m2)
             .unwrap();
         // All four sinks must still be reachable regardless of flipping.
-        assert_eq!(t.sinks_under(out.root).len(), 4);
-        t.validate_under(out.root);
+        assert_eq!(t.sinks_under(out.merge_node).len(), 4);
+        t.validate_under(out.merge_node);
     }
 
     #[test]
@@ -272,8 +241,8 @@ mod tests {
         let (mut t, m1, m2) = intertwined_forest();
         let out = merge_with_correction_with(lib, &opts, &mut MergeScratch::new(), &mut t, m1, m2)
             .unwrap();
-        assert_eq!(t.sinks_under(out.root).len(), 4);
-        t.validate_under(out.root);
+        assert_eq!(t.sinks_under(out.merge_node).len(), 4);
+        t.validate_under(out.merge_node);
     }
 
     #[test]
@@ -287,6 +256,6 @@ mod tests {
         let out = merge_with_correction_with(lib, &opts, &mut MergeScratch::new(), &mut t, s0, s1)
             .unwrap();
         assert!(!out.flipped, "sink pairs have no grandchildren to flip");
-        assert_eq!(t.sinks_under(out.root).len(), 2);
+        assert_eq!(t.sinks_under(out.merge_node).len(), 2);
     }
 }

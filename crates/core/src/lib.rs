@@ -60,7 +60,7 @@ pub mod verify;
 pub use batch::{BatchItem, BatchOptions, BatchOutput, BatchRunner, BatchSummary};
 pub use engine::{TimingEngine, TimingReport};
 pub use flow::{CtsResult, Synthesizer};
-pub use hcorrect::{merge_with_correction_with, CorrectedMerge};
+pub use hcorrect::merge_with_correction_with;
 pub use instance::{Instance, Sink};
 pub use merge::{MergeOutcome, MergeRouting, MergeScratch};
 pub use options::{

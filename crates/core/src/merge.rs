@@ -1,5 +1,11 @@
 //! Merge-routing: the paper's three-stage merge of two sub-trees
 //! (§4.2) — balance, bi-directional maze routing, and binary search.
+//!
+//! The balancing kernels are written here once each, and the merge, its
+//! re-trim and the global refinement all call them: `StageAt` says where
+//! a trial is timed, `Arms` re-balances a joint's two-arm wire split
+//! (§4.2.3), and `MergeRouting::best_retype` runs the buffer re-typing
+//! trial under the slew gate.
 
 use crate::balance::Balancer;
 use crate::engine::{TimingEngine, TimingReport};
@@ -33,20 +39,218 @@ impl MergeScratch {
 /// which a fresh merge gets crowned with a buffer.
 const MERGE_CAP_FRACTION: f64 = 0.4;
 
+/// A buffer re-typing trial is rejected when its worst slew exceeds this
+/// multiple of the slew target: the stage assumptions need every input
+/// slew at or under the target, and spending the target-to-limit margin
+/// here compounds through the downstream stages.
+const RETYPE_SLEW_GATE: f64 = 1.01;
+
 /// Outcome of merging two sub-trees.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergeOutcome {
     /// The new merge node (root of the combined sub-tree).
     pub merge_node: TreeNodeId,
-    /// Engine-estimated skew of the combined sub-tree after binary search
-    /// (s).
+    /// Whether H-correction flipped the original pairing (the paper's
+    /// "# of flippings" column); a plain merge never flips.
+    pub flipped: bool,
+    /// Engine-estimated skew of the combined sub-tree (s), measured at its
+    /// final root — the merge joint or the buffer crowning it — after
+    /// sizing.
     pub skew_estimate: f64,
     /// Engine-estimated latency of the combined sub-tree (s).
     pub latency_estimate: f64,
-    /// Buffers inserted along the two routed paths.
-    pub buffers_inserted: usize,
-    /// Wire-snaking stages inserted by the balance stage.
-    pub snake_stages: usize,
+}
+
+/// Where a trial is timed: the sub-tree under `root`, driven by a
+/// `driver` buffer (the engine reads it only when `root` is a joint)
+/// whose input slew is `slew`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageAt {
+    root: TreeNodeId,
+    driver: BufferId,
+    slew: f64,
+}
+
+impl StageAt {
+    /// The bottom-up flow's working assumption (§4.2.2): the configured
+    /// virtual driver at `root`, its input slew at the slew target.
+    pub(crate) fn bottom_up(root: TreeNodeId, options: &CtsOptions) -> StageAt {
+        StageAt {
+            root,
+            driver: options.virtual_driver,
+            slew: options.slew_target,
+        }
+    }
+
+    /// The stage driver `node` (a buffer or the source) in its true
+    /// context: its own type, at the input slew `slew` it really sees.
+    pub(crate) fn at_driver(tree: &ClockTree, node: TreeNodeId, slew: f64) -> StageAt {
+        let driver = match tree.node(node).kind {
+            NodeKind::Buffer { buffer } => buffer,
+            NodeKind::Source { driver } => driver,
+            ref k => panic!("stage drivers are buffers or the source, got {k:?}"),
+        };
+        StageAt {
+            root: node,
+            driver,
+            slew,
+        }
+    }
+
+    /// Times the stage into `report`, reusing its allocations.
+    pub(crate) fn eval(
+        self,
+        engine: &TimingEngine<'_>,
+        tree: &ClockTree,
+        report: &mut TimingReport,
+    ) {
+        engine.evaluate_subtree_into(tree, self.root, self.driver, self.slew, report);
+    }
+
+    /// Times the stage into a fresh report.
+    pub(crate) fn report(self, engine: &TimingEngine<'_>, tree: &ClockTree) -> TimingReport {
+        engine.evaluate_subtree(tree, self.root, self.driver, self.slew)
+    }
+}
+
+/// How a re-balance bisects the split ratio once the window's edges
+/// bracket the balance point.
+pub(crate) struct Bisect {
+    /// Bracket halvings.
+    iters: usize,
+    /// Stop once a probe's |diff| is at most this (s).
+    tol: f64,
+    /// Settle on the final bracket's midpoint instead of the best probe.
+    midpoint: bool,
+}
+
+impl Bisect {
+    /// The merge's search (§4.2.3): 24 halvings, stops within 0.05 ps,
+    /// keeps the best probe.
+    pub(crate) const MERGE: Bisect = Bisect {
+        iters: 24,
+        tol: 0.05e-12,
+        midpoint: false,
+    };
+    /// The global refinement's: 20 halvings, never stops early, settles on
+    /// the final bracket's midpoint.
+    pub(crate) const REFINE: Bisect = Bisect {
+        iters: 20,
+        tol: f64::NEG_INFINITY,
+        midpoint: true,
+    };
+
+    /// Bisects `[lo, hi]` for the zero of the increasing `diff_at`.
+    fn run(&self, (mut lo, mut hi): (f64, f64), mut diff_at: impl FnMut(f64) -> f64) -> f64 {
+        let mut best = (f64::INFINITY, 0.5);
+        for _ in 0..self.iters {
+            let mid = 0.5 * (lo + hi);
+            let d = diff_at(mid);
+            if d.abs() < best.0 {
+                best = (d.abs(), mid);
+            }
+            if d.abs() <= self.tol {
+                break;
+            }
+            if d < 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        if self.midpoint {
+            0.5 * (lo + hi)
+        } else {
+            best.1
+        }
+    }
+}
+
+/// The two arms of a joint, whose top wires a re-balance redistributes
+/// (Fig. 4.5): at ratio `r`, side 1 carries `r × total` µm and side 2 the
+/// rest. Build one per re-balance — the total is read off the wires, and
+/// a redistribution need not preserve it to the last bit.
+pub(crate) struct Arms {
+    kids: [TreeNodeId; 2],
+    /// Both arms' top wire together (µm).
+    pub(crate) total: f64,
+    /// Each side's sinks, sorted, so every probe reads its side maxima
+    /// straight off the report's arrival list.
+    sinks: [Vec<TreeNodeId>; 2],
+}
+
+impl Arms {
+    /// The arms of the joint above `kids`.
+    pub(crate) fn new(tree: &ClockTree, kids: [TreeNodeId; 2]) -> Arms {
+        Arms {
+            kids,
+            total: tree.node(kids[0]).wire_to_parent_um + tree.node(kids[1]).wire_to_parent_um,
+            sinks: kids.map(|k| {
+                let mut sinks = tree.sinks_under(k);
+                sinks.sort_unstable();
+                sinks
+            }),
+        }
+    }
+
+    /// The ratio window in which side `i` carries at most `caps[i]` µm, or
+    /// `None` without wire or when the caps leave no room.
+    pub(crate) fn window(&self, caps: [f64; 2]) -> Option<(f64, f64)> {
+        if self.total <= 1e-9 {
+            return None;
+        }
+        let lo = ((self.total - caps[1]) / self.total).clamp(0.0, 1.0);
+        let hi = (caps[0] / self.total).clamp(0.0, 1.0);
+        (lo <= hi).then_some((lo, hi))
+    }
+
+    /// Splits the wire at ratio `r`.
+    pub(crate) fn set(&self, tree: &mut ClockTree, r: f64) {
+        tree.set_wire_to_parent(self.kids[0], r * self.total);
+        tree.set_wire_to_parent(self.kids[1], (1.0 - r) * self.total);
+    }
+
+    /// Splits the wire at `r` and returns side 1's latest arrival minus
+    /// side 2's, timed at `at`. Grows with `r`.
+    pub(crate) fn diff_at(
+        &self,
+        engine: &TimingEngine<'_>,
+        tree: &mut ClockTree,
+        at: StageAt,
+        report: &mut TimingReport,
+        r: f64,
+    ) -> f64 {
+        self.set(tree, r);
+        at.eval(engine, tree, report);
+        let side_max = report.side_max_arrivals([&self.sinks[0], &self.sinks[1]]);
+        side_max[0] - side_max[1]
+    }
+
+    /// Re-balances the split inside `window`: an edge whose diff already
+    /// has the right sign (side 1 slower even with the least wire, or
+    /// faster with the most) is kept, otherwise `bisect` searches between
+    /// them. Leaves the wires split at the returned ratio `r` and returns
+    /// `(r, |diff(r)|)`.
+    pub(crate) fn rebalance(
+        &self,
+        engine: &TimingEngine<'_>,
+        tree: &mut ClockTree,
+        at: StageAt,
+        (lo, hi): (f64, f64),
+        bisect: &Bisect,
+        report: &mut TimingReport,
+    ) -> (f64, f64) {
+        let d_lo = self.diff_at(engine, tree, at, report, lo);
+        let d_hi = self.diff_at(engine, tree, at, report, hi);
+        let r = if d_lo >= 0.0 {
+            lo
+        } else if d_hi <= 0.0 {
+            hi
+        } else {
+            bisect.run((lo, hi), |r| self.diff_at(engine, tree, at, report, r))
+        };
+        (r, self.diff_at(engine, tree, at, report, r).abs())
+    }
 }
 
 /// The merge-routing engine: the library and options plus everything
@@ -79,28 +283,55 @@ impl<'a> MergeRouting<'a> {
 
     /// Sub-tree delay (max root-to-sink) under the bottom-up assumption.
     pub fn subtree_delay(&self, tree: &ClockTree, root: TreeNodeId) -> f64 {
-        TimingEngine::new(self.lib)
-            .evaluate_subtree(
-                tree,
-                root,
-                self.options.virtual_driver,
-                self.options.slew_target,
-            )
+        StageAt::bottom_up(root, self.options)
+            .report(&TimingEngine::new(self.lib), tree)
             .latency
-    }
-
-    /// Longest *symmetric branch arm* (µm) any library buffer can drive at
-    /// the slew target: the largest `L` with branch far-end slew ≤ target
-    /// for two `L` µm arms into the heaviest loads. Derived once in
-    /// [`MergeRouting::new`].
-    pub fn arm_budget_um(&self) -> f64 {
-        self.arm_budget_um
     }
 
     /// Effective unbuffered pending below `node`, in wire-equivalent µm
     /// ([`Balancer::effective_pending_um`]).
     pub fn effective_pending_um(&self, tree: &ClockTree, node: TreeNodeId) -> f64 {
         self.balancer.effective_pending_um(tree, node)
+    }
+
+    /// Per-arm wire caps (µm) of the joint above `kids`: what the
+    /// symmetric arm budget leaves above each arm's unbuffered pending,
+    /// and at least 1 µm. They keep a re-balance from piling the whole top
+    /// wire onto one arm, which would break that arm's slew.
+    pub(crate) fn arm_caps(&self, tree: &ClockTree, kids: [TreeNodeId; 2]) -> [f64; 2] {
+        kids.map(|k| (self.arm_budget_um - self.effective_pending_um(tree, k)).max(1.0))
+    }
+
+    /// Tries every other library type on the buffer `cand`, timing each
+    /// trial at `at`, and returns the best trial's skew and type; a trial
+    /// counts only if it beats `baseline`, and every trial accepted before
+    /// it, by more than `margin`, and stays under [`RETYPE_SLEW_GATE`].
+    /// Leaves `cand`'s type as it found it.
+    pub(crate) fn best_retype(
+        &self,
+        tree: &mut ClockTree,
+        cand: TreeNodeId,
+        at: StageAt,
+        baseline: f64,
+        margin: f64,
+        report: &mut TimingReport,
+    ) -> Option<(f64, BufferId)> {
+        let NodeKind::Buffer { buffer: original } = tree.node(cand).kind else {
+            unreachable!("re-typing candidates are buffers")
+        };
+        let engine = TimingEngine::new(self.lib);
+        let mut best = None;
+        for alt in self.lib.buffer_ids().filter(|&alt| alt != original) {
+            tree.set_buffer_type(cand, alt);
+            at.eval(&engine, tree, report);
+            if report.worst_slew <= self.options.slew_target * RETYPE_SLEW_GATE
+                && report.skew() + margin < best.map_or(baseline, |(skew, _)| skew)
+            {
+                best = Some((report.skew(), alt));
+            }
+        }
+        tree.set_buffer_type(cand, original);
+        best
     }
 
     /// Merges the sub-trees rooted at `r1` and `r2` through reusable
@@ -134,14 +365,11 @@ impl<'a> MergeRouting<'a> {
         let arm_budget = self.arm_budget_um;
         let wire_swing = {
             let load = self.balancer.load_of(tree, roots[0]);
-            2.0 * self.lib.single_wire_delay(
-                self.options.virtual_driver,
-                load,
-                self.options.slew_target,
-                arm_budget,
-            )
+            let at = StageAt::bottom_up(roots[0], self.options);
+            2.0 * self
+                .lib
+                .single_wire_delay(at.driver, load, at.slew, arm_budget)
         };
-        let mut snake_stages = 0;
         for round in 0..3 {
             let diff = (delays[0] - delays[1]).abs();
             if diff <= (0.5 * wire_swing).max(2.0e-12) {
@@ -152,15 +380,11 @@ impl<'a> MergeRouting<'a> {
             let fine_cap = (arm_budget - self.effective_pending_um(tree, roots[fast])).max(0.0);
             // First round may overshoot into the buffered-stage dead zone;
             // later rounds fine-wire the (now) faster sibling to absorb it.
-            let out = if round == 0 {
-                self.balancer
-                    .add_delay_overshooting(tree, roots[fast], need, fine_cap)?
-            } else {
-                self.balancer.add_delay(tree, roots[fast], need, fine_cap)?
-            };
+            let out = self
+                .balancer
+                .add_delay(tree, roots[fast], need, fine_cap, round == 0)?;
             roots[fast] = out.root;
             delays[fast] = self.subtree_delay(tree, roots[fast]);
-            snake_stages += out.stages;
             if out.added_delay <= 0.0 {
                 break;
             }
@@ -187,14 +411,12 @@ impl<'a> MergeRouting<'a> {
 
         // Materialize the two paths in the arena.
         let mut tops = [roots[0], roots[1]];
-        let mut buffers_inserted = 0;
         for (i, side_plan) in plan.sides.iter().enumerate() {
             let mut current = roots[i];
             for site in &side_plan.buffers {
                 let b = tree.add_buffer(site.position, site.buffer);
                 tree.attach(b, current, site.wire_below_um);
                 current = b;
-                buffers_inserted += 1;
             }
             tops[i] = current;
         }
@@ -230,19 +452,25 @@ impl<'a> MergeRouting<'a> {
                 let b = tree.add_buffer(pos, strongest);
                 tree.attach(b, *top, w_below);
                 tree.attach(merge, b, keep_above);
-                buffers_inserted += 1;
                 *top = b;
             }
         }
 
         // --- binary search stage (§4.2.3) ---------------------------------
-        // Per-side wire caps keep the search from piling the whole top
-        // budget onto one arm (which would break that arm's slew).
-        let arm_caps = [
-            (arm_budget - self.effective_pending_um(tree, tops[0])).max(1.0),
-            (arm_budget - self.effective_pending_um(tree, tops[1])).max(1.0),
-        ];
-        let skew = self.binary_search(tree, merge, tops, arm_caps, &engine, &mut scratch.report);
+        // Slides the joint along v1→v2 by the re-balanced ratio. The caps
+        // are taken once, here: the re-trims after sizing reuse them. An
+        // infeasible window (degenerate splits) falls back to an even
+        // division, which at least splits the overload.
+        let caps = self.arm_caps(tree, tops);
+        let (v1, v2) = (tree.node(tops[0]).location, tree.node(tops[1]).location);
+        let trim = |tree: &mut ClockTree, report: &mut TimingReport| {
+            let arms = Arms::new(tree, tops);
+            let window = arms.window(caps).unwrap_or((0.5, 0.5));
+            let at = StageAt::bottom_up(merge, self.options);
+            let (r, _) = arms.rebalance(&engine, tree, at, window, &Bisect::MERGE, report);
+            tree.set_location(merge, v1.lerp(v2, r));
+        };
+        trim(tree, &mut scratch.report);
 
         // --- merge-region capping ------------------------------------------
         // Unbuffered regions accumulate across levels (pending wires join at
@@ -255,7 +483,6 @@ impl<'a> MergeRouting<'a> {
         if self.effective_pending_um(tree, merge) > MERGE_CAP_FRACTION * budget_len {
             let b = tree.add_buffer(plan.merge_point, strongest);
             tree.attach(b, merge, 0.0);
-            buffers_inserted += 1;
             root = b;
         }
 
@@ -270,51 +497,17 @@ impl<'a> MergeRouting<'a> {
             .skip(first_new_node)
             .filter(|&id| matches!(tree.node(id).kind, NodeKind::Buffer { .. }))
             .collect();
-        let _ = skew; // the refinement below re-measures on the final root
-        let subtree_skew = |tree: &ClockTree, report: &mut TimingReport| {
-            engine.evaluate_subtree_into(
-                tree,
-                root,
-                self.options.virtual_driver,
-                self.options.slew_target,
-                report,
-            );
-            report.skew()
-        };
-        let mut skew_total = subtree_skew(tree, &mut scratch.report);
+        let at = StageAt::bottom_up(root, self.options);
+        at.eval(&engine, tree, &mut scratch.report);
+        let mut skew_total = scratch.report.skew();
         for _pass in 0..3 {
             let mut improved = false;
             for &cand in &candidates {
-                let original = match tree.node(cand).kind {
-                    NodeKind::Buffer { buffer } => buffer,
-                    _ => unreachable!("candidates are buffers"),
-                };
-                let mut best = (skew_total, original);
-                for alt in self.lib.buffer_ids() {
-                    if alt == original {
-                        continue;
-                    }
+                let retype =
+                    self.best_retype(tree, cand, at, skew_total, 0.2e-12, &mut scratch.report);
+                if let Some((skew, alt)) = retype {
                     tree.set_buffer_type(cand, alt);
-                    engine.evaluate_subtree_into(
-                        tree,
-                        root,
-                        self.options.virtual_driver,
-                        self.options.slew_target,
-                        &mut scratch.report,
-                    );
-                    let rep = &scratch.report;
-                    // Swaps must preserve the bottom-up invariant that
-                    // every stage input slew stays at or under the target —
-                    // spending the target-to-limit margin here compounds
-                    // through downstream stages.
-                    let slew_gate = self.options.slew_target * 1.01;
-                    if rep.worst_slew <= slew_gate && rep.skew() + 0.2e-12 < best.0 {
-                        best = (rep.skew(), alt);
-                    }
-                }
-                tree.set_buffer_type(cand, best.1);
-                if best.1 != original {
-                    skew_total = best.0;
+                    skew_total = skew;
                     improved = true;
                 }
             }
@@ -322,120 +515,26 @@ impl<'a> MergeRouting<'a> {
                 break;
             }
             // Re-trim the top wires around the (re-typed) stages.
-            let _ = self.binary_search(tree, merge, tops, arm_caps, &engine, &mut scratch.report);
-            skew_total = subtree_skew(tree, &mut scratch.report);
+            trim(tree, &mut scratch.report);
+            at.eval(&engine, tree, &mut scratch.report);
+            skew_total = scratch.report.skew();
         }
 
-        engine.evaluate_subtree_into(
-            tree,
-            root,
-            self.options.virtual_driver,
-            self.options.slew_target,
-            &mut scratch.report,
-        );
+        at.eval(&engine, tree, &mut scratch.report);
         Ok(MergeOutcome {
             merge_node: root,
+            flipped: false,
             skew_estimate: scratch.report.skew(),
             latency_estimate: scratch.report.latency,
-            buffers_inserted,
-            snake_stages,
         })
-    }
-
-    /// Moves the merge joint along the segment between the two last fixed
-    /// nodes (`v1`, `v2`), redistributing the top wirelength by a ratio `r`
-    /// found by bisection on the measured delay difference (Fig. 4.5).
-    ///
-    /// Returns the final engine-estimated skew between the two sides.
-    fn binary_search(
-        &self,
-        tree: &mut ClockTree,
-        merge: TreeNodeId,
-        tops: [TreeNodeId; 2],
-        arm_caps: [f64; 2],
-        engine: &TimingEngine<'_>,
-        report: &mut TimingReport,
-    ) -> f64 {
-        let total = tree.node(tops[0]).wire_to_parent_um + tree.node(tops[1]).wire_to_parent_um;
-        let v1 = tree.node(tops[0]).location;
-        let v2 = tree.node(tops[1]).location;
-
-        // Sorted id lists: the per-iteration side maxima then come straight
-        // off the report's arrival list — no arrival map allocation inside
-        // the bisection loop.
-        let mut side_sinks = [tree.sinks_under(tops[0]), tree.sinks_under(tops[1])];
-        side_sinks[0].sort_unstable();
-        side_sinks[1].sort_unstable();
-        let diff_at = |tree: &mut ClockTree, report: &mut TimingReport, r: f64| -> f64 {
-            tree.set_wire_to_parent(tops[0], r * total);
-            tree.set_wire_to_parent(tops[1], (1.0 - r) * total);
-            tree.set_location(merge, v1.lerp(v2, r));
-            engine.evaluate_subtree_into(
-                tree,
-                merge,
-                self.options.virtual_driver,
-                self.options.slew_target,
-                report,
-            );
-            let side_max = report.side_max_arrivals([&side_sinks[0], &side_sinks[1]]);
-            side_max[0] - side_max[1]
-        };
-
-        // diff(r) grows with r (more wire on side 1). Establish a bracket
-        // inside the slew-feasible ratio window: side 1 may carry at most
-        // arm_caps[0] µm and side 2 at most arm_caps[1] µm.
-        let (r_lo, r_hi) = if total <= 1e-9 {
-            (0.5, 0.5)
-        } else {
-            let lo = ((total - arm_caps[1]) / total).clamp(0.0, 1.0);
-            let hi = (arm_caps[0] / total).clamp(0.0, 1.0);
-            if lo <= hi {
-                (lo, hi)
-            } else {
-                // Infeasible caps (degenerate splits): fall back to an even
-                // division, which at least splits the overload.
-                (0.5, 0.5)
-            }
-        };
-        let (mut lo, mut hi) = (r_lo, r_hi);
-        let d_lo = diff_at(tree, report, lo);
-        let d_hi = diff_at(tree, report, hi);
-        if d_lo >= 0.0 {
-            // Side 1 slower even with all wire on side 2: stay at lo.
-            let _ = diff_at(tree, report, lo);
-            return d_lo.abs();
-        }
-        if d_hi <= 0.0 {
-            let _ = diff_at(tree, report, hi);
-            return d_hi.abs();
-        }
-        let mut best_r = 0.5;
-        let mut best_diff = f64::INFINITY;
-        for _ in 0..self.options.binary_search_iters {
-            let mid = 0.5 * (lo + hi);
-            let d = diff_at(tree, report, mid);
-            if d.abs() < best_diff {
-                best_diff = d.abs();
-                best_r = mid;
-            }
-            if d.abs() <= self.options.binary_search_tol {
-                break;
-            }
-            if d < 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let final_diff = diff_at(tree, report, best_r);
-        final_diff.abs()
     }
 }
 
-/// [`MergeRouting::arm_budget_um`] of `lib` at the slew `target`. This is
-/// the true budget for the two wires that join at a merge point —
-/// substantially shorter than the single-wire budget, since the driver
-/// faces both arms.
+/// The symmetric arm budget of `lib` at the slew `target` (µm): the
+/// largest `L` with branch far-end slew ≤ target for two `L` µm arms into
+/// the heaviest loads, for the best library driver. This is the true
+/// budget for the two wires that join at a merge point — substantially
+/// shorter than the single-wire budget, since the driver faces both arms.
 fn symmetric_arm_budget_um(lib: &DelaySlewLibrary, target: f64) -> f64 {
     let heavy = cts_timing::Load::Buffer(
         lib.buffer_ids()
@@ -481,7 +580,7 @@ mod tests {
     use crate::instance::Sink;
     use cts_geom::Point;
     use cts_spice::units::PS;
-    use cts_timing::fast_library;
+    use cts_timing::{fast_library, BufferId};
 
     fn sink_tree(points: &[(f64, f64)]) -> (ClockTree, Vec<TreeNodeId>) {
         let mut t = ClockTree::new();
@@ -522,7 +621,8 @@ mod tests {
         let out = mr
             .merge_pair_with(&mut MergeScratch::new(), &mut t, ids[0], ids[1])
             .unwrap();
-        assert!(out.buffers_inserted >= 2, "got {}", out.buffers_inserted);
+        let buffers = t.buffer_count_under(out.merge_node);
+        assert!(buffers >= 2, "got {buffers}");
         assert!(
             out.skew_estimate < 5.0 * PS,
             "skew {} ps",
@@ -540,9 +640,9 @@ mod tests {
         // buffered chain (simulating a slow sub-tree).
         let (mut t, ids) = sink_tree(&[(0.0, 0.0), (900.0, 0.0)]);
         // Make sink 1's side slower by hanging it below a buffer chain.
-        let b1 = t.add_buffer(Point::new(900.0, 0.0), cts_timing::BufferId(0));
+        let b1 = t.add_buffer(Point::new(900.0, 0.0), BufferId(0));
         t.attach(b1, ids[1], 400.0);
-        let b2 = t.add_buffer(Point::new(900.0, 0.0), cts_timing::BufferId(0));
+        let b2 = t.add_buffer(Point::new(900.0, 0.0), BufferId(0));
         t.attach(b2, b1, 400.0);
 
         let d_slow = mr.subtree_delay(&t, b2);
@@ -554,9 +654,8 @@ mod tests {
             .unwrap();
         assert!(
             out.skew_estimate < 30.0 * PS,
-            "skew {} ps (snakes: {})",
-            out.skew_estimate / PS,
-            out.snake_stages
+            "skew {} ps",
+            out.skew_estimate / PS
         );
         t.validate_under(out.merge_node);
     }
@@ -571,12 +670,155 @@ mod tests {
         let out = mr
             .merge_pair_with(&mut MergeScratch::new(), &mut t, ids[0], ids[1])
             .unwrap();
-        let rep =
-            engine.evaluate_subtree(&t, out.merge_node, opts.virtual_driver, opts.slew_target);
+        let rep = StageAt::bottom_up(out.merge_node, &opts).report(&engine, &t);
         assert!(
             rep.worst_slew <= opts.slew_limit * 1.05,
             "worst slew {} ps exceeds limit",
             rep.worst_slew / PS
+        );
+    }
+
+    /// A joint over `kids` (wires `w` µm) at the origin.
+    fn joint_over(t: &mut ClockTree, kids: [TreeNodeId; 2], w: [f64; 2]) -> TreeNodeId {
+        let j = t.add_joint(Point::new(0.0, 0.0));
+        t.attach(j, kids[0], w[0]);
+        t.attach(j, kids[1], w[1]);
+        j
+    }
+
+    #[test]
+    fn rebalance_keeps_a_window_edge_that_already_has_the_right_sign() {
+        let lib = fast_library();
+        let opts = CtsOptions::default();
+        let engine = TimingEngine::new(lib);
+        // Side 1 hangs below two buffered stages: it stays slower even
+        // with no top wire at all, so the low edge is the answer.
+        let (mut t, ids) = sink_tree(&[(0.0, 0.0), (300.0, 0.0)]);
+        let b1 = t.add_buffer(Point::new(0.0, 0.0), BufferId(0));
+        t.attach(b1, ids[0], 400.0);
+        let b2 = t.add_buffer(Point::new(0.0, 0.0), BufferId(0));
+        t.attach(b2, b1, 400.0);
+        let kids = [b2, ids[1]];
+        let j = joint_over(&mut t, kids, [150.0, 150.0]);
+        let at = StageAt::bottom_up(j, &opts);
+        let arms = Arms::new(&t, kids);
+        let window = arms.window([300.0, 250.0]).unwrap();
+        assert!(window.0 > 0.0 && window.0 < window.1, "window {window:?}");
+        let mut report = TimingReport::default();
+        let d_lo = arms.diff_at(&engine, &mut t, at, &mut report, window.0);
+        assert!(d_lo > 0.0, "setup: side 1 must be slower at the low edge");
+
+        let (r, residual) =
+            arms.rebalance(&engine, &mut t, at, window, &Bisect::MERGE, &mut report);
+        assert_eq!(r, window.0);
+        assert_eq!(residual, d_lo.abs());
+        let sum = t.node(kids[0]).wire_to_parent_um + t.node(kids[1]).wire_to_parent_um;
+        assert!((sum - arms.total).abs() <= 1e-9, "wires sum to {sum}");
+    }
+
+    #[test]
+    fn rebalance_inside_the_window_meets_the_tolerance_or_the_best_probe() {
+        let lib = fast_library();
+        let opts = CtsOptions::default();
+        let engine = TimingEngine::new(lib);
+        let (mut t, ids) = sink_tree(&[(0.0, 0.0), (800.0, 0.0)]);
+        let kids = [ids[0], ids[1]];
+        let j = joint_over(&mut t, kids, [300.0, 500.0]);
+        let at = StageAt::bottom_up(j, &opts);
+        let arms = Arms::new(&t, kids);
+        let window = arms.window([800.0, 800.0]).unwrap();
+        let mut report = TimingReport::default();
+        // The edges bracket the balance point: an interior search.
+        assert!(arms.diff_at(&engine, &mut t, at, &mut report, window.0) < 0.0);
+        assert!(arms.diff_at(&engine, &mut t, at, &mut report, window.1) > 0.0);
+
+        let mut probes = Vec::new();
+        let mut probe_tree = t.clone();
+        Bisect::MERGE.run(window, |r| {
+            let d = arms.diff_at(&engine, &mut probe_tree, at, &mut report, r);
+            probes.push(d.abs());
+            d
+        });
+        let smallest = probes.iter().cloned().fold(f64::INFINITY, f64::min);
+        let (r, residual) =
+            arms.rebalance(&engine, &mut t, at, window, &Bisect::MERGE, &mut report);
+        assert!(window.0 < r && r < window.1, "r {r} outside {window:?}");
+        assert!(
+            residual <= 0.05 * PS || residual == smallest,
+            "residual {} ps, best probe {} ps",
+            residual / PS,
+            smallest / PS
+        );
+    }
+
+    /// A buffer driving a joint over two sinks on unequal wires: the
+    /// skew and the worst slew both depend on the buffer's type.
+    fn retype_tree(len: f64) -> (ClockTree, TreeNodeId) {
+        let (mut t, ids) = sink_tree(&[(0.0, 0.0), (len, 0.0)]);
+        let j = joint_over(&mut t, [ids[0], ids[1]], [0.1 * len, len]);
+        let b = t.add_buffer(Point::new(0.0, 0.0), BufferId(0));
+        t.attach(b, j, 1.0);
+        (t, b)
+    }
+
+    #[test]
+    fn best_retype_restores_the_candidate_type() {
+        let lib = fast_library();
+        let opts = CtsOptions::default();
+        let mr = MergeRouting::new(lib, &opts);
+        let (mut t, b) = retype_tree(600.0);
+        let before = t.clone();
+        let at = StageAt::bottom_up(b, &opts);
+        let best = mr.best_retype(
+            &mut t,
+            b,
+            at,
+            f64::INFINITY,
+            0.0,
+            &mut TimingReport::default(),
+        );
+        assert!(
+            best.is_some(),
+            "an unbeatable baseline accepts any legal type"
+        );
+        assert_eq!(t, before);
+    }
+
+    #[test]
+    fn best_retype_never_returns_a_type_over_the_slew_gate() {
+        let lib = fast_library();
+        let opts = CtsOptions::default();
+        let mr = MergeRouting::new(lib, &opts);
+        let engine = TimingEngine::new(lib);
+        let gate = opts.slew_target * RETYPE_SLEW_GATE;
+        let mut gated = 0;
+        for len in [200.0, 600.0, 1000.0, 1400.0] {
+            let (mut t, b) = retype_tree(len);
+            let at = StageAt::bottom_up(b, &opts);
+            let mut report = TimingReport::default();
+            let best = mr.best_retype(&mut t, b, at, f64::INFINITY, 0.0, &mut report);
+            // The expected answer: the lowest skew among the other types
+            // that stay under the gate.
+            let mut expect: Option<(f64, BufferId)> = None;
+            for alt in lib.buffer_ids().filter(|&alt| alt != BufferId(0)) {
+                let mut trial = t.clone();
+                trial.set_buffer_type(b, alt);
+                let rep = at.report(&engine, &trial);
+                if rep.worst_slew > gate {
+                    gated += 1;
+                } else if expect.is_none_or(|(s, _)| rep.skew() < s) {
+                    expect = Some((rep.skew(), alt));
+                }
+            }
+            assert_eq!(best, expect, "len {len}");
+            if let Some((_, alt)) = best {
+                t.set_buffer_type(b, alt);
+                assert!(at.report(&engine, &t).worst_slew <= gate);
+            }
+        }
+        assert!(
+            gated > 0,
+            "no trial reached the gate; the test checks nothing"
         );
     }
 }

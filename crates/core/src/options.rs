@@ -150,10 +150,6 @@ pub struct CtsOptions {
     /// Driver type assumed at sub-tree roots during bottom-up construction
     /// (before the real upstream buffer exists).
     pub virtual_driver: BufferId,
-    /// Convergence tolerance of the binary-search stage (s of skew).
-    pub binary_search_tol: f64,
-    /// Maximum binary-search iterations per merge.
-    pub binary_search_iters: usize,
     /// Worker threads for the per-level parallel stages (candidate timing
     /// and pair merge-routing): `0` uses all available cores, `1` runs
     /// serially. The synthesized tree is bit-identical for every value —
@@ -185,8 +181,6 @@ impl Default for CtsOptions {
             buffering: Buffering::Greedy,
             source_slew: 80e-12,
             virtual_driver: BufferId(1),
-            binary_search_tol: 0.05e-12,
-            binary_search_iters: 24,
             threads: 0,
             library_subset: 0,
             variation: Variation::default(),
@@ -216,7 +210,7 @@ impl CtsOptions {
     ///
     /// Returns the first [`OptionsError`] describing an out-of-range
     /// field (non-positive limits, target above limit, zero or oversized
-    /// grid, zero iterations, out-of-range sigmas).
+    /// grid, negative cost weights, too many corners, out-of-range sigmas).
     pub fn check(&self) -> Result<(), OptionsError> {
         if !(self.slew_limit > 0.0) {
             return Err(OptionsError::SlewLimit {
@@ -240,9 +234,6 @@ impl CtsOptions {
         }
         if self.cost_alpha < 0.0 || self.cost_beta < 0.0 {
             return Err(OptionsError::CostWeights);
-        }
-        if self.binary_search_iters == 0 {
-            return Err(OptionsError::BinarySearchIters);
         }
         if self.variation.corners > Variation::MAX_CORNERS {
             return Err(OptionsError::Corners {
@@ -303,8 +294,6 @@ pub enum OptionsError {
     },
     /// `cost_alpha` or `cost_beta` was negative.
     CostWeights,
-    /// `binary_search_iters` was zero.
-    BinarySearchIters,
     /// `variation.corners` exceeded [`Variation::MAX_CORNERS`].
     Corners {
         /// The requested corner count.
@@ -341,7 +330,6 @@ impl fmt::Display for OptionsError {
                 )
             }
             OptionsError::CostWeights => write!(f, "cost weights must be non-negative"),
-            OptionsError::BinarySearchIters => write!(f, "binary_search_iters must be positive"),
             OptionsError::Corners { corners, max } => {
                 write!(
                     f,
@@ -426,18 +414,6 @@ impl CtsOptionsBuilder {
     /// Driver type assumed at sub-tree roots during construction.
     pub fn virtual_driver(mut self, v: BufferId) -> Self {
         self.opts.virtual_driver = v;
-        self
-    }
-
-    /// Convergence tolerance of the binary-search stage (s of skew).
-    pub fn binary_search_tol(mut self, v: f64) -> Self {
-        self.opts.binary_search_tol = v;
-        self
-    }
-
-    /// Maximum binary-search iterations per merge.
-    pub fn binary_search_iters(mut self, v: usize) -> Self {
-        self.opts.binary_search_iters = v;
         self
     }
 
@@ -602,7 +578,7 @@ mod tests {
 
     #[test]
     fn builder_validates_ranges() {
-        // Negative slew, zero grid, zero iters each produce the typed
+        // Negative slew and zero grid each produce the typed
         // error whose Display matches the legacy validate() message.
         let e = CtsOptions::builder().slew_limit(-1.0).build().unwrap_err();
         assert_eq!(e, OptionsError::SlewLimit { value: -1.0 });
@@ -613,12 +589,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(e, OptionsError::GridResolution);
-
-        let e = CtsOptions::builder()
-            .binary_search_iters(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(e, OptionsError::BinarySearchIters);
 
         let built = CtsOptions::builder()
             .slew_target(60e-12)

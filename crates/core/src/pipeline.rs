@@ -34,7 +34,7 @@ use crate::engine::{TimingEngine, TimingReport};
 use crate::flow::{CtsResult, Synthesizer};
 use crate::hcorrect::merge_corrected;
 use crate::instance::Instance;
-use crate::merge::{MergeRouting, MergeScratch};
+use crate::merge::{Arms, Bisect, MergeOutcome, MergeRouting, MergeScratch, StageAt};
 use crate::options::CtsError;
 use crate::topology::{find_matching, MatchCandidate, Matching};
 use crate::tree::{ClockTree, NodeKind, TreeNodeId};
@@ -96,14 +96,11 @@ pub struct LevelSnapshot {
 }
 
 /// What one worker hands back for a merged pair: the detached forest, the
-/// extraction map to graft it with, and the merge bookkeeping.
+/// extraction map to graft it with, and the merge outcome.
 struct PairMerge {
     forest: ClockTree,
     map: Vec<TreeNodeId>,
-    root: TreeNodeId,
-    flipped: bool,
-    skew_estimate: f64,
-    latency_estimate: f64,
+    out: MergeOutcome,
 }
 
 impl Synthesizer<'_> {
@@ -246,13 +243,10 @@ fn match_level(
     centroid: cts_geom::Point,
 ) -> Result<Matching, CtsError> {
     let options = mr.options;
-    let engine = TimingEngine::new(mr.lib);
     let candidates: Vec<MatchCandidate> = run_parallel(threads, active, |&root| {
         Ok::<_, CtsError>(MatchCandidate {
             location: tree.node(root).location,
-            delay: engine
-                .evaluate_subtree(tree, root, options.virtual_driver, options.slew_target)
-                .latency,
+            delay: mr.subtree_delay(tree, root),
         })
     })?;
     find_matching(&candidates, centroid, options.cost_alpha, options.cost_beta)
@@ -289,14 +283,7 @@ fn merge_level(
         let la = ClockTree::local_id(&map, a);
         let lb = ClockTree::local_id(&map, b);
         let out = merge_corrected(mr, scratch, &mut forest, la, lb)?;
-        Ok(PairMerge {
-            root: out.root,
-            forest,
-            map,
-            flipped: out.flipped,
-            skew_estimate: out.skew_estimate,
-            latency_estimate: out.latency_estimate,
-        })
+        Ok(PairMerge { forest, map, out })
     };
     let merged: Vec<PairMerge> = {
         let tree: &ClockTree = tree;
@@ -338,9 +325,9 @@ fn merge_level(
     {
         let _span = cts_obs::span_with(&SPAN_LEVEL_STATS, level as u64);
         for m in &merged {
-            stats.flippings += m.flipped as usize;
-            stats.worst_skew_estimate = stats.worst_skew_estimate.max(m.skew_estimate);
-            stats.max_latency_estimate = stats.max_latency_estimate.max(m.latency_estimate);
+            stats.flippings += m.out.flipped as usize;
+            stats.worst_skew_estimate = stats.worst_skew_estimate.max(m.out.skew_estimate);
+            stats.max_latency_estimate = stats.max_latency_estimate.max(m.out.latency_estimate);
             stats.buffers_inserted += m
                 .forest
                 .ids()
@@ -353,7 +340,7 @@ fn merge_level(
         let _span = cts_obs::span_with(&SPAN_GRAFT, level as u64);
         for m in merged {
             let global = tree.graft_forest(m.forest, &m.map);
-            next.push(global[m.root.index()]);
+            next.push(global[m.out.merge_node.index()]);
         }
     }
     *active = next;
@@ -397,32 +384,27 @@ pub(crate) fn strongest_buffer(lib: &DelaySlewLibrary) -> BufferId {
 /// point. Two complementary passes repair this *in context*:
 ///
 /// 1. **Joint re-balancing sweeps** — for every two-child joint, re-run
-///    the wire redistribution of §4.2.3 against an evaluation rooted at
-///    the joint's true stage driver with its true input slew
-///    (redistribution keeps the total wire constant, so nothing above the
-///    driver changes). Fine-grained (sub-ps) control.
+///    the merge's wire redistribution of §4.2.3 (`Arms::rebalance`, with
+///    `Bisect::REFINE`) against an evaluation rooted at the joint's true
+///    stage driver with its true input slew (redistribution keeps the
+///    total wire constant, so nothing above the driver changes), and keep
+///    it only where it helps. Fine-grained (sub-ps) control.
 /// 2. **Buffer re-typing** along the extreme sinks' root paths, judged on
-///    the full-tree evaluation — the coarse lever for residuals the wire
-///    can't reach.
+///    the full-tree evaluation by the merge's trial
+///    (`MergeRouting::best_retype`) — the coarse lever for residuals the
+///    wire can't reach.
 pub(crate) fn refine_global(
     mr: &MergeRouting<'_>,
     tree: &mut ClockTree,
     source: TreeNodeId,
     engine: &TimingEngine<'_>,
 ) {
-    let (lib, options) = (mr.lib, mr.options);
-    // Stage assumptions require every input slew to stay at/under the
-    // synthesis target.
-    let slew_gate = options.slew_target * 1.01;
-    let arm_budget = mr.arm_budget_um();
-    // Reused by every evaluation below: the bisection steps and the
-    // re-typing trials refill these instead of allocating reports.
-    let mut local = TimingReport::default();
-    let mut full = TimingReport::default();
-    let mut trial = TimingReport::default();
+    // Reused by every evaluation below: the bisection probes, the
+    // full-tree measurement and the re-typing trials all refill it.
+    let mut report = TimingReport::default();
 
     for _round in 0..3 {
-        let (rep, slews) = engine.evaluate_annotated(tree, source, options.source_slew);
+        let (rep, slews) = engine.evaluate_annotated(tree, source, mr.options.source_slew);
         if rep.skew() < 2.0e-12 || rep.sink_arrivals.len() < 2 {
             return;
         }
@@ -450,59 +432,25 @@ pub(crate) fn refine_global(
                 continue;
             };
             let kids = [tree.node(joint).children[0], tree.node(joint).children[1]];
-            let total = tree.node(kids[0]).wire_to_parent_um + tree.node(kids[1]).wire_to_parent_um;
-            if total < 4.0 {
+            let arms = Arms::new(tree, kids);
+            if arms.total < 4.0 {
                 continue;
             }
-            let caps = [
-                (arm_budget - mr.effective_pending_um(tree, kids[0])).max(1.0),
-                (arm_budget - mr.effective_pending_um(tree, kids[1])).max(1.0),
-            ];
-            let r_lo = ((total - caps[1]) / total).clamp(0.0, 1.0);
-            let r_hi = (caps[0] / total).clamp(0.0, 1.0);
-            if r_lo >= r_hi {
+            let Some(window) = arms
+                .window(mr.arm_caps(tree, kids))
+                .filter(|(lo, hi)| lo < hi)
+            else {
                 continue;
-            }
-            let mut side_sinks = [tree.sinks_under(kids[0]), tree.sinks_under(kids[1])];
-            side_sinks[0].sort_unstable();
-            side_sinks[1].sort_unstable();
-            let mut diff_at = |tree: &mut ClockTree, r: f64| -> f64 {
-                tree.set_wire_to_parent(kids[0], r * total);
-                tree.set_wire_to_parent(kids[1], (1.0 - r) * total);
-                engine.evaluate_subtree_into(
-                    tree,
-                    driver_node,
-                    options.virtual_driver,
-                    driver_slew,
-                    &mut local,
-                );
-                let side_max = local.side_max_arrivals([&side_sinks[0], &side_sinks[1]]);
-                side_max[0] - side_max[1]
             };
-            let r_now = tree.node(kids[0]).wire_to_parent_um / total;
-            let d_now = diff_at(tree, r_now);
-            let (mut lo, mut hi) = (r_lo, r_hi);
-            let (d_lo, d_hi) = (diff_at(tree, lo), diff_at(tree, hi));
-            let r_best = if d_lo >= 0.0 {
-                lo
-            } else if d_hi <= 0.0 {
-                hi
-            } else {
-                for _ in 0..20 {
-                    let mid = 0.5 * (lo + hi);
-                    if diff_at(tree, mid) < 0.0 {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                0.5 * (lo + hi)
-            };
+            let at = StageAt::at_driver(tree, driver_node, driver_slew);
+            let r_now = tree.node(kids[0]).wire_to_parent_um / arms.total;
+            let d_now = arms.diff_at(engine, tree, at, &mut report, r_now);
+            let (_, residual) =
+                arms.rebalance(engine, tree, at, window, &Bisect::REFINE, &mut report);
             // Keep the better of current vs rebalanced; restoring is two
             // wire writes, not another subtree evaluation.
-            if diff_at(tree, r_best).abs() >= d_now.abs() {
-                tree.set_wire_to_parent(kids[0], r_now * total);
-                tree.set_wire_to_parent(kids[1], (1.0 - r_now) * total);
+            if residual >= d_now.abs() {
+                arms.set(tree, r_now);
             }
         }
 
@@ -518,19 +466,20 @@ pub(crate) fn refine_global(
             }
             out
         };
+        let at = StageAt::at_driver(tree, source, mr.options.source_slew);
         for _iter in 0..24 {
-            engine.evaluate_into(tree, source, options.source_slew, &mut full);
-            let skew = full.skew();
+            at.eval(engine, tree, &mut report);
+            let skew = report.skew();
             if skew < 2.0e-12 {
                 break;
             }
-            let fastest = full
+            let fastest = report
                 .sink_arrivals
                 .iter()
                 .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
                 .expect("sinks present")
                 .0;
-            let slowest = full
+            let slowest = report
                 .sink_arrivals
                 .iter()
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
@@ -543,22 +492,11 @@ pub(crate) fn refine_global(
 
             let mut best: Option<(f64, TreeNodeId, BufferId)> = None;
             for &cand in &candidates {
-                let original = match tree.node(cand).kind {
-                    NodeKind::Buffer { buffer } => buffer,
-                    _ => unreachable!("candidates are buffers"),
-                };
-                for alt in lib.buffer_ids() {
-                    if alt == original {
-                        continue;
-                    }
-                    tree.set_buffer_type(cand, alt);
-                    engine.evaluate_into(tree, source, options.source_slew, &mut trial);
-                    if trial.worst_slew <= slew_gate
-                        && trial.skew() + 0.3e-12 < best.map_or(skew, |(s, _, _)| s)
-                    {
-                        best = Some((trial.skew(), cand, alt));
-                    }
-                    tree.set_buffer_type(cand, original);
+                let baseline = best.map_or(skew, |(s, _, _)| s);
+                if let Some((s, alt)) =
+                    mr.best_retype(tree, cand, at, baseline, 0.3e-12, &mut report)
+                {
+                    best = Some((s, cand, alt));
                 }
             }
             match best {

@@ -632,7 +632,7 @@ impl Client {
     /// on this connection; dropping such an event would lose the
     /// request's only terminal outcome. Sweep events stash by sweep
     /// ordinal the same way. `tree` events seen here are discarded: a
-    /// live stream is consumed entirely inside `collect_stream`, so any
+    /// live stream is consumed entirely inside `fetch_tree_stream`, so any
     /// tree frame reaching this point is a stale leftover of a fetch that
     /// already failed — retaining it would only poison a retry.
     fn stash(&mut self, event: Event) {

@@ -83,7 +83,6 @@ fn invalid_options_surface_as_errors() {
         Box::new(|o| o.grid_resolution = 0),
         Box::new(|o| o.grid_resolution = 100_000),
         Box::new(|o| o.cost_alpha = -2.0),
-        Box::new(|o| o.binary_search_iters = 0),
     ];
     let inst = Instance::new("opts", vec![Sink::new("s", Point::ORIGIN, 20e-15)]);
     for mutate in cases {
