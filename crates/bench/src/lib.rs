@@ -12,29 +12,26 @@ use cts::{
 
 /// Loads (or characterizes and caches) the delay library the binaries use.
 ///
-/// Default is the fast configuration (cached at
-/// `target/ctslib_fast.v1.txt`); set `CTS_STANDARD_LIB=1` for the
-/// paper-scale characterization (slower first run, cached separately).
+/// Default is the fast configuration: [`cts::timing::fast_library`], whose
+/// disk cache is keyed by a fingerprint of the technology and the
+/// characterization config. Set `CTS_STANDARD_LIB=1` for the paper-scale
+/// characterization of `tech` (slower first run, cached at
+/// `target/ctslib_standard.v1.txt`).
 ///
 /// # Panics
 ///
 /// Panics if characterization fails — the binaries cannot run without a
 /// library.
 pub fn library(tech: &Technology) -> DelaySlewLibrary {
-    let standard = std::env::var("CTS_STANDARD_LIB").is_ok();
-    let (path, cfg) = if standard {
-        (
-            "target/ctslib_standard.v1.txt",
-            cts::timing::CharacterizeConfig::standard(),
-        )
-    } else {
-        (
-            "target/ctslib_fast.v1.txt",
-            cts::timing::CharacterizeConfig::fast(),
-        )
-    };
-    cts::timing::load_or_characterize(path, tech, &cfg)
-        .expect("delay library characterization must succeed")
+    if std::env::var("CTS_STANDARD_LIB").is_err() {
+        return cts::timing::fast_library().clone();
+    }
+    cts::timing::load_or_characterize(
+        "target/ctslib_standard.v1.txt",
+        tech,
+        &cts::timing::CharacterizeConfig::standard(),
+    )
+    .expect("delay library characterization must succeed")
 }
 
 /// One row of a Table 5.1/5.2-style report.

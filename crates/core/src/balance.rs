@@ -9,6 +9,7 @@
 //! as still needed), repeated until the target delay is reached. The last
 //! inserted buffer becomes the new sub-tree root.
 
+use crate::engine::{TimingEngine, TimingReport};
 use crate::merge::StageAt;
 use crate::options::{CtsError, CtsOptions};
 use crate::tree::{ClockTree, NodeKind, TreeNodeId};
@@ -38,17 +39,10 @@ impl<'a> Balancer<'a> {
         Balancer { lib, options }
     }
 
-    /// The load a routing/balancing wire sees when it reaches `root`.
+    /// The load a routing/balancing wire sees when it reaches `root`
+    /// ([`TimingEngine::load_at`]).
     pub fn load_of(&self, tree: &ClockTree, root: TreeNodeId) -> Load {
-        match tree.node(root).kind {
-            NodeKind::Buffer { buffer } => Load::Buffer(buffer),
-            NodeKind::Sink { cap, .. } => Load::Sink { cap },
-            NodeKind::Joint | NodeKind::Source { .. } => Load::Sink {
-                cap: tree.shielded_cap_under(root, self.lib.wire().c_per_um(), &|b| {
-                    self.lib.buffer(b).stage1_size() * 1.2e-15
-                }),
-            },
-        }
+        TimingEngine::new(self.lib).load_at(tree, root)
     }
 
     /// Effective unbuffered pending below `root` in wire-equivalent µm —
@@ -66,9 +60,7 @@ impl<'a> Balancer<'a> {
             _ => {
                 let c_per_um = self.lib.wire().c_per_um();
                 let depth = tree.unbuffered_depth_um(root);
-                let cap = tree.shielded_cap_under(root, c_per_um, &|b| {
-                    self.lib.buffer(b).stage1_size() * 1.2e-15
-                });
+                let cap = tree.shielded_cap_under(root, self.lib);
                 // Near-end capacitance degrades slew less than far-end
                 // wire, hence the mild discount.
                 depth.max(0.8 * cap / c_per_um)
@@ -96,7 +88,7 @@ impl<'a> Balancer<'a> {
     /// `root`: buffered stages for the bulk (each a driving buffer plus a
     /// slew-legal wire), then — where a whole stage would overshoot — a
     /// plain snaked wire of up to `fine_wire_cap_um` µm, bisected against
-    /// the timing engine, for the residue.
+    /// the timing engine into the caller's `report`, for the residue.
     ///
     /// `allow_overshoot` is an escape hatch for a residue in the dead zone
     /// between the largest plain-wire gain and the smallest buffered
@@ -119,6 +111,7 @@ impl<'a> Balancer<'a> {
         delay_needed: f64,
         fine_wire_cap_um: f64,
         allow_overshoot: bool,
+        report: &mut TimingReport,
     ) -> Result<BalanceOutcome, CtsError> {
         let mut current = root;
         let mut remaining = delay_needed;
@@ -201,11 +194,10 @@ impl<'a> Balancer<'a> {
         // residue, bisected against the timing engine. The wire deepens the
         // root's unbuffered pending, which downstream routing budgets for.
         if remaining > 0.5e-12 && fine_wire_cap_um > 2.0 {
-            let engine = crate::engine::TimingEngine::new(self.lib);
-            let latency = |tree: &ClockTree, at: TreeNodeId| {
-                StageAt::bottom_up(at, self.options)
-                    .report(&engine, tree)
-                    .latency
+            let engine = TimingEngine::new(self.lib);
+            let mut latency = |tree: &ClockTree, at: TreeNodeId| {
+                StageAt::bottom_up(at, self.options).eval(&engine, tree, report);
+                report.latency
             };
             let base = latency(tree, current);
             let joint = tree.add_joint(location);
@@ -302,7 +294,10 @@ mod tests {
         let opts = CtsOptions::default();
         let bal = Balancer::new(lib, &opts);
         let (mut t, s) = one_sink_tree();
-        let out = bal.add_delay(&mut t, s, 0.0, 500.0, false).unwrap();
+        let mut scratch = TimingReport::default();
+        let out = bal
+            .add_delay(&mut t, s, 0.0, 500.0, false, &mut scratch)
+            .unwrap();
         assert_eq!(out.root, s);
         assert_eq!(out.stages, 0);
         assert_eq!(out.added_delay, 0.0);
@@ -314,12 +309,13 @@ mod tests {
         let opts = CtsOptions::default();
         let bal = Balancer::new(lib, &opts);
         let engine = TimingEngine::new(lib);
+        let mut scratch = TimingReport::default();
 
         for &need_ps in &[120.0, 400.0, 900.0] {
             let (mut t, s) = one_sink_tree();
             let before = StageAt::bottom_up(s, &opts).report(&engine, &t).latency;
             let out = bal
-                .add_delay(&mut t, s, need_ps * PS, 400.0, false)
+                .add_delay(&mut t, s, need_ps * PS, 400.0, false, &mut scratch)
                 .unwrap();
             let after = StageAt::bottom_up(out.root, &opts)
                 .report(&engine, &t)
@@ -342,7 +338,9 @@ mod tests {
         // A request below the minimum stage delay is honored by doing
         // nothing (the binary-search stage absorbs such residues).
         let (mut t, s) = one_sink_tree();
-        let out = bal.add_delay(&mut t, s, 5.0 * PS, 0.0, false).unwrap();
+        let out = bal
+            .add_delay(&mut t, s, 5.0 * PS, 0.0, false, &mut scratch)
+            .unwrap();
         assert_eq!(out.stages, 0);
     }
 
@@ -353,7 +351,10 @@ mod tests {
         let bal = Balancer::new(lib, &opts);
         let engine = TimingEngine::new(lib);
         let (mut t, s) = one_sink_tree();
-        let out = bal.add_delay(&mut t, s, 300.0 * PS, 400.0, false).unwrap();
+        let mut scratch = TimingReport::default();
+        let out = bal
+            .add_delay(&mut t, s, 300.0 * PS, 400.0, false, &mut scratch)
+            .unwrap();
         let rep = StageAt::bottom_up(out.root, &opts).report(&engine, &t);
         assert!(
             rep.worst_slew <= opts.slew_limit,

@@ -97,8 +97,9 @@ pub(crate) fn merge_corrected(
             // compare max skews. The original pairing is already routed;
             // its skews are measured in place.
             let engine = TimingEngine::new(lib);
-            let measured_skew = |t: &ClockTree, n: TreeNodeId| {
-                StageAt::bottom_up(n, options).report(&engine, t).skew()
+            let mut measured_skew = |t: &ClockTree, n: TreeNodeId| {
+                StageAt::bottom_up(n, options).eval(&engine, t, &mut scratch.report);
+                scratch.report.skew()
             };
             let mut scores = [f64::INFINITY; 3];
             scores[0] = measured_skew(tree, a).max(measured_skew(tree, b));

@@ -303,13 +303,6 @@ impl<'a> MazeRouter<'a> {
             .eval(seg_len.max(1.0))
     }
 
-    pub(crate) fn resolve_load(&self, load: Load) -> BufferId {
-        match load {
-            Load::Buffer(b) => b,
-            Load::Sink { cap } => self.lib.nearest_buffer_by_cap(cap),
-        }
-    }
-
     /// Runs one side's wavefront, filling `labels` (one slot per grid
     /// cell) using the caller's reusable buffers.
     fn expand_side_into(
@@ -320,7 +313,7 @@ impl<'a> MazeRouter<'a> {
         heap: &mut BinaryHeap<QueueEntry>,
     ) -> Result<(), CtsError> {
         let limits = self.limits()?;
-        let root_load = self.resolve_load(side.root_load);
+        let root_load = self.lib.resolve(side.root_load);
         let start = grid.nearest_cell(side.root_point);
         let start_seg =
             grid.cell_center(start).manhattan_dist(side.root_point) + side.unbuffered_depth_um;
@@ -410,7 +403,7 @@ impl<'a> MazeRouter<'a> {
         }
         let _span = cts_obs::span_with(&SPAN_BUFFER_GREEDY, points.len() as u64);
         let limits = self.limits()?;
-        let mut load = self.resolve_load(side.root_load);
+        let mut load = self.lib.resolve(side.root_load);
         // The pre-existing unbuffered depth below the root consumes part of
         // the first segment's slew budget but is not new wire.
         let mut phantom = side.unbuffered_depth_um;

@@ -25,7 +25,7 @@ use cts_timing::{BufferId, DelaySlewLibrary};
 #[derive(Debug, Default, Clone)]
 pub struct MergeScratch {
     pub(crate) maze: MazeScratch,
-    report: TimingReport,
+    pub(crate) report: TimingReport,
 }
 
 impl MergeScratch {
@@ -380,9 +380,14 @@ impl<'a> MergeRouting<'a> {
             let fine_cap = (arm_budget - self.effective_pending_um(tree, roots[fast])).max(0.0);
             // First round may overshoot into the buffered-stage dead zone;
             // later rounds fine-wire the (now) faster sibling to absorb it.
-            let out = self
-                .balancer
-                .add_delay(tree, roots[fast], need, fine_cap, round == 0)?;
+            let out = self.balancer.add_delay(
+                tree,
+                roots[fast],
+                need,
+                fine_cap,
+                round == 0,
+                &mut scratch.report,
+            )?;
             roots[fast] = out.root;
             delays[fast] = self.subtree_delay(tree, roots[fast]);
             if out.added_delay <= 0.0 {
@@ -538,12 +543,7 @@ impl<'a> MergeRouting<'a> {
 fn symmetric_arm_budget_um(lib: &DelaySlewLibrary, target: f64) -> f64 {
     let heavy = cts_timing::Load::Buffer(
         lib.buffer_ids()
-            .max_by(|&a, &b| {
-                lib.buffer(a)
-                    .stage1_size()
-                    .partial_cmp(&lib.buffer(b).stage1_size())
-                    .unwrap()
-            })
+            .max_by(|&a, &b| lib.input_cap(a).total_cmp(&lib.input_cap(b)))
             .expect("non-empty library"),
     );
     let slew_at = |l: f64| -> f64 {

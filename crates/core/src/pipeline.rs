@@ -348,17 +348,16 @@ fn merge_level(
     Ok(stats)
 }
 
-/// Sums the input capacitance of every buffer under `root`, using the
-/// engine's cap-matching convention (`stage1_size × cg_1x`). Traversal
-/// order is deterministic (preorder, right child first), so the sum is
-/// bit-identical across runs of the same tree.
+/// Sums the input capacitance ([`DelaySlewLibrary::input_cap`]) of every
+/// buffer under `root`. Traversal order is deterministic (preorder, right
+/// child first), so the sum is bit-identical across runs of the same tree.
 fn buffer_cap_under(tree: &ClockTree, root: TreeNodeId, lib: &DelaySlewLibrary) -> f64 {
     let mut total = 0.0;
     let mut stack = vec![root];
     while let Some(id) = stack.pop() {
         let node = tree.node(id);
         if let NodeKind::Buffer { buffer } = node.kind {
-            total += lib.buffer(buffer).stage1_size() * 1.2e-15;
+            total += lib.input_cap(buffer);
         }
         stack.extend(node.children.iter().copied());
     }

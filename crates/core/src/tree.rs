@@ -13,7 +13,7 @@
 
 use crate::instance::Sink;
 use cts_geom::Point;
-use cts_timing::BufferId;
+use cts_timing::{BufferId, DelaySlewLibrary};
 use std::fmt;
 
 /// Identifier of a clock tree node.
@@ -421,20 +421,16 @@ impl ClockTree {
     /// sink caps of the sub-tree, stopping at buffer inputs (a buffer shields
     /// everything beneath it).
     ///
-    /// `wire_c_per_um` is the unit wire capacitance (F/µm); buffer input
-    /// caps come from `input_cap_of`.
-    pub fn shielded_cap_under(
-        &self,
-        root: TreeNodeId,
-        wire_c_per_um: f64,
-        input_cap_of: &dyn Fn(BufferId) -> f64,
-    ) -> f64 {
+    /// Wire capacitance comes from `lib`'s wire parameters, buffer input
+    /// caps from [`DelaySlewLibrary::input_cap`].
+    pub fn shielded_cap_under(&self, root: TreeNodeId, lib: &DelaySlewLibrary) -> f64 {
+        let wire_c_per_um = lib.wire().c_per_um();
         let mut total = 0.0;
         let mut stack: Vec<TreeNodeId> = self.node(root).children.to_vec();
         while let Some(id) = stack.pop() {
             total += self.node(id).wire_to_parent_um * wire_c_per_um;
             match self.node(id).kind {
-                NodeKind::Buffer { buffer } => total += input_cap_of(buffer),
+                NodeKind::Buffer { buffer } => total += lib.input_cap(buffer),
                 NodeKind::Sink { cap, .. } => total += cap,
                 _ => stack.extend(self.node(id).children.iter().copied()),
             }
@@ -679,12 +675,13 @@ mod tests {
         let m = t.add_joint(Point::new(100.0, 0.0));
         t.attach(m, buf, 50.0);
 
-        let c_per_um = 0.2e-15;
-        let input_cap = |_: BufferId| 4.0e-15;
-        let cap = t.shielded_cap_under(m, c_per_um, &input_cap);
+        let lib = cts_timing::fast_library();
+        let c_per_um = lib.wire().c_per_um();
+        let input_cap = lib.input_cap(BufferId(0));
+        let cap = t.shielded_cap_under(m, lib);
         // 50 µm of wire above the buffer + the buffer's input cap; the sink
         // and its wire are shielded.
-        assert!((cap - (50.0 * c_per_um + 4.0e-15)).abs() < 1e-21);
+        assert!((cap - (50.0 * c_per_um + input_cap)).abs() < 1e-21);
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub(crate) fn commit_path_vg(
     let limits = router.limits()?;
     let lib = router.lib;
     let target = router.options.slew_target;
-    let root_load = router.resolve_load(side.root_load);
+    let root_load = lib.resolve(side.root_load);
 
     let mut arena: Vec<(BufferSite, Option<u32>)> = Vec::new();
     let mut cands = vec![Candidate {
@@ -421,7 +421,7 @@ mod tests {
             points,
             side.root_point,
             State {
-                load: router.resolve_load(side.root_load),
+                load: router.lib.resolve(side.root_load),
                 seg: 0.0,
                 phantom: side.unbuffered_depth_um,
                 committed: 0.0,

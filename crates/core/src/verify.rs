@@ -31,6 +31,7 @@ use cts_spice::units::{NS, PS};
 use cts_spice::{
     simulate_observed_with, Circuit, NodeId, SimOptions, SolverContext, Technology, Waveform,
 };
+use cts_util::Fnv1a;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 // Span taxonomy for verification: one span per [`Verifier::verify`] call
@@ -109,46 +110,6 @@ struct StageRecord {
     loads: Vec<LoadRec>,
 }
 
-/// Dual-stream FNV-1a producing a 128-bit key (as two u64 halves) — the
-/// same construction the spice crate uses for topology fingerprints.
-struct Fnv2 {
-    h1: u64,
-    h2: u64,
-}
-
-impl Fnv2 {
-    fn new() -> Fnv2 {
-        Fnv2 {
-            h1: 0xcbf2_9ce4_8422_2325,
-            h2: 0x6c62_272e_07bb_0142,
-        }
-    }
-
-    fn word(&mut self, word: u64) {
-        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            let byte = (word >> shift) as u8;
-            self.h1 = (self.h1 ^ byte as u64).wrapping_mul(0x100_0000_01b3);
-            self.h2 = (self.h2 ^ byte.rotate_left(3) as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.h1 = (self.h1 ^ byte as u64).wrapping_mul(0x100_0000_01b3);
-            self.h2 = (self.h2 ^ byte.rotate_left(3) as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn key(&mut self, key: (u64, u64)) {
-        self.word(key.0);
-        self.word(key.1);
-    }
-
-    fn finish(&self) -> (u64, u64) {
-        (self.h1, self.h2)
-    }
-}
-
 /// Incremental, cache-carrying tree verifier.
 ///
 /// A `Verifier` owns two caches that survive across [`Verifier::verify`]
@@ -173,7 +134,7 @@ impl Fnv2 {
 #[derive(Default)]
 pub struct Verifier {
     ctx: SolverContext,
-    cache: HashMap<(u64, u64), StageRecord>,
+    cache: HashMap<u128, StageRecord>,
     stages_simulated: u64,
     stages_reused: u64,
 }
@@ -236,12 +197,12 @@ impl Verifier {
         // simulations — technology (devices, wire parasitics, buffer
         // library) and the simulation/stimulus options.
         let ctx_key = {
-            let mut f = Fnv2::new();
+            let mut f = Fnv1a::default();
             f.bytes(format!("{tech:?}").as_bytes());
             f.word(opts.input_slew.to_bits());
             f.word(opts.stage_window.to_bits());
             f.word(opts.dt.to_bits());
-            f.finish()
+            f.finish128()
         };
 
         // Work queue of stages: (tree node of the driving buffer, its input
@@ -252,7 +213,7 @@ impl Verifier {
             driver: cts_timing::BufferId,
             wave: Waveform,
             offset: f64,
-            input_key: (u64, u64),
+            input_key: u128,
         }
         let mut queue = VecDeque::new();
         queue.push_back(StageJob {
@@ -266,7 +227,7 @@ impl Verifier {
         let mut worst_slew: f64 = 0.0;
         let mut sink_arrivals = Vec::new();
         let mut stages = 0usize;
-        let mut touched: HashSet<(u64, u64)> = HashSet::new();
+        let mut touched: HashSet<u128> = HashSet::new();
         // Global 50 % time of the source input edge; arrivals are measured
         // relative to it (the paper's source-to-sink delay).
         let mut source_edge: Option<f64> = None;
@@ -281,8 +242,8 @@ impl Verifier {
             // up to the next buffer inputs / sinks. The same walk feeds the
             // stage fingerprint, so cached replay sees loads in the exact
             // order simulation would produce them.
-            let mut key = Fnv2::new();
-            key.key(job.input_key);
+            let mut key = Fnv1a::default();
+            key.word128(job.input_key);
             key.word(job.driver.0 as u64);
             let mut c = Circuit::new(tech);
             let cin = c.add_node("stage_in");
@@ -338,7 +299,7 @@ impl Verifier {
                     }
                 }
             }
-            let stage_key = key.finish();
+            let stage_key = key.finish128();
             touched.insert(stage_key);
 
             // Cached replay: the stage's netlist and input lineage are
@@ -440,10 +401,10 @@ impl Verifier {
                         _ => unreachable!(),
                     };
                     let input_key = {
-                        let mut f = Fnv2::new();
-                        f.key(stage_key);
+                        let mut f = Fnv1a::default();
+                        f.word128(stage_key);
                         f.word(ordinal as u64);
-                        f.finish()
+                        f.finish128()
                     };
                     queue.push_back(StageJob {
                         node: tnode,

@@ -3,6 +3,7 @@
 
 use crate::device::{BufferType, Technology};
 use crate::waveform::Waveform;
+use cts_util::Fnv1a;
 use std::fmt;
 
 /// Identifier of a circuit node. Ground is implicit (not a node).
@@ -317,31 +318,21 @@ impl Circuit {
     /// (component partition, elimination order, symbolic factorization);
     /// [`crate::SolverContext`] uses this as its cache key.
     pub fn topology_fingerprint(&self) -> u128 {
-        // Two independent FNV-1a streams over the same word sequence give
-        // 128 collision-resistant bits without external hash dependencies.
-        let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut h2: u64 = 0x6c62_272e_07bb_0142;
-        let mut mix = |word: u64| {
-            for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-                let byte = (word >> shift) as u8;
-                h1 = (h1 ^ byte as u64).wrapping_mul(0x100_0000_01b3);
-                h2 = (h2 ^ byte.rotate_left(3) as u64).wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.node_names.len() as u64);
-        mix(self.resistors.len() as u64);
+        let mut h = Fnv1a::default();
+        h.word(self.node_names.len() as u64);
+        h.word(self.resistors.len() as u64);
         for r in &self.resistors {
-            mix(((r.a.0 as u64) << 32) | r.b.0 as u64);
+            h.word(((r.a.0 as u64) << 32) | r.b.0 as u64);
         }
-        mix(self.inverters.len() as u64);
+        h.word(self.inverters.len() as u64);
         for inv in &self.inverters {
-            mix(((inv.input.0 as u64) << 32) | inv.output.0 as u64);
+            h.word(((inv.input.0 as u64) << 32) | inv.output.0 as u64);
         }
-        mix(self.sources.len() as u64);
+        h.word(self.sources.len() as u64);
         for (node, _) in &self.sources {
-            mix(node.0 as u64);
+            h.word(node.0 as u64);
         }
-        ((h1 as u128) << 64) | h2 as u128
+        h.finish128()
     }
 }
 

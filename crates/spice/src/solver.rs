@@ -269,7 +269,7 @@ impl Plan {
 /// worker); they are `Send` but not `Sync`.
 #[derive(Default)]
 pub struct SolverContext {
-    plans: HashMap<(u64, u64), Plan>,
+    plans: HashMap<u128, Plan>,
     hits: u64,
     misses: u64,
 }
@@ -303,7 +303,7 @@ impl SolverContext {
     }
 
     fn plan_for(&mut self, circuit: &Circuit) -> Result<&Plan, SimError> {
-        let key = split_fingerprint(circuit.topology_fingerprint());
+        let key = circuit.topology_fingerprint();
         let reuse = matches!(self.plans.get(&key), Some(p) if p.matches(circuit));
         if reuse {
             self.hits += 1;
@@ -317,10 +317,6 @@ impl SolverContext {
         }
         Ok(self.plans.get(&key).expect("plan just ensured"))
     }
-}
-
-fn split_fingerprint(fp: u128) -> (u64, u64) {
-    ((fp >> 64) as u64, fp as u64)
 }
 
 fn build_plan(circuit: &Circuit) -> Result<Plan, SimError> {

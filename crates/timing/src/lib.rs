@@ -82,6 +82,7 @@ pub use variation::{
 };
 
 use cts_spice::Technology;
+use cts_util::Fnv1a;
 use std::sync::OnceLock;
 
 /// Cache-file revision for [`fast_library`]'s on-disk cache. The file name
@@ -95,13 +96,9 @@ const FAST_LIB_CACHE_REV: &str = "v1";
 /// FNV-1a over the debug renderings of the characterization inputs — the
 /// staleness key embedded in the cache file name.
 fn fast_lib_fingerprint(tech: &Technology, cfg: &CharacterizeConfig) -> u64 {
-    let text = format!("{FAST_LIB_CACHE_REV}|{tech:?}|{cfg:?}");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::default();
+    h.bytes(format!("{FAST_LIB_CACHE_REV}|{tech:?}|{cfg:?}").as_bytes());
+    h.finish64()
 }
 
 /// Returns a process-wide delay/slew library for

@@ -188,22 +188,32 @@ impl DelaySlewLibrary {
     }
 
     /// The buffer whose input capacitance is closest to `cap` — the paper's
-    /// sink-as-buffer approximation.
+    /// sink-as-buffer approximation (the smallest such buffer on a tie).
     pub fn nearest_buffer_by_cap(&self, cap: f64) -> BufferId {
-        let tech_cap = |b: &BufferType| b.stage1_size() * CG_1X_FOR_MATCHING;
-        let mut best = 0;
-        let mut best_err = f64::INFINITY;
-        for (i, b) in self.buffers.iter().enumerate() {
-            let err = (tech_cap(b) - cap).abs();
-            if err < best_err {
-                best_err = err;
-                best = i;
-            }
-        }
-        BufferId(best)
+        let err = |id: BufferId| (self.input_cap(id) - cap).abs();
+        self.buffer_ids()
+            .min_by(|&a, &b| err(a).total_cmp(&err(b)))
+            .expect("a library holds at least one buffer")
     }
 
-    fn resolve(&self, load: Load) -> BufferId {
+    /// The input capacitance (F) a buffer presents to the wire driving
+    /// it, by the cap-matching convention `stage1_size × cg_1x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn input_cap(&self, id: BufferId) -> f64 {
+        self.buffer(id).stage1_size() * CG_1X_FOR_MATCHING
+    }
+
+    /// The library buffer a load is timed as: a buffer load is itself, a
+    /// sink is the buffer nearest its capacitance
+    /// ([`DelaySlewLibrary::nearest_buffer_by_cap`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer load is out of range.
+    pub fn resolve(&self, load: Load) -> BufferId {
         match load {
             Load::Buffer(id) => {
                 assert!(id.0 < self.buffers.len(), "load buffer out of range");

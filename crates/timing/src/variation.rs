@@ -25,6 +25,7 @@
 
 use crate::io::save_library_string;
 use crate::library::DelaySlewLibrary;
+use cts_util::Fnv1a;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -71,19 +72,16 @@ pub fn corner_seed(seed: u64, corner: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a fingerprint of a library's exact serialized text — the "base
-/// library" component of the corner-cache key.
+/// FNV-1a ([`Fnv1a::finish64`]) of a library's exact serialized text —
+/// the "base library" component of the corner-cache key.
 ///
 /// Uses the same hash (and the same serialization,
 /// [`crate::save_library_string`]) as the on-disk fast-library cache,
 /// so bit-identical libraries fingerprint identically across processes.
 pub fn library_fingerprint(lib: &DelaySlewLibrary) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in save_library_string(lib).bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::default();
+    h.bytes(save_library_string(lib).as_bytes());
+    h.finish64()
 }
 
 /// Derives the perturbed library for one corner.

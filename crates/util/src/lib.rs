@@ -18,12 +18,18 @@
 //!
 //! [`pump`] holds [`pump::wait_with_deadline`]: poll one pending handle
 //! until it yields or a deadline passes.
+//!
+//! [`fnv`] holds [`Fnv1a`], the one hash behind every fingerprint in the
+//! workspace (library cache names, corner-cache keys, circuit topology
+//! and verification-stage keys).
 
 pub mod exec;
+pub mod fnv;
 pub mod pump;
 
 pub use exec::{
     available_threads, resolve_threads, run_parallel, run_parallel_with, run_two_stage,
     run_two_stage_pull, Pull,
 };
+pub use fnv::Fnv1a;
 pub use pump::wait_with_deadline;

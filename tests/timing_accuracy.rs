@@ -106,3 +106,56 @@ fn dme_model_vs_reality_gap() {
         ),
     }
 }
+
+fn fnv1a(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The slew the annotated evaluation records at every stage load, pinned
+/// to exact bits on the tree `tests/determinism.rs` pins: the global
+/// refinement re-times each joint from these, so a change to the stage
+/// walk that moves them moves trees.
+#[test]
+fn annotated_driver_slews_are_pinned() {
+    let lib = fast_library();
+    let options = CtsOptions::builder().threads(1).build().expect("options");
+    let instance = cts::benchmarks::generate_scale(256, 0x5ca1e);
+    let synth = Synthesizer::new(lib, options);
+    let result = synth.synthesize(&instance).expect("synthesis");
+    let (_, slews) = TimingEngine::new(lib).evaluate_annotated(
+        &result.tree,
+        result.source,
+        synth.options().source_slew,
+    );
+    let mut entries: Vec<_> = slews.into_iter().collect();
+    entries.sort_by_key(|&(id, _)| id.index());
+    let h = entries
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &(id, slew)| {
+            fnv1a(fnv1a(h, id.index() as u64), slew.to_bits())
+        });
+    assert_eq!(entries.len(), 294, "annotated node count moved");
+    assert_eq!(
+        h, 0x4ec3_fb90_1f68_3fcb,
+        "annotated slews moved: got {h:#018x}"
+    );
+}
+
+/// The annotated evaluation times the tree exactly as the plain one does.
+#[test]
+fn annotated_report_equals_evaluate() {
+    let lib = fast_library();
+    let synth = Synthesizer::new(lib, CtsOptions::default());
+    for seed in [3, 29] {
+        let instance = generate_custom("annotated", 24, 7000.0, seed);
+        let result = synth.synthesize(&instance).expect("synthesis");
+        let engine = TimingEngine::new(lib);
+        let slew = synth.options().source_slew;
+        let plain = engine.evaluate(&result.tree, result.source, slew);
+        let (annotated, _) = engine.evaluate_annotated(&result.tree, result.source, slew);
+        assert_eq!(plain, annotated, "seed {seed}");
+        assert_eq!(plain.worst_slew.to_bits(), annotated.worst_slew.to_bits());
+    }
+}
