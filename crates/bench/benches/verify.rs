@@ -1,13 +1,15 @@
 //! Verification throughput on a 512-sink tree: cold (empty caches) vs
-//! warm (stage cache and solver plans populated by a prior verify of the
-//! same tree).
+//! warm (stage store and solver plans populated by a prior verify of the
+//! same tree) vs peer (a fresh peer of that warm verifier: its own empty
+//! solver context over the warm stage store).
 //!
 //! The warm case is the one the batch driver and service actually hit
 //! when a tree is re-verified (or when sibling instances share stage
 //! geometry): every stage is served from the incremental cache and
-//! nothing is re-simulated. The cold/warm ratio is the headline number
-//! of the sparse-solver PR and is gated in CI (see
-//! `examples/bench_gate.rs`): warm must stay at least 5x cold.
+//! nothing is re-simulated. The peer case is a repeated service request
+//! landing on a different worker than its first copy. Both are gated in
+//! CI against cold (see `examples/bench_gate.rs`): each must stay at
+//! least 5x faster.
 //!
 //! Alongside wall time, the cold pass prints stage throughput
 //! (stages/second) once, so BENCH_ci.json trend lines can be read in
@@ -59,6 +61,15 @@ fn bench_verify_throughput(c: &mut Criterion) {
     group.bench_function("warm", |b| {
         b.iter(|| {
             warm.verify(&result.tree, result.source, &tech, &opts)
+                .expect("verify succeeds")
+        });
+    });
+    // Peer: a fresh peer of the warm verifier every iteration — no solve
+    // plans of its own, but every stage replays from the shared store.
+    group.bench_function("peer", |b| {
+        b.iter(|| {
+            let mut peer = warm.peer();
+            peer.verify(&result.tree, result.source, &tech, &opts)
                 .expect("verify succeeds")
         });
     });

@@ -378,11 +378,12 @@ impl<'a> BatchRunner<'a> {
     /// `verify_seconds`. Stage 2 of the overlapped schedule.
     ///
     /// Verification runs through the caller's [`Verifier`], so one
-    /// worker's stream of verifications shares solve plans and stage
-    /// records. The verifier never affects results (warm and cold
-    /// verification are bit-identical); it only removes repeated symbolic
-    /// work. [`BatchRunner::run`] schedules this with one verifier per
-    /// worker.
+    /// worker's stream of verifications shares solve plans, and stage
+    /// records with the verifier's peers ([`Verifier::peer`]). The
+    /// verifier never affects results (warm and cold verification are
+    /// bit-identical); it only removes repeated work. [`BatchRunner::run`]
+    /// schedules this with one private-store verifier per worker, dropped
+    /// when the call returns.
     ///
     /// # Errors
     ///

@@ -56,7 +56,8 @@
 //!   [`crate::batch::BatchRunner::synth_stage`] /
 //!   [`crate::batch::BatchRunner::finish_stage`], the exact code the batch
 //!   driver schedules on the same worker loop, with one warm
-//!   [`MergeScratch`] per worker; the request's [`BatchItem`] row travels
+//!   [`MergeScratch`] per worker and one verify stage store shared by all
+//!   workers ([`Verifier::peer`]); the request's [`BatchItem`] row travels
 //!   from the first stage to the second and becomes
 //!   [`SynthesisResult::item`]. Every result is byte-identical to a
 //!   direct serial [`crate::flow::Synthesizer::synthesize`] +
@@ -415,8 +416,8 @@ pub struct ServiceMetrics {
     /// Verification stages that were assembled, stamped and
     /// transient-simulated, summed across workers.
     pub stages_simulated: u64,
-    /// Verification stages replayed from the workers' incremental stage
-    /// caches without simulating.
+    /// Verification stages replayed from the workers' shared incremental
+    /// stage store without simulating.
     pub stages_reused: u64,
     /// Simulations that reused a cached solve plan (symbolic
     /// factorization / elimination order).
@@ -1214,6 +1215,9 @@ fn engine_loop(
     let runner = BatchRunner::new(&lib, &tech, options, batch)
         .with_corner_cache(Arc::clone(&shared.corner_cache));
     let dispatch = AtomicU64::new(0);
+    // One stage store for the engine's lifetime: every finishing worker
+    // verifies through a peer of this verifier.
+    let verifier = Verifier::new();
     run_two_stage_pull(
         service.workers,
         || shared.queue.pull(&shared.ledger),
@@ -1274,12 +1278,12 @@ fn engine_loop(
                 }
             }
         },
-        // Each finishing worker keeps a long-lived verifier, so solve
-        // plans and unchanged stages are shared across every request it
-        // verifies; the paired snapshot tracks what was last booked into
-        // the ledger (verifier counters are monotone, so the delta is
-        // exactly the new work).
-        || (Verifier::new(), VerifyStats::default()),
+        // Each finishing worker keeps a long-lived peer of the engine's
+        // verifier: its solve plans serve every request it verifies, and
+        // a stage any worker simulated replays on all of them. The paired
+        // snapshot tracks what was last booked into the ledger (verifier
+        // counters are monotone, so the delta is exactly the new work).
+        || (verifier.peer(), VerifyStats::default()),
         |(verifier, booked): &mut (Verifier, VerifyStats),
          job: Job,
          (staged, order): (BatchItem, u64)| {
@@ -1797,6 +1801,34 @@ mod tests {
             warm.symbolic_misses, cold.symbolic_misses,
             "plan cache already holds every topology"
         );
+        svc.shutdown();
+    }
+
+    #[test]
+    fn repeats_replay_on_either_worker() {
+        // Two workers share one stage store: after the first request
+        // simulates its tree, each repeat replays every stage, whichever
+        // worker verifies it.
+        let svc = service(2, 8, false, true);
+        let inst = tiny("shared", 5, 1400.0);
+        svc.submit(SynthesisRequest::new(inst.clone()))
+            .unwrap()
+            .wait()
+            .expect("first verify");
+        let cold = svc.metrics();
+        assert!(cold.stages_simulated > 0, "first verify simulates stages");
+        for repeat in 1..=6 {
+            svc.submit(SynthesisRequest::new(inst.clone()))
+                .unwrap()
+                .wait()
+                .expect("repeat verify");
+            let warm = svc.metrics();
+            assert_eq!(
+                warm.stages_simulated, cold.stages_simulated,
+                "repeat {repeat} re-simulated a stage"
+            );
+            assert_eq!(warm.stages_reused, repeat * cold.stages_simulated);
+        }
         svc.shutdown();
     }
 

@@ -32,7 +32,8 @@ use cts_spice::{
     simulate_observed_with, Circuit, NodeId, SimOptions, SolverContext, Technology, Waveform,
 };
 use cts_util::Fnv1a;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // Span taxonomy for verification: one span per [`Verifier::verify`] call
 // (attr = tree size) and one per stage, split by whether the stage was
@@ -91,17 +92,16 @@ pub struct VerifyStats {
     pub symbolic_misses: u64,
 }
 
-/// Bound on cached stage records. Each record holds the stage's output
-/// waveforms, so this also bounds cache memory.
+/// Bound on the records one stage store holds. Each record holds the
+/// stage's output waveforms, so this also bounds store memory.
 const STAGE_CACHE_CAP: usize = 4096;
 
 /// Per-load cached data: the 50 % crossing, and for buffer loads the
 /// re-base time and the exact shifted waveform handed to the next stage.
-#[derive(Clone)]
 struct LoadRec {
     t50: f64,
     t_base: f64,
-    wave: Option<Waveform>,
+    wave: Option<Arc<Waveform>>,
 }
 
 struct StageRecord {
@@ -110,39 +110,116 @@ struct StageRecord {
     loads: Vec<LoadRec>,
 }
 
+/// Stage records shared by a verifier and its peers, bounded by `cap`.
+///
+/// Every lookup and insert stamps the record with the store's clock; when
+/// an insert finds the store full, the least recently used quarter goes.
+/// The rule reads only the stamps, so it treats every peer's records
+/// alike.
+struct StageStore {
+    records: HashMap<u128, (Arc<StageRecord>, u64)>,
+    clock: u64,
+    cap: usize,
+}
+
+impl StageStore {
+    fn new(cap: usize) -> StageStore {
+        StageStore {
+            records: HashMap::new(),
+            clock: 0,
+            cap: cap.max(1),
+        }
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn get(&mut self, key: u128) -> Option<Arc<StageRecord>> {
+        let now = self.tick();
+        let (record, used) = self.records.get_mut(&key)?;
+        *used = now;
+        Some(Arc::clone(record))
+    }
+
+    fn insert(&mut self, key: u128, record: Arc<StageRecord>) {
+        if self.records.len() >= self.cap && !self.records.contains_key(&key) {
+            // Stamps are distinct, so exactly `evict` records are at or
+            // below the cut.
+            let evict = self.cap.div_ceil(4);
+            let mut stamps: Vec<u64> = self.records.values().map(|&(_, used)| used).collect();
+            let cut = *stamps.select_nth_unstable(evict - 1).1;
+            self.records.retain(|_, &mut (_, used)| used > cut);
+        }
+        let now = self.tick();
+        self.records.insert(key, (record, now));
+    }
+}
+
 /// Incremental, cache-carrying tree verifier.
 ///
-/// A `Verifier` owns two caches that survive across [`Verifier::verify`]
-/// calls:
+/// A `Verifier` carries two caches across [`Verifier::verify`] calls:
 ///
-/// * a [`SolverContext`] of solve plans (partition, elimination order,
-///   symbolic factorization), reused whenever any two stage circuits share
-///   a topology — within one tree, across repeated verifies, and across
-///   *different* trees of the same design;
-/// * a stage cache keyed by a fingerprint chaining each stage's netlist
-///   content with its input-waveform lineage, letting re-verification of
-///   an edited tree skip every stage the edit cannot affect.
+/// * its own [`SolverContext`] of solve plans (partition, elimination
+///   order, symbolic factorization), reused whenever any two stage
+///   circuits share a topology — within one tree, across repeated
+///   verifies, and across *different* trees of the same design;
+/// * a handle to a stage store keyed by a fingerprint chaining each
+///   stage's netlist content with its input-waveform lineage, letting
+///   re-verification of an edited tree skip every stage the edit cannot
+///   affect. [`Verifier::peer`] hands the same store to another verifier,
+///   so a stage simulated by one is replayed by all.
 ///
 /// Results are bit-identical whether a stage is simulated or replayed:
 /// `Verifier::new().verify(...)` equals [`verify_tree`] exactly, and
-/// re-verifying an unchanged tree returns the identical `VerifiedTiming`
-/// while simulating zero stages. The per-verifier counters ([`VerifyStats`])
-/// expose how much work was skipped.
+/// re-verifying an unchanged tree — on this verifier or any peer — returns
+/// the identical `VerifiedTiming` while simulating zero stages. The
+/// per-verifier counters ([`VerifyStats`]) expose how much work was
+/// skipped.
 ///
-/// Verifiers are intended to be long-lived and per-worker (they are `Send`
-/// but not `Sync`).
-#[derive(Default)]
+/// The solver context and the counters belong to one verifier (`verify`
+/// takes `&mut self`); a pool of worker threads gives each worker its own
+/// [`Verifier::peer`] of one verifier. The store is locked only to look a
+/// stage up or to file one, never while a stage simulates.
 pub struct Verifier {
     ctx: SolverContext,
-    cache: HashMap<u128, StageRecord>,
+    store: Arc<Mutex<StageStore>>,
     stages_simulated: u64,
     stages_reused: u64,
 }
 
+impl Default for Verifier {
+    fn default() -> Verifier {
+        Verifier::with_stage_cap(STAGE_CACHE_CAP)
+    }
+}
+
 impl Verifier {
-    /// Creates a verifier with empty caches.
+    /// Creates a verifier with empty caches and a store of its own.
     pub fn new() -> Verifier {
         Verifier::default()
+    }
+
+    fn with_stage_cap(cap: usize) -> Verifier {
+        Verifier {
+            ctx: SolverContext::new(),
+            store: Arc::new(Mutex::new(StageStore::new(cap))),
+            stages_simulated: 0,
+            stages_reused: 0,
+        }
+    }
+
+    /// A verifier over the same stage store, with a fresh solver context
+    /// and zeroed counters: a stage either of them simulates, the other
+    /// replays.
+    pub fn peer(&self) -> Verifier {
+        Verifier {
+            ctx: SolverContext::new(),
+            store: Arc::clone(&self.store),
+            stages_simulated: 0,
+            stages_reused: 0,
+        }
     }
 
     /// Work counters accumulated over this verifier's lifetime.
@@ -155,17 +232,10 @@ impl Verifier {
         }
     }
 
-    /// Drops all cached state (stage records and solve plans). Counters
-    /// are kept.
-    pub fn clear(&mut self) {
-        self.cache.clear();
-        self.ctx.clear();
-    }
-
-    /// Drops cached stage records but keeps solver plans — every stage
-    /// re-stamps and re-solves, but through warm symbolic factorizations.
-    pub fn clear_stage_cache(&mut self) {
-        self.cache.clear();
+    /// The shared store. Records go in whole, so a lock poisoned by a
+    /// panicking peer still guards a consistent map.
+    fn store(&self) -> MutexGuard<'_, StageStore> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Simulates the tree stage by stage, replaying cached stages whose
@@ -211,7 +281,7 @@ impl Verifier {
         struct StageJob {
             node: TreeNodeId,
             driver: cts_timing::BufferId,
-            wave: Waveform,
+            wave: Arc<Waveform>,
             offset: f64,
             input_key: u128,
         }
@@ -219,7 +289,11 @@ impl Verifier {
         queue.push_back(StageJob {
             node: source,
             driver,
-            wave: Waveform::rising_ramp_10_90(100.0 * PS, opts.input_slew, vdd),
+            wave: Arc::new(Waveform::rising_ramp_10_90(
+                100.0 * PS,
+                opts.input_slew,
+                vdd,
+            )),
             offset: -100.0 * PS, // measure latency from the source edge start
             input_key: ctx_key,
         });
@@ -227,7 +301,6 @@ impl Verifier {
         let mut worst_slew: f64 = 0.0;
         let mut sink_arrivals = Vec::new();
         let mut stages = 0usize;
-        let mut touched: HashSet<u128> = HashSet::new();
         // Global 50 % time of the source input edge; arrivals are measured
         // relative to it (the paper's source-to-sink delay).
         let mut source_edge: Option<f64> = None;
@@ -250,7 +323,6 @@ impl Verifier {
             let cout = c.add_node("stage_out");
             let btype = &buffers[job.driver.0];
             c.add_buffer(cin, cout, btype);
-            c.drive(cin, job.wave.clone());
 
             // Walk the tree below the driver, mirroring it into the circuit.
             // `loads` collects (tree node, circuit node) for buffers/sinks.
@@ -300,24 +372,19 @@ impl Verifier {
                 }
             }
             let stage_key = key.finish128();
-            touched.insert(stage_key);
 
             // Cached replay: the stage's netlist and input lineage are
             // unchanged, so its simulated outputs are too.
-            let hit = match self.cache.get(&stage_key) {
-                Some(r)
-                    if r.loads.len() == loads.len()
-                        && r.loads
-                            .iter()
-                            .zip(&loads)
-                            .all(|(lr, &(_, _, buf))| lr.wave.is_some() == buf) =>
-                {
-                    Some((r.worst_slew, r.t50_in, r.loads.clone()))
-                }
-                _ => None,
-            };
+            let cached = self.store().get(stage_key);
+            let hit = cached.filter(|r| {
+                r.loads.len() == loads.len()
+                    && r.loads
+                        .iter()
+                        .zip(&loads)
+                        .all(|(lr, &(_, _, buf))| lr.wave.is_some() == buf)
+            });
 
-            let (stage_worst, t50_in, load_recs) = if let Some(hit) = hit {
+            let record = if let Some(hit) = hit {
                 let _span = cts_obs::span_with(&SPAN_STAGE_REUSE, loads.len() as u64);
                 self.stages_reused += 1;
                 hit
@@ -329,6 +396,7 @@ impl Verifier {
                     o.dt = opts.dt;
                     o
                 };
+                c.drive(cin, Waveform::clone(&job.wave));
                 let res = simulate_observed_with(&mut self.ctx, &c, &sim_opts, &measured)
                     .map_err(|e| CtsError::Verify(format!("stage at {}: {e}", job.node)))?;
 
@@ -366,7 +434,7 @@ impl Verifier {
                         load_recs.push(LoadRec {
                             t50,
                             t_base,
-                            wave: Some(w.shifted(-t_base)),
+                            wave: Some(Arc::new(w.shifted(-t_base))),
                         });
                     } else {
                         load_recs.push(LoadRec {
@@ -376,24 +444,23 @@ impl Verifier {
                         });
                     }
                 }
-                self.cache.insert(
-                    stage_key,
-                    StageRecord {
-                        worst_slew: stage_worst,
-                        t50_in,
-                        loads: load_recs.clone(),
-                    },
-                );
-                (stage_worst, t50_in, load_recs)
+                let record = Arc::new(StageRecord {
+                    worst_slew: stage_worst,
+                    t50_in,
+                    loads: load_recs,
+                });
+                self.store().insert(stage_key, Arc::clone(&record));
+                record
             };
 
-            worst_slew = worst_slew.max(stage_worst);
+            worst_slew = worst_slew.max(record.worst_slew);
             if source_edge.is_none() {
-                source_edge = Some(job.offset + t50_in);
+                source_edge = Some(job.offset + record.t50_in);
             }
             let t_source = source_edge.expect("set on first stage");
 
-            for (ordinal, (&(tnode, _, is_buffer), lr)) in loads.iter().zip(&load_recs).enumerate()
+            for (ordinal, (&(tnode, _, is_buffer), lr)) in
+                loads.iter().zip(&record.loads).enumerate()
             {
                 if is_buffer {
                     let next_driver = match tree.node(tnode).kind {
@@ -409,7 +476,7 @@ impl Verifier {
                     queue.push_back(StageJob {
                         node: tnode,
                         driver: next_driver,
-                        wave: lr.wave.clone().expect("buffer load has a waveform"),
+                        wave: Arc::clone(lr.wave.as_ref().expect("buffer load has a waveform")),
                         offset: job.offset + lr.t_base,
                         input_key,
                     });
@@ -417,12 +484,6 @@ impl Verifier {
                     sink_arrivals.push((tnode, job.offset + lr.t50 - t_source));
                 }
             }
-        }
-
-        // Evict stages not touched by this verify once the cache outgrows
-        // its cap (records hold waveforms, so the cap bounds memory too).
-        if self.cache.len() > STAGE_CACHE_CAP {
-            self.cache.retain(|k, _| touched.contains(k));
         }
 
         if sink_arrivals.is_empty() {
@@ -614,6 +675,76 @@ mod tests {
         );
         let fresh = verify_tree(&r.tree, r.source, &t, &opts).unwrap();
         assert_eq!(reverted, fresh, "replayed result must match cold verify");
+    }
+
+    #[test]
+    fn peer_of_warm_verifier_replays_every_stage() {
+        let (r, t) = synthesized_tree();
+        let opts = VerifyOptions::default();
+        let cold = verify_tree(&r.tree, r.source, &t, &opts).unwrap();
+        let mut warm = Verifier::new();
+        warm.verify(&r.tree, r.source, &t, &opts).unwrap();
+        let mut peer = warm.peer();
+        assert_eq!(
+            peer.stats(),
+            VerifyStats::default(),
+            "counters start at zero"
+        );
+        let replayed = peer.verify(&r.tree, r.source, &t, &opts).unwrap();
+        assert_eq!(replayed, cold, "a peer's replay must be bit-identical");
+        let stats = peer.stats();
+        assert_eq!(stats.stages_simulated, 0, "the peer re-simulates nothing");
+        assert_eq!(stats.stages_reused, warm.stats().stages_simulated);
+    }
+
+    #[test]
+    fn store_stays_under_its_cap() {
+        let (mut r, t) = synthesized_tree();
+        let opts = VerifyOptions::default();
+        let stages = {
+            let mut probe = Verifier::new();
+            probe.verify(&r.tree, r.source, &t, &opts).unwrap();
+            probe.stats().stages_simulated as usize
+        };
+        assert!(stages >= 4, "the tree must overflow the store");
+        let cap = stages / 2;
+        let mut v = Verifier::with_stage_cap(cap);
+        let mut peer = v.peer();
+        let sink = r
+            .tree
+            .ids()
+            .find(|&id| matches!(r.tree.node(id).kind, NodeKind::Sink { .. }))
+            .unwrap();
+        let base_len = r.tree.node(sink).wire_to_parent_um;
+        for round in 0..6 {
+            r.tree
+                .set_wire_to_parent(sink, base_len + (round % 3) as f64);
+            let verifier = if round % 2 == 0 { &mut v } else { &mut peer };
+            let got = verifier.verify(&r.tree, r.source, &t, &opts).unwrap();
+            assert!(v.store().records.len() <= cap, "round {round} overflowed");
+            let fresh = verify_tree(&r.tree, r.source, &t, &opts).unwrap();
+            assert_eq!(got, fresh, "round {round} differs from a cold verify");
+        }
+    }
+
+    #[test]
+    fn store_evicts_least_recently_used() {
+        let record = || {
+            Arc::new(StageRecord {
+                worst_slew: 0.0,
+                t50_in: 0.0,
+                loads: Vec::new(),
+            })
+        };
+        let mut store = StageStore::new(4);
+        for key in 1..=4 {
+            store.insert(key, record());
+        }
+        assert!(store.get(1).is_some());
+        store.insert(5, record());
+        let mut kept: Vec<u128> = store.records.keys().copied().collect();
+        kept.sort_unstable();
+        assert_eq!(kept, [1, 3, 4, 5], "the oldest untouched record goes");
     }
 
     #[test]

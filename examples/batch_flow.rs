@@ -28,16 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
 
     // Shard across every core, verification overlapped (the defaults).
     // The batch shards are the parallel axis, so synthesis stays serial.
     let options = CtsOptions::builder().threads(1).build()?;
-    let runner = BatchRunner::new(&library, &tech, options.clone(), BatchOptions::default());
+    let runner = BatchRunner::new(library, &tech, options.clone(), BatchOptions::default());
     let t0 = std::time::Instant::now();
     let out = runner.run(&suite)?;
     let batch_seconds = t0.elapsed().as_secs_f64();
@@ -73,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The batch contract: per-instance results are byte-identical to a
     // serial synthesize/verify loop — sharding and overlap change wall
     // time only.
-    let serial = Synthesizer::new(&library, options);
+    let serial = Synthesizer::new(library, options);
     let t0 = std::time::Instant::now();
     for (item, instance) in out.items.iter().zip(&suite) {
         let reference = serial.synthesize(instance)?;

@@ -1,11 +1,12 @@
 //! CI gate over the verify-throughput smoke bench: reads the fresh
 //! `BENCH_ci.json` the criterion shim just wrote and enforces
 //!
-//! 1. the warm-cache verify of the 512-sink tree is at least **5x**
-//!    faster than the cold verify (the sparse-solver PR's headline
-//!    claim — the incremental stage cache must actually be serving), and
-//! 2. against an optional committed baseline, neither the cold nor the
-//!    warm median regressed by more than **20%**, after normalizing both
+//! 1. the warm-cache verify of the 512-sink tree, and a fresh peer of
+//!    that warm verifier, are each at least **5x** faster than the cold
+//!    verify (the incremental stage store must actually be serving, and
+//!    serving every verifier that shares it), and
+//! 2. against an optional committed baseline, none of the cold, warm and
+//!    peer medians regressed by more than **20%**, after normalizing both
 //!    sides by the run's own `calibration` entry (a fixed pure-FP
 //!    workload), so a slower CI runner is not misread as a code
 //!    regression.
@@ -25,14 +26,15 @@
 //!    verify rule because the scale tiers are one-shot measurements).
 //!
 //! A missing baseline file (first run on a branch) or a baseline without
-//! the verify entries (predating the bench) passes rule 2 with a notice;
+//! the verify entries (predating the bench) passes rule 2 with a notice,
+//! and so does a baseline without the peer entry, for that entry alone;
 //! a fresh file without `synth_scale` entries (a verify-only run) passes
 //! rules 3–4 with a notice; a malformed fresh file always fails.
 
 use cts::net::Json;
 use std::process::ExitCode;
 
-/// Minimum cold/warm speedup the warm cache must deliver.
+/// Minimum speedup over cold the warm and peer verifies must deliver.
 const MIN_WARM_SPEEDUP: f64 = 5.0;
 /// Maximum tolerated growth of a calibration-normalized median.
 const MAX_REGRESSION: f64 = 1.20;
@@ -44,6 +46,7 @@ const SCALE_MAX_REGRESSION: f64 = 1.50;
 
 const COLD: &str = "verify_512sinks/cold";
 const WARM: &str = "verify_512sinks/warm";
+const PEER: &str = "verify_512sinks/peer";
 const CALIBRATION: &str = "verify_512sinks/calibration";
 const MATCH_BRUTE: &str = "synth_scale/matching_100k_brute";
 const MATCH_SPATIAL: &str = "synth_scale/matching_100k_spatial";
@@ -82,28 +85,33 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (Some(cold), Some(warm), Some(calib)) = (
+    let (Some(cold), Some(warm), Some(peer), Some(calib)) = (
         median_ns(&fresh, COLD),
         median_ns(&fresh, WARM),
+        median_ns(&fresh, PEER),
         median_ns(&fresh, CALIBRATION),
     ) else {
         eprintln!(
             "bench_gate: {fresh_path} lacks the verify bench entries \
-             ({COLD}, {WARM}, {CALIBRATION}) — did `cargo bench --bench verify` run?"
+             ({COLD}, {WARM}, {PEER}, {CALIBRATION}) — did `cargo bench --bench verify` run?"
         );
         return ExitCode::FAILURE;
     };
 
-    let speedup = cold / warm;
-    println!(
-        "bench_gate: cold {:.1} ms, warm {:.2} ms — warm cache speedup {speedup:.1}x \
-         (floor {MIN_WARM_SPEEDUP}x)",
-        cold / 1e6,
-        warm / 1e6
-    );
-    if speedup < MIN_WARM_SPEEDUP {
-        eprintln!("bench_gate: FAIL — warm-cache verify must be at least {MIN_WARM_SPEEDUP}x cold");
-        return ExitCode::FAILURE;
+    for (label, cached) in [("warm", warm), ("peer", peer)] {
+        let speedup = cold / cached;
+        println!(
+            "bench_gate: cold {:.1} ms, {label} {:.2} ms — {label} speedup {speedup:.1}x \
+             (floor {MIN_WARM_SPEEDUP}x)",
+            cold / 1e6,
+            cached / 1e6
+        );
+        if speedup < MIN_WARM_SPEEDUP {
+            eprintln!(
+                "bench_gate: FAIL — {label} verify must be at least {MIN_WARM_SPEEDUP}x cold"
+            );
+            return ExitCode::FAILURE;
+        }
     }
 
     // Rule 3: the scale bench's pairing speedup, when that bench ran.
@@ -153,8 +161,15 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     };
 
+    let mut checked = vec![("cold", cold, b_cold), ("warm", warm, b_warm)];
+    match median_ns(&baseline, PEER) {
+        Some(b_peer) => checked.push(("peer", peer, b_peer)),
+        None => println!(
+            "bench_gate: {baseline_path} predates the {PEER} entry; no regression check for it"
+        ),
+    }
     let mut ok = true;
-    for (label, now, was) in [("cold", cold, b_cold), ("warm", warm, b_warm)] {
+    for (label, now, was) in checked {
         // Normalize by each run's own calibration so runner speed cancels.
         let ratio = (now / calib) / (was / b_calib);
         println!(

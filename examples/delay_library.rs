@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.input_wire_lengths_um.len(),
         cfg.wire_lengths_um.len()
     );
-    let library = cts::timing::load_or_characterize("target/ctslib_fast.v1.txt", &tech, &cfg)?;
+    let library = cts::timing::characterize(&tech, &cfg)?;
     println!("built {library}");
 
     // A Fig. 3.4-style slice: 20X buffer intrinsic delay vs input slew at

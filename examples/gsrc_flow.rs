@@ -49,11 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
     // Even a single instance goes through the batch driver — it is the one
     // entry point for 1..N instances, and with `all` the suite shards
     // across the cores with verification overlapped. Multi-instance runs
@@ -62,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // parallel merges instead.
     let threads = if suite.len() > 1 { 1 } else { 0 };
     let options = CtsOptions::builder().threads(threads).build()?;
-    let runner = BatchRunner::new(&library, &tech, options, BatchOptions::default());
+    let runner = BatchRunner::new(library, &tech, options, BatchOptions::default());
     let t0 = std::time::Instant::now();
     let out = runner.run(&suite)?;
     println!(

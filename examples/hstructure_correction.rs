@@ -16,11 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("instance: {instance}");
 
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
 
     let mut original_skew = None;
     println!(
@@ -33,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         HCorrection::Correct,
     ] {
         let options = CtsOptions::builder().h_correction(mode).build()?;
-        let synth = Synthesizer::new(&library, options);
+        let synth = Synthesizer::new(library, options);
         let result = synth.synthesize(&instance)?;
         let verified = cts::verify_tree(
             &result.tree,

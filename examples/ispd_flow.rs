@@ -48,16 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
     // Multi-instance runs parallelize on the shard axis; a lone instance
     // keeps the per-level parallel merges instead.
     let threads = if suite.len() > 1 { 1 } else { 0 };
     let options = CtsOptions::builder().threads(threads).build()?;
-    let runner = BatchRunner::new(&library, &tech, options, BatchOptions::default());
+    let runner = BatchRunner::new(library, &tech, options, BatchOptions::default());
     let out = runner.run(&suite)?;
 
     for item in &out.items {

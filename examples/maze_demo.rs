@@ -11,17 +11,12 @@ use cts::core::maze::{MazeRouter, MergeSide};
 use cts::geom::Point;
 use cts::spice::units::PS;
 use cts::timing::Load;
-use cts::{CtsOptions, Technology};
+use cts::CtsOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
     let options = CtsOptions::default();
-    let router = MazeRouter::new(&library, &options);
+    let router = MazeRouter::new(library, &options);
 
     // Two sub-tree roots 7 mm apart; side A is 40 ps slower.
     let a = MergeSide {

@@ -182,11 +182,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The pinned configuration the doc section documents: every reply
     // byte below is deterministic under it.
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
     let options = CtsOptions::builder()
         .threads(1)
         .build()

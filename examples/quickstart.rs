@@ -28,18 +28,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let instance = Instance::new("quickstart", sinks);
     println!("instance: {instance}");
 
-    // The delay/slew library: cached on disk after the first run.
+    // The fast delay/slew library: characterized on the first run, then
+    // cached on disk under a fingerprint of the technology and config.
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
 
     // Synthesize with the paper's settings: 100 ps slew limit, 80 ps
     // synthesis target, R = 45 routing grid.
     let options = CtsOptions::default();
-    let synth = Synthesizer::new(&library, options);
+    let synth = Synthesizer::new(library, options);
     let result = synth.synthesize(&instance)?;
 
     println!(

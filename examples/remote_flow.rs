@@ -45,11 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let per_client: usize = args.next().map(|a| a.parse()).transpose()?.unwrap_or(2);
 
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
 
     // Service workers are the parallel axis, so synthesis stays serial.
     let options = CtsOptions::builder().threads(1).build()?;
@@ -126,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The wire contract: every stat that crossed the socket is
     // byte-identical (f64 round-trips exactly through the JSON codec) to
     // a serial synthesize + verify_tree of the same instance.
-    let serial = Synthesizer::new(&library, options);
+    let serial = Synthesizer::new(library, options);
     for r in &results {
         let (client_idx, k) = parse_name(&r.name);
         let instance = instance_for(client_idx, k);

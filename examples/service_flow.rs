@@ -26,11 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let per_client: usize = args.next().map(|a| a.parse()).transpose()?.unwrap_or(2);
 
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
 
     // Service workers are the parallel axis, so synthesis stays serial.
     // A deliberately tight queue so the run exercises back-pressure: when
@@ -150,7 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The service contract: every streamed result is byte-identical to a
     // direct serial synthesize + verify of the same instance.
-    let serial = Synthesizer::new(&library, options);
+    let serial = Synthesizer::new(library, options);
     for (_, done) in &results {
         // Regenerate the instance from its deterministic seed.
         let (client, k) = parse_name(&done.item.name);

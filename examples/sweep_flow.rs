@@ -86,17 +86,13 @@ impl ServerThread {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
     let instance = cts::benchmarks::generate_custom("sweep", 14, 2800.0, 0x5eeb);
 
     // ---- Act 1 reference: the expanded patches submitted individually,
     // in expansion order (slew outermost, matching the axes' row-major
     // contract), on a single-worker server.
-    let reference_server = serve(&library, &tech, 1);
+    let reference_server = serve(library, &tech, 1);
     let mut reference_client = Client::connect(reference_server.addr)?;
     let mut reference = Vec::new();
     for &slew in &SLEWS_PS {
@@ -119,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     reference_server.stop();
 
     // The sweep: one frame, four points, four workers racing.
-    let sweep_server = serve(&library, &tech, 4);
+    let sweep_server = serve(library, &tech, 4);
     let mut client = Client::connect(sweep_server.addr)?;
     let axes = SweepAxesSpec {
         slew_targets_ps: SLEWS_PS.to_vec(),

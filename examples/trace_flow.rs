@@ -48,11 +48,7 @@ fn run_batch(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
     let suite: Vec<Instance> = (0..4)
         .map(|k| {
             cts::benchmarks::generate_custom(
@@ -65,9 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     // Act 1: a traced batch is bit-identical to an untraced one.
-    let untraced = run_batch(&library, &tech, &suite)?;
+    let untraced = run_batch(library, &tech, &suite)?;
     let recorder = Recorder::install();
-    let traced = run_batch(&library, &tech, &suite)?;
+    let traced = run_batch(library, &tech, &suite)?;
     assert_eq!(traced.items.len(), untraced.items.len());
     for (t, u) in traced.items.iter().zip(&untraced.items) {
         assert_eq!(t.result.tree, u.result.tree, "{}: tree drift", t.name);

@@ -29,11 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let corners: usize = args.next().map(|a| a.parse()).transpose()?.unwrap_or(100);
 
     let tech = Technology::nominal_45nm();
-    let library = cts::timing::load_or_characterize(
-        "target/ctslib_fast.v1.txt",
-        &tech,
-        &cts::timing::CharacterizeConfig::fast(),
-    )?;
+    let library = cts::timing::fast_library();
 
     // Service workers are the parallel axis, so synthesis stays serial.
     // Variation defaults: 5 % sigma on buffer delay, wire delay, and slew.
@@ -51,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     // Serial reference: synthesize once, then walk the corners directly.
-    let synth = Synthesizer::new(&library, options.clone());
-    let base_fp = library_fingerprint(&library);
+    let synth = Synthesizer::new(library, options.clone());
+    let base_fp = library_fingerprint(library);
     let serial_cache = CornerLibraryCache::new();
     let mut serial: Vec<VariationSummary> = Vec::new();
     for instance in &suite {
@@ -146,7 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..options.variation
         })
         .build()?;
-    let rs_synth = Synthesizer::new(&library, rs_options.clone());
+    let rs_synth = Synthesizer::new(library, rs_options.clone());
     let rs_nominal = rs_synth.synthesize(&suite[0])?;
     let rs_serial = rs_synth
         .evaluate_variation_with(&suite[0], &rs_nominal, &CornerLibraryCache::new(), base_fp)?
