@@ -13,7 +13,8 @@
 //!
 //! Alongside wall time, the cold pass prints stage throughput
 //! (stages/second) once, so BENCH_ci.json trend lines can be read in
-//! units that survive tree-size changes.
+//! units that survive tree-size changes, and the transient steps it took
+//! as a share of simulating every stage over the whole stage window.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cts::benchmarks::generate_custom;
@@ -36,10 +37,15 @@ fn bench_verify_throughput(c: &mut Criterion) {
         .verify(&result.tree, result.source, &tech, &opts)
         .expect("verify succeeds");
     let cold_secs = t0.elapsed().as_secs_f64();
-    let stages = probe.stats().stages_simulated;
+    let stats = probe.stats();
+    let stages = stats.stages_simulated;
+    let window_steps = stages as f64 * opts.stage_window / opts.dt;
     println!(
-        "verify512: {stages} stages cold in {cold_secs:.3} s ({:.0} stages/s)",
-        stages as f64 / cold_secs
+        "verify512: {stages} stages cold in {cold_secs:.3} s ({:.0} stages/s), \
+         {} steps ({:.1} % of the full window)",
+        stages as f64 / cold_secs,
+        stats.steps_simulated,
+        100.0 * stats.steps_simulated as f64 / window_steps
     );
 
     let mut group = c.benchmark_group("verify_512sinks");

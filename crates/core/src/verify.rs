@@ -11,6 +11,30 @@
 //! input purely capacitively, so cutting at buffer inputs and carrying the
 //! full input waveform forward loses nothing.
 //!
+//! # Stage horizons
+//!
+//! [`VerifyOptions::stage_window`] is the *reference* window: the results
+//! are those of simulating every stage over all of it. But a stage is only
+//! simulated up to its *horizon*, which is found on demand:
+//!
+//! * **Stop rule.** A stage is finished when every node it measures has
+//!   its latest sample at or above 90 % of the supply, starting below 10 %
+//!   (so its 10 / 50 / 90 % first crossings lie inside the samples), and
+//!   every child stage is finished. From then on the first crossings, the
+//!   50 % times, the 10–90 % slews and the edge direction (which reads the
+//!   last sample) are what the full window gives. A node that never
+//!   completes runs to the window and fails as it always did.
+//! * **Input rule.** A transient is causal: its samples up to time `t`
+//!   depend only on its input up to `t`. So a stage may take a step at `t`
+//!   only when its parent's output already has a sample at or after `t`,
+//!   or the parent has reached the window; the source ramp counts as
+//!   complete. A stage that needs more input asks its parent to extend,
+//!   which may ask its own parent, up to the source.
+//! * **Order.** Stages are simulated depth-first, keeping the runs of the
+//!   current stage's ancestors live so that extending them is a resumed
+//!   step loop; the result is then assembled in breadth-first stage order,
+//!   the order [`VerifiedTiming::sink_arrivals`] has always had.
+//!
 //! # Incremental re-verification
 //!
 //! The stage cut also makes verification *incremental*. A stage's simulated
@@ -18,21 +42,27 @@
 //! buffer, downstream wires/caps up to the next buffer inputs) and its
 //! input waveform — which is itself fully determined by the chain of stages
 //! above it. [`Verifier`] keys every stage by a fingerprint chaining those
-//! two, caches each stage's measurements and output waveforms, and on
-//! re-verification re-simulates only stages whose key changed: edit one
-//! wire and exactly the stage containing it (plus its downstream cone,
-//! whose input waveforms change) re-runs; every other stage replays from
-//! the cache. Cached and fresh results are bit-identical — the cache stores
-//! the exact waveform objects the fresh path would propagate.
+//! two, found by a walk of the tree that builds no netlist, and files each
+//! stage's measurements, its buffer loads' output waveforms up to the
+//! horizon it reached, and its solver end state there. Re-verification
+//! simulates only stages whose key changed: edit one wire and exactly the
+//! stage containing it (plus its downstream cone, whose input waveforms
+//! change) re-runs; every other stage replays from its record. A replayed
+//! record that a new child outgrows is *resumed* from its end state, never
+//! re-simulated, and re-filed with its longer horizon; a record is never
+//! shortened. Replayed and fresh results are bit-identical.
 
 use crate::options::CtsError;
 use crate::tree::{ClockTree, NodeKind, TreeNodeId};
 use cts_spice::units::{NS, PS};
 use cts_spice::{
-    simulate_observed_with, Circuit, NodeId, SimOptions, SolverContext, Technology, Waveform,
+    BufferType, Circuit, EndState, NodeId, SimOptions, SolverContext, Technology, Transient,
+    Waveform,
 };
+use cts_timing::BufferId;
 use cts_util::Fnv1a;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // Span taxonomy for verification: one span per [`Verifier::verify`] call
@@ -48,8 +78,12 @@ static SPAN_STAGE_REUSE: cts_obs::Name = cts_obs::Name::new("verify.stage_reuse"
 pub struct VerifyOptions {
     /// 10–90 % slew of the ideal ramp applied at the source input (s).
     pub input_slew: f64,
-    /// Per-stage simulation window (s). Must exceed any single stage's
-    /// delay plus settling; 3 ns is ample for ps-scale stages.
+    /// Reference simulation window per stage (s), and the cap on a stage's
+    /// horizon: results are those of simulating every stage over this
+    /// whole window, but a stage stops at its horizon, once its own
+    /// measurements and its children's input are complete (see the module
+    /// docs). Must exceed any single stage's delay plus settling; 3 ns is
+    /// ample for ps-scale stages.
     pub stage_window: f64,
     /// Transient timestep (s).
     pub dt: f64,
@@ -85,10 +119,16 @@ pub struct VerifyStats {
     pub stages_simulated: u64,
     /// Stages replayed from the incremental cache without simulating.
     pub stages_reused: u64,
-    /// Simulations that reused a cached solve plan (symbolic
-    /// factorization / elimination order) from the solver context.
+    /// Replayed stages resumed from their end state because a child
+    /// needed more of their output than their record held.
+    pub stages_extended: u64,
+    /// Transient timesteps taken, extensions of replayed stages included.
+    pub steps_simulated: u64,
+    /// Stage runs, started or resumed, that reused a cached solve plan
+    /// (symbolic factorization / elimination order) from the solver
+    /// context.
     pub symbolic_hits: u64,
-    /// Simulations that had to build a solve plan.
+    /// Stage runs, started or resumed, that had to build a solve plan.
     pub symbolic_misses: u64,
 }
 
@@ -96,18 +136,38 @@ pub struct VerifyStats {
 /// stage's output waveforms, so this also bounds store memory.
 const STAGE_CACHE_CAP: usize = 4096;
 
-/// Per-load cached data: the 50 % crossing, and for buffer loads the
-/// re-base time and the exact shifted waveform handed to the next stage.
+/// Steps a stage takes between checks of its stop rule, and the margin a
+/// parent runs ahead when a child needs more of its output. Any value is
+/// exact; with this one a cold verify of GSRC r1–r3 takes about 3 % more
+/// steps than it would with every stage's horizon known in advance.
+const CHUNK: usize = 16;
+
+/// Per-load record: the 50 % crossing, and for buffer loads the re-base
+/// time and the shifted output waveform handed to the next stage, up to
+/// the record's horizon.
+#[derive(Clone)]
 struct LoadRec {
     t50: f64,
     t_base: f64,
-    wave: Option<Arc<Waveform>>,
+    wave: Option<Waveform>,
 }
 
+/// What a stage's simulation leaves for replay: its measurements, final
+/// once its stop rule held, and its buffer loads' outputs and run state
+/// at the horizon it reached.
+#[derive(Clone)]
 struct StageRecord {
     worst_slew: f64,
-    t50_in: f64,
     loads: Vec<LoadRec>,
+    /// Where the stage's run stands at its horizon.
+    end: EndState,
+}
+
+impl StageRecord {
+    /// The last step the record's waveforms reach.
+    fn horizon(&self) -> usize {
+        self.end.step()
+    }
 }
 
 /// Stage records shared by a verifier and its peers, bounded by `cap`.
@@ -115,7 +175,8 @@ struct StageRecord {
 /// Every lookup and insert stamps the record with the store's clock; when
 /// an insert finds the store full, the least recently used quarter goes.
 /// The rule reads only the stamps, so it treats every peer's records
-/// alike.
+/// alike. A record is replaced only by one reaching further, so a record
+/// is never shortened.
 struct StageStore {
     records: HashMap<u128, (Arc<StageRecord>, u64)>,
     clock: u64,
@@ -144,7 +205,15 @@ impl StageStore {
     }
 
     fn insert(&mut self, key: u128, record: Arc<StageRecord>) {
-        if self.records.len() >= self.cap && !self.records.contains_key(&key) {
+        let now = self.tick();
+        if let Some((held, used)) = self.records.get_mut(&key) {
+            *used = now;
+            if held.horizon() < record.horizon() {
+                *held = record;
+            }
+            return;
+        }
+        if self.records.len() >= self.cap {
             // Stamps are distinct, so exactly `evict` records are at or
             // below the cut.
             let evict = self.cap.div_ceil(4);
@@ -152,8 +221,292 @@ impl StageStore {
             let cut = *stamps.select_nth_unstable(evict - 1).1;
             self.records.retain(|_, &mut (_, used)| used > cut);
         }
-        let now = self.tick();
         self.records.insert(key, (record, now));
+    }
+}
+
+/// A tree node of a stage, in the order the stage walk reaches it. Its
+/// circuit node is `measured[at]` in [`Net::circuit`]'s list, where the
+/// driver's output is `measured[0]` and element `i` of the stage is at
+/// `i + 1`.
+struct Elem {
+    tnode: TreeNodeId,
+    /// Where the node it hangs from is.
+    upstream: usize,
+}
+
+/// A load of a stage: a sink or the input of a buffer.
+struct Load {
+    tnode: TreeNodeId,
+    /// Where its circuit node is, as for [`Elem`].
+    at: usize,
+    /// The stage the buffer drives; `None` for a sink.
+    child: Option<usize>,
+}
+
+/// One stage of the tree: a driving buffer and the wires and caps below
+/// it, up to the next buffer inputs and the sinks.
+struct Stage {
+    node: TreeNodeId,
+    driver: BufferId,
+    /// The stage driving this one and this stage's ordinal among its loads;
+    /// `None` for the source stage.
+    parent: Option<(usize, usize)>,
+    /// Fingerprint of the netlist and the input lineage.
+    key: u128,
+    elems: Range<usize>,
+    loads: Vec<Load>,
+}
+
+/// A tree cut into stages, in breadth-first order, plus what simulating a
+/// stage needs.
+struct Net<'a> {
+    tree: &'a ClockTree,
+    tech: &'a Technology,
+    buffers: Vec<BufferType>,
+    sim: SimOptions,
+    /// The ideal ramp driving the source stage.
+    ramp: Waveform,
+    stages: Vec<Stage>,
+    elems: Vec<Elem>,
+}
+
+impl<'a> Net<'a> {
+    /// Cuts the tree below `source` into stages and keys each one, without
+    /// building any netlist. `root_key` fingerprints everything global
+    /// that shapes stage simulations.
+    fn walk(
+        tree: &'a ClockTree,
+        source: TreeNodeId,
+        driver: BufferId,
+        tech: &'a Technology,
+        opts: &VerifyOptions,
+        root_key: u128,
+    ) -> Result<Net<'a>, CtsError> {
+        let mut stages = vec![Stage {
+            node: source,
+            driver,
+            parent: None,
+            key: 0,
+            elems: 0..0,
+            loads: Vec::new(),
+        }];
+        let mut elems = Vec::new();
+        let mut head = 0;
+        while head < stages.len() {
+            if head >= 4 * tree.len() + 16 {
+                return Err(CtsError::Verify("stage queue runaway".into()));
+            }
+            let input_key = match stages[head].parent {
+                None => root_key,
+                Some((parent, ordinal)) => {
+                    let mut f = Fnv1a::default();
+                    f.word128(stages[parent].key);
+                    f.word(ordinal as u64);
+                    f.finish128()
+                }
+            };
+            let mut key = Fnv1a::default();
+            key.word128(input_key);
+            key.word(stages[head].driver.0 as u64);
+            let start = elems.len();
+            let mut loads = Vec::new();
+            let mut stack: Vec<(TreeNodeId, usize)> = tree
+                .node(stages[head].node)
+                .children
+                .iter()
+                .map(|&ch| (ch, 0))
+                .collect();
+            key.word(stack.len() as u64);
+            while let Some((tnode, upstream)) = stack.pop() {
+                elems.push(Elem { tnode, upstream });
+                let at = elems.len() - start;
+                let node = tree.node(tnode);
+                key.word(node.wire_to_parent_um.to_bits());
+                match node.kind {
+                    NodeKind::Sink { cap, .. } => {
+                        key.word(1);
+                        key.word(cap.to_bits());
+                        loads.push(Load {
+                            tnode,
+                            at,
+                            child: None,
+                        });
+                    }
+                    NodeKind::Buffer { buffer } => {
+                        key.word(2);
+                        key.word(buffer.0 as u64);
+                        let child = stages.len();
+                        stages.push(Stage {
+                            node: tnode,
+                            driver: buffer,
+                            parent: Some((head, loads.len())),
+                            key: 0,
+                            elems: 0..0,
+                            loads: Vec::new(),
+                        });
+                        loads.push(Load {
+                            tnode,
+                            at,
+                            child: Some(child),
+                        });
+                    }
+                    NodeKind::Joint => {
+                        key.word(3);
+                        key.word(node.children.len() as u64);
+                        stack.extend(node.children.iter().map(|&ch| (ch, at)));
+                    }
+                    NodeKind::Source { .. } => {
+                        return Err(CtsError::Verify("source below a driver".into()))
+                    }
+                }
+            }
+            let stage = &mut stages[head];
+            stage.key = key.finish128();
+            stage.elems = start..elems.len();
+            stage.loads = loads;
+            head += 1;
+        }
+        let vdd = tech.vdd();
+        let mut sim = SimOptions::default_for(opts.stage_window);
+        sim.dt = opts.dt;
+        Ok(Net {
+            tree,
+            tech,
+            buffers: tech.buffer_library(),
+            sim,
+            ramp: Waveform::rising_ramp_10_90(100.0 * PS, opts.input_slew, vdd),
+            stages,
+            elems,
+        })
+    }
+
+    /// The stage's circuit driven by `input`: the driver buffer and the
+    /// wire tree below it, with the buffer inputs below it as caps. Returns
+    /// the circuit, its input node and the measured nodes (the driver
+    /// output, then one per element).
+    fn circuit(&self, stage: &Stage, input: Waveform) -> (Circuit, NodeId, Vec<NodeId>) {
+        let tech = self.tech;
+        let mut c = Circuit::new(tech);
+        let cin = c.add_node("stage_in");
+        let cout = c.add_node("stage_out");
+        c.add_buffer(cin, cout, &self.buffers[stage.driver.0]);
+        let mut measured = Vec::with_capacity(1 + stage.elems.len());
+        measured.push(cout);
+        for elem in &self.elems[stage.elems.clone()] {
+            let cnode = c.add_node(format!("{}", elem.tnode));
+            let upstream = measured[elem.upstream];
+            measured.push(cnode);
+            let node = self.tree.node(elem.tnode);
+            let len = node.wire_to_parent_um;
+            if len >= 0.5 {
+                c.add_wire(upstream, cnode, len, tech.wire());
+            } else {
+                // Co-located attachment: a tiny series resistance keeps
+                // the two circuit nodes distinct without parasitics.
+                c.add_resistor(upstream, cnode, 1e-3);
+            }
+            match node.kind {
+                NodeKind::Sink { cap, .. } => c.add_cap(cnode, cap),
+                // The next stage's gate: purely capacitive here.
+                NodeKind::Buffer { buffer } => {
+                    c.add_cap(cnode, self.buffers[buffer.0].input_cap(tech))
+                }
+                NodeKind::Joint | NodeKind::Source { .. } => {}
+            }
+        }
+        c.drive(cin, input);
+        (c, cin, measured)
+    }
+
+    /// Measures a stage whose run has reached its own horizon (or the
+    /// window's end), on the samples in place: the worst slew of its
+    /// nodes, each load's 50 % crossing, and each buffer load's output
+    /// re-based for the stage it drives.
+    fn measure(&self, stage: &Stage, sr: &StageRun) -> Result<StageRecord, CtsError> {
+        let vdd = self.tech.vdd();
+        let res = sr.run.result();
+        let mut worst_slew: f64 = 0.0;
+        for &n in &sr.measured {
+            let slew = res.view(n).slew_10_90(vdd).ok_or_else(|| {
+                CtsError::Verify(format!(
+                    "node {} never completed its transition (stage at {})",
+                    sr.circuit.node_name(n),
+                    stage.node
+                ))
+            })?;
+            worst_slew = worst_slew.max(slew);
+        }
+        let mut loads = Vec::with_capacity(stage.loads.len());
+        for load in &stage.loads {
+            let n = sr.measured[load.at];
+            let t50 = res.view(n).t50(vdd).ok_or_else(|| {
+                CtsError::Verify(format!("load {} never crossed 50%", load.tnode))
+            })?;
+            let (t_base, wave) = match load.child {
+                None => (0.0, None),
+                Some(_) => {
+                    // Re-base the waveform so the edge sits near the start
+                    // of the next window; the cut time is carried into the
+                    // child's offset when the tree is assembled.
+                    let t_base = (t50 - 300.0 * PS).max(0.0);
+                    let shift = -t_base;
+                    let times = res.times().iter().map(|t| t + shift).collect();
+                    let wave = Waveform::from_samples(times, res.samples(n).to_vec());
+                    (t_base, Some(wave))
+                }
+            };
+            loads.push(LoadRec { t50, t_base, wave });
+        }
+        Ok(StageRecord {
+            worst_slew,
+            loads,
+            end: sr.run.end_state(),
+        })
+    }
+}
+
+/// A stage's transient run, kept while the stage is on the walk's path.
+struct StageRun {
+    circuit: Circuit,
+    cin: NodeId,
+    run: Transient,
+    /// The nodes the run records, as [`Net::circuit`] lists them.
+    measured: Vec<NodeId>,
+}
+
+/// A stage on the walk's path from the source.
+struct Live {
+    stage: usize,
+    /// The stage's record once its measurements are final; its waveforms
+    /// grow with the run.
+    rec: Option<Arc<StageRecord>>,
+    /// The run, once the stage simulates or extends here; a stage with a
+    /// run has a record to file.
+    run: Option<StageRun>,
+    /// The next load to descend into.
+    next: usize,
+}
+
+impl Live {
+    /// The last step the stage has reached.
+    fn horizon(&self) -> usize {
+        match (&self.run, &self.rec) {
+            (Some(sr), _) => sr.run.step(),
+            (None, Some(rec)) => rec.horizon(),
+            (None, None) => 0,
+        }
+    }
+
+    /// The output waveform buffer load `ordinal` hands its stage.
+    fn wave(&self, ordinal: usize) -> &Waveform {
+        self.rec
+            .as_ref()
+            .expect("measured before its children run")
+            .loads[ordinal]
+            .wave
+            .as_ref()
+            .expect("buffer load has a waveform")
     }
 }
 
@@ -187,6 +540,8 @@ pub struct Verifier {
     store: Arc<Mutex<StageStore>>,
     stages_simulated: u64,
     stages_reused: u64,
+    stages_extended: u64,
+    steps_simulated: u64,
 }
 
 impl Default for Verifier {
@@ -202,11 +557,17 @@ impl Verifier {
     }
 
     fn with_stage_cap(cap: usize) -> Verifier {
+        Verifier::over(Arc::new(Mutex::new(StageStore::new(cap))))
+    }
+
+    fn over(store: Arc<Mutex<StageStore>>) -> Verifier {
         Verifier {
             ctx: SolverContext::new(),
-            store: Arc::new(Mutex::new(StageStore::new(cap))),
+            store,
             stages_simulated: 0,
             stages_reused: 0,
+            stages_extended: 0,
+            steps_simulated: 0,
         }
     }
 
@@ -214,12 +575,7 @@ impl Verifier {
     /// and zeroed counters: a stage either of them simulates, the other
     /// replays.
     pub fn peer(&self) -> Verifier {
-        Verifier {
-            ctx: SolverContext::new(),
-            store: Arc::clone(&self.store),
-            stages_simulated: 0,
-            stages_reused: 0,
-        }
+        Verifier::over(Arc::clone(&self.store))
     }
 
     /// Work counters accumulated over this verifier's lifetime.
@@ -227,6 +583,8 @@ impl Verifier {
         VerifyStats {
             stages_simulated: self.stages_simulated,
             stages_reused: self.stages_reused,
+            stages_extended: self.stages_extended,
+            steps_simulated: self.steps_simulated,
             symbolic_hits: self.ctx.symbolic_hits(),
             symbolic_misses: self.ctx.symbolic_misses(),
         }
@@ -261,227 +619,62 @@ impl Verifier {
             }
         };
         let vdd = tech.vdd();
-        let buffers = tech.buffer_library();
 
         // Root of the stage-key chain: everything global that shapes stage
         // simulations — technology (devices, wire parasitics, buffer
         // library) and the simulation/stimulus options.
-        let ctx_key = {
+        let root_key = {
             let mut f = Fnv1a::default();
-            f.bytes(format!("{tech:?}").as_bytes());
+            f.word128(tech.fingerprint());
             f.word(opts.input_slew.to_bits());
             f.word(opts.stage_window.to_bits());
             f.word(opts.dt.to_bits());
             f.finish128()
         };
+        let net = Net::walk(tree, source, driver, tech, opts, root_key)?;
+        net.sim
+            .validate()
+            .map_err(|e| CtsError::Verify(format!("stage at {source}: {e}")))?;
 
-        // Work queue of stages: (tree node of the driving buffer, its input
-        // waveform in local time, global time offset of local t = 0, key of
-        // the input-waveform lineage).
-        struct StageJob {
-            node: TreeNodeId,
-            driver: cts_timing::BufferId,
-            wave: Arc<Waveform>,
-            offset: f64,
-            input_key: u128,
+        // Depth-first: a stage is finished once all of its children are.
+        let mut records: Vec<Option<Arc<StageRecord>>> = vec![None; net.stages.len()];
+        let mut chain = Vec::new();
+        self.open(&net, &mut chain, 0)?;
+        while let Some(top) = chain.last_mut() {
+            let loads = &net.stages[top.stage].loads;
+            let child = loads[top.next..].iter().position(|l| l.child.is_some());
+            if let Some(skip) = child {
+                top.next += skip + 1;
+                let child = loads[top.next - 1].child.expect("found above");
+                self.open(&net, &mut chain, child)?;
+            } else {
+                let live = chain.pop().expect("non-empty");
+                let s = live.stage;
+                records[s] = Some(self.close(&net, live));
+            }
         }
-        let mut queue = VecDeque::new();
-        queue.push_back(StageJob {
-            node: source,
-            driver,
-            wave: Arc::new(Waveform::rising_ramp_10_90(
-                100.0 * PS,
-                opts.input_slew,
-                vdd,
-            )),
-            offset: -100.0 * PS, // measure latency from the source edge start
-            input_key: ctx_key,
-        });
 
+        // Assemble in breadth-first stage order. Arrivals are measured from
+        // the global 50 % time of the source input edge (the paper's
+        // source-to-sink delay); latency counts from the edge start.
+        let mut offsets = vec![0.0; net.stages.len()];
+        offsets[0] = -100.0 * PS;
+        let t_source = offsets[0]
+            + net
+                .ramp
+                .t50(vdd)
+                .ok_or_else(|| CtsError::Verify("driver input has no edge".into()))?;
         let mut worst_slew: f64 = 0.0;
         let mut sink_arrivals = Vec::new();
-        let mut stages = 0usize;
-        // Global 50 % time of the source input edge; arrivals are measured
-        // relative to it (the paper's source-to-sink delay).
-        let mut source_edge: Option<f64> = None;
-
-        while let Some(job) = queue.pop_front() {
-            stages += 1;
-            if stages > 4 * tree.len() + 16 {
-                return Err(CtsError::Verify("stage queue runaway".into()));
-            }
-
-            // Build the stage circuit: driver buffer + downstream wire tree
-            // up to the next buffer inputs / sinks. The same walk feeds the
-            // stage fingerprint, so cached replay sees loads in the exact
-            // order simulation would produce them.
-            let mut key = Fnv1a::default();
-            key.word128(job.input_key);
-            key.word(job.driver.0 as u64);
-            let mut c = Circuit::new(tech);
-            let cin = c.add_node("stage_in");
-            let cout = c.add_node("stage_out");
-            let btype = &buffers[job.driver.0];
-            c.add_buffer(cin, cout, btype);
-
-            // Walk the tree below the driver, mirroring it into the circuit.
-            // `loads` collects (tree node, circuit node) for buffers/sinks.
-            let mut loads: Vec<(TreeNodeId, NodeId, bool)> = Vec::new(); // bool: is_buffer
-            let mut measured: Vec<NodeId> = vec![cout];
-            let mut stack: Vec<(TreeNodeId, NodeId)> = tree
-                .node(job.node)
-                .children
-                .iter()
-                .map(|&ch| (ch, cout))
-                .collect();
-            key.word(stack.len() as u64);
-            while let Some((tnode, upstream)) = stack.pop() {
-                let cnode = c.add_node(format!("{tnode}"));
-                measured.push(cnode);
-                let len = tree.node(tnode).wire_to_parent_um;
-                key.word(len.to_bits());
-                if len >= 0.5 {
-                    c.add_wire(upstream, cnode, len, tech.wire());
-                } else {
-                    // Co-located attachment: a tiny series resistance keeps
-                    // the two circuit nodes distinct without parasitics.
-                    c.add_resistor(upstream, cnode, 1e-3);
-                }
-                match tree.node(tnode).kind {
-                    NodeKind::Sink { cap, .. } => {
-                        key.word(1);
-                        key.word(cap.to_bits());
-                        c.add_cap(cnode, cap);
-                        loads.push((tnode, cnode, false));
-                    }
-                    NodeKind::Buffer { buffer } => {
-                        key.word(2);
-                        key.word(buffer.0 as u64);
-                        // The next stage's gate: purely capacitive here.
-                        c.add_cap(cnode, buffers[buffer.0].input_cap(tech));
-                        loads.push((tnode, cnode, true));
-                    }
-                    NodeKind::Joint => {
-                        key.word(3);
-                        key.word(tree.node(tnode).children.len() as u64);
-                        stack.extend(tree.node(tnode).children.iter().map(|&ch| (ch, cnode)));
-                    }
-                    NodeKind::Source { .. } => {
-                        return Err(CtsError::Verify("source below a driver".into()))
-                    }
-                }
-            }
-            let stage_key = key.finish128();
-
-            // Cached replay: the stage's netlist and input lineage are
-            // unchanged, so its simulated outputs are too.
-            let cached = self.store().get(stage_key);
-            let hit = cached.filter(|r| {
-                r.loads.len() == loads.len()
-                    && r.loads
-                        .iter()
-                        .zip(&loads)
-                        .all(|(lr, &(_, _, buf))| lr.wave.is_some() == buf)
-            });
-
-            let record = if let Some(hit) = hit {
-                let _span = cts_obs::span_with(&SPAN_STAGE_REUSE, loads.len() as u64);
-                self.stages_reused += 1;
-                hit
-            } else {
-                let _span = cts_obs::span_with(&SPAN_STAGE_SIMULATE, loads.len() as u64);
-                self.stages_simulated += 1;
-                let sim_opts = {
-                    let mut o = SimOptions::default_for(opts.stage_window);
-                    o.dt = opts.dt;
-                    o
-                };
-                c.drive(cin, Waveform::clone(&job.wave));
-                let res = simulate_observed_with(&mut self.ctx, &c, &sim_opts, &measured)
-                    .map_err(|e| CtsError::Verify(format!("stage at {}: {e}", job.node)))?;
-
-                // Worst slew across every tree-visible node in this stage.
-                let mut stage_worst: f64 = 0.0;
-                for &n in &measured {
-                    let w = res.waveform(n);
-                    let slew = w.slew_10_90(vdd).ok_or_else(|| {
-                        CtsError::Verify(format!(
-                            "node {} never completed its transition (stage at {})",
-                            c.node_name(n),
-                            job.node
-                        ))
-                    })?;
-                    stage_worst = stage_worst.max(slew);
-                }
-
-                // The stage's reference edge: driver input's 50 % crossing.
-                let t50_in = job
-                    .wave
-                    .t50(vdd)
-                    .ok_or_else(|| CtsError::Verify("driver input has no edge".into()))?;
-
-                let mut load_recs = Vec::with_capacity(loads.len());
-                for &(tnode, cnode, is_buffer) in &loads {
-                    let w = res.waveform(cnode);
-                    let t50 = w.t50(vdd).ok_or_else(|| {
-                        CtsError::Verify(format!("load {tnode} never crossed 50%"))
-                    })?;
-                    if is_buffer {
-                        // Re-base the waveform so the edge sits near the
-                        // start of the next window; the cut time is carried
-                        // into the offset when the job is queued below.
-                        let t_base = (t50 - 300.0 * PS).max(0.0);
-                        load_recs.push(LoadRec {
-                            t50,
-                            t_base,
-                            wave: Some(Arc::new(w.shifted(-t_base))),
-                        });
-                    } else {
-                        load_recs.push(LoadRec {
-                            t50,
-                            t_base: 0.0,
-                            wave: None,
-                        });
-                    }
-                }
-                let record = Arc::new(StageRecord {
-                    worst_slew: stage_worst,
-                    t50_in,
-                    loads: load_recs,
-                });
-                self.store().insert(stage_key, Arc::clone(&record));
-                record
-            };
-
+        for (s, stage) in net.stages.iter().enumerate() {
+            let record = records[s].as_ref().expect("every stage finished");
             worst_slew = worst_slew.max(record.worst_slew);
-            if source_edge.is_none() {
-                source_edge = Some(job.offset + record.t50_in);
-            }
-            let t_source = source_edge.expect("set on first stage");
-
-            for (ordinal, (&(tnode, _, is_buffer), lr)) in
-                loads.iter().zip(&record.loads).enumerate()
-            {
-                if is_buffer {
-                    let next_driver = match tree.node(tnode).kind {
-                        NodeKind::Buffer { buffer } => buffer,
-                        _ => unreachable!(),
-                    };
-                    let input_key = {
-                        let mut f = Fnv1a::default();
-                        f.word128(stage_key);
-                        f.word(ordinal as u64);
-                        f.finish128()
-                    };
-                    queue.push_back(StageJob {
-                        node: tnode,
-                        driver: next_driver,
-                        wave: Arc::clone(lr.wave.as_ref().expect("buffer load has a waveform")),
-                        offset: job.offset + lr.t_base,
-                        input_key,
-                    });
-                } else {
-                    sink_arrivals.push((tnode, job.offset + lr.t50 - t_source));
+            for (load, lr) in stage.loads.iter().zip(&record.loads) {
+                match load.child {
+                    Some(child) => offsets[child] = offsets[s] + lr.t_base,
+                    None => {
+                        sink_arrivals.push((load.tnode, offsets[s] + lr.t50 - t_source));
+                    }
                 }
             }
         }
@@ -504,6 +697,168 @@ impl Verifier {
             max_latency,
             sink_arrivals,
         })
+    }
+
+    /// Puts stage `s` on the path below `chain`'s last stage: replays its
+    /// record, or simulates it until its own stop rule holds and measures
+    /// it.
+    fn open(&mut self, net: &Net, chain: &mut Vec<Live>, s: usize) -> Result<(), CtsError> {
+        let stage = &net.stages[s];
+        let hit = self.store().get(stage.key).filter(|r| {
+            r.loads.len() == stage.loads.len()
+                && r.loads
+                    .iter()
+                    .zip(&stage.loads)
+                    .all(|(lr, l)| lr.wave.is_some() == l.child.is_some())
+        });
+        if let Some(rec) = hit {
+            let _span = cts_obs::span_with(&SPAN_STAGE_REUSE, stage.loads.len() as u64);
+            self.stages_reused += 1;
+            chain.push(Live {
+                stage: s,
+                rec: Some(rec),
+                run: None,
+                next: 0,
+            });
+            return Ok(());
+        }
+
+        let _span = cts_obs::span_with(&SPAN_STAGE_SIMULATE, stage.loads.len() as u64);
+        self.stages_simulated += 1;
+        let d = chain.len();
+        chain.push(Live {
+            stage: s,
+            rec: None,
+            run: None,
+            next: 0,
+        });
+        // Stop rule: every measured node has completed its edge.
+        let vdd = net.tech.vdd();
+        let (lo, hi) = (0.1 * vdd, 0.9 * vdd);
+        loop {
+            let to = chain[d].horizon() + CHUNK;
+            self.extend(net, chain, d, to)?;
+            let sr = chain[d].run.as_ref().expect("extended above");
+            let res = sr.run.result();
+            let done = sr.measured.iter().all(|&n| {
+                let v = res.samples(n);
+                v[0] < lo && v[v.len() - 1] >= hi
+            });
+            if done || chain[d].horizon() >= net.sim.last_step() {
+                break;
+            }
+        }
+        let sr = chain[d].run.as_ref().expect("extended above");
+        chain[d].rec = Some(Arc::new(net.measure(stage, sr)?));
+        Ok(())
+    }
+
+    /// Makes `chain[d]`'s parent cover the input `chain[d]` reads up to
+    /// step `to`: a sample at or after that time, or the window's end.
+    fn feed(&mut self, net: &Net, chain: &mut [Live], d: usize, to: usize) -> Result<(), CtsError> {
+        let Some((_, ordinal)) = net.stages[chain[d].stage].parent else {
+            return Ok(()); // the source ramp is complete
+        };
+        let dt = net.sim.dt;
+        let last = net.sim.last_step();
+        let t = to as f64 * dt;
+        loop {
+            let parent = &chain[d - 1];
+            let wave = parent.wave(ordinal);
+            if parent.horizon() >= last || wave.times()[wave.len() - 1] >= t {
+                return Ok(());
+            }
+            let t_base = parent.rec.as_ref().expect("measured").loads[ordinal].t_base;
+            let want = ((t + t_base) / dt).ceil() as usize + CHUNK;
+            let at_least = parent.horizon() + 1;
+            self.extend(net, chain, d - 1, want.max(at_least))?;
+        }
+    }
+
+    /// Runs `chain[d]` on to step `to` (at most the window's end), first
+    /// extending its ancestors as far as its input needs, and resuming it
+    /// from its record's end state if it was replayed.
+    fn extend(
+        &mut self,
+        net: &Net,
+        chain: &mut [Live],
+        d: usize,
+        to: usize,
+    ) -> Result<(), CtsError> {
+        let to = to.min(net.sim.last_step());
+        if chain[d].horizon() >= to {
+            return Ok(());
+        }
+        self.feed(net, chain, d, to)?;
+        let (above, rest) = chain.split_at_mut(d);
+        let live = &mut rest[0];
+        let stage = &net.stages[live.stage];
+        let input = match stage.parent {
+            None => &net.ramp,
+            Some((_, ordinal)) => above[d - 1].wave(ordinal),
+        };
+        let sr = match &mut live.run {
+            Some(sr) => {
+                // Hand over whatever the parent has gained since.
+                let src = sr.circuit.source_mut(sr.cin).expect("driven input");
+                for i in src.len()..input.len() {
+                    src.push(input.times()[i], input.values()[i]);
+                }
+                sr
+            }
+            None => {
+                let (circuit, cin, measured) = net.circuit(stage, input.clone());
+                let run = match &live.rec {
+                    None => Transient::start(&mut self.ctx, &circuit, &net.sim, &measured),
+                    Some(rec) => {
+                        self.stages_extended += 1;
+                        Transient::resume(&mut self.ctx, &circuit, &net.sim, &measured, &rec.end)
+                    }
+                }
+                .map_err(|e| CtsError::Verify(format!("stage at {}: {e}", stage.node)))?;
+                live.run.insert(StageRun {
+                    circuit,
+                    cin,
+                    run,
+                    measured,
+                })
+            }
+        };
+        let before = sr.run.step();
+        sr.run
+            .advance(&sr.circuit, to)
+            .map_err(|e| CtsError::Verify(format!("stage at {}: {e}", stage.node)))?;
+        self.steps_simulated += (sr.run.step() - before) as u64;
+
+        // A measured stage's children read its buffer loads: append the new
+        // samples, shifted as the first ones were.
+        if let Some(rec) = &mut live.rec {
+            let res = sr.run.result();
+            let new = res.times().len() - (sr.run.step() - before)..res.times().len();
+            let rec = Arc::make_mut(rec);
+            for (load, lr) in stage.loads.iter().zip(&mut rec.loads) {
+                if let Some(wave) = &mut lr.wave {
+                    let shift = -lr.t_base;
+                    let samples = res.samples(sr.measured[load.at]);
+                    for i in new.clone() {
+                        wave.push(res.times()[i] + shift, samples[i]);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes a finished stage off the path, filing its record if it was
+    /// simulated or extended here.
+    fn close(&mut self, net: &Net, live: Live) -> Arc<StageRecord> {
+        let mut rec = live.rec.expect("a finished stage is measured");
+        if let Some(sr) = &live.run {
+            Arc::make_mut(&mut rec).end = sr.run.end_state();
+            self.store()
+                .insert(net.stages[live.stage].key, Arc::clone(&rec));
+        }
+        rec
     }
 }
 
@@ -600,6 +955,24 @@ mod tests {
     }
 
     #[test]
+    fn bad_simulation_options_are_an_error() {
+        let (r, t) = synthesized_tree();
+        for opts in [
+            VerifyOptions {
+                stage_window: 0.0,
+                ..VerifyOptions::default()
+            },
+            VerifyOptions {
+                dt: -PS,
+                ..VerifyOptions::default()
+            },
+        ] {
+            let err = verify_tree(&r.tree, r.source, &t, &opts).unwrap_err();
+            assert!(matches!(err, CtsError::Verify(_)), "{opts:?}: {err:?}");
+        }
+    }
+
+    #[test]
     fn verification_requires_source() {
         let mut t = ClockTree::new();
         let a = t.add_sink(0, &Sink::new("a", Point::new(0.0, 0.0), 20e-15));
@@ -677,6 +1050,74 @@ mod tests {
         assert_eq!(reverted, fresh, "replayed result must match cold verify");
     }
 
+    /// Whether `sink`'s stage is driven by a buffer (so it has a parent
+    /// stage) and drives no buffer (so it has no children).
+    fn in_leaf_stage_below_a_buffer(tree: &ClockTree, sink: TreeNodeId) -> bool {
+        let mut driver = tree
+            .node(sink)
+            .parent
+            .expect("a sink hangs below something");
+        while matches!(tree.node(driver).kind, NodeKind::Joint) {
+            driver = tree
+                .node(driver)
+                .parent
+                .expect("a joint hangs below something");
+        }
+        let mut stack = tree.node(driver).children.clone();
+        while let Some(n) = stack.pop() {
+            match tree.node(n).kind {
+                NodeKind::Buffer { .. } => return false,
+                NodeKind::Joint => stack.extend(tree.node(n).children.iter().copied()),
+                NodeKind::Sink { .. } | NodeKind::Source { .. } => {}
+            }
+        }
+        matches!(tree.node(driver).kind, NodeKind::Buffer { .. })
+    }
+
+    #[test]
+    fn outgrown_parent_record_is_resumed_not_resimulated() {
+        let (mut r, t) = synthesized_tree();
+        let opts = VerifyOptions::default();
+        let mut v = Verifier::new();
+        v.verify(&r.tree, r.source, &t, &opts).unwrap();
+        let base = v.stats();
+        assert_eq!(base.stages_extended, 0, "a cold verify extends nothing");
+
+        // 2 mm more wire slows the sink's stage far past the margin its
+        // parent's record was run to.
+        let sink = r
+            .tree
+            .ids()
+            .find(|&id| {
+                matches!(r.tree.node(id).kind, NodeKind::Sink { .. })
+                    && in_leaf_stage_below_a_buffer(&r.tree, id)
+            })
+            .expect("a sink in a leaf stage below a buffer");
+        let len = r.tree.node(sink).wire_to_parent_um;
+        r.tree.set_wire_to_parent(sink, len + 2000.0);
+        let got = v.verify(&r.tree, r.source, &t, &opts).unwrap();
+        let after = v.stats();
+        assert_eq!(
+            after.stages_simulated - base.stages_simulated,
+            1,
+            "only the edited stage simulates"
+        );
+        assert!(
+            after.stages_extended > base.stages_extended,
+            "the parent's record is resumed"
+        );
+        let fresh = verify_tree(&r.tree, r.source, &t, &opts).unwrap();
+        assert_eq!(got, fresh, "a resumed parent must match a cold verify");
+
+        // The parent was re-filed with its longer horizon: verifying again
+        // replays every stage and extends nothing.
+        let again = v.verify(&r.tree, r.source, &t, &opts).unwrap();
+        assert_eq!(again, fresh);
+        let last = v.stats();
+        assert_eq!(last.stages_simulated, after.stages_simulated);
+        assert_eq!(last.stages_extended, after.stages_extended);
+    }
+
     #[test]
     fn peer_of_warm_verifier_replays_every_stage() {
         let (r, t) = synthesized_tree();
@@ -727,13 +1168,27 @@ mod tests {
         }
     }
 
+    /// The end state of a one-step run of a one-node circuit.
+    fn end_state() -> EndState {
+        let t = tech();
+        let mut c = Circuit::new(&t);
+        let a = c.add_node("a");
+        c.add_cap(a, 1e-15);
+        c.drive(a, Waveform::constant(0.0));
+        let opts = SimOptions::default_for(PS);
+        let mut run = Transient::start(&mut SolverContext::new(), &c, &opts, &[]).unwrap();
+        run.advance(&c, 1).unwrap();
+        run.end_state()
+    }
+
     #[test]
     fn store_evicts_least_recently_used() {
+        let end = end_state();
         let record = || {
             Arc::new(StageRecord {
                 worst_slew: 0.0,
-                t50_in: 0.0,
                 loads: Vec::new(),
+                end: end.clone(),
             })
         };
         let mut store = StageStore::new(4);

@@ -302,6 +302,16 @@ impl Circuit {
         self.sources.push((node, waveform));
     }
 
+    /// The waveform driving `node`, if a source drives it. A
+    /// [`crate::Transient`] may have its sources extended through this
+    /// between advances.
+    pub fn source_mut(&mut self, node: NodeId) -> Option<&mut Waveform> {
+        self.sources
+            .iter_mut()
+            .find(|(n, _)| *n == node)
+            .map(|(_, w)| w)
+    }
+
     /// Total grounded capacitance at a node (wire + device + explicit), in
     /// farads.
     pub fn capacitance_at(&self, node: NodeId) -> f64 {

@@ -11,6 +11,7 @@
 //! around.
 
 use crate::circuit::WireParams;
+use cts_util::Fnv1a;
 use std::fmt;
 
 /// Process/technology parameters for the behavioural device models.
@@ -100,6 +101,42 @@ impl Technology {
     pub fn with_wire(mut self, wire: WireParams) -> Technology {
         self.wire = wire;
         self
+    }
+
+    /// A 128-bit fingerprint of every parameter of this technology: two
+    /// technologies with equal fingerprints simulate every circuit alike
+    /// (the buffer library is the same for all of them).
+    pub fn fingerprint(&self) -> u128 {
+        // Destructured so that a new parameter cannot be left out.
+        let Technology {
+            vdd,
+            vtn,
+            vtp,
+            kn_1x,
+            kp_1x,
+            lambda,
+            cg_1x,
+            cd_1x,
+            gmin,
+            wire,
+        } = self;
+        let mut h = Fnv1a::default();
+        for x in [
+            vdd,
+            vtn,
+            vtp,
+            kn_1x,
+            kp_1x,
+            lambda,
+            cg_1x,
+            cd_1x,
+            gmin,
+            &wire.r_per_um(),
+            &wire.c_per_um(),
+        ] {
+            h.word(x.to_bits());
+        }
+        h.finish128()
     }
 
     /// The paper's buffer library: three sizes (10×, 20×, 30×).

@@ -13,9 +13,11 @@
 //!   tree-structured resistive components and a sparse LDLᵀ factorization
 //!   ([`sparse`]) for meshes; [`simulate_with`] reuses solve plans
 //!   (partition, elimination order, symbolic factorization) across runs
-//!   through a [`SolverContext`],
+//!   through a [`SolverContext`]; [`Transient`] is the same run advanced
+//!   in pieces, saved and resumed,
 //! * [`Waveform`] — sampled waveforms with the measurements CTS needs:
-//!   50 % crossing delay and 10–90 % slew,
+//!   50 % crossing delay and 10–90 % slew ([`WaveformRef`] takes them on
+//!   borrowed samples),
 //! * [`Technology`] / [`BufferType`] — a 45 nm-flavoured behavioural device
 //!   model and the paper's three-buffer library,
 //! * [`stages`] — builders for the paper's characterization circuits
@@ -73,7 +75,7 @@ pub use circuit::{Circuit, NodeId, WireParams};
 pub use device::{BufferType, Technology};
 pub use error::SimError;
 pub use solver::{
-    simulate, simulate_observed_with, simulate_with, GeneralSolver, Integrator, SimOptions,
-    SolverContext, TransientResult,
+    simulate, simulate_observed_with, simulate_with, EndState, GeneralSolver, Integrator,
+    SimOptions, SolverContext, Transient, TransientResult,
 };
-pub use waveform::Waveform;
+pub use waveform::{Waveform, WaveformRef};

@@ -36,13 +36,22 @@
 //! The hoisted path performs the *same floating-point operations in the
 //! same order* as the straightforward per-iteration elimination, so its
 //! results are bit-identical.
+//!
+//! There is one step loop, [`Transient::advance`]. A run can be advanced
+//! in pieces, saved ([`Transient::end_state`]) and resumed
+//! ([`Transient::resume`]), and its sources may grow between pieces;
+//! [`simulate_observed_with`] is one run advanced to its last step. The
+//! state a step leaves behind is the step index and the node voltages —
+//! the trapezoidal history current is a function of the voltages — so
+//! every way of cutting a run into pieces gives the same bits.
 
 use crate::circuit::{Circuit, NodeId};
 use crate::error::SimError;
 use crate::sparse::{NumericLdl, SymbolicLdl};
 use crate::units::PS;
-use crate::waveform::Waveform;
+use crate::waveform::{Waveform, WaveformRef};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Time integration scheme for the transient solver.
 ///
@@ -107,7 +116,20 @@ impl SimOptions {
         }
     }
 
-    fn validate(&self) -> Result<(), SimError> {
+    /// Index of the last timestep of a run: `ceil(t_stop / dt)`. Step `k`
+    /// sits at `k · dt`, and step 0 is the DC operating point.
+    pub fn last_step(&self) -> usize {
+        (self.t_stop / self.dt).ceil() as usize
+    }
+
+    /// Checks the options as every run does before it starts.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadOptions`] for a non-positive or non-finite timestep
+    /// or end time, a timestep past the end time, or non-positive Newton
+    /// parameters.
+    pub fn validate(&self) -> Result<(), SimError> {
         if !(self.dt > 0.0 && self.dt.is_finite()) {
             return Err(SimError::BadOptions(format!("dt = {}", self.dt)));
         }
@@ -131,7 +153,7 @@ impl SimOptions {
 
 /// Result of a transient run: sampled voltages for the observed nodes
 /// (every node for [`simulate`]/[`simulate_with`]; the requested subset
-/// for [`simulate_observed_with`]).
+/// for [`simulate_observed_with`] and [`Transient`]).
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     times: Vec<f64>,
@@ -142,7 +164,9 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// The shared time axis (seconds).
+    /// The shared time axis (seconds). A run started with
+    /// [`Transient::start`] begins at `0`; one resumed with
+    /// [`Transient::resume`] begins at its end state's step.
     pub fn times(&self) -> &[f64] {
         &self.times
     }
@@ -168,6 +192,17 @@ impl TransientResult {
     /// Panics if `node` is out of range or was not observed in this run.
     pub fn waveform(&self, node: NodeId) -> Waveform {
         Waveform::from_samples(self.times.clone(), self.samples(node).to_vec())
+    }
+
+    /// The waveform observed at a node, measured in place: the same
+    /// measurements as [`TransientResult::waveform`] without copying the
+    /// samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range or was not observed in this run.
+    pub fn view(&self, node: NodeId) -> WaveformRef<'_> {
+        WaveformRef::new(&self.times, self.samples(node))
     }
 }
 
@@ -269,7 +304,7 @@ impl Plan {
 /// worker); they are `Send` but not `Sync`.
 #[derive(Default)]
 pub struct SolverContext {
-    plans: HashMap<u128, Plan>,
+    plans: HashMap<u128, Arc<Plan>>,
     hits: u64,
     misses: u64,
 }
@@ -302,20 +337,19 @@ impl SolverContext {
         self.plans.clear();
     }
 
-    fn plan_for(&mut self, circuit: &Circuit) -> Result<&Plan, SimError> {
+    fn plan_for(&mut self, circuit: &Circuit) -> Result<Arc<Plan>, SimError> {
         let key = circuit.topology_fingerprint();
-        let reuse = matches!(self.plans.get(&key), Some(p) if p.matches(circuit));
-        if reuse {
+        if let Some(plan) = self.plans.get(&key).filter(|p| p.matches(circuit)) {
             self.hits += 1;
-        } else {
-            if self.plans.len() >= PLAN_CACHE_CAP && !self.plans.contains_key(&key) {
-                self.plans.clear();
-            }
-            let plan = build_plan(circuit)?;
-            self.plans.insert(key, plan);
-            self.misses += 1;
+            return Ok(Arc::clone(plan));
         }
-        Ok(self.plans.get(&key).expect("plan just ensured"))
+        if self.plans.len() >= PLAN_CACHE_CAP && !self.plans.contains_key(&key) {
+            self.plans.clear();
+        }
+        let plan = Arc::new(build_plan(circuit)?);
+        self.plans.insert(key, Arc::clone(&plan));
+        self.misses += 1;
+        Ok(plan)
     }
 }
 
@@ -714,116 +748,284 @@ pub fn simulate_observed_with(
     opts: &SimOptions,
     observed: &[NodeId],
 ) -> Result<TransientResult, SimError> {
-    opts.validate()?;
-    let plan = ctx.plan_for(circuit)?;
-    run(plan, circuit, opts, observed)
+    let mut run = Transient::start(ctx, circuit, opts, observed)?;
+    run.advance(circuit, opts.last_step())?;
+    Ok(run.into_result())
 }
 
-fn run(
-    plan: &Plan,
-    circuit: &Circuit,
-    opts: &SimOptions,
-    observed: &[NodeId],
-) -> Result<TransientResult, SimError> {
-    let n = circuit.node_count();
-    let mut row_of = vec![u32::MAX; n];
-    let mut obs_globals = Vec::with_capacity(observed.len());
-    for &id in observed {
-        let g = id.index();
-        assert!(g < n, "observed node {id} is out of range");
-        if row_of[g] == u32::MAX {
-            row_of[g] = obs_globals.len() as u32;
-            obs_globals.push(g);
-        }
+/// Where a [`Transient`] stands after a step: the step index and every
+/// node's voltage. That is all the state the step loop carries forward
+/// (the trapezoidal history current is a function of the voltages), so
+/// [`Transient::resume`] continues from it bit-identically.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EndState {
+    step: usize,
+    volts: Vec<f64>,
+}
+
+impl EndState {
+    /// The step this state was taken after.
+    pub fn step(&self) -> usize {
+        self.step
     }
+}
 
-    let steps = (opts.t_stop / opts.dt).ceil() as usize;
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut volts: Vec<Vec<f64>> = vec![Vec::with_capacity(steps + 1); obs_globals.len()];
+/// A transient run that can be advanced in pieces.
+///
+/// [`Transient::start`] validates the options, fetches the solve plan and
+/// solves the DC operating point (step 0); [`Transient::advance`] then
+/// takes timesteps up to a given step, never past
+/// [`SimOptions::last_step`]. [`simulate_observed_with`] is `start` plus
+/// one `advance` to the last step, so a run advanced in any number of
+/// pieces records the same bits as one call.
+///
+/// Between advances the caller may **extend** the circuit's source
+/// waveforms ([`Circuit::source_mut`]); every other element must stay as
+/// it was at `start`. A step at time `t` reads each source only at `t`,
+/// so it sees exactly what the complete waveform would give as long as the
+/// source already has a sample at or after `t` (past its last sample a
+/// waveform holds its last value). Keeping to that is the caller's part.
+///
+/// [`Transient::end_state`] saves where the run stands and
+/// [`Transient::resume`] continues from it, in this or another context.
+/// After an error the run must not be advanced again.
+pub struct Transient {
+    plan: Arc<Plan>,
+    opts: SimOptions,
+    /// `2` (trapezoidal) or `1` (backward Euler) times each capacitor's
+    /// companion conductance.
+    cap_scale: f64,
+    use_hist: bool,
+    state: Vec<CompState>,
+    step: usize,
+    v_now: Vec<f64>,
+    v_prev: Vec<f64>,
+    /// Non-capacitive current into each node at the last accepted step
+    /// (trapezoidal history).
+    i_hist: Vec<f64>,
+    /// Global index per observed row.
+    obs: Vec<usize>,
+    result: TransientResult,
+}
 
-    let (cap_scale, use_hist) = match opts.integrator {
-        Integrator::BackwardEuler => (1.0, false),
-        Integrator::Trapezoidal => (2.0, true),
-    };
-
-    let mut state: Vec<CompState> = plan
-        .components
-        .iter()
-        .map(|comp| build_state(comp, circuit, cap_scale, opts.dt))
-        .collect();
-
-    let mut v_now = vec![0.0f64; n];
-    // Non-capacitive current into each node at the previous accepted step
-    // (trapezoidal history).
-    let mut i_hist = vec![0.0f64; n];
-
-    // --- DC operating point at t = 0 -------------------------------------
-    // DC runs once; it always takes the straightforward per-iteration
-    // assembly (the hoisted factorization is transient-phase only).
-    for &cid in &plan.topo {
-        let comp = &plan.components[cid];
-        let s = &mut state[cid];
-        for (li, &g) in comp.nodes.iter().enumerate() {
-            s.v_iter[li] = v_now[g]; // zero; refined by Newton below
-        }
-        newton_generic(
-            circuit, comp, s, &v_now, /*cap_scale=*/ 0.0, opts.dt, 0.0, None, opts, 400,
-        )
-        .map_err(|e| promote_divergence(e, 0.0, circuit, comp))?;
-        for (li, &g) in comp.nodes.iter().enumerate() {
-            v_now[g] = s.v_iter[li];
-        }
-    }
-    record_step(&mut times, &mut volts, &obs_globals, 0.0, &v_now);
-    update_current_history(circuit, &v_now, &mut i_hist);
-
-    // --- time stepping ----------------------------------------------------
-    let mut v_prev = v_now.clone();
-    for step in 1..=steps {
-        let t = step as f64 * opts.dt;
-        v_prev.copy_from_slice(&v_now);
-        for &cid in &plan.topo {
-            let comp = &plan.components[cid];
-            let s = &mut state[cid];
+impl Transient {
+    /// Starts a run: validates `opts`, fetches (or builds) the solve plan
+    /// from `ctx` and solves the DC operating point for the sources'
+    /// `t = 0` values, recording it as step 0 for the `observed` nodes
+    /// (duplicates are recorded once).
+    ///
+    /// # Errors
+    ///
+    /// As for [`simulate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an observed node is out of range for the circuit.
+    pub fn start(
+        ctx: &mut SolverContext,
+        circuit: &Circuit,
+        opts: &SimOptions,
+        observed: &[NodeId],
+    ) -> Result<Transient, SimError> {
+        let mut run = Transient::new(ctx, circuit, opts, observed, 0)?;
+        // DC runs once; it always takes the straightforward per-iteration
+        // assembly (the hoisted factorization is transient-phase only).
+        for &cid in &run.plan.topo {
+            let comp = &run.plan.components[cid];
+            let s = &mut run.state[cid];
             for (li, &g) in comp.nodes.iter().enumerate() {
-                s.v_iter[li] = v_prev[g];
+                s.v_iter[li] = run.v_now[g]; // zero; refined by Newton below
             }
-            let hist = use_hist.then_some(&i_hist[..]);
-            if comp.fast {
-                newton_fast_tree(circuit, comp, s, &v_now, t, hist, opts)
-            } else {
-                newton_generic(
-                    circuit,
-                    comp,
-                    s,
-                    &v_now,
-                    cap_scale,
-                    opts.dt,
-                    t,
-                    hist,
-                    opts,
-                    opts.max_newton,
-                )
-            }
-            .map_err(|e| promote_divergence(e, t, circuit, comp))?;
+            newton_generic(
+                circuit, comp, s, &run.v_now, /*cap_scale=*/ 0.0, opts.dt, 0.0, None, opts,
+                400,
+            )
+            .map_err(|e| promote_divergence(e, 0.0, circuit, comp))?;
             for (li, &g) in comp.nodes.iter().enumerate() {
-                v_now[g] = s.v_iter[li];
+                run.v_now[g] = s.v_iter[li];
             }
         }
-        if v_now.iter().any(|v| !v.is_finite()) {
-            return Err(SimError::NonFiniteSolution { t });
-        }
-        record_step(&mut times, &mut volts, &obs_globals, t, &v_now);
-        if use_hist {
-            update_current_history(circuit, &v_now, &mut i_hist);
-        }
+        record_step(&mut run.result, &run.obs, 0.0, &run.v_now);
+        update_current_history(circuit, &run.v_now, &mut run.i_hist);
+        Ok(run)
     }
 
-    Ok(TransientResult {
-        times,
-        volts,
-        row_of,
-    })
+    /// Resumes a run from `end`, a state saved by [`Transient::end_state`]
+    /// from a run of the same circuit under the same options. The result
+    /// records the `observed` nodes from `end`'s step on; every later step
+    /// is bit-identical to the run that saved it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`simulate`], and [`SimError::BadOptions`] if `end` does not
+    /// fit the circuit or lies past the last step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an observed node is out of range for the circuit.
+    pub fn resume(
+        ctx: &mut SolverContext,
+        circuit: &Circuit,
+        opts: &SimOptions,
+        observed: &[NodeId],
+        end: &EndState,
+    ) -> Result<Transient, SimError> {
+        if end.volts.len() != circuit.node_count() || end.step > opts.last_step() {
+            return Err(SimError::BadOptions(format!(
+                "end state (step {}, {} nodes) does not fit a {}-node circuit run to step {}",
+                end.step,
+                end.volts.len(),
+                circuit.node_count(),
+                opts.last_step()
+            )));
+        }
+        let mut run = Transient::new(ctx, circuit, opts, observed, end.step)?;
+        run.v_now.copy_from_slice(&end.volts);
+        let t = end.step as f64 * opts.dt;
+        record_step(&mut run.result, &run.obs, t, &run.v_now);
+        update_current_history(circuit, &run.v_now, &mut run.i_hist);
+        Ok(run)
+    }
+
+    fn new(
+        ctx: &mut SolverContext,
+        circuit: &Circuit,
+        opts: &SimOptions,
+        observed: &[NodeId],
+        step: usize,
+    ) -> Result<Transient, SimError> {
+        opts.validate()?;
+        let plan = ctx.plan_for(circuit)?;
+        let n = circuit.node_count();
+        let mut row_of = vec![u32::MAX; n];
+        let mut obs = Vec::with_capacity(observed.len());
+        for &id in observed {
+            let g = id.index();
+            assert!(g < n, "observed node {id} is out of range");
+            if row_of[g] == u32::MAX {
+                row_of[g] = obs.len() as u32;
+                obs.push(g);
+            }
+        }
+        let (cap_scale, use_hist) = match opts.integrator {
+            Integrator::BackwardEuler => (1.0, false),
+            Integrator::Trapezoidal => (2.0, true),
+        };
+        let state = plan
+            .components
+            .iter()
+            .map(|comp| build_state(comp, circuit, cap_scale, opts.dt))
+            .collect();
+        Ok(Transient {
+            plan,
+            opts: opts.clone(),
+            cap_scale,
+            use_hist,
+            state,
+            step,
+            v_now: vec![0.0; n],
+            v_prev: vec![0.0; n],
+            i_hist: vec![0.0; n],
+            result: TransientResult {
+                times: Vec::new(),
+                volts: vec![Vec::new(); obs.len()],
+                row_of,
+            },
+            obs,
+        })
+    }
+
+    /// Takes timesteps until the run stands at `to_step`, or at
+    /// [`SimOptions::last_step`] if that comes first. A run already at or
+    /// past `to_step` does nothing.
+    ///
+    /// # Errors
+    ///
+    /// As for [`simulate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `circuit` is not the topology the run was started on.
+    pub fn advance(&mut self, circuit: &Circuit, to_step: usize) -> Result<(), SimError> {
+        assert!(
+            self.plan.matches(circuit),
+            "a run advances only the circuit it was started on"
+        );
+        let to = to_step.min(self.opts.last_step());
+        if to <= self.step {
+            return Ok(());
+        }
+        let more = to - self.step;
+        self.result.times.reserve(more);
+        for row in &mut self.result.volts {
+            row.reserve(more);
+        }
+        let (plan, opts) = (&*self.plan, &self.opts);
+        while self.step < to {
+            self.step += 1;
+            let t = self.step as f64 * opts.dt;
+            self.v_prev.copy_from_slice(&self.v_now);
+            for &cid in &plan.topo {
+                let comp = &plan.components[cid];
+                let s = &mut self.state[cid];
+                for (li, &g) in comp.nodes.iter().enumerate() {
+                    s.v_iter[li] = self.v_prev[g];
+                }
+                let hist = self.use_hist.then_some(&self.i_hist[..]);
+                if comp.fast {
+                    newton_fast_tree(circuit, comp, s, &self.v_now, t, hist, opts)
+                } else {
+                    newton_generic(
+                        circuit,
+                        comp,
+                        s,
+                        &self.v_now,
+                        self.cap_scale,
+                        opts.dt,
+                        t,
+                        hist,
+                        opts,
+                        opts.max_newton,
+                    )
+                }
+                .map_err(|e| promote_divergence(e, t, circuit, comp))?;
+                for (li, &g) in comp.nodes.iter().enumerate() {
+                    self.v_now[g] = s.v_iter[li];
+                }
+            }
+            if self.v_now.iter().any(|v| !v.is_finite()) {
+                return Err(SimError::NonFiniteSolution { t });
+            }
+            record_step(&mut self.result, &self.obs, t, &self.v_now);
+            if self.use_hist {
+                update_current_history(circuit, &self.v_now, &mut self.i_hist);
+            }
+        }
+        Ok(())
+    }
+
+    /// The step the run stands at.
+    pub fn step(&self) -> usize {
+        self.step
+    }
+
+    /// The samples recorded so far.
+    pub fn result(&self) -> &TransientResult {
+        &self.result
+    }
+
+    /// The samples recorded so far, by value.
+    pub fn into_result(self) -> TransientResult {
+        self.result
+    }
+
+    /// Where the run stands, for [`Transient::resume`].
+    pub fn end_state(&self) -> EndState {
+        EndState {
+            step: self.step,
+            volts: self.v_now.clone(),
+        }
+    }
 }
 
 /// Marker error used inside the Newton solvers; promoted to a full
@@ -1079,10 +1281,10 @@ fn update_current_history(circuit: &Circuit, v: &[f64], i_hist: &mut [f64]) {
     }
 }
 
-fn record_step(times: &mut Vec<f64>, volts: &mut [Vec<f64>], obs: &[usize], t: f64, v: &[f64]) {
-    times.push(t);
-    for (row, &g) in obs.iter().enumerate() {
-        volts[row].push(v[g]);
+fn record_step(result: &mut TransientResult, obs: &[usize], t: f64, v: &[f64]) {
+    result.times.push(t);
+    for (row, &g) in result.volts.iter_mut().zip(obs) {
+        row.push(v[g]);
     }
 }
 
@@ -1410,6 +1612,121 @@ mod tests {
             "recording must not change the solve"
         );
         assert_eq!(full.samples(vin), obs.samples(vin));
+    }
+
+    /// A buffer driving 900 µm of wire, observed at its far end and at
+    /// the buffer output.
+    fn buffered_wire(t: &Technology, input: Waveform) -> (Circuit, NodeId, [NodeId; 2]) {
+        let mut c = Circuit::new(t);
+        let vin = c.add_node("in");
+        let out = c.add_node("out");
+        c.add_buffer(vin, out, &t.buffer_library()[0]);
+        let far = c.add_node("far");
+        c.add_wire(out, far, 900.0, t.wire());
+        c.drive(vin, input);
+        (c, vin, [out, far])
+    }
+
+    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: sample counts differ");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: sample {i} differs");
+        }
+    }
+
+    #[test]
+    fn chunked_advance_matches_one_call() {
+        let t = tech();
+        let ramp = Waveform::rising_ramp_10_90(50.0 * PS, 80.0 * PS, t.vdd());
+        let (c, _, obs) = buffered_wire(&t, ramp);
+        let opts = SimOptions::default_for(1.0 * NS);
+        let whole = simulate_observed_with(&mut SolverContext::new(), &c, &opts, &obs).unwrap();
+
+        let mut ctx = SolverContext::new();
+        let mut run = Transient::start(&mut ctx, &c, &opts, &obs).unwrap();
+        for to in [1, 8, 508, usize::MAX] {
+            run.advance(&c, to).unwrap();
+        }
+        assert_eq!(run.step(), opts.last_step());
+        let pieces = run.into_result();
+        assert_same_bits(whole.times(), pieces.times(), "times");
+        for n in obs {
+            assert_same_bits(whole.samples(n), pieces.samples(n), "chunked run");
+        }
+    }
+
+    #[test]
+    fn resumed_run_matches_the_run_that_saved_it() {
+        let t = tech();
+        let ramp = Waveform::rising_ramp_10_90(50.0 * PS, 80.0 * PS, t.vdd());
+        let (c, _, obs) = buffered_wire(&t, ramp);
+        let opts = SimOptions::default_for(1.0 * NS);
+        let whole = simulate_observed_with(&mut SolverContext::new(), &c, &opts, &obs).unwrap();
+
+        let mut first = Transient::start(&mut SolverContext::new(), &c, &opts, &obs).unwrap();
+        first.advance(&c, 300).unwrap();
+        let end = first.end_state();
+        assert_eq!(end.step(), 300);
+        drop(first);
+        // A fresh context, observing one node only.
+        let mut ctx = SolverContext::new();
+        let mut resumed = Transient::resume(&mut ctx, &c, &opts, &obs[1..], &end).unwrap();
+        resumed.advance(&c, usize::MAX).unwrap();
+        let tail = resumed.into_result();
+        assert_same_bits(&whole.times()[300..], tail.times(), "times");
+        assert_same_bits(
+            &whole.samples(obs[1])[300..],
+            tail.samples(obs[1]),
+            "resumed run",
+        );
+
+        let mut other = Circuit::new(&t);
+        other.add_node("lonely");
+        assert!(matches!(
+            Transient::resume(&mut ctx, &other, &opts, &[], &end),
+            Err(SimError::BadOptions(_))
+        ));
+    }
+
+    #[test]
+    fn growing_input_matches_the_full_input() {
+        let t = tech();
+        let opts = SimOptions::default_for(1.0 * NS);
+        // A curved input: the far end of one buffered wire, shifted so its
+        // edge starts early, drives a second one.
+        let ramp = Waveform::rising_ramp_10_90(50.0 * PS, 80.0 * PS, t.vdd());
+        let (up, _, up_obs) = buffered_wire(&t, ramp);
+        let source = simulate(&up, &opts)
+            .unwrap()
+            .waveform(up_obs[1])
+            .shifted(-40.0 * PS);
+        let (c, vin, obs) = buffered_wire(&t, source.clone());
+        let whole = simulate_observed_with(&mut SolverContext::new(), &c, &opts, &obs).unwrap();
+
+        // Feeds the input up to its first sample at or after `to_step`'s
+        // time: a run may take that step without outrunning its input.
+        let feed = |c: &mut Circuit, have: &mut usize, to_step: usize| {
+            let w = c.source_mut(vin).unwrap();
+            while *have < source.len() && w.times()[*have - 1] < to_step as f64 * opts.dt {
+                w.push(source.times()[*have], source.values()[*have]);
+                *have += 1;
+            }
+        };
+        let first = Waveform::from_samples(vec![source.times()[0]], vec![source.values()[0]]);
+        let (mut grown, _, _) = buffered_wire(&t, first);
+        let mut have = 1;
+        feed(&mut grown, &mut have, 0);
+        let mut run = Transient::start(&mut SolverContext::new(), &grown, &opts, &obs).unwrap();
+        while run.step() < opts.last_step() {
+            let to = run.step() + 37;
+            feed(&mut grown, &mut have, to);
+            run.advance(&grown, to).unwrap();
+        }
+        assert_eq!(have, source.len(), "the whole input was fed");
+        let fed = run.into_result();
+        for n in obs {
+            assert_same_bits(whole.samples(n), fed.samples(n), "grown input");
+        }
     }
 
     #[test]

@@ -102,31 +102,43 @@ impl Waveform {
         }
     }
 
+    /// Appends a sample after the last one, extending the waveform in
+    /// time.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `t` is finite and later than the last sample and `v`
+    /// is finite.
+    pub fn push(&mut self, t: f64, v: f64) {
+        let last = *self.times.last().expect("a waveform has samples");
+        assert!(
+            t > last && t.is_finite(),
+            "times must be strictly increasing and finite"
+        );
+        assert!(v.is_finite(), "waveform values must be finite");
+        self.times.push(t);
+        self.values.push(v);
+    }
+
+    /// The waveform as a borrowed [`WaveformRef`].
+    pub fn view(&self) -> WaveformRef<'_> {
+        WaveformRef {
+            times: &self.times,
+            values: &self.values,
+        }
+    }
+
     /// First time at which the waveform crosses `level` in the given
     /// direction (`rising`: from below to at-or-above), with linear
     /// interpolation between samples. `None` if it never does.
     pub fn first_crossing(&self, level: f64, rising: bool) -> Option<f64> {
-        for i in 1..self.times.len() {
-            let (v0, v1) = (self.values[i - 1], self.values[i]);
-            let crossed = if rising {
-                v0 < level && v1 >= level
-            } else {
-                v0 > level && v1 <= level
-            };
-            if crossed {
-                let f = (level - v0) / (v1 - v0);
-                return Some(self.times[i - 1] + f * (self.times[i] - self.times[i - 1]));
-            }
-        }
-        // A waveform that starts exactly at the level and moves away never
-        // "crosses"; one that sits at the level throughout also doesn't.
-        None
+        self.view().first_crossing(level, rising)
     }
 
     /// Direction of the dominant transition: `true` if the final value is
     /// above the initial value.
     pub fn is_rising(&self) -> bool {
-        *self.values.last().unwrap() > self.values[0]
+        self.view().is_rising()
     }
 
     /// Time of the 50 % (`vdd/2`) crossing of the dominant transition.
@@ -134,7 +146,7 @@ impl Waveform {
     /// This is the timestamp delay measurements are taken at (the paper
     /// measures delays between 50 % crossings).
     pub fn t50(&self, vdd: f64) -> Option<f64> {
-        self.first_crossing(0.5 * vdd, self.is_rising())
+        self.view().t50(vdd)
     }
 
     /// The 10–90 % transition time ("slew") of the dominant transition.
@@ -143,17 +155,7 @@ impl Waveform {
     /// `t(10 %) − t(90 %)`. Returns `None` if the waveform does not complete
     /// the transition within its samples.
     pub fn slew_10_90(&self, vdd: f64) -> Option<f64> {
-        let rising = self.is_rising();
-        let (lo, hi) = (0.1 * vdd, 0.9 * vdd);
-        if rising {
-            let t_lo = self.first_crossing(lo, true)?;
-            let t_hi = self.first_crossing(hi, true)?;
-            Some(t_hi - t_lo)
-        } else {
-            let t_hi = self.first_crossing(hi, false)?;
-            let t_lo = self.first_crossing(lo, false)?;
-            Some(t_lo - t_hi)
-        }
+        self.view().slew_10_90(vdd)
     }
 
     /// 50 %-to-50 % delay from `input` to `self` (positive when `self`
@@ -189,6 +191,74 @@ impl Waveform {
     /// Returns `true` if the waveform has exactly one sample (a constant).
     pub fn is_empty(&self) -> bool {
         false // from_samples enforces >= 1 sample; Clippy pairs len/is_empty.
+    }
+}
+
+/// A waveform borrowed from parallel time and value slices — a simulated
+/// node read in place — with [`Waveform`]'s measurements. Each measurement
+/// gives the same bits as on the owned [`Waveform`] of the same samples.
+#[derive(Debug, Clone, Copy)]
+pub struct WaveformRef<'a> {
+    times: &'a [f64],
+    values: &'a [f64],
+}
+
+impl<'a> WaveformRef<'a> {
+    /// Borrows parallel sample slices. Unlike [`Waveform::from_samples`]
+    /// the times are not checked for order; they are taken to be strictly
+    /// increasing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or are empty.
+    pub fn new(times: &'a [f64], values: &'a [f64]) -> WaveformRef<'a> {
+        assert_eq!(times.len(), values.len(), "sample slices must match");
+        assert!(!times.is_empty(), "waveform needs at least one sample");
+        WaveformRef { times, values }
+    }
+
+    /// As [`Waveform::first_crossing`].
+    pub fn first_crossing(&self, level: f64, rising: bool) -> Option<f64> {
+        for i in 1..self.times.len() {
+            let (v0, v1) = (self.values[i - 1], self.values[i]);
+            let crossed = if rising {
+                v0 < level && v1 >= level
+            } else {
+                v0 > level && v1 <= level
+            };
+            if crossed {
+                let f = (level - v0) / (v1 - v0);
+                return Some(self.times[i - 1] + f * (self.times[i] - self.times[i - 1]));
+            }
+        }
+        // A waveform that starts exactly at the level and moves away never
+        // "crosses"; one that sits at the level throughout also doesn't.
+        None
+    }
+
+    /// As [`Waveform::is_rising`].
+    pub fn is_rising(&self) -> bool {
+        self.values[self.values.len() - 1] > self.values[0]
+    }
+
+    /// As [`Waveform::t50`].
+    pub fn t50(&self, vdd: f64) -> Option<f64> {
+        self.first_crossing(0.5 * vdd, self.is_rising())
+    }
+
+    /// As [`Waveform::slew_10_90`].
+    pub fn slew_10_90(&self, vdd: f64) -> Option<f64> {
+        let rising = self.is_rising();
+        let (lo, hi) = (0.1 * vdd, 0.9 * vdd);
+        if rising {
+            let t_lo = self.first_crossing(lo, true)?;
+            let t_hi = self.first_crossing(hi, true)?;
+            Some(t_hi - t_lo)
+        } else {
+            let t_hi = self.first_crossing(hi, false)?;
+            let t_lo = self.first_crossing(lo, false)?;
+            Some(t_lo - t_hi)
+        }
     }
 }
 
