@@ -6,7 +6,7 @@
 //! cargo run --release -p cts-bench --bin fig_1_1
 //! ```
 
-use cts::spice::stages::{single_wire_stage, SingleWireConfig};
+use cts::spice::stages::{stage, StageConfig};
 use cts::spice::units::{NS, PS};
 use cts::spice::SimOptions;
 use cts::Technology;
@@ -25,20 +25,19 @@ fn main() {
     );
     for &len in &[250.0, 500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0] {
         let slew = |drive| {
-            let cfg = SingleWireConfig {
-                input_buf: buf20,
+            let cfg = StageConfig {
+                shaper: buf20,
                 l_input_um: 200.0,
                 drive,
-                l_um: len,
-                load: buf20,
+                arms: &[(len, buf20)],
                 wire: tech.wire(),
                 ramp_slew: 80.0 * PS,
                 rising: true,
             };
-            single_wire_stage(&tech, &cfg)
+            stage(&tech, &cfg)
                 .measure(&opts)
                 .expect("sweep point must simulate")
-                .wire_slew
+                .slew[0]
         };
         let (s20, s30) = (slew(buf20), slew(buf30));
         println!(

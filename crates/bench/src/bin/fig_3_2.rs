@@ -6,7 +6,7 @@
 //! cargo run --release -p cts-bench --bin fig_3_2
 //! ```
 
-use cts::spice::stages::{single_wire_stage, SingleWireConfig};
+use cts::spice::stages::{stage, StageConfig};
 use cts::spice::units::{NS, PS};
 use cts::spice::{simulate, Circuit, SimOptions, Waveform};
 use cts::Technology;
@@ -26,21 +26,20 @@ fn main() {
 
     for &l_shape in &[1200.0, 1800.0, 2400.0] {
         // Build the curved waveform through a buffer + long wire.
-        let cfg = SingleWireConfig {
-            input_buf: &buffers[0],
+        let cfg = StageConfig {
+            shaper: &buffers[0],
             l_input_um: l_shape,
             drive,
-            l_um: 600.0,
-            load: &buffers[1],
+            arms: &[(600.0, &buffers[1])],
             wire: tech.wire(),
             ramp_slew: 150.0 * PS,
             rising: true,
         };
-        let stage = single_wire_stage(&tech, &cfg);
-        let res = simulate(&stage.circuit, &opts).expect("shaping sim");
-        let curved = res.waveform(stage.probes.drive_in);
+        let shaping = stage(&tech, &cfg);
+        let res = simulate(&shaping.circuit, &opts).expect("shaping sim");
+        let curved = res.waveform(shaping.probes.drive_in);
         let slew = curved.slew_10_90(tech.vdd()).expect("curved slew");
-        let out_curve = res.waveform(stage.probes.load_in);
+        let out_curve = res.waveform(shaping.probes.load_in[0]);
         let t50_curve = out_curve.t50(tech.vdd()).expect("curve output edge");
 
         // Ideal ramp with identical slew, aligned at the 10 % crossing.

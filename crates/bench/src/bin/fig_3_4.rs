@@ -7,7 +7,7 @@
 //! ```
 
 use cts::spice::units::PS;
-use cts::timing::{sweep_single_wire, BufferId, CharacterizeConfig, Load};
+use cts::timing::{sweep, BufferId, CharacterizeConfig, Load};
 use cts::Technology;
 use cts_bench::library;
 
@@ -27,13 +27,13 @@ fn main() {
         "{:>14} {:>14} {:>16}",
         "slew (ps)", "length (µm)", "intrinsic (ps)"
     );
-    let samples = sweep_single_wire(&tech, drive, load, &cfg).expect("sweep");
+    let samples = sweep(&tech, drive, &[load], &cfg.wire_lengths_um, &cfg).expect("sweep");
     for s in samples.iter().step_by(4) {
         println!(
             "{:>14.1} {:>14.0} {:>16.2}",
-            s.input_slew / PS,
-            s.length_um,
-            s.intrinsic_delay / PS
+            s.measured.input_slew / PS,
+            s.arm_lengths_um[0],
+            s.measured.intrinsic_delay / PS
         );
     }
 
@@ -44,21 +44,22 @@ fn main() {
     );
     let mut worst: f64 = 0.0;
     for s in &samples {
+        let (m, length_um) = (&s.measured, s.arm_lengths_um[0]);
         let fit = lib
             .single_wire(
                 BufferId(drive),
                 Load::Buffer(BufferId(load)),
-                s.input_slew,
-                s.length_um,
+                m.input_slew,
+                length_um,
             )
             .buffer_delay;
-        let resid = (fit - s.intrinsic_delay).abs();
+        let resid = (fit - m.intrinsic_delay).abs();
         worst = worst.max(resid);
-        if s.length_um > 500.0 && s.length_um < 1600.0 {
+        if length_um > 500.0 && length_um < 1600.0 {
             println!(
                 "{:>14.1} {:>14.0} {:>13.2} {:>9.2} ps",
-                s.input_slew / PS,
-                s.length_um,
+                m.input_slew / PS,
+                length_um,
                 fit / PS,
                 resid / PS
             );

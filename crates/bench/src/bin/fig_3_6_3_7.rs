@@ -7,7 +7,7 @@
 //! ```
 
 use cts::spice::units::PS;
-use cts::timing::{sweep_branch, BufferId, CharacterizeConfig, Load};
+use cts::timing::{sweep, BufferId, CharacterizeConfig, Load};
 use cts::Technology;
 use cts_bench::library;
 
@@ -67,18 +67,20 @@ fn main() {
 
     // Residuals against a fresh simulation sweep.
     println!("\n-- fit residuals vs direct simulation (sampled) --");
-    let samples = sweep_branch(&tech, drive, ll, lr, &cfg).expect("branch sweep");
+    let samples =
+        sweep(&tech, drive, &[ll, lr], &cfg.branch_lengths_um, &cfg).expect("branch sweep");
     let mut worst_l: f64 = 0.0;
     let mut worst_r: f64 = 0.0;
     for s in &samples {
+        let m = &s.measured;
         let t = lib.branch(
             BufferId(drive),
             (Load::Buffer(BufferId(ll)), Load::Buffer(BufferId(lr))),
-            s.input_slew,
-            (s.l_left_um, s.l_right_um),
+            m.input_slew,
+            (s.arm_lengths_um[0], s.arm_lengths_um[1]),
         );
-        worst_l = worst_l.max((t.left_delay - s.left_delay).abs());
-        worst_r = worst_r.max((t.right_delay - s.right_delay).abs());
+        worst_l = worst_l.max((t.left_delay - m.delay[0]).abs());
+        worst_r = worst_r.max((t.right_delay - m.delay[1]).abs());
     }
     println!(
         "worst residual: left {:.2} ps, right {:.2} ps over {} samples",

@@ -10,7 +10,9 @@
 use cts::benchmarks::gsrc_suite;
 use cts::spice::units::PS;
 use cts::{CtsOptions, Technology};
-use cts_bench::{full_run_requested, library, print_flow_header, print_flow_row, run_suite};
+use cts_bench::{
+    full_run_requested, library, print_flow_header, print_flow_row, print_shape_check, run_suite,
+};
 
 /// One paper row of Table 5.1: (bench, sinks, worst slew ps, skew ps,
 /// latency ns, skew of \[6\], skew of \[8\], skew of \[16\]).
@@ -58,13 +60,7 @@ fn main() {
     println!("\n== shape checks ==");
     for row in &rows {
         let paper = PAPER.iter().find(|p| p.0 == row.name).expect("known");
-        let slew_ok = row.worst_slew <= 100.0 * PS;
-        println!(
-            "{}: slew limit {} ({:.1} ps <= 100 ps), skew at {:.1}x the paper's",
-            row.name,
-            if slew_ok { "HONORED" } else { "VIOLATED" },
-            row.worst_slew / PS,
-            (row.skew / PS) / paper.3
-        );
+        let ratio = (row.skew / PS) / paper.3;
+        print_shape_check(row, format_args!("skew at {ratio:.1}x the paper's"));
     }
 }

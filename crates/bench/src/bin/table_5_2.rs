@@ -1,6 +1,6 @@
 //! Regenerates **Table 5.2**: ISPD 2009 benchmarks — SPICE-verified worst
-//! slew, skew, and max latency, plus the paper's "skew within 3 % of
-//! latency" observation.
+//! slew, skew, and max latency, plus each row's slew-limit check and the
+//! paper's "skew within 3 % of latency" observation.
 //!
 //! ```sh
 //! cargo run --release -p cts-bench --bin table_5_2            # f11..f22
@@ -9,7 +9,9 @@
 
 use cts::benchmarks::ispd_suite;
 use cts::{CtsOptions, Technology};
-use cts_bench::{full_run_requested, library, print_flow_header, print_flow_row, run_suite};
+use cts_bench::{
+    full_run_requested, library, print_flow_header, print_flow_row, print_shape_check, run_suite,
+};
 
 /// Paper Table 5.2: (bench, sinks, worst slew ps, skew ps, latency ns).
 const PAPER: [(&str, usize, f64, f64, f64); 7] = [
@@ -57,12 +59,9 @@ fn main() {
         );
     }
 
-    println!("\n== skew-to-latency ratios (paper: all within 3 %) ==");
+    println!("\n== shape checks (paper: skew within 3 % of latency) ==");
     for row in &rows {
-        println!(
-            "{}: {:.1} % of latency",
-            row.name,
-            100.0 * row.skew / row.max_latency
-        );
+        let pct = 100.0 * row.skew / row.max_latency;
+        print_shape_check(row, format_args!("skew at {pct:.1} % of latency"));
     }
 }

@@ -12,11 +12,11 @@ use cts::{
 
 /// Loads (or characterizes and caches) the delay library the binaries use.
 ///
-/// Default is the fast configuration: [`cts::timing::fast_library`], whose
-/// disk cache is keyed by a fingerprint of the technology and the
-/// characterization config. Set `CTS_STANDARD_LIB=1` for the paper-scale
-/// characterization of `tech` (slower first run, cached at
-/// `target/ctslib_standard.v1.txt`).
+/// Default is the fast configuration: [`cts::timing::fast_library`]. Set
+/// `CTS_STANDARD_LIB=1` for the paper-scale characterization of `tech`
+/// (slower first run). Both come through [`cts::timing::cached_library`],
+/// so both disk caches are named by a fingerprint of the technology and
+/// the characterization config.
 ///
 /// # Panics
 ///
@@ -26,8 +26,8 @@ pub fn library(tech: &Technology) -> DelaySlewLibrary {
     if std::env::var("CTS_STANDARD_LIB").is_err() {
         return cts::timing::fast_library().clone();
     }
-    cts::timing::load_or_characterize(
-        "target/ctslib_standard.v1.txt",
+    cts::timing::cached_library(
+        "ctslib_standard",
         tech,
         &cts::timing::CharacterizeConfig::standard(),
     )
@@ -145,6 +145,23 @@ pub fn print_flow_row(r: &FlowRow) {
         r.buffers,
         r.wirelength_um / 1000.0,
         r.synth_seconds
+    );
+}
+
+/// Prints one row's shape check: `<bench>: slew limit HONORED (81.6 ps <=
+/// 100 ps), <note>`, or `VIOLATED (107.8 ps > 100 ps)` when the
+/// SPICE-verified worst slew is over the paper's 100 ps limit. CI's slew
+/// gate reads these lines from both table binaries.
+pub fn print_shape_check(r: &FlowRow, note: std::fmt::Arguments<'_>) {
+    let (verdict, op) = if r.worst_slew <= 100.0 * PS {
+        ("HONORED", "<=")
+    } else {
+        ("VIOLATED", ">")
+    };
+    println!(
+        "{}: slew limit {verdict} ({:.1} ps {op} 100 ps), {note}",
+        r.name,
+        r.worst_slew / PS
     );
 }
 

@@ -20,8 +20,9 @@
 //!   borrowed samples),
 //! * [`Technology`] / [`BufferType`] — a 45 nm-flavoured behavioural device
 //!   model and the paper's three-buffer library,
-//! * [`stages`] — builders for the paper's characterization circuits
-//!   (Fig. 3.3 single-wire and Fig. 3.5 branch structures).
+//! * [`stages`] — the paper's characterization circuit, one driving
+//!   buffer with `k` load arms (Fig. 3.3 single wire, `k = 1`; Fig. 3.5
+//!   branch, `k = 2`), built and measured by one code path.
 //!
 //! What matters for the reproduction is not matching HSPICE numerically but
 //! reproducing the *phenomena* the paper's flow depends on: buffer output

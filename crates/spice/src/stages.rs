@@ -1,18 +1,19 @@
-//! Builders for the paper's characterization circuits.
+//! The paper's characterization circuit, built and measured.
 //!
-//! Chapter 3 of the paper characterizes delay and slew on two circuit
-//! shapes, both reproduced here:
+//! Chapter 3 of the paper characterizes delay and slew on two circuits
+//! that are one shape with `k` load arms: ideal ramp → `Binput` → wire
+//! `Linput` → `Bdrive` → `k` wires, each to its own load buffer.
 //!
-//! * **single wire** (Fig. 3.3): ideal ramp → `Binput` → wire `Linput` →
-//!   `Bdrive` → wire `L` → `Bload`. `Binput` + `Linput` exist purely to turn
-//!   the ideal ramp into a *realistic, curved* buffer-output waveform with a
-//!   controllable slew at `Bdrive`'s input — the paper's Fig. 3.2 shows why
-//!   an ideal ramp would mis-predict delays by tens of ps.
-//! * **branch** (Fig. 3.5): the same front end, but `Bdrive` drives two
-//!   wires to two load buffers.
+//! * `k = 1` is the **single wire** of Fig. 3.3;
+//! * `k = 2` is the **branch** of Fig. 3.5.
 //!
-//! Each builder returns the circuit plus the named probe nodes, and a
-//! measurement helper extracts the quantities the delay library stores.
+//! `Binput` + `Linput` exist purely to turn the ideal ramp into a
+//! *realistic, curved* buffer-output waveform with a controllable slew at
+//! `Bdrive`'s input — the paper's Fig. 3.2 shows why an ideal ramp would
+//! mis-predict delays by tens of ps.
+//!
+//! [`stage`] returns the circuit plus its probe nodes, and
+//! [`Stage::measure`] extracts the quantities the delay library stores.
 
 use crate::circuit::{Circuit, NodeId, WireParams};
 use crate::device::{BufferType, Technology};
@@ -21,45 +22,19 @@ use crate::solver::{simulate_observed_with, SimOptions, SolverContext, Transient
 use crate::units::{NS, PS};
 use crate::waveform::Waveform;
 
-/// Probe nodes of a single-wire characterization circuit.
-#[derive(Debug, Clone, Copy)]
-pub struct SingleWireProbes {
-    /// Ideal-ramp source node.
-    pub source: NodeId,
-    /// Input of the driving buffer (`Bdrive`): input slew is measured here.
-    pub drive_in: NodeId,
-    /// Output of the driving buffer: intrinsic delay ends here.
-    pub drive_out: NodeId,
-    /// Input of the load buffer (`Bload`): wire delay and wire slew end
-    /// here.
-    pub load_in: NodeId,
-    /// Output of the load buffer (unloaded beyond its own parasitics).
-    pub load_out: NodeId,
-}
-
-/// A built single-wire characterization circuit (Fig. 3.3).
+/// Parameters for [`stage`].
 #[derive(Debug, Clone)]
-pub struct SingleWireStage {
-    /// The netlist, ready to simulate.
-    pub circuit: Circuit,
-    /// Probe nodes.
-    pub probes: SingleWireProbes,
-}
-
-/// Parameters for [`single_wire_stage`].
-#[derive(Debug, Clone)]
-pub struct SingleWireConfig<'a> {
+pub struct StageConfig<'a> {
     /// Buffer that shapes the input waveform (`Binput`).
-    pub input_buf: &'a BufferType,
+    pub shaper: &'a BufferType,
     /// Wire length between `Binput` and `Bdrive` (µm); sweeping this sweeps
     /// the input slew seen by `Bdrive`.
     pub l_input_um: f64,
     /// The buffer under characterization (`Bdrive`).
     pub drive: &'a BufferType,
-    /// Load wire length (µm).
-    pub l_um: f64,
-    /// The load buffer (`Bload`).
-    pub load: &'a BufferType,
+    /// One `(wire length µm, load buffer)` per arm: a wire from `Bdrive`'s
+    /// output to that load buffer's input.
+    pub arms: &'a [(f64, &'a BufferType)],
     /// Wire parasitics.
     pub wire: WireParams,
     /// 10–90 % slew of the ideal ramp applied at the source (s).
@@ -70,25 +45,72 @@ pub struct SingleWireConfig<'a> {
     pub rising: bool,
 }
 
-/// Builds the Fig. 3.3 single-wire circuit.
+/// Probe nodes of a characterization circuit.
+#[derive(Debug, Clone)]
+pub struct StageProbes {
+    /// Input of the driving buffer (`Bdrive`): input slew is measured here.
+    pub drive_in: NodeId,
+    /// Output of the driving buffer: intrinsic delay ends here.
+    pub drive_out: NodeId,
+    /// Input of each arm's load buffer, in arm order: the arm's wire delay
+    /// and wire slew end here.
+    pub load_in: Vec<NodeId>,
+}
+
+/// A built characterization circuit.
+#[derive(Debug, Clone)]
+pub struct Stage {
+    /// The netlist, ready to simulate.
+    pub circuit: Circuit,
+    /// Probe nodes.
+    pub probes: StageProbes,
+}
+
+/// Quantities measured on a characterization run — exactly what the delay
+/// library stores (Fig. 3.3(b)).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StageMeasurement {
+    /// 10–90 % slew at the driving buffer's input (s).
+    pub input_slew: f64,
+    /// Driving buffer intrinsic delay: 50 % input → 50 % output (s).
+    pub intrinsic_delay: f64,
+    /// Per arm: wire delay, 50 % at drive output → 50 % at load input (s).
+    pub delay: Vec<f64>,
+    /// Per arm: 10–90 % slew at the load buffer's input (s).
+    pub slew: Vec<f64>,
+}
+
+/// Builds the characterization circuit with one load arm per entry of
+/// `cfg.arms`.
 ///
 /// # Panics
 ///
 /// Panics on non-positive lengths or slew (propagated from the circuit
 /// builder).
-pub fn single_wire_stage(tech: &Technology, cfg: &SingleWireConfig<'_>) -> SingleWireStage {
+pub fn stage(tech: &Technology, cfg: &StageConfig<'_>) -> Stage {
     let mut c = Circuit::new(tech);
     let source = c.add_node("src");
-    let binput_out = c.add_node("binput_out");
-    c.add_buffer(source, binput_out, cfg.input_buf);
+    let shaped = c.add_node("binput_out");
+    c.add_buffer(source, shaped, cfg.shaper);
     let drive_in = c.add_node("drive_in");
-    c.add_wire(binput_out, drive_in, cfg.l_input_um, cfg.wire);
+    c.add_wire(shaped, drive_in, cfg.l_input_um, cfg.wire);
     let drive_out = c.add_node("drive_out");
     c.add_buffer(drive_in, drive_out, cfg.drive);
-    let load_in = c.add_node("load_in");
-    c.add_wire(drive_out, load_in, cfg.l_um, cfg.wire);
-    let load_out = c.add_node("load_out");
-    c.add_buffer(load_in, load_out, cfg.load);
+    // Every arm's wire, then every arm's load buffer.
+    let load_in: Vec<NodeId> = cfg
+        .arms
+        .iter()
+        .enumerate()
+        .map(|(i, &(l_um, _))| {
+            let node = c.add_node(format!("load{i}_in"));
+            c.add_wire(drive_out, node, l_um, cfg.wire);
+            node
+        })
+        .collect();
+    for (i, (&node, &(_, load))) in load_in.iter().zip(cfg.arms).enumerate() {
+        let out = c.add_node(format!("load{i}_out"));
+        c.add_buffer(node, out, load);
+    }
 
     let ramp = if cfg.rising {
         Waveform::rising_ramp_10_90(50.0 * PS, cfg.ramp_slew, tech.vdd())
@@ -97,59 +119,43 @@ pub fn single_wire_stage(tech: &Technology, cfg: &SingleWireConfig<'_>) -> Singl
     };
     c.drive(source, ramp);
 
-    SingleWireStage {
+    Stage {
         circuit: c,
-        probes: SingleWireProbes {
-            source,
+        probes: StageProbes {
             drive_in,
             drive_out,
             load_in,
-            load_out,
         },
     }
 }
 
-/// Quantities measured on a characterization run — exactly what the delay
-/// library stores (Fig. 3.3(b)).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageMeasurement {
-    /// 10–90 % slew at the driving buffer's input (s).
-    pub input_slew: f64,
-    /// Driving buffer intrinsic delay: 50 % input → 50 % output (s).
-    pub intrinsic_delay: f64,
-    /// Wire delay: 50 % at drive output → 50 % at load input (s).
-    pub wire_delay: f64,
-    /// 10–90 % slew at the load buffer's input (s).
-    pub wire_slew: f64,
-}
-
-impl SingleWireStage {
+impl Stage {
     /// Simulates the stage and extracts the library measurements.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if simulation fails or the output never
-    /// completes its transition within the simulation window (reported as
-    /// [`SimError::NonFiniteSolution`] would be wrong, so an incomplete
-    /// transition is mapped to [`SimError::BadOptions`] naming the window).
+    /// Returns [`SimError`] if simulation fails; a probe that does not
+    /// complete its transition within the window is reported as
+    /// [`SimError::BadOptions`] naming the window.
     pub fn measure(&self, opts: &SimOptions) -> Result<StageMeasurement, SimError> {
         self.measure_with(&mut SolverContext::new(), opts)
     }
 
-    /// [`SingleWireStage::measure`], reusing cached solve plans from `ctx`.
+    /// [`Stage::measure`], reusing cached solve plans from `ctx`.
     /// Characterization sweeps over one circuit shape hit the plan cache on
     /// every run after the first. Only the probe nodes are recorded.
     ///
     /// # Errors
     ///
-    /// As for [`SingleWireStage::measure`].
+    /// As for [`Stage::measure`].
     pub fn measure_with(
         &self,
         ctx: &mut SolverContext,
         opts: &SimOptions,
     ) -> Result<StageMeasurement, SimError> {
         let p = &self.probes;
-        let observed = [p.drive_in, p.drive_out, p.load_in];
+        let mut observed = vec![p.drive_in, p.drive_out];
+        observed.extend(&p.load_in);
         let res = simulate_observed_with(ctx, &self.circuit, opts, &observed)?;
         self.extract(&res).ok_or_else(|| {
             SimError::BadOptions(format!(
@@ -159,169 +165,23 @@ impl SingleWireStage {
         })
     }
 
-    /// Extracts measurements from an existing simulation result, or `None`
-    /// if any waveform did not complete its transition.
-    pub fn extract(&self, res: &TransientResult) -> Option<StageMeasurement> {
+    /// Reads the measurements off `res` in place, or `None` if a probe did
+    /// not complete its transition.
+    fn extract(&self, res: &TransientResult) -> Option<StageMeasurement> {
         let vdd = self.circuit.tech().vdd();
-        let w_in = res.waveform(self.probes.drive_in);
-        let w_out = res.waveform(self.probes.drive_out);
-        let w_load = res.waveform(self.probes.load_in);
+        let drive_in = res.view(self.probes.drive_in);
+        let t_out = res.view(self.probes.drive_out).t50(vdd)?;
+        let (mut delay, mut slew) = (Vec::new(), Vec::new());
+        for &node in &self.probes.load_in {
+            let load = res.view(node);
+            delay.push(load.t50(vdd)? - t_out);
+            slew.push(load.slew_10_90(vdd)?);
+        }
         Some(StageMeasurement {
-            input_slew: w_in.slew_10_90(vdd)?,
-            intrinsic_delay: w_out.delay_50_from(&w_in, vdd)?,
-            wire_delay: w_load.delay_50_from(&w_out, vdd)?,
-            wire_slew: w_load.slew_10_90(vdd)?,
-        })
-    }
-}
-
-/// Probe nodes of a branch characterization circuit (Fig. 3.5).
-#[derive(Debug, Clone, Copy)]
-pub struct BranchProbes {
-    /// Input of the driving buffer.
-    pub drive_in: NodeId,
-    /// Output of the driving buffer (the branch point).
-    pub drive_out: NodeId,
-    /// Input of the left load buffer.
-    pub left_in: NodeId,
-    /// Input of the right load buffer.
-    pub right_in: NodeId,
-}
-
-/// A built branch characterization circuit.
-#[derive(Debug, Clone)]
-pub struct BranchStage {
-    /// The netlist, ready to simulate.
-    pub circuit: Circuit,
-    /// Probe nodes.
-    pub probes: BranchProbes,
-}
-
-/// Parameters for [`branch_stage`].
-#[derive(Debug, Clone)]
-pub struct BranchConfig<'a> {
-    /// Buffer that shapes the input waveform.
-    pub input_buf: &'a BufferType,
-    /// Wire length between the input buffer and the driving buffer (µm).
-    pub l_input_um: f64,
-    /// The driving buffer at the branch point.
-    pub drive: &'a BufferType,
-    /// Left branch wire length (µm).
-    pub l_left_um: f64,
-    /// Right branch wire length (µm).
-    pub l_right_um: f64,
-    /// Left load buffer.
-    pub load_left: &'a BufferType,
-    /// Right load buffer.
-    pub load_right: &'a BufferType,
-    /// Wire parasitics.
-    pub wire: WireParams,
-    /// 10–90 % slew of the ideal source ramp (s).
-    pub ramp_slew: f64,
-    /// Source edge direction.
-    pub rising: bool,
-}
-
-/// Builds the Fig. 3.5 branch circuit: one driving buffer, two load wires.
-pub fn branch_stage(tech: &Technology, cfg: &BranchConfig<'_>) -> BranchStage {
-    let mut c = Circuit::new(tech);
-    let source = c.add_node("src");
-    let binput_out = c.add_node("binput_out");
-    c.add_buffer(source, binput_out, cfg.input_buf);
-    let drive_in = c.add_node("drive_in");
-    c.add_wire(binput_out, drive_in, cfg.l_input_um, cfg.wire);
-    let drive_out = c.add_node("drive_out");
-    c.add_buffer(drive_in, drive_out, cfg.drive);
-    let left_in = c.add_node("left_in");
-    c.add_wire(drive_out, left_in, cfg.l_left_um, cfg.wire);
-    let right_in = c.add_node("right_in");
-    c.add_wire(drive_out, right_in, cfg.l_right_um, cfg.wire);
-    let left_out = c.add_node("left_out");
-    c.add_buffer(left_in, left_out, cfg.load_left);
-    let right_out = c.add_node("right_out");
-    c.add_buffer(right_in, right_out, cfg.load_right);
-
-    let ramp = if cfg.rising {
-        Waveform::rising_ramp_10_90(50.0 * PS, cfg.ramp_slew, tech.vdd())
-    } else {
-        Waveform::falling_ramp_10_90(50.0 * PS, cfg.ramp_slew, tech.vdd())
-    };
-    c.drive(source, ramp);
-
-    BranchStage {
-        circuit: c,
-        probes: BranchProbes {
-            drive_in,
-            drive_out,
-            left_in,
-            right_in,
-        },
-    }
-}
-
-/// Quantities measured on a branch characterization run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BranchMeasurement {
-    /// 10–90 % slew at the driving buffer input (s).
-    pub input_slew: f64,
-    /// Driving buffer intrinsic delay (s).
-    pub intrinsic_delay: f64,
-    /// Wire delay to the left load (s).
-    pub left_delay: f64,
-    /// Wire delay to the right load (s).
-    pub right_delay: f64,
-    /// 10–90 % slew at the left load input (s).
-    pub left_slew: f64,
-    /// 10–90 % slew at the right load input (s).
-    pub right_slew: f64,
-}
-
-impl BranchStage {
-    /// Simulates the stage and extracts the branch measurements.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SingleWireStage::measure`].
-    pub fn measure(&self, opts: &SimOptions) -> Result<BranchMeasurement, SimError> {
-        self.measure_with(&mut SolverContext::new(), opts)
-    }
-
-    /// [`BranchStage::measure`], reusing cached solve plans from `ctx`.
-    /// Only the probe nodes are recorded.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SingleWireStage::measure`].
-    pub fn measure_with(
-        &self,
-        ctx: &mut SolverContext,
-        opts: &SimOptions,
-    ) -> Result<BranchMeasurement, SimError> {
-        let p = &self.probes;
-        let observed = [p.drive_in, p.drive_out, p.left_in, p.right_in];
-        let res = simulate_observed_with(ctx, &self.circuit, opts, &observed)?;
-        self.extract(&res).ok_or_else(|| {
-            SimError::BadOptions(format!(
-                "transition incomplete within t_stop = {:.3} ns",
-                opts.t_stop / NS
-            ))
-        })
-    }
-
-    /// Extracts measurements from an existing simulation result.
-    pub fn extract(&self, res: &TransientResult) -> Option<BranchMeasurement> {
-        let vdd = self.circuit.tech().vdd();
-        let w_in = res.waveform(self.probes.drive_in);
-        let w_out = res.waveform(self.probes.drive_out);
-        let w_left = res.waveform(self.probes.left_in);
-        let w_right = res.waveform(self.probes.right_in);
-        Some(BranchMeasurement {
-            input_slew: w_in.slew_10_90(vdd)?,
-            intrinsic_delay: w_out.delay_50_from(&w_in, vdd)?,
-            left_delay: w_left.delay_50_from(&w_out, vdd)?,
-            right_delay: w_right.delay_50_from(&w_out, vdd)?,
-            left_slew: w_left.slew_10_90(vdd)?,
-            right_slew: w_right.slew_10_90(vdd)?,
+            input_slew: drive_in.slew_10_90(vdd)?,
+            intrinsic_delay: t_out - drive_in.t50(vdd)?,
+            delay,
+            slew,
         })
     }
 }
@@ -344,22 +204,20 @@ mod tests {
     fn single_wire_measurements_are_sane() {
         let t = tech();
         let lib = t.buffer_library();
-        let cfg = SingleWireConfig {
-            input_buf: &lib[1],
+        let cfg = StageConfig {
+            shaper: &lib[1],
             l_input_um: 300.0,
             drive: &lib[1],
-            l_um: 600.0,
-            load: &lib[1],
+            arms: &[(600.0, &lib[1])],
             wire: t.wire(),
             ramp_slew: 80.0 * PS,
             rising: true,
         };
-        let stage = single_wire_stage(&t, &cfg);
-        let m = stage.measure(&opts()).unwrap();
+        let m = stage(&t, &cfg).measure(&opts()).unwrap();
         assert!(m.input_slew > 5.0 * PS && m.input_slew < 500.0 * PS);
         assert!(m.intrinsic_delay > 0.0 && m.intrinsic_delay < 300.0 * PS);
-        assert!(m.wire_delay > 0.0 && m.wire_delay < 500.0 * PS);
-        assert!(m.wire_slew > m.input_slew * 0.1);
+        assert!(m.delay[0] > 0.0 && m.delay[0] < 500.0 * PS);
+        assert!(m.slew[0] > m.input_slew * 0.1);
     }
 
     #[test]
@@ -368,17 +226,16 @@ mod tests {
         let lib = t.buffer_library();
         let mut slews = Vec::new();
         for &l_input in &[100.0, 500.0, 1200.0] {
-            let cfg = SingleWireConfig {
-                input_buf: &lib[0],
+            let cfg = StageConfig {
+                shaper: &lib[0],
                 l_input_um: l_input,
                 drive: &lib[1],
-                l_um: 400.0,
-                load: &lib[1],
+                arms: &[(400.0, &lib[1])],
                 wire: t.wire(),
                 ramp_slew: 60.0 * PS,
                 rising: true,
             };
-            let m = single_wire_stage(&t, &cfg).measure(&opts()).unwrap();
+            let m = stage(&t, &cfg).measure(&opts()).unwrap();
             slews.push(m.input_slew);
         }
         assert!(
@@ -392,26 +249,23 @@ mod tests {
     fn branch_longer_side_is_slower() {
         let t = tech();
         let lib = t.buffer_library();
-        let cfg = BranchConfig {
-            input_buf: &lib[1],
+        let cfg = StageConfig {
+            shaper: &lib[1],
             l_input_um: 300.0,
             drive: &lib[2],
-            l_left_um: 200.0,
-            l_right_um: 900.0,
-            load_left: &lib[0],
-            load_right: &lib[0],
+            arms: &[(200.0, &lib[0]), (900.0, &lib[0])],
             wire: t.wire(),
             ramp_slew: 80.0 * PS,
             rising: true,
         };
-        let m = branch_stage(&t, &cfg).measure(&opts()).unwrap();
+        let m = stage(&t, &cfg).measure(&opts()).unwrap();
         assert!(
-            m.left_delay < m.right_delay,
+            m.delay[0] < m.delay[1],
             "left {} ps vs right {} ps",
-            m.left_delay / PS,
-            m.right_delay / PS
+            m.delay[0] / PS,
+            m.delay[1] / PS
         );
-        assert!(m.left_slew < m.right_slew);
+        assert!(m.slew[0] < m.slew[1]);
     }
 
     #[test]
@@ -421,27 +275,27 @@ mod tests {
         // joint (l_left, l_right) space rather than per-branch).
         let t = tech();
         let lib = t.buffer_library();
-        let base = BranchConfig {
-            input_buf: &lib[1],
+        let base = StageConfig {
+            shaper: &lib[1],
             l_input_um: 300.0,
             drive: &lib[0],
-            l_left_um: 400.0,
-            l_right_um: 400.0,
-            load_left: &lib[0],
-            load_right: &lib[0],
+            arms: &[(400.0, &lib[0]), (400.0, &lib[0])],
             wire: t.wire(),
             ramp_slew: 80.0 * PS,
             rising: true,
         };
-        let m_small = branch_stage(&t, &base).measure(&opts()).unwrap();
-        let mut heavy = base.clone();
-        heavy.l_right_um = 1600.0;
-        let m_heavy = branch_stage(&t, &heavy).measure(&opts()).unwrap();
+        let m_small = stage(&t, &base).measure(&opts()).unwrap();
+        let heavy_arms = [(400.0, &lib[0]), (1600.0, &lib[0])];
+        let heavy = StageConfig {
+            arms: &heavy_arms,
+            ..base.clone()
+        };
+        let m_heavy = stage(&t, &heavy).measure(&opts()).unwrap();
         // The extra load slows the driver's edge, so the total
         // drive-input-to-left-load delay and the left slew both grow even
         // though the left branch itself is unchanged.
-        let total_small = m_small.intrinsic_delay + m_small.left_delay;
-        let total_heavy = m_heavy.intrinsic_delay + m_heavy.left_delay;
+        let total_small = m_small.intrinsic_delay + m_small.delay[0];
+        let total_heavy = m_heavy.intrinsic_delay + m_heavy.delay[0];
         assert!(
             total_heavy > total_small,
             "left-path delay should feel the right branch: {} vs {} ps",
@@ -449,10 +303,10 @@ mod tests {
             total_small / PS
         );
         assert!(
-            m_heavy.left_slew > m_small.left_slew,
+            m_heavy.slew[0] > m_small.slew[0],
             "left slew should feel the right branch: {} vs {} ps",
-            m_heavy.left_slew / PS,
-            m_small.left_slew / PS
+            m_heavy.slew[0] / PS,
+            m_small.slew[0] / PS
         );
     }
 }

@@ -2,7 +2,7 @@
 //! phenomena* the paper's delay-modeling chapter is built on. If any of
 //! these fail, the delay library and the CTS flow above it are meaningless.
 
-use cts_spice::stages::{single_wire_stage, SingleWireConfig};
+use cts_spice::stages::{stage, StageConfig};
 use cts_spice::units::*;
 use cts_spice::{simulate, Circuit, SimOptions, Technology, Waveform};
 
@@ -23,20 +23,19 @@ fn fig_1_1_sizing_alone_cannot_control_slew() {
     let (buf20, buf30) = (&lib[1], &lib[2]);
 
     let slew_for = |drive: &cts_spice::BufferType, len: f64| -> f64 {
-        let cfg = SingleWireConfig {
-            input_buf: buf20,
+        let cfg = StageConfig {
+            shaper: buf20,
             l_input_um: 200.0,
             drive,
-            l_um: len,
-            load: buf20,
+            arms: &[(len, buf20)],
             wire: tech.wire(),
             ramp_slew: 80.0 * PS,
             rising: true,
         };
-        single_wire_stage(&tech, &cfg)
+        stage(&tech, &cfg)
             .measure(&opts(6.0 * NS))
             .expect("stage must simulate")
-            .wire_slew
+            .slew[0]
     };
 
     let lengths = [500.0, 1500.0, 3000.0];
@@ -75,21 +74,20 @@ fn fig_3_2_curve_vs_ramp_shifts_output() {
     // First build the curved waveform: a buffer + wire shaping chain. The
     // long shaping wire produces a strongly curved ~150 ps edge like the
     // paper's experiment.
-    let shaping_cfg = SingleWireConfig {
-        input_buf: &lib[0],
+    let shaping_cfg = StageConfig {
+        shaper: &lib[0],
         l_input_um: 2200.0,
         drive,
-        l_um: 600.0,
-        load: &lib[1],
+        arms: &[(600.0, &lib[1])],
         wire: tech.wire(),
         ramp_slew: 150.0 * PS,
         rising: true,
     };
-    let stage = single_wire_stage(&tech, &shaping_cfg);
-    let res = simulate(&stage.circuit, &opts(6.0 * NS)).expect("shaping sim");
-    let curved_in = res.waveform(stage.probes.drive_in);
+    let shaping = stage(&tech, &shaping_cfg);
+    let res = simulate(&shaping.circuit, &opts(6.0 * NS)).expect("shaping sim");
+    let curved_in = res.waveform(shaping.probes.drive_in);
     let curved_slew = curved_in.slew_10_90(tech.vdd()).expect("curved slew");
-    let out_from_curve = res.waveform(stage.probes.load_in);
+    let out_from_curve = res.waveform(shaping.probes.load_in[0]);
     let t50_curve_in = curved_in.t50(tech.vdd()).unwrap();
     let t50_curve_out = out_from_curve.t50(tech.vdd()).unwrap();
 
@@ -143,19 +141,16 @@ fn intrinsic_delay_depends_on_input_slew() {
     let lib = tech.buffer_library();
     let mut delays = Vec::new();
     for &l_input in &[50.0, 600.0, 1500.0] {
-        let cfg = SingleWireConfig {
-            input_buf: &lib[0],
+        let cfg = StageConfig {
+            shaper: &lib[0],
             l_input_um: l_input,
             drive: &lib[0], // 10X
-            l_um: 400.0,
-            load: &lib[1],
+            arms: &[(400.0, &lib[1])],
             wire: tech.wire(),
             ramp_slew: 60.0 * PS,
             rising: true,
         };
-        let m = single_wire_stage(&tech, &cfg)
-            .measure(&opts(6.0 * NS))
-            .expect("sim");
+        let m = stage(&tech, &cfg).measure(&opts(6.0 * NS)).expect("sim");
         delays.push((m.input_slew, m.intrinsic_delay));
     }
     // Input slews must actually differ substantially across the sweep.
@@ -177,20 +172,19 @@ fn wire_delay_grows_superlinearly() {
     let tech = Technology::nominal_45nm();
     let lib = tech.buffer_library();
     let delay_for = |len: f64| -> f64 {
-        let cfg = SingleWireConfig {
-            input_buf: &lib[1],
+        let cfg = StageConfig {
+            shaper: &lib[1],
             l_input_um: 200.0,
             drive: &lib[2],
-            l_um: len,
-            load: &lib[0],
+            arms: &[(len, &lib[0])],
             wire: tech.wire(),
             ramp_slew: 80.0 * PS,
             rising: true,
         };
-        single_wire_stage(&tech, &cfg)
+        stage(&tech, &cfg)
             .measure(&opts(8.0 * NS))
             .expect("sim")
-            .wire_delay
+            .delay[0]
     };
     let d1 = delay_for(1000.0);
     let d2 = delay_for(2000.0);
@@ -208,21 +202,18 @@ fn wire_delay_grows_superlinearly() {
 fn falling_edges_measurable() {
     let tech = Technology::nominal_45nm();
     let lib = tech.buffer_library();
-    let cfg = SingleWireConfig {
-        input_buf: &lib[1],
+    let cfg = StageConfig {
+        shaper: &lib[1],
         l_input_um: 300.0,
         drive: &lib[1],
-        l_um: 500.0,
-        load: &lib[1],
+        arms: &[(500.0, &lib[1])],
         wire: tech.wire(),
         ramp_slew: 80.0 * PS,
         rising: false,
     };
-    let m = single_wire_stage(&tech, &cfg)
-        .measure(&opts(6.0 * NS))
-        .expect("sim");
-    assert!(m.input_slew > 0.0 && m.wire_slew > 0.0);
-    assert!(m.intrinsic_delay > 0.0 && m.wire_delay > 0.0);
+    let m = stage(&tech, &cfg).measure(&opts(6.0 * NS)).expect("sim");
+    assert!(m.input_slew > 0.0 && m.slew[0] > 0.0);
+    assert!(m.intrinsic_delay > 0.0 && m.delay[0] > 0.0);
 }
 
 fn ps_vec(v: &[f64]) -> Vec<f64> {

@@ -1,20 +1,30 @@
 //! SPICE characterization sweeps (paper §3.2).
 //!
-//! For every (driving buffer, load buffer) combination this module sweeps
-//! input slew (via the input-shaping wire length) and load wire length on
-//! the Fig. 3.3 single-wire circuit, and additionally the two branch wire
-//! lengths on the Fig. 3.5 branch circuit, measuring buffer intrinsic
-//! delay, wire delay(s) and wire output slew(s). The measurements feed the
-//! polynomial fits that become the [`crate::DelaySlewLibrary`].
+//! The paper's two characterization circuits are one
+//! [`cts_spice::stages`] stage with `k` load arms — the Fig. 3.3 single
+//! wire (`k = 1`) and the Fig. 3.5 branch (`k = 2`) — so one path serves
+//! both:
 //!
-//! Simulations are independent, so the sweep fans out over the shared
-//! [`cts_util::exec`] thread pool.
+//! * [`sweep`] simulates a driving buffer at every input-wire length of
+//!   the config (which sets the input slew) and every combination of arm
+//!   lengths from a grid, measuring buffer intrinsic delay and each arm's
+//!   wire delay and wire slew;
+//! * [`fit_sweep`] fits the sweep's `1 + 2k` polynomial surfaces over
+//!   `(input slew, arm lengths…)`;
+//! * [`fn@characterize`] runs both for every buffer combination — single
+//!   wires on `wire_lengths_um` at `surface_order`, branches on
+//!   `branch_lengths_um` at `volume_order` — and assembles the surfaces
+//!   into the [`crate::DelaySlewLibrary`].
+//!
+//! The shared code never asks which shape it serves; only
+//! [`fn@characterize`] names the surfaces. Simulations are independent, so
+//! each sweep fans out over the shared [`cts_util::exec`] thread pool.
 
 use crate::fit::{FitError, PolyFit};
 use crate::library::{BranchFns, DelaySlewLibrary, SingleWireFns};
-use cts_spice::stages::{branch_stage, single_wire_stage, BranchConfig, SingleWireConfig};
+use cts_spice::stages::{stage, StageConfig, StageMeasurement};
 use cts_spice::units::{NS, PS};
-use cts_spice::{SimError, SimOptions, SolverContext, Technology};
+use cts_spice::{BufferType, SimError, SimOptions, SolverContext, Technology};
 use cts_util::run_parallel_with;
 use std::fmt;
 
@@ -124,158 +134,109 @@ impl std::error::Error for CharacterizeError {
     }
 }
 
-/// One single-wire characterization sample.
-#[derive(Debug, Clone, Copy)]
-pub struct SingleWireSample {
-    /// Measured input slew at the driving buffer (s).
-    pub input_slew: f64,
-    /// Load wire length (µm).
-    pub length_um: f64,
-    /// Buffer intrinsic delay (s).
-    pub intrinsic_delay: f64,
-    /// Wire delay (s).
-    pub wire_delay: f64,
-    /// Wire output slew (s).
-    pub wire_slew: f64,
+/// One sweep point: the arm lengths simulated and what was measured there.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sample {
+    /// Wire length of each load arm (µm), in arm order.
+    pub arm_lengths_um: Vec<f64>,
+    /// The stage measured at those lengths.
+    pub measured: StageMeasurement,
 }
 
-/// One branch characterization sample.
-#[derive(Debug, Clone, Copy)]
-pub struct BranchSample {
-    /// Measured input slew at the driving buffer (s).
-    pub input_slew: f64,
-    /// Left wire length (µm).
-    pub l_left_um: f64,
-    /// Right wire length (µm).
-    pub l_right_um: f64,
-    /// Buffer intrinsic delay (s).
-    pub intrinsic_delay: f64,
-    /// Left wire delay (s).
-    pub left_delay: f64,
-    /// Right wire delay (s).
-    pub right_delay: f64,
-    /// Left wire output slew (s).
-    pub left_slew: f64,
-    /// Right wire output slew (s).
-    pub right_slew: f64,
-}
-
-/// Runs the single-wire sweep for one (drive, load) pair and returns the raw
-/// samples. Exposed so the figure-regeneration binaries can plot raw sweep
-/// data (Fig. 3.4) without refitting.
-pub fn sweep_single_wire(
+/// Runs one characterization sweep: `drive` driving one arm per entry of
+/// `loads` (buffer indices into the technology's library), every arm length
+/// taken from `lengths` (µm), at every input-wire length of `cfg`. One load
+/// is the Fig. 3.3 single wire, two are the Fig. 3.5 branch.
+///
+/// Samples come in job order: input-wire length outermost, then the arm
+/// lengths row-major (the first arm varies slowest). Exposed so the
+/// figure-regeneration binaries can plot raw sweep data (Figs. 3.4,
+/// 3.6–3.7) without refitting.
+pub fn sweep(
     tech: &Technology,
-    drive_idx: usize,
-    load_idx: usize,
+    drive: usize,
+    loads: &[usize],
+    lengths: &[f64],
     cfg: &CharacterizeConfig,
-) -> Result<Vec<SingleWireSample>, CharacterizeError> {
+) -> Result<Vec<Sample>, CharacterizeError> {
     let buffers = tech.buffer_library();
     let shaper = shaping_buffer(tech);
+    let k = loads.len() as u32;
     let mut jobs = Vec::new();
     for &l_input in &cfg.input_wire_lengths_um {
-        for &l in &cfg.wire_lengths_um {
-            jobs.push((l_input, l));
+        // Arm `a`'s length index is digit `a` of `i` in base
+        // `lengths.len()`, most significant first.
+        for i in 0..lengths.len().pow(k) {
+            let arm_lengths: Vec<f64> = (1..=k)
+                .map(|a| lengths[i / lengths.len().pow(k - a) % lengths.len()])
+                .collect();
+            jobs.push((l_input, arm_lengths));
         }
     }
     // Every sweep point shares the same circuit topology (wire lengths
     // only change element values), so a per-worker solver context makes
     // the partition/elimination plan a once-per-worker cost.
-    let samples = run_parallel_with(
+    run_parallel_with(
         cfg.threads,
         &jobs,
         SolverContext::new,
-        |ctx, &(l_input, l)| {
-            let scfg = SingleWireConfig {
-                input_buf: &shaper,
-                l_input_um: l_input,
-                drive: &buffers[drive_idx],
-                l_um: l,
-                load: &buffers[load_idx],
+        |ctx, (l_input, arm_lengths)| {
+            let arms: Vec<(f64, &BufferType)> = arm_lengths
+                .iter()
+                .zip(loads)
+                .map(|(&l, &load)| (l, &buffers[load]))
+                .collect();
+            let scfg = StageConfig {
+                shaper: &shaper,
+                l_input_um: *l_input,
+                drive: &buffers[drive],
+                arms: &arms,
                 wire: tech.wire(),
                 ramp_slew: cfg.ramp_slew,
                 rising: true,
             };
-            let m = single_wire_stage(tech, &scfg)
+            let measured = stage(tech, &scfg)
                 .measure_with(ctx, &cfg.sim)
                 .map_err(|source| CharacterizeError::Sim {
                     context: format!(
-                        "single wire drive={} load={} Linput={l_input} L={l}",
-                        buffers[drive_idx].name(),
-                        buffers[load_idx].name()
+                        "drive={} loads={:?} Linput={l_input} L={arm_lengths:?}",
+                        buffers[drive].name(),
+                        loads.iter().map(|&l| buffers[l].name()).collect::<Vec<_>>()
                     ),
                     source,
                 })?;
-            Ok(SingleWireSample {
-                input_slew: m.input_slew,
-                length_um: l,
-                intrinsic_delay: m.intrinsic_delay,
-                wire_delay: m.wire_delay,
-                wire_slew: m.wire_slew,
+            Ok(Sample {
+                arm_lengths_um: arm_lengths.clone(),
+                measured,
             })
         },
-    )?;
-    Ok(samples)
+    )
 }
 
-/// Runs the branch sweep for one (drive, load_left, load_right) triple.
-pub fn sweep_branch(
-    tech: &Technology,
-    drive_idx: usize,
-    load_left_idx: usize,
-    load_right_idx: usize,
-    cfg: &CharacterizeConfig,
-) -> Result<Vec<BranchSample>, CharacterizeError> {
-    let buffers = tech.buffer_library();
-    let shaper = shaping_buffer(tech);
-    let mut jobs = Vec::new();
-    for &l_input in &cfg.input_wire_lengths_um {
-        for &ll in &cfg.branch_lengths_um {
-            for &lr in &cfg.branch_lengths_um {
-                jobs.push((l_input, ll, lr));
-            }
-        }
+/// Fits the `1 + 2k` surfaces of a `k`-arm sweep over
+/// `(input slew, arm lengths…)` at total degree `order`: the intrinsic
+/// delay, then each arm's wire delay, then each arm's wire slew.
+///
+/// # Errors
+///
+/// Returns the first [`FitError`], in that surface order.
+pub fn fit_sweep(samples: &[Sample], order: u32) -> Result<Vec<PolyFit>, FitError> {
+    let k = samples.first().map_or(0, |s| s.arm_lengths_um.len());
+    let (mut points, mut rows) = (Vec::new(), Vec::new());
+    for Sample {
+        arm_lengths_um,
+        measured: m,
+    } in samples
+    {
+        points.push([&[m.input_slew][..], arm_lengths_um].concat());
+        rows.push([&[m.intrinsic_delay][..], &m.delay, &m.slew].concat());
     }
-    let samples = run_parallel_with(
-        cfg.threads,
-        &jobs,
-        SolverContext::new,
-        |ctx, &(l_input, ll, lr)| {
-            let bcfg = BranchConfig {
-                input_buf: &shaper,
-                l_input_um: l_input,
-                drive: &buffers[drive_idx],
-                l_left_um: ll,
-                l_right_um: lr,
-                load_left: &buffers[load_left_idx],
-                load_right: &buffers[load_right_idx],
-                wire: tech.wire(),
-                ramp_slew: cfg.ramp_slew,
-                rising: true,
-            };
-            let m = branch_stage(tech, &bcfg)
-                .measure_with(ctx, &cfg.sim)
-                .map_err(|source| CharacterizeError::Sim {
-                    context: format!(
-                        "branch drive={} loads=({},{}) Linput={l_input} L=({ll},{lr})",
-                        buffers[drive_idx].name(),
-                        buffers[load_left_idx].name(),
-                        buffers[load_right_idx].name()
-                    ),
-                    source,
-                })?;
-            Ok(BranchSample {
-                input_slew: m.input_slew,
-                l_left_um: ll,
-                l_right_um: lr,
-                intrinsic_delay: m.intrinsic_delay,
-                left_delay: m.left_delay,
-                right_delay: m.right_delay,
-                left_slew: m.left_slew,
-                right_slew: m.right_slew,
-            })
-        },
-    )?;
-    Ok(samples)
+    (0..1 + 2 * k)
+        .map(|j| {
+            let values: Vec<f64> = rows.iter().map(|r| r[j]).collect();
+            PolyFit::fit(1 + k, order, &points, &values)
+        })
+        .collect()
 }
 
 /// Builds the complete delay/slew library for a technology: sweeps every
@@ -293,12 +254,24 @@ pub fn characterize(
 ) -> Result<DelaySlewLibrary, CharacterizeError> {
     let buffers = tech.buffer_library();
     let nb = buffers.len();
+    let surfaces = |drive: usize, loads: &[usize], lengths: &[f64], order: u32| {
+        let samples = sweep(tech, drive, loads, lengths, cfg)?;
+        fit_sweep(&samples, order).map_err(|source| CharacterizeError::Fit {
+            context: format!("drive#{drive} loads#{loads:?}"),
+            source,
+        })
+    };
 
     let mut single = Vec::with_capacity(nb * nb);
     for d in 0..nb {
         for l in 0..nb {
-            let samples = sweep_single_wire(tech, d, l, cfg)?;
-            single.push(fit_single(&samples, cfg.surface_order, d, l)?);
+            let fits = surfaces(d, &[l], &cfg.wire_lengths_um, cfg.surface_order)?;
+            let [intrinsic, wire_delay, wire_slew] = fits.try_into().expect("3 surfaces");
+            single.push(SingleWireFns {
+                intrinsic,
+                wire_delay,
+                wire_slew,
+            });
         }
     }
 
@@ -306,11 +279,17 @@ pub fn characterize(
     for d in 0..nb {
         for ll in 0..nb {
             for lr in ll..nb {
-                let samples = sweep_branch(tech, d, ll, lr, cfg)?;
-                branch.push((
-                    (d, ll, lr),
-                    fit_branch(&samples, cfg.volume_order, d, ll, lr)?,
-                ));
+                let fits = surfaces(d, &[ll, lr], &cfg.branch_lengths_um, cfg.volume_order)?;
+                let [intrinsic, left_delay, right_delay, left_slew, right_slew] =
+                    fits.try_into().expect("5 surfaces");
+                let fns = BranchFns {
+                    intrinsic,
+                    left_delay,
+                    right_delay,
+                    left_slew,
+                    right_slew,
+                };
+                branch.push(((d, ll, lr), fns));
             }
         }
     }
@@ -324,72 +303,14 @@ pub fn characterize(
     ))
 }
 
-fn fit_single(
-    samples: &[SingleWireSample],
-    order: u32,
-    d: usize,
-    l: usize,
-) -> Result<SingleWireFns, CharacterizeError> {
-    let pts: Vec<Vec<f64>> = samples
-        .iter()
-        .map(|s| vec![s.input_slew, s.length_um])
-        .collect();
-    let fit = |vals: Vec<f64>, what: &str| {
-        PolyFit::fit(2, order, &pts, &vals).map_err(|source| CharacterizeError::Fit {
-            context: format!("single {what} drive#{d} load#{l}"),
-            source,
-        })
-    };
-    Ok(SingleWireFns {
-        intrinsic: fit(
-            samples.iter().map(|s| s.intrinsic_delay).collect(),
-            "intrinsic",
-        )?,
-        wire_delay: fit(samples.iter().map(|s| s.wire_delay).collect(), "wire_delay")?,
-        wire_slew: fit(samples.iter().map(|s| s.wire_slew).collect(), "wire_slew")?,
-    })
-}
-
-fn fit_branch(
-    samples: &[BranchSample],
-    order: u32,
-    d: usize,
-    ll: usize,
-    lr: usize,
-) -> Result<BranchFns, CharacterizeError> {
-    let pts: Vec<Vec<f64>> = samples
-        .iter()
-        .map(|s| vec![s.input_slew, s.l_left_um, s.l_right_um])
-        .collect();
-    let fit = |vals: Vec<f64>, what: &str| {
-        PolyFit::fit(3, order, &pts, &vals).map_err(|source| CharacterizeError::Fit {
-            context: format!("branch {what} drive#{d} loads#({ll},{lr})"),
-            source,
-        })
-    };
-    Ok(BranchFns {
-        intrinsic: fit(
-            samples.iter().map(|s| s.intrinsic_delay).collect(),
-            "intrinsic",
-        )?,
-        left_delay: fit(samples.iter().map(|s| s.left_delay).collect(), "left_delay")?,
-        right_delay: fit(
-            samples.iter().map(|s| s.right_delay).collect(),
-            "right_delay",
-        )?,
-        left_slew: fit(samples.iter().map(|s| s.left_slew).collect(), "left_slew")?,
-        right_slew: fit(samples.iter().map(|s| s.right_slew).collect(), "right_slew")?,
-    })
-}
-
 /// The buffer used to shape ideal ramps into realistic curved edges
 /// (`Binput` of Fig. 3.3). A mid-size buffer keeps shaped slews in the range
 /// the CTS flow actually sees.
-fn shaping_buffer(tech: &Technology) -> cts_spice::BufferType {
+fn shaping_buffer(tech: &Technology) -> BufferType {
     tech.buffer_library()
         .into_iter()
         .nth(1)
-        .unwrap_or_else(|| cts_spice::BufferType::new("SHAPER", 20.0))
+        .unwrap_or_else(|| BufferType::new("SHAPER", 20.0))
 }
 
 #[cfg(test)]
@@ -419,13 +340,14 @@ mod tests {
         let mut cfg = CharacterizeConfig::fast();
         cfg.input_wire_lengths_um = vec![10.0, 800.0];
         cfg.wire_lengths_um = vec![100.0, 700.0];
-        let samples = sweep_single_wire(&tech, 1, 1, &cfg).unwrap();
+        let samples = sweep(&tech, 1, &[1], &cfg.wire_lengths_um, &cfg).unwrap();
         assert_eq!(samples.len(), 4);
+        let m: Vec<&StageMeasurement> = samples.iter().map(|s| &s.measured).collect();
         // Slews grow with input wire; delays grow with length.
-        assert!(samples[0].input_slew < samples[3].input_slew);
-        assert!(samples[0].wire_delay < samples[1].wire_delay);
-        for s in &samples {
-            assert!(s.intrinsic_delay > 0.0 && s.wire_slew > 0.0);
+        assert!(m[0].input_slew < m[3].input_slew);
+        assert!(m[0].delay[0] < m[1].delay[0]);
+        for m in &m {
+            assert!(m.intrinsic_delay > 0.0 && m.slew[0] > 0.0);
         }
     }
 

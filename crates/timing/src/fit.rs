@@ -359,7 +359,12 @@ impl PolyFit {
 
     // -- (de)serialization support for the library's text format ----------
 
-    pub(crate) fn to_record(&self) -> Vec<f64> {
+    /// The fit's whole state as one flat record: `[dims, order]`, the
+    /// per-dimension mean, scale, lower and upper bound, the max-abs and
+    /// RMS residuals, then the coefficients. The library's text format
+    /// stores this layout, and fits with equal records evaluate
+    /// identically.
+    pub fn to_record(&self) -> Vec<f64> {
         let mut rec = vec![self.dims as f64, self.order as f64];
         rec.extend(self.std.mean.iter());
         rec.extend(self.std.scale.iter());

@@ -8,9 +8,12 @@
 //!   These are what the paper implemented, measured, and found insufficient
 //!   (§3.1); the workspace keeps them for DME-style merge computation and
 //!   for accuracy ablations.
-//! * [`mod@characterize`] — sweeps the Fig. 3.3 (single-wire) and Fig. 3.5
-//!   (branch) circuits on the [`cts_spice`] simulator across input slew and
-//!   wire lengths for every buffer combination.
+//! * [`mod@characterize`] — one path for both of the paper's
+//!   characterization circuits, which are one [`cts_spice::stages`] stage
+//!   with `k` load arms (Fig. 3.3 single wire, `k = 1`; Fig. 3.5 branch,
+//!   `k = 2`): [`sweep`] simulates it across input slew and arm lengths,
+//!   [`fit_sweep`] fits its `1 + 2k` surfaces, and [`fn@characterize`]
+//!   runs both for every buffer combination.
 //! * [`fit`] — least-squares polynomial surfaces/volumes over the sweep
 //!   data (the MATLAB surface fits of Figs. 3.4/3.6/3.7), in at most three
 //!   variables ([`fit::MAX_DIMS`]), so evaluation standardizes a query into
@@ -29,8 +32,10 @@
 //! [`DelaySlewLibrary::single_wire_slew`] evaluate one fitted surface
 //! instead of the three behind [`DelaySlewLibrary::single_wire`], and
 //! return the same bits as the matching [`StageTiming`] field.
-//! * [`save_library_string`] / [`load_library_str`] — plain-text caching so
-//!   the (expensive) characterization runs once.
+//! * [`save_library_string`] / [`load_library_str`] — the exact plain-text
+//!   format, and [`cached_library`] / [`fast_library`] — on-disk caches in
+//!   it, named by a fingerprint of the technology and the config, so the
+//!   (expensive) characterization runs once per machine.
 //! * [`variation`] — deterministic process-variation corners: seeded
 //!   perturbation of a characterized library plus a keyed derivation
 //!   cache, the substrate of the workspace's Monte Carlo axis.
@@ -66,8 +71,7 @@ mod rctree;
 pub mod variation;
 
 pub use characterize::{
-    characterize, sweep_branch, sweep_single_wire, BranchSample, CharacterizeConfig,
-    CharacterizeError, SingleWireSample,
+    characterize, fit_sweep, sweep, CharacterizeConfig, CharacterizeError, Sample,
 };
 pub use io::{
     load_library_file, load_library_str, save_library_file, save_library_string, ParseLibraryError,
@@ -85,100 +89,62 @@ use cts_spice::Technology;
 use cts_util::Fnv1a;
 use std::sync::OnceLock;
 
-/// Cache-file revision for [`fast_library`]'s on-disk cache. The file name
-/// also embeds a fingerprint hash of the fast config and the nominal
-/// technology parameters, so *numeric* drift in either invalidates the
-/// cache automatically; bump this only when the characterization
-/// **pipeline code** (sweeps, fits, stage circuits) changes behavior
-/// without touching those parameters.
-const FAST_LIB_CACHE_REV: &str = "v1";
+/// Revision embedded in [`cached_library`]'s file names. The name also
+/// embeds a fingerprint of the technology and the characterization config,
+/// so *numeric* drift in either invalidates a cache automatically. Drift in
+/// what the characterization **code** (stage circuits, sweeps, fits)
+/// computes does not change the name; `tests/characterize_bits.rs` pins
+/// the bits of a fresh characterization so such drift fails there, and the
+/// change that causes it bumps this revision.
+const LIB_CACHE_REV: &str = "v1";
 
-/// FNV-1a over the debug renderings of the characterization inputs — the
-/// staleness key embedded in the cache file name.
-fn fast_lib_fingerprint(tech: &Technology, cfg: &CharacterizeConfig) -> u64 {
-    let mut h = Fnv1a::default();
-    h.bytes(format!("{FAST_LIB_CACHE_REV}|{tech:?}|{cfg:?}").as_bytes());
-    h.finish64()
-}
-
-/// Returns a process-wide delay/slew library for
-/// [`Technology::nominal_45nm`], characterized with
-/// [`CharacterizeConfig::fast`] on first use and cached thereafter — in
-/// memory per process, and on disk under the workspace `target/` directory
-/// so the many test binaries of a `cargo test` run pay the characterization
-/// cost once per machine instead of once per binary. The text serialization
-/// is exact (17-significant-digit floats), so cached and freshly
-/// characterized libraries answer queries identically.
+/// Returns the delay/slew library of `tech` characterized with `cfg`,
+/// cached on disk as `{stem}.v1-{fingerprint:016x}.txt` under the
+/// workspace `target/` directory (or `CARGO_TARGET_DIR` when set), so the
+/// many test and benchmark binaries pay the characterization cost once per
+/// machine instead of once per process. The fingerprint is FNV-1a over
+/// the revision and the debug renderings of `tech` and `cfg`. The text
+/// serialization is exact (17-significant-digit floats), so cached and
+/// freshly characterized libraries answer queries identically; a stale or
+/// corrupt file is regenerated, and a concurrent writer never exposes a
+/// torn one (write, then rename).
 ///
 /// Set `CTS_NO_LIB_CACHE` to any non-empty value other than `0` to bypass
 /// the disk cache and characterize in-process — the manual escape hatch
 /// for validating cache-vs-fresh equivalence or working around a damaged
-/// `target/` directory. The cache honors `CARGO_TARGET_DIR` when set and
-/// falls back to the workspace-relative `target/` otherwise.
-///
-/// Flows that need the full-resolution library should run [`fn@characterize`]
-/// with [`CharacterizeConfig::standard`] themselves (the benchmark binaries
-/// cache it on disk).
-///
-/// # Panics
-///
-/// Panics if characterization fails — with the nominal technology and fast
-/// config this indicates a broken build, not a recoverable condition.
-pub fn fast_library() -> &'static DelaySlewLibrary {
-    static LIB: OnceLock<DelaySlewLibrary> = OnceLock::new();
-    LIB.get_or_init(|| {
-        let tech = Technology::nominal_45nm();
-        let cfg = CharacterizeConfig::fast();
-        let cache_disabled = std::env::var("CTS_NO_LIB_CACHE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        if cache_disabled {
-            return characterize(&tech, &cfg)
-                .expect("fast characterization of the nominal technology must succeed");
-        }
-        let target_dir = std::env::var_os("CARGO_TARGET_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target")
-            });
-        let path = target_dir.join(format!(
-            "ctslib_fast.{FAST_LIB_CACHE_REV}-{:016x}.txt",
-            fast_lib_fingerprint(&tech, &cfg)
-        ));
-        load_or_characterize(&path, &tech, &cfg)
-            .expect("fast characterization of the nominal technology must succeed")
-    })
-}
-
-/// Loads a delay/slew library from `path`, or characterizes one with the
-/// given config and caches it there. Examples and the benchmark binaries
-/// use this so the multi-minute standard characterization runs once per
-/// machine.
+/// `target/` directory.
 ///
 /// # Errors
 ///
-/// Returns a description if characterization fails; a *stale or corrupt*
-/// cache file is regenerated rather than reported.
-pub fn load_or_characterize(
-    path: impl AsRef<std::path::Path>,
+/// Returns a description if characterization fails. A file that cannot be
+/// written is only warned about.
+pub fn cached_library(
+    stem: &str,
     tech: &Technology,
     cfg: &CharacterizeConfig,
 ) -> Result<DelaySlewLibrary, String> {
-    let path = path.as_ref();
-    if let Ok(lib) = load_library_file(path) {
+    let cache_disabled = std::env::var("CTS_NO_LIB_CACHE")
+        .map(|v| !v.is_empty() && v != "0")
+        .unwrap_or(false);
+    if cache_disabled {
+        return characterize(tech, cfg).map_err(|e| e.to_string());
+    }
+    let target_dir = std::env::var_os("CARGO_TARGET_DIR")
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target"));
+    let mut h = Fnv1a::default();
+    h.bytes(format!("{LIB_CACHE_REV}|{tech:?}|{cfg:?}").as_bytes());
+    let path = target_dir.join(format!("{stem}.{LIB_CACHE_REV}-{:016x}.txt", h.finish64()));
+    if let Ok(lib) = load_library_file(&path) {
         return Ok(lib);
     }
     let lib = characterize(tech, cfg).map_err(|e| e.to_string())?;
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    // Write-then-rename so concurrent processes sharing the cache (test
-    // and bench runs against one `target/`) never observe a torn file.
+    let _ = std::fs::create_dir_all(&target_dir);
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     let cached = save_library_file(&lib, &tmp)
         .map_err(|e| e.to_string())
         .and_then(|()| {
-            std::fs::rename(&tmp, path).map_err(|e| {
+            std::fs::rename(&tmp, &path).map_err(|e| {
                 let _ = std::fs::remove_file(&tmp);
                 format!("renaming {} into place: {e}", tmp.display())
             })
@@ -190,6 +156,29 @@ pub fn load_or_characterize(
         );
     }
     Ok(lib)
+}
+
+/// Returns a process-wide delay/slew library for
+/// [`Technology::nominal_45nm`], characterized with
+/// [`CharacterizeConfig::fast`] on first use and cached thereafter: in
+/// memory per process, and on disk through [`cached_library`] as
+/// `ctslib_fast.v1-<fingerprint>.txt`.
+///
+/// Flows that need the full-resolution library should ask
+/// [`cached_library`] for [`CharacterizeConfig::standard`] themselves (the
+/// benchmark binaries do, under `CTS_STANDARD_LIB=1`).
+///
+/// # Panics
+///
+/// Panics if characterization fails — with the nominal technology and fast
+/// config this indicates a broken build, not a recoverable condition.
+pub fn fast_library() -> &'static DelaySlewLibrary {
+    static LIB: OnceLock<DelaySlewLibrary> = OnceLock::new();
+    LIB.get_or_init(|| {
+        let tech = Technology::nominal_45nm();
+        cached_library("ctslib_fast", &tech, &CharacterizeConfig::fast())
+            .expect("fast characterization of the nominal technology must succeed")
+    })
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! held-out (off-grid) points, and must beat the closed-form baselines —
 //! the paper's core claim for its delay model (Chapter 3).
 
-use cts_spice::stages::{branch_stage, single_wire_stage, BranchConfig, SingleWireConfig};
+use cts_spice::stages::{stage, StageConfig};
 use cts_spice::units::*;
 use cts_spice::{SimOptions, Technology};
 use cts_timing::{fast_library, metrics, BufferId, Load, RcTree};
@@ -29,17 +29,16 @@ fn library_matches_simulation_off_grid() {
         (2, 2, 950.0, 700.0),
     ];
     for &(d, l, l_input, length) in &cases {
-        let cfg = SingleWireConfig {
-            input_buf: &buffers[1],
+        let cfg = StageConfig {
+            shaper: &buffers[1],
             l_input_um: l_input,
             drive: &buffers[d],
-            l_um: length,
-            load: &buffers[l],
+            arms: &[(length, &buffers[l])],
             wire: tech.wire(),
             ramp_slew: 80.0 * PS,
             rising: true,
         };
-        let truth = single_wire_stage(&tech, &cfg).measure(&opts()).unwrap();
+        let truth = stage(&tech, &cfg).measure(&opts()).unwrap();
         let pred = lib.single_wire(
             BufferId(d),
             Load::Buffer(BufferId(l)),
@@ -48,8 +47,8 @@ fn library_matches_simulation_off_grid() {
         );
 
         let err_intrinsic = (pred.buffer_delay - truth.intrinsic_delay).abs();
-        let err_wire = (pred.wire_delay - truth.wire_delay).abs();
-        let err_slew = (pred.output_slew - truth.wire_slew).abs();
+        let err_wire = (pred.wire_delay - truth.delay[0]).abs();
+        let err_slew = (pred.output_slew - truth.slew[0]).abs();
         // Tolerances: a few ps absolute or ~10 % relative, whichever is
         // looser — the fast config uses coarse quadratic fits.
         let tol = |truth_val: f64| (0.10 * truth_val).max(3.0 * PS);
@@ -60,16 +59,16 @@ fn library_matches_simulation_off_grid() {
             truth.intrinsic_delay / PS
         );
         assert!(
-            err_wire < tol(truth.wire_delay),
+            err_wire < tol(truth.delay[0]),
             "wire d={d} l={l}: pred {} ps vs truth {} ps",
             pred.wire_delay / PS,
-            truth.wire_delay / PS
+            truth.delay[0] / PS
         );
         assert!(
-            err_slew < tol(truth.wire_slew),
+            err_slew < tol(truth.slew[0]),
             "slew d={d} l={l}: pred {} ps vs truth {} ps",
             pred.output_slew / PS,
-            truth.wire_slew / PS
+            truth.slew[0] / PS
         );
     }
 }
@@ -82,19 +81,16 @@ fn branch_library_matches_simulation_off_grid() {
     let lib = fast_library();
     let buffers = tech.buffer_library();
 
-    let cfg = BranchConfig {
-        input_buf: &buffers[1],
+    let cfg = StageConfig {
+        shaper: &buffers[1],
         l_input_um: 350.0,
         drive: &buffers[1],
-        l_left_um: 300.0,
-        l_right_um: 1000.0,
-        load_left: &buffers[0],
-        load_right: &buffers[2],
+        arms: &[(300.0, &buffers[0]), (1000.0, &buffers[2])],
         wire: tech.wire(),
         ramp_slew: 80.0 * PS,
         rising: true,
     };
-    let truth = branch_stage(&tech, &cfg).measure(&opts()).unwrap();
+    let truth = stage(&tech, &cfg).measure(&opts()).unwrap();
     let pred = lib.branch(
         BufferId(1),
         (Load::Buffer(BufferId(0)), Load::Buffer(BufferId(2))),
@@ -104,22 +100,22 @@ fn branch_library_matches_simulation_off_grid() {
 
     let tol = |t: f64| (0.15 * t).max(4.0 * PS);
     assert!(
-        (pred.left_delay - truth.left_delay).abs() < tol(truth.left_delay),
+        (pred.left_delay - truth.delay[0]).abs() < tol(truth.delay[0]),
         "left delay: {} vs {} ps",
         pred.left_delay / PS,
-        truth.left_delay / PS
+        truth.delay[0] / PS
     );
     assert!(
-        (pred.right_delay - truth.right_delay).abs() < tol(truth.right_delay),
+        (pred.right_delay - truth.delay[1]).abs() < tol(truth.delay[1]),
         "right delay: {} vs {} ps",
         pred.right_delay / PS,
-        truth.right_delay / PS
+        truth.delay[1] / PS
     );
     assert!(
-        (pred.left_slew - truth.left_slew).abs() < tol(truth.left_slew),
+        (pred.left_slew - truth.slew[0]).abs() < tol(truth.slew[0]),
         "left slew: {} vs {} ps",
         pred.left_slew / PS,
-        truth.left_slew / PS
+        truth.slew[0] / PS
     );
     assert!(
         pred.right_slew > pred.left_slew,
@@ -189,17 +185,16 @@ fn library_beats_step_metrics_under_realistic_drive() {
     let buffers = tech.buffer_library();
     let length = 1400.0;
 
-    let cfg = SingleWireConfig {
-        input_buf: &buffers[1],
+    let cfg = StageConfig {
+        shaper: &buffers[1],
         l_input_um: 400.0,
         drive: &buffers[1],
-        l_um: length,
-        load: &buffers[1],
+        arms: &[(length, &buffers[1])],
         wire: tech.wire(),
         ramp_slew: 80.0 * PS,
         rising: true,
     };
-    let truth = single_wire_stage(&tech, &cfg).measure(&opts()).unwrap();
+    let truth = stage(&tech, &cfg).measure(&opts()).unwrap();
 
     let mut rc = RcTree::new(buffers[1].output_cap(&tech));
     let far = rc.add_wire(
@@ -211,14 +206,14 @@ fn library_beats_step_metrics_under_realistic_drive() {
     rc.add_cap(far, buffers[1].input_cap(&tech));
     let (m1, m2) = rc.m1_m2(far);
 
-    let err_d2m = (metrics::d2m_delay(m1, m2) - truth.wire_delay).abs();
+    let err_d2m = (metrics::d2m_delay(m1, m2) - truth.delay[0]).abs();
     let pred = lib.single_wire(
         BufferId(1),
         Load::Buffer(BufferId(1)),
         truth.input_slew,
         length,
     );
-    let err_lib = (pred.wire_delay - truth.wire_delay).abs();
+    let err_lib = (pred.wire_delay - truth.delay[0]).abs();
     assert!(
         err_lib < err_d2m,
         "library ({} ps err) must beat D2M ({} ps err) under realistic drive",
@@ -236,17 +231,16 @@ fn peri_slew_is_rough() {
     let tech = Technology::nominal_45nm();
     let buffers = tech.buffer_library();
     let length = 1000.0;
-    let cfg = SingleWireConfig {
-        input_buf: &buffers[1],
+    let cfg = StageConfig {
+        shaper: &buffers[1],
         l_input_um: 400.0,
         drive: &buffers[2],
-        l_um: length,
-        load: &buffers[1],
+        arms: &[(length, &buffers[1])],
         wire: tech.wire(),
         ramp_slew: 80.0 * PS,
         rising: true,
     };
-    let truth = single_wire_stage(&tech, &cfg).measure(&opts()).unwrap();
+    let truth = stage(&tech, &cfg).measure(&opts()).unwrap();
 
     let mut rc = RcTree::new(buffers[2].output_cap(&tech));
     let far = rc.add_wire(
@@ -263,5 +257,5 @@ fn peri_slew_is_rough() {
     let step = metrics::step_slew_s2m(m1, m2);
     let peri = metrics::peri_ramp_slew(step, truth.input_slew);
     // Same order of magnitude...
-    assert!(peri > 0.2 * truth.wire_slew && peri < 5.0 * truth.wire_slew);
+    assert!(peri > 0.2 * truth.slew[0] && peri < 5.0 * truth.slew[0]);
 }

@@ -7,7 +7,7 @@
 //! cargo run --release --example delay_library
 //! ```
 
-use cts::spice::stages::{single_wire_stage, SingleWireConfig};
+use cts::spice::stages::{stage, StageConfig};
 use cts::spice::units::{NS, PS};
 use cts::spice::SimOptions;
 use cts::timing::{BufferId, CharacterizeConfig, Load};
@@ -44,17 +44,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Held-out accuracy check: simulate an off-grid configuration.
     let buffers = tech.buffer_library();
-    let probe = SingleWireConfig {
-        input_buf: &buffers[1],
+    let probe = StageConfig {
+        shaper: &buffers[1],
         l_input_um: 650.0,
         drive: &buffers[1],
-        l_um: 777.0,
-        load: &buffers[1],
+        arms: &[(777.0, &buffers[1])],
         wire: tech.wire(),
         ramp_slew: 80.0 * PS,
         rising: true,
     };
-    let truth = single_wire_stage(&tech, &probe).measure(&SimOptions::default_for(5.0 * NS))?;
+    let truth = stage(&tech, &probe).measure(&SimOptions::default_for(5.0 * NS))?;
     let pred = library.single_wire(drive, load, truth.input_slew, 777.0);
     println!(
         "\nheld-out point (777 µm, measured slew {:.1} ps):",
@@ -62,12 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  wire delay: simulated {:.2} ps vs library {:.2} ps",
-        truth.wire_delay / PS,
+        truth.delay[0] / PS,
         pred.wire_delay / PS
     );
     println!(
         "  wire slew:  simulated {:.2} ps vs library {:.2} ps",
-        truth.wire_slew / PS,
+        truth.slew[0] / PS,
         pred.output_slew / PS
     );
     Ok(())
