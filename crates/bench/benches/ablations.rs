@@ -28,7 +28,6 @@ fn ablate_integrator(c: &mut Criterion) {
             Waveform::rising_ramp_10_90(50.0 * PS, 80.0 * PS, tech.vdd()),
         );
         let mut opts = SimOptions::default_for(2.0 * NS);
-        opts.dt = 0.5 * PS;
         opts.integrator = integ;
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{integ:?}")),

@@ -199,8 +199,7 @@ fn bench_transient_sim(c: &mut Criterion) {
             vin,
             Waveform::rising_ramp_10_90(50.0 * PS, 80.0 * PS, tech.vdd()),
         );
-        let mut opts = SimOptions::default_for(2.0 * NS);
-        opts.dt = 0.5 * PS;
+        let opts = SimOptions::default_for(2.0 * NS);
         group.bench_with_input(
             BenchmarkId::from_parameter(len as u64),
             &(circuit, opts),

@@ -15,8 +15,7 @@ fn main() {
     let tech = Technology::nominal_45nm();
     let buffers = tech.buffer_library();
     let (buf20, buf30) = (&buffers[1], &buffers[2]);
-    let mut opts = SimOptions::default_for(10.0 * NS);
-    opts.dt = 0.5 * PS;
+    let opts = SimOptions::default_for(10.0 * NS);
 
     println!("== Figure 1.1: wire output slew vs wire length (SPICE sweep) ==");
     println!(

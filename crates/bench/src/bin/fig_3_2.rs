@@ -15,8 +15,7 @@ fn main() {
     let tech = Technology::nominal_45nm();
     let buffers = tech.buffer_library();
     let drive = &buffers[1];
-    let mut opts = SimOptions::default_for(8.0 * NS);
-    opts.dt = 0.5 * PS;
+    let opts = SimOptions::default_for(8.0 * NS);
 
     println!("== Figure 3.2: curve vs ramp input, same 10-90% slew ==\n");
     println!(

@@ -7,14 +7,15 @@
 //! ```
 
 use cts::spice::units::PS;
-use cts::timing::{sweep, BufferId, CharacterizeConfig, Load};
+use cts::timing::{sweep, BufferId, Load};
 use cts::Technology;
-use cts_bench::library;
+use cts_bench::{library, library_config};
 
 fn main() {
     let tech = Technology::nominal_45nm();
     let lib = library(&tech);
-    let cfg = CharacterizeConfig::standard();
+    // Sweep with the library's own config: the residuals are its fit's.
+    let (_, cfg) = library_config();
 
     // The paper plots one (drive, load) combination; use 20X -> 20X.
     let (drive, load) = (1usize, 1usize);
@@ -28,7 +29,7 @@ fn main() {
         "slew (ps)", "length (µm)", "intrinsic (ps)"
     );
     let samples = sweep(&tech, drive, &[load], &cfg.wire_lengths_um, &cfg).expect("sweep");
-    for s in samples.iter().step_by(4) {
+    for s in &samples {
         println!(
             "{:>14.1} {:>14.0} {:>16.2}",
             s.measured.input_slew / PS,

@@ -7,14 +7,15 @@
 //! ```
 
 use cts::spice::units::PS;
-use cts::timing::{sweep, BufferId, CharacterizeConfig, Load};
+use cts::timing::{sweep, BufferId, Load};
 use cts::Technology;
-use cts_bench::library;
+use cts_bench::{library, library_config};
 
 fn main() {
     let tech = Technology::nominal_45nm();
     let lib = library(&tech);
-    let cfg = CharacterizeConfig::standard();
+    // Sweep with the library's own config: the residuals are its fit's.
+    let (_, cfg) = library_config();
     let (drive, ll, lr) = (1usize, 1usize, 1usize);
     let slew = 80.0 * PS;
 

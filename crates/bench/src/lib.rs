@@ -6,32 +6,36 @@
 //! row formatting.
 
 use cts::spice::units::{NS, PS};
+use cts::timing::CharacterizeConfig;
 use cts::{
     BatchItem, BatchOptions, BatchRunner, CtsOptions, DelaySlewLibrary, Instance, Technology,
 };
 
-/// Loads (or characterizes and caches) the delay library the binaries use.
-///
-/// Default is the fast configuration: [`cts::timing::fast_library`]. Set
-/// `CTS_STANDARD_LIB=1` for the paper-scale characterization of `tech`
-/// (slower first run). Both come through [`cts::timing::cached_library`],
-/// so both disk caches are named by a fingerprint of the technology and
-/// the characterization config.
+/// The characterization the binaries use, as its disk-cache stem and
+/// config: [`CharacterizeConfig::fast`] by default,
+/// [`CharacterizeConfig::standard`] (paper scale, slower first run) when
+/// `CTS_STANDARD_LIB` is set.
+pub fn library_config() -> (&'static str, CharacterizeConfig) {
+    if std::env::var("CTS_STANDARD_LIB").is_err() {
+        ("ctslib_fast", CharacterizeConfig::fast())
+    } else {
+        ("ctslib_standard", CharacterizeConfig::standard())
+    }
+}
+
+/// Loads (or characterizes and caches) the delay library of `tech` the
+/// binaries use, with [`library_config`], through
+/// [`cts::timing::cached_library`]. For the nominal technology and the
+/// fast config that is the same disk cache as [`cts::timing::fast_library`].
 ///
 /// # Panics
 ///
 /// Panics if characterization fails — the binaries cannot run without a
 /// library.
 pub fn library(tech: &Technology) -> DelaySlewLibrary {
-    if std::env::var("CTS_STANDARD_LIB").is_err() {
-        return cts::timing::fast_library().clone();
-    }
-    cts::timing::cached_library(
-        "ctslib_standard",
-        tech,
-        &cts::timing::CharacterizeConfig::standard(),
-    )
-    .expect("delay library characterization must succeed")
+    let (stem, cfg) = library_config();
+    cts::timing::cached_library(stem, tech, &cfg)
+        .expect("delay library characterization must succeed")
 }
 
 /// One row of a Table 5.1/5.2-style report.

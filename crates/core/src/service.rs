@@ -419,10 +419,10 @@ pub struct ServiceMetrics {
     /// Verification stages replayed from the workers' shared incremental
     /// stage store without simulating.
     pub stages_reused: u64,
-    /// Simulations that reused a cached solve plan (symbolic
-    /// factorization / elimination order).
+    /// Plan-cache hits: simulations that reused a cached solve plan
+    /// (partition and elimination order).
     pub symbolic_hits: u64,
-    /// Simulations that had to build a solve plan from scratch.
+    /// Plan-cache misses: simulations that had to build a solve plan.
     pub symbolic_misses: u64,
     /// Cumulative wall time inside the topology-matching stage of the
     /// synthesis runs (s), summed across workers. A sub-division of

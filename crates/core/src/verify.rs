@@ -124,11 +124,12 @@ pub struct VerifyStats {
     pub stages_extended: u64,
     /// Transient timesteps taken, extensions of replayed stages included.
     pub steps_simulated: u64,
-    /// Stage runs, started or resumed, that reused a cached solve plan
-    /// (symbolic factorization / elimination order) from the solver
-    /// context.
+    /// Plan-cache hits: stage runs, started or resumed, that reused a
+    /// cached solve plan (partition and elimination order) from the
+    /// solver context.
     pub symbolic_hits: u64,
-    /// Stage runs, started or resumed, that had to build a solve plan.
+    /// Plan-cache misses: stage runs, started or resumed, that had to
+    /// build a solve plan.
     pub symbolic_misses: u64,
 }
 
@@ -514,10 +515,10 @@ impl Live {
 ///
 /// A `Verifier` carries two caches across [`Verifier::verify`] calls:
 ///
-/// * its own [`SolverContext`] of solve plans (partition, elimination
-///   order, symbolic factorization), reused whenever any two stage
-///   circuits share a topology — within one tree, across repeated
-///   verifies, and across *different* trees of the same design;
+/// * its own [`SolverContext`] of solve plans (partition and elimination
+///   order), reused whenever any two stage circuits share a topology —
+///   within one tree, across repeated verifies, and across *different*
+///   trees of the same design;
 /// * a handle to a stage store keyed by a fingerprint chaining each
 ///   stage's netlist content with its input-waveform lineage, letting
 ///   re-verification of an edited tree skip every stage the edit cannot

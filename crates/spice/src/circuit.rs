@@ -325,7 +325,7 @@ impl Circuit {
     /// device sizes, waveforms) and node names.
     ///
     /// Two circuits with equal fingerprints admit the same solve plan
-    /// (component partition, elimination order, symbolic factorization);
+    /// (component partition and elimination order);
     /// [`crate::SolverContext`] uses this as its cache key.
     pub fn topology_fingerprint(&self) -> u128 {
         let mut h = Fnv1a::default();

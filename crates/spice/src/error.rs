@@ -17,6 +17,13 @@ pub enum SimError {
     /// (e.g. a ring oscillator); the staged solver requires feed-forward
     /// circuits, which all CTS structures are.
     FeedbackLoop,
+    /// The resistors of one component form a loop, through the named
+    /// node. The solver takes resistive trees only: every circuit of the
+    /// CTS flow is a buffered RC tree.
+    ResistorLoop {
+        /// A node on the loop.
+        node: String,
+    },
     /// Newton iteration failed to converge at time `t` (seconds) in the
     /// component containing the named node.
     NewtonDiverged {
@@ -43,6 +50,10 @@ impl fmt::Display for SimError {
             SimError::FeedbackLoop => {
                 write!(f, "inverter dependencies form a feedback loop")
             }
+            SimError::ResistorLoop { node } => write!(
+                f,
+                "resistors form a loop through node {node}; only resistive trees are solved"
+            ),
             SimError::NewtonDiverged { t, node } => write!(
                 f,
                 "newton iteration diverged at t = {:.3e} s near node {node}",
@@ -70,6 +81,8 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("n3") && s.contains("1.000e-10"));
+        let e = SimError::ResistorLoop { node: "n7".into() };
+        assert!(e.to_string().contains("n7"));
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! * [`Circuit`] — netlists of resistors, grounded capacitors, square-law
 //!   CMOS inverters/buffers and piecewise-linear voltage sources,
 //! * [`simulate`] — backward-Euler / trapezoidal transient analysis with
-//!   Newton iteration on the nonlinear devices, using an O(n) solver on
-//!   tree-structured resistive components and a sparse LDLᵀ factorization
-//!   ([`sparse`]) for meshes; [`simulate_with`] reuses solve plans
-//!   (partition, elimination order, symbolic factorization) across runs
-//!   through a [`SolverContext`]; [`Transient`] is the same run advanced
-//!   in pieces, saved and resumed,
+//!   Newton iteration on the nonlinear devices and an O(n) solver on the
+//!   resistive components, which must be trees (a resistor loop is a
+//!   [`SimError::ResistorLoop`]); [`simulate_observed_with`] reuses solve
+//!   plans (partition, elimination order) across runs through a
+//!   [`SolverContext`]; [`Transient`] is the same run advanced in pieces,
+//!   saved and resumed,
 //! * [`Waveform`] — sampled waveforms with the measurements CTS needs:
 //!   50 % crossing delay and 10–90 % slew ([`WaveformRef`] takes them on
 //!   borrowed samples),
@@ -67,7 +67,6 @@ mod circuit;
 mod device;
 mod error;
 mod solver;
-pub mod sparse;
 pub mod stages;
 pub mod units;
 mod waveform;
@@ -76,7 +75,7 @@ pub use circuit::{Circuit, NodeId, WireParams};
 pub use device::{BufferType, Technology};
 pub use error::SimError;
 pub use solver::{
-    simulate, simulate_observed_with, simulate_with, EndState, GeneralSolver, Integrator,
-    SimOptions, SolverContext, Transient, TransientResult,
+    simulate, simulate_observed_with, EndState, Integrator, SimOptions, SolverContext, Transient,
+    TransientResult,
 };
 pub use waveform::{Waveform, WaveformRef};

@@ -1,5 +1,5 @@
 //! Transient analysis: staged Newton solves over tree-structured resistive
-//! components, with cached solve plans and sparse factorization.
+//! components, with cached solve plans.
 //!
 //! CTS circuits are feed-forward: resistive (wire) components are RC trees,
 //! and the only couplings between them are unilateral CMOS gates (a gate
@@ -7,11 +7,11 @@
 //! exploits this:
 //!
 //! 1. Nodes are partitioned into *components* — connected subgraphs of the
-//!    resistor graph. Components that are trees (the normal case) are solved
-//!    in O(n) by leaf-to-root elimination; anything else is solved by a
-//!    sparse `L D Lᵀ` factorization with a fill-reducing ordering (see
-//!    [`crate::sparse`]), with the historical dense-LU path kept behind
-//!    [`GeneralSolver::DenseLu`] as an exactness/ablation flag.
+//!    resistor graph. Every component must be a tree, solved in O(n) by
+//!    leaf-to-root elimination; a resistor loop is rejected with
+//!    [`SimError::ResistorLoop`]. Every circuit of the paper's flow — the
+//!    characterization stages and each verified clock-tree stage — adds
+//!    one wire or resistor per new node, so it is a forest.
 //! 2. Components are ordered topologically along inverter input→output
 //!    dependencies and solved in that order at every timestep, so each
 //!    gate's input waveform is already known when its output component is
@@ -20,9 +20,9 @@
 //!    nonlinearity; the linear part (wire G, cap companion models) stays
 //!    fixed across iterations.
 //!
-//! The partition, elimination orders and symbolic factorizations depend
-//! only on circuit *topology*, not on element values, so they are computed
-//! once per topology and cached in a [`SolverContext`] keyed by
+//! The partition and the elimination orders depend only on circuit
+//! *topology*, not on element values, so they are computed once per
+//! topology and cached in a [`SolverContext`] keyed by
 //! [`Circuit::topology_fingerprint`]. Repeated simulations of the same
 //! circuit family — a characterization sweep, repeated verification of a
 //! clock tree — reuse the plan and only re-stamp numeric values.
@@ -47,7 +47,6 @@
 
 use crate::circuit::{Circuit, NodeId};
 use crate::error::SimError;
-use crate::sparse::{NumericLdl, SymbolicLdl};
 use crate::units::PS;
 use crate::waveform::{Waveform, WaveformRef};
 use std::collections::HashMap;
@@ -69,21 +68,6 @@ pub enum Integrator {
     Trapezoidal,
 }
 
-/// How non-tree ("general") resistive components are solved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GeneralSolver {
-    /// Sparse `L D Lᵀ` with a fill-reducing ordering and a cached symbolic
-    /// pattern (the default). Results agree with [`GeneralSolver::DenseLu`]
-    /// to solver tolerance (enforced by property tests) but are not
-    /// bit-identical to it.
-    #[default]
-    SparseLdl,
-    /// Dense LU with partial pivoting — the historical fallback, kept as
-    /// the exactness flag: it reproduces pre-sparse results bit-for-bit
-    /// and anchors the sparse-vs-dense property tests.
-    DenseLu,
-}
-
 /// Options controlling a transient run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOptions {
@@ -97,22 +81,19 @@ pub struct SimOptions {
     pub newton_tol: f64,
     /// Maximum Newton iterations per component per timestep.
     pub max_newton: usize,
-    /// Solver for non-tree resistive components. Tree components (the
-    /// normal case) always use the O(n) elimination and are unaffected.
-    pub general_solver: GeneralSolver,
 }
 
 impl SimOptions {
-    /// Reasonable defaults for ps-scale CTS circuits: 0.25 ps trapezoidal
-    /// steps, 1 µV Newton tolerance.
+    /// Reasonable defaults for ps-scale CTS circuits: 0.5 ps trapezoidal
+    /// steps (the step of characterization and verification), 1 µV Newton
+    /// tolerance.
     pub fn default_for(t_stop: f64) -> SimOptions {
         SimOptions {
             t_stop,
-            dt: 0.25 * PS,
+            dt: 0.5 * PS,
             integrator: Integrator::default(),
             newton_tol: 1e-6,
             max_newton: 60,
-            general_solver: GeneralSolver::default(),
         }
     }
 
@@ -152,8 +133,8 @@ impl SimOptions {
 }
 
 /// Result of a transient run: sampled voltages for the observed nodes
-/// (every node for [`simulate`]/[`simulate_with`]; the requested subset
-/// for [`simulate_observed_with`] and [`Transient`]).
+/// (every node for [`simulate`]; the requested subset for
+/// [`simulate_observed_with`] and [`Transient`]).
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     times: Vec<f64>,
@@ -236,32 +217,21 @@ struct PlanDriver {
     inv_idx: usize,
 }
 
-enum PlanKind {
-    /// Tree component: `order` is a leaf-first elimination order over local
-    /// indices; `parent[i]`/`res_idx[i]` give each local node's parent and
-    /// the index of the connecting resistor (root has no parent).
-    Tree {
-        order: Vec<usize>,
-        parent: Vec<Option<usize>>,
-        res_idx: Vec<usize>,
-    },
-    /// General component: local resistor list `(local_a, local_b,
-    /// resistor index)` plus the symbolic factorization of its pattern.
-    General {
-        edges: Vec<(usize, usize, usize)>,
-        sym: SymbolicLdl,
-    },
-}
-
+/// One resistive component: a tree rooted at local index 0. Local indices
+/// follow breadth-first order from the root, so every node comes after its
+/// parent and descending local order is a leaf-first elimination order.
 struct PlanComp {
     /// Global node index per local index.
     nodes: Vec<usize>,
-    kind: PlanKind,
+    /// Local index of each node's parent (`0`, unused, at the root).
+    parent: Vec<usize>,
+    /// Index of the resistor to each node's parent (unused at the root).
+    res_idx: Vec<usize>,
     drivers: Vec<PlanDriver>,
     /// Local indices of driven (source) nodes, with source table index.
     dirichlet: Vec<(usize, usize)>,
-    /// Tree component whose drivers (if any) all sit at the elimination
-    /// root: eligible for the hoisted-factorization transient path.
+    /// Drivers (if any) all sit at the root: eligible for the
+    /// hoisted-factorization transient path.
     fast: bool,
 }
 
@@ -290,11 +260,11 @@ impl Plan {
     }
 }
 
-/// Reusable solver state: a cache of solve plans (partition, elimination
-/// orders, symbolic factorizations) keyed by circuit topology fingerprint.
+/// Reusable solver state: a cache of solve plans (partition and
+/// elimination orders) keyed by circuit topology fingerprint.
 ///
-/// Simulating through a context with [`simulate_with`] or
-/// [`simulate_observed_with`] reuses the plan whenever the same circuit
+/// Simulating through a context with [`simulate_observed_with`] or
+/// [`Transient`] reuses the plan whenever the same circuit
 /// *topology* recurs — element values are re-stamped on every run, so
 /// plan reuse never changes results. A characterization sweep or a
 /// repeated tree verification hits the cache on all but the first
@@ -315,26 +285,14 @@ impl SolverContext {
         SolverContext::default()
     }
 
-    /// Number of simulations that reused a cached plan (symbolic
-    /// factorization hits).
+    /// Plan-cache hits: runs that reused a cached solve plan.
     pub fn symbolic_hits(&self) -> u64 {
         self.hits
     }
 
-    /// Number of simulations that had to build a plan (symbolic
-    /// factorization misses).
+    /// Plan-cache misses: runs that had to build a solve plan.
     pub fn symbolic_misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of plans currently cached.
-    pub fn cached_plans(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Drops all cached plans (counters are kept).
-    pub fn clear(&mut self) {
-        self.plans.clear();
     }
 
     fn plan_for(&mut self, circuit: &Circuit) -> Result<Arc<Plan>, SimError> {
@@ -370,80 +328,45 @@ fn build_plan(circuit: &Circuit) -> Result<Plan, SimError> {
     }
 
     let mut comp_of = vec![usize::MAX; n];
-    let mut components = Vec::new();
+    let mut local_of = vec![usize::MAX; n];
+    let mut components: Vec<PlanComp> = Vec::new();
     for start in 0..n {
         if comp_of[start] != usize::MAX {
             continue;
         }
         let cid = components.len();
-        // BFS, building a spanning tree; detect extra edges -> not a tree.
-        let mut nodes = vec![start];
+        // Breadth-first from `start`: the resistor that first reaches a
+        // node is its tree edge; any other resistor to a reached node
+        // closes a loop.
+        let mut comp = PlanComp {
+            nodes: vec![start],
+            parent: vec![0],
+            res_idx: vec![usize::MAX],
+            drivers: Vec::new(),
+            dirichlet: Vec::new(),
+            fast: false,
+        };
         comp_of[start] = cid;
-        let mut parent_global: Vec<Option<usize>> = vec![None];
-        let mut parent_res: Vec<usize> = vec![usize::MAX];
-        let mut edge_count = 0usize;
+        local_of[start] = 0;
         let mut head = 0;
-        while head < nodes.len() {
-            let u = nodes[head];
+        while head < comp.nodes.len() {
+            let u = comp.nodes[head];
             for &(v, ri) in &adj[u] {
-                edge_count += 1;
                 if comp_of[v] == usize::MAX {
                     comp_of[v] = cid;
-                    nodes.push(v);
-                    parent_global.push(Some(u));
-                    parent_res.push(ri);
+                    local_of[v] = comp.nodes.len();
+                    comp.nodes.push(v);
+                    comp.parent.push(head);
+                    comp.res_idx.push(ri);
+                } else if ri != comp.res_idx[head] {
+                    return Err(SimError::ResistorLoop {
+                        node: circuit.node_name(NodeId(u as u32)).to_string(),
+                    });
                 }
             }
             head += 1;
         }
-        // Each resistor was counted twice (both directions).
-        let is_tree = edge_count / 2 == nodes.len() - 1;
-
-        let mut local = HashMap::with_capacity(nodes.len());
-        for (li, &g) in nodes.iter().enumerate() {
-            local.insert(g, li);
-        }
-
-        let kind = if is_tree {
-            // BFS order has parents before children; reverse for leaf-first.
-            let mut order: Vec<usize> = (0..nodes.len()).collect();
-            order.reverse();
-            let parent = parent_global.iter().map(|p| p.map(|g| local[&g])).collect();
-            PlanKind::Tree {
-                order,
-                parent,
-                res_idx: parent_res,
-            }
-        } else {
-            let mut edges = Vec::new();
-            for (ri, r) in circuit.resistors.iter().enumerate() {
-                let (a, b) = (r.a.index(), r.b.index());
-                if comp_of[a] == cid {
-                    edges.push((local[&a], local[&b], ri));
-                }
-            }
-            let sym = SymbolicLdl::analyze(
-                nodes.len(),
-                &edges.iter().map(|&(a, b, _)| (a, b)).collect::<Vec<_>>(),
-            );
-            PlanKind::General { edges, sym }
-        };
-
-        components.push(PlanComp {
-            nodes,
-            kind,
-            drivers: Vec::new(),
-            dirichlet: Vec::new(),
-            fast: false,
-        });
-    }
-
-    // `local_of` via a global map (components are disjoint).
-    let mut local_of = vec![usize::MAX; n];
-    for comp in &components {
-        for (li, &g) in comp.nodes.iter().enumerate() {
-            local_of[g] = li;
-        }
+        components.push(comp);
     }
 
     for (inv_idx, inv) in circuit.inverters.iter().enumerate() {
@@ -466,8 +389,7 @@ fn build_plan(circuit: &Circuit) -> Result<Plan, SimError> {
         components[comp_of[g]].dirichlet.push((local_of[g], si));
     }
     for comp in &mut components {
-        comp.fast = matches!(comp.kind, PlanKind::Tree { .. })
-            && comp.drivers.iter().all(|d| d.out_local == 0);
+        comp.fast = comp.drivers.iter().all(|d| d.out_local == 0);
     }
 
     // Topological order over inverter dependencies (Kahn's algorithm).
@@ -508,78 +430,23 @@ fn build_plan(circuit: &Circuit) -> Result<Plan, SimError> {
     })
 }
 
-/// Solves `A x = rhs` where `A` is the tree matrix with diagonal `diag` and
-/// off-diagonal `-g_par[i]` between each node and its parent. `order` is
-/// leaf-first. Overwrites `diag`/`rhs` as scratch; returns voltages in
-/// `out`.
-fn solve_tree(
-    order: &[usize],
-    parent: &[Option<usize>],
-    g_par: &[f64],
-    diag: &mut [f64],
-    rhs: &mut [f64],
-    out: &mut [f64],
-) {
+/// Solves `A x = rhs` where `A` is the tree matrix of `comp` with diagonal
+/// `diag` and off-diagonal `-g_par[i]` between each node and its parent.
+/// Overwrites `diag`/`rhs` as scratch; returns voltages in `out`.
+fn solve_tree(comp: &PlanComp, g_par: &[f64], diag: &mut [f64], rhs: &mut [f64], out: &mut [f64]) {
+    let parent = &comp.parent;
     // Leaf-to-root elimination.
-    for &i in order {
-        if let Some(p) = parent[i] {
-            let factor = g_par[i] / diag[i];
-            diag[p] -= g_par[i] * factor;
-            rhs[p] += factor * rhs[i];
-        }
+    for i in (1..parent.len()).rev() {
+        let p = parent[i];
+        let factor = g_par[i] / diag[i];
+        diag[p] -= g_par[i] * factor;
+        rhs[p] += factor * rhs[i];
     }
-    // Root-to-leaf back-substitution (reverse order = parents first).
-    for &i in order.iter().rev() {
-        match parent[i] {
-            None => out[i] = rhs[i] / diag[i],
-            Some(p) => out[i] = (rhs[i] + g_par[i] * out[p]) / diag[i],
-        }
+    // Root-to-leaf back-substitution (parents first).
+    out[0] = rhs[0] / diag[0];
+    for (i, &p) in parent.iter().enumerate().skip(1) {
+        out[i] = (rhs[i] + g_par[i] * out[p]) / diag[i];
     }
-}
-
-/// Dense LU solve with partial pivoting. `a` is row-major `n x n`.
-/// Returns `false` if the matrix is singular.
-fn solve_dense(a: &mut [f64], n: usize, rhs: &mut [f64]) -> bool {
-    for col in 0..n {
-        // Pivot.
-        let mut piv = col;
-        let mut best = a[col * n + col].abs();
-        for row in (col + 1)..n {
-            let v = a[row * n + col].abs();
-            if v > best {
-                best = v;
-                piv = row;
-            }
-        }
-        if best < 1e-300 {
-            return false;
-        }
-        if piv != col {
-            for k in 0..n {
-                a.swap(col * n + k, piv * n + k);
-            }
-            rhs.swap(col, piv);
-        }
-        let d = a[col * n + col];
-        for row in (col + 1)..n {
-            let f = a[row * n + col] / d;
-            if f == 0.0 {
-                continue;
-            }
-            for k in col..n {
-                a[row * n + k] -= f * a[col * n + k];
-            }
-            rhs[row] -= f * rhs[col];
-        }
-    }
-    for row in (0..n).rev() {
-        let mut acc = rhs[row];
-        for k in (row + 1)..n {
-            acc -= a[row * n + k] * rhs[k];
-        }
-        rhs[row] = acc / a[row * n + row];
-    }
-    true
 }
 
 /// Per-component numeric state for one run: stamped values, the hoisted
@@ -587,10 +454,8 @@ fn solve_dense(a: &mut [f64], n: usize, rhs: &mut [f64]) -> bool {
 struct CompState {
     /// Constant per-node linear conductance: gmin + resistor incidences.
     diag_base: Vec<f64>,
-    /// Trees: conductance to parent (`0.0` at the root).
+    /// Conductance to the parent (`0.0` at the root).
     g_par: Vec<f64>,
-    /// Generals: conductance per plan edge.
-    g_edge: Vec<f64>,
     /// Transient capacitor companion term `cap_scale * C / dt` per local
     /// node (fast components only).
     coh: Vec<f64>,
@@ -608,49 +473,27 @@ struct CompState {
     rhs: Vec<f64>,
     v_iter: Vec<f64>,
     v_next: Vec<f64>,
-    dense: Vec<f64>,
-    num: NumericLdl,
 }
 
 fn build_state(comp: &PlanComp, circuit: &Circuit, cap_scale: f64, dt: f64) -> CompState {
-    let gmin = circuit.tech().gmin();
     let cn = comp.nodes.len();
-    let mut diag_base = vec![gmin; cn];
-    let mut g_par = Vec::new();
-    let mut g_edge = Vec::new();
-    match &comp.kind {
-        PlanKind::Tree {
-            parent, res_idx, ..
-        } => {
-            g_par = vec![0.0; cn];
-            for i in 0..cn {
-                if parent[i].is_some() {
-                    g_par[i] = 1.0 / circuit.resistors[res_idx[i]].ohms;
-                }
-            }
-            for i in 0..cn {
-                if let Some(p) = parent[i] {
-                    diag_base[i] += g_par[i];
-                    diag_base[p] += g_par[i];
-                }
-            }
-        }
-        PlanKind::General { edges, .. } => {
-            g_edge = edges
+    let parent = &comp.parent;
+    let g_par: Vec<f64> = std::iter::once(0.0)
+        .chain(
+            comp.res_idx[1..]
                 .iter()
-                .map(|&(_, _, ri)| 1.0 / circuit.resistors[ri].ohms)
-                .collect();
-            for (&(a, b, _), &g) in edges.iter().zip(&g_edge) {
-                diag_base[a] += g;
-                diag_base[b] += g;
-            }
-        }
+                .map(|&ri| 1.0 / circuit.resistors[ri].ohms),
+        )
+        .collect();
+    let mut diag_base = vec![circuit.tech().gmin(); cn];
+    for i in 1..cn {
+        diag_base[i] += g_par[i];
+        diag_base[parent[i]] += g_par[i];
     }
 
     let mut s = CompState {
         diag_base,
         g_par,
-        g_edge,
         coh: Vec::new(),
         ediag: Vec::new(),
         factor: Vec::new(),
@@ -659,8 +502,6 @@ fn build_state(comp: &PlanComp, circuit: &Circuit, cap_scale: f64, dt: f64) -> C
         rhs: vec![0.0; cn],
         v_iter: vec![0.0; cn],
         v_next: vec![0.0; cn],
-        dense: Vec::new(),
-        num: NumericLdl::default(),
     };
 
     if comp.fast {
@@ -670,10 +511,6 @@ fn build_state(comp: &PlanComp, circuit: &Circuit, cap_scale: f64, dt: f64) -> C
         // assembly exactly (base + companion term, then the Dirichlet
         // penalty, then leaf-first elimination), keeping results
         // bit-identical to the unhoisted solve.
-        let (order, parent) = match &comp.kind {
-            PlanKind::Tree { order, parent, .. } => (order, parent),
-            PlanKind::General { .. } => unreachable!("fast implies tree"),
-        };
         s.coh = comp
             .nodes
             .iter()
@@ -685,17 +522,16 @@ fn build_state(comp: &PlanComp, circuit: &Circuit, cap_scale: f64, dt: f64) -> C
         }
         s.factor = vec![0.0; cn];
         let defer_root = !comp.drivers.is_empty();
-        for &i in order {
-            if let Some(p) = parent[i] {
-                s.factor[i] = s.g_par[i] / s.ediag[i];
-                if p == 0 && defer_root {
-                    // The driver stamp must hit the root diagonal before
-                    // the children's elimination terms; defer them to the
-                    // per-iteration root update.
-                    s.root_kids.push(i);
-                } else {
-                    s.ediag[p] -= s.g_par[i] * s.factor[i];
-                }
+        for i in (1..cn).rev() {
+            let p = parent[i];
+            s.factor[i] = s.g_par[i] / s.ediag[i];
+            if p == 0 && defer_root {
+                // The driver stamp must hit the root diagonal before the
+                // children's elimination terms; defer them to the
+                // per-iteration root update.
+                s.root_kids.push(i);
+            } else {
+                s.ediag[p] -= s.g_par[i] * s.factor[i];
             }
         }
     }
@@ -709,25 +545,12 @@ fn build_state(comp: &PlanComp, circuit: &Circuit, cap_scale: f64, dt: f64) -> C
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for empty circuits, invalid options, feedback loops
-/// between gate stages, or numerical failure (divergence, non-finite
-/// solutions).
+/// Returns [`SimError`] for empty circuits, invalid options, resistor
+/// loops, feedback loops between gate stages, or numerical failure
+/// (divergence, non-finite solutions).
 pub fn simulate(circuit: &Circuit, opts: &SimOptions) -> Result<TransientResult, SimError> {
-    simulate_with(&mut SolverContext::new(), circuit, opts)
-}
-
-/// [`simulate`], reusing cached solve plans from `ctx`.
-///
-/// # Errors
-///
-/// As for [`simulate`].
-pub fn simulate_with(
-    ctx: &mut SolverContext,
-    circuit: &Circuit,
-    opts: &SimOptions,
-) -> Result<TransientResult, SimError> {
     let all: Vec<NodeId> = (0..circuit.node_count() as u32).map(NodeId).collect();
-    simulate_observed_with(ctx, circuit, opts, &all)
+    simulate_observed_with(&mut SolverContext::new(), circuit, opts, &all)
 }
 
 /// [`simulate`], reusing cached solve plans from `ctx` and recording only
@@ -1068,10 +891,7 @@ fn newton_fast_tree(
 ) -> Result<(), Diverged> {
     let tech = circuit.tech();
     let cn = comp.nodes.len();
-    let (order, parent) = match &comp.kind {
-        PlanKind::Tree { order, parent, .. } => (order, parent),
-        PlanKind::General { .. } => unreachable!("fast implies tree"),
-    };
+    let parent = &comp.parent;
     let linear = comp.drivers.is_empty();
 
     // Per-step right-hand side: companion currents, history, sources.
@@ -1090,13 +910,12 @@ fn newton_fast_tree(
     // present, contributions into the root are deferred to the iteration
     // loop so they land after the driver stamp (matching the
     // straightforward assembly order).
-    for &i in order {
-        if let Some(p) = parent[i] {
-            if p == 0 && !linear {
-                continue;
-            }
-            s.rhs[p] += s.factor[i] * s.rhs[i];
+    for i in (1..cn).rev() {
+        let p = parent[i];
+        if p == 0 && !linear {
+            continue;
         }
+        s.rhs[p] += s.factor[i] * s.rhs[i];
     }
 
     for _iter in 0..opts.max_newton {
@@ -1122,11 +941,9 @@ fn newton_fast_tree(
         }
 
         // Root-to-leaf back-substitution.
-        for &i in order.iter().rev() {
-            match parent[i] {
-                None => s.v_next[i] = r0 / d0,
-                Some(p) => s.v_next[i] = (s.rhs[i] + s.g_par[i] * s.v_next[p]) / s.ediag[i],
-            }
+        s.v_next[0] = r0 / d0;
+        for (i, &p) in parent.iter().enumerate().skip(1) {
+            s.v_next[i] = (s.rhs[i] + s.g_par[i] * s.v_next[p]) / s.ediag[i];
         }
 
         // Damped update + convergence check.
@@ -1202,35 +1019,7 @@ fn newton_generic(
         }
 
         // Solve the linearized system.
-        match &comp.kind {
-            PlanKind::Tree { order, parent, .. } => {
-                let (diag, rhs) = (&mut s.diag, &mut s.rhs);
-                solve_tree(order, parent, &s.g_par, diag, rhs, &mut s.v_next);
-            }
-            PlanKind::General { edges, sym } => match opts.general_solver {
-                GeneralSolver::SparseLdl => {
-                    if !sym.factor_into(&s.diag, &s.g_edge, &mut s.num) {
-                        return Err(Diverged);
-                    }
-                    sym.solve_into(&mut s.num, &s.rhs, &mut s.v_next);
-                }
-                GeneralSolver::DenseLu => {
-                    s.dense.clear();
-                    s.dense.resize(cn * cn, 0.0);
-                    for li in 0..cn {
-                        s.dense[li * cn + li] = s.diag[li];
-                    }
-                    for (&(a, b, _), &g) in edges.iter().zip(&s.g_edge) {
-                        s.dense[a * cn + b] -= g;
-                        s.dense[b * cn + a] -= g;
-                    }
-                    s.v_next.copy_from_slice(&s.rhs);
-                    if !solve_dense(&mut s.dense, cn, &mut s.v_next) {
-                        return Err(Diverged);
-                    }
-                }
-            },
-        }
+        solve_tree(comp, &s.g_par, &mut s.diag, &mut s.rhs, &mut s.v_next);
 
         // Damped update + convergence check.
         let mut worst: f64 = 0.0;
@@ -1351,41 +1140,6 @@ mod tests {
             d1 / PS,
             d2 / PS
         );
-    }
-
-    #[test]
-    fn mesh_falls_back_to_dense_and_matches_parallel_resistance() {
-        let t = tech();
-        // Two parallel 2 kΩ paths == 1 kΩ: same tau as the tree case.
-        let mut c = Circuit::new(&t);
-        let src = c.add_node("src");
-        let out = c.add_node("out");
-        let mid1 = c.add_node("m1");
-        let mid2 = c.add_node("m2");
-        c.add_resistor(src, mid1, 1000.0);
-        c.add_resistor(mid1, out, 1000.0);
-        c.add_resistor(src, mid2, 1000.0);
-        c.add_resistor(mid2, out, 1000.0);
-        c.add_cap(out, 100.0 * FF);
-        c.drive(
-            src,
-            Waveform::from_samples(vec![0.0, 1.0 * FS], vec![0.0, 1.0]),
-        );
-        for solver in [GeneralSolver::SparseLdl, GeneralSolver::DenseLu] {
-            let mut opts = SimOptions::default_for(1.0 * NS);
-            opts.general_solver = solver;
-            let res = simulate(&c, &opts).unwrap();
-            let w = res.waveform(out);
-            // tau = 1 kΩ * 100 fF = 100 ps; t50 = tau ln 2.
-            let t50 = w.first_crossing(0.5, true).unwrap();
-            let expect = 100.0 * PS * std::f64::consts::LN_2;
-            assert!(
-                (t50 - expect).abs() < 2.0 * PS,
-                "{solver:?}: t50 = {} ps, expected {} ps",
-                t50 / PS,
-                expect / PS
-            );
-        }
     }
 
     #[test]
@@ -1580,7 +1334,8 @@ mod tests {
                 vin,
                 Waveform::rising_ramp_10_90(50.0 * PS, 80.0 * PS, t.vdd()),
             );
-            let res = simulate_with(&mut ctx, &c, &SimOptions::default_for(1.0 * NS)).unwrap();
+            let opts = SimOptions::default_for(1.0 * NS);
+            let res = simulate_observed_with(&mut ctx, &c, &opts, &[far]).unwrap();
             waves.push(res.waveform(far));
         }
         assert_eq!(ctx.symbolic_misses(), 1, "one topology family");
@@ -1745,33 +1500,11 @@ mod tests {
         let _ = res.samples(b);
     }
 
+    /// A chain is a tree; one more resistor in parallel with an existing
+    /// one makes a loop (edges 3 > nodes - 1 = 2), rejected with the node
+    /// that closes it.
     #[test]
-    fn dense_lu_rejects_singular_matrix() {
-        // Rank-1 2x2: both rows identical.
-        let mut a = vec![1.0, 1.0, 1.0, 1.0];
-        let mut rhs = vec![1.0, 2.0];
-        assert!(
-            !solve_dense(&mut a, 2, &mut rhs),
-            "singular must be rejected"
-        );
-
-        // Exactly-zero matrix.
-        let mut z = vec![0.0; 9];
-        let mut rhs = vec![1.0, 0.0, 0.0];
-        assert!(!solve_dense(&mut z, 3, &mut rhs));
-
-        // Sanity: a well-posed system still solves.
-        let mut a = vec![4.0, 1.0, 1.0, 3.0];
-        let mut rhs = vec![9.0, 7.0];
-        assert!(solve_dense(&mut a, 2, &mut rhs));
-        assert!((rhs[0] - 20.0 / 11.0).abs() < 1e-12 && (rhs[1] - 19.0 / 11.0).abs() < 1e-12);
-    }
-
-    /// Partition boundary: a chain is a tree; adding one parallel resistor
-    /// between an existing pair tips that component into the general
-    /// (matrix) path even though the node count alone still looks tree-like.
-    #[test]
-    fn parallel_edge_tips_component_into_general_path() {
+    fn parallel_edge_is_a_resistor_loop() {
         let t = tech();
         let mut c = Circuit::new(&t);
         let a = c.add_node("a");
@@ -1782,29 +1515,18 @@ mod tests {
         c.add_cap(d, 20.0 * FF);
         c.drive(a, Waveform::constant(1.0));
         let plan = build_plan(&c).unwrap();
-        assert_eq!(plan.components.len(), 1);
-        assert!(
-            matches!(plan.components[0].kind, PlanKind::Tree { .. }),
-            "a chain partitions as a tree"
-        );
+        assert_eq!(plan.components.len(), 1, "a chain is one tree");
 
-        // Same nodes, one more resistor in parallel with an existing one:
-        // edges (3) now exceed nodes - 1 (2), so the component is general.
         c.add_resistor(a, b, 500.0);
-        let plan = build_plan(&c).unwrap();
-        assert_eq!(plan.components.len(), 1);
-        assert!(
-            matches!(plan.components[0].kind, PlanKind::General { .. }),
-            "a parallel edge forces the matrix path"
-        );
+        let err = simulate(&c, &SimOptions::default_for(1.0 * NS)).unwrap_err();
+        assert_eq!(err, SimError::ResistorLoop { node: "a".into() });
     }
 
-    /// Partition boundary: the smallest cycle (a resistor triangle) goes
-    /// general; a disconnected circuit mixing a tree chain with that
-    /// triangle partitions into one component of each kind, and both
-    /// general backends agree with each other on the solution.
+    /// A circuit of two components, a driven chain (a tree) and a driven
+    /// resistor triangle (the smallest loop), is rejected for the
+    /// triangle, with a node of the triangle named.
     #[test]
-    fn disconnected_tree_and_mesh_components_partition_independently() {
+    fn a_loop_beside_a_tree_is_rejected() {
         let t = tech();
         let mut c = Circuit::new(&t);
         // Component 1: driven two-node chain (tree).
@@ -1816,7 +1538,7 @@ mod tests {
             src,
             Waveform::from_samples(vec![0.0, 1.0 * FS], vec![0.0, 1.0]),
         );
-        // Component 2: driven resistor triangle (mesh).
+        // Component 2: driven resistor triangle (a loop).
         let ta = c.add_node("ta");
         let tb = c.add_node("tb");
         let tc = c.add_node("tc");
@@ -1829,35 +1551,11 @@ mod tests {
             Waveform::from_samples(vec![0.0, 1.0 * FS], vec![0.0, 1.0]),
         );
 
-        let plan = build_plan(&c).unwrap();
-        assert_eq!(plan.components.len(), 2, "two electrical components");
-        let kinds: Vec<bool> = plan
-            .components
-            .iter()
-            .map(|comp| matches!(comp.kind, PlanKind::Tree { .. }))
-            .collect();
-        assert!(
-            kinds.iter().filter(|&&is_tree| is_tree).count() == 1 && kinds.len() == 2,
-            "exactly one tree and one general component, got {kinds:?}"
-        );
-
-        // Both general-solver backends handle the mixed plan identically
-        // (the tree component never touches the matrix backend).
-        let mut sparse_opts = SimOptions::default_for(1.0 * NS);
-        sparse_opts.general_solver = GeneralSolver::SparseLdl;
-        let mut dense_opts = sparse_opts.clone();
-        dense_opts.general_solver = GeneralSolver::DenseLu;
-        let rs = simulate(&c, &sparse_opts).unwrap();
-        let rd = simulate(&c, &dense_opts).unwrap();
-        for n in [leaf, tb, tc] {
-            let (vs, vd) = (rs.samples(n), rd.samples(n));
-            assert_eq!(vs.len(), vd.len());
-            for (x, y) in vs.iter().zip(vd) {
-                assert!((x - y).abs() < 1e-9, "backends disagree at node {n:?}");
+        match simulate(&c, &SimOptions::default_for(1.0 * NS)) {
+            Err(SimError::ResistorLoop { node }) => {
+                assert!(["ta", "tb", "tc"].contains(&node.as_str()), "{node}")
             }
+            other => panic!("expected a resistor loop, got {other:?}"),
         }
-        // The triangle settles at its drive; the chain at its own.
-        assert!((rs.waveform(tc).value_at(1.0 * NS) - 1.0).abs() < 1e-2);
-        assert!((rs.waveform(leaf).value_at(1.0 * NS) - 1.0).abs() < 1e-2);
     }
 }

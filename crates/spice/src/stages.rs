@@ -195,9 +195,7 @@ mod tests {
     }
 
     fn opts() -> SimOptions {
-        let mut o = SimOptions::default_for(3.0 * NS);
-        o.dt = 0.5 * PS;
-        o
+        SimOptions::default_for(3.0 * NS)
     }
 
     #[test]

@@ -6,12 +6,6 @@ use cts_spice::stages::{stage, StageConfig};
 use cts_spice::units::*;
 use cts_spice::{simulate, Circuit, SimOptions, Technology, Waveform};
 
-fn opts(t_stop: f64) -> SimOptions {
-    let mut o = SimOptions::default_for(t_stop);
-    o.dt = 0.5 * PS;
-    o
-}
-
 /// Paper §1 / Fig. 1.1: wire output slew grows dramatically with wire
 /// length, and upsizing the driver from 20X to 30X gives only a slight
 /// improvement — sizing alone cannot fix slew, buffers must be inserted
@@ -33,7 +27,7 @@ fn fig_1_1_sizing_alone_cannot_control_slew() {
             rising: true,
         };
         stage(&tech, &cfg)
-            .measure(&opts(6.0 * NS))
+            .measure(&SimOptions::default_for(6.0 * NS))
             .expect("stage must simulate")
             .slew[0]
     };
@@ -84,7 +78,7 @@ fn fig_3_2_curve_vs_ramp_shifts_output() {
         rising: true,
     };
     let shaping = stage(&tech, &shaping_cfg);
-    let res = simulate(&shaping.circuit, &opts(6.0 * NS)).expect("shaping sim");
+    let res = simulate(&shaping.circuit, &SimOptions::default_for(6.0 * NS)).expect("shaping sim");
     let curved_in = res.waveform(shaping.probes.drive_in);
     let curved_slew = curved_in.slew_10_90(tech.vdd()).expect("curved slew");
     let out_from_curve = res.waveform(shaping.probes.load_in[0]);
@@ -116,7 +110,7 @@ fn fig_3_2_curve_vs_ramp_shifts_output() {
     let t10_ramp = ramp0.first_crossing(lvl10, rising).unwrap();
     let ramp = ramp0.shifted(t10_curve - t10_ramp);
     c.drive(din, ramp.clone());
-    let res2 = simulate(&c, &opts(6.0 * NS)).expect("ramp sim");
+    let res2 = simulate(&c, &SimOptions::default_for(6.0 * NS)).expect("ramp sim");
     let out_from_ramp = res2.waveform(lin);
 
     // Same slew, same edge start, different shape: output 50 % crossings
@@ -150,7 +144,9 @@ fn intrinsic_delay_depends_on_input_slew() {
             ramp_slew: 60.0 * PS,
             rising: true,
         };
-        let m = stage(&tech, &cfg).measure(&opts(6.0 * NS)).expect("sim");
+        let m = stage(&tech, &cfg)
+            .measure(&SimOptions::default_for(6.0 * NS))
+            .expect("sim");
         delays.push((m.input_slew, m.intrinsic_delay));
     }
     // Input slews must actually differ substantially across the sweep.
@@ -182,7 +178,7 @@ fn wire_delay_grows_superlinearly() {
             rising: true,
         };
         stage(&tech, &cfg)
-            .measure(&opts(8.0 * NS))
+            .measure(&SimOptions::default_for(8.0 * NS))
             .expect("sim")
             .delay[0]
     };
@@ -211,7 +207,9 @@ fn falling_edges_measurable() {
         ramp_slew: 80.0 * PS,
         rising: false,
     };
-    let m = stage(&tech, &cfg).measure(&opts(6.0 * NS)).expect("sim");
+    let m = stage(&tech, &cfg)
+        .measure(&SimOptions::default_for(6.0 * NS))
+        .expect("sim");
     assert!(m.input_slew > 0.0 && m.slew[0] > 0.0);
     assert!(m.intrinsic_delay > 0.0 && m.delay[0] > 0.0);
 }

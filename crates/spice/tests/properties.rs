@@ -2,7 +2,7 @@
 //! and discretization robustness on randomized RC trees.
 
 use cts_spice::units::*;
-use cts_spice::{simulate, Circuit, GeneralSolver, NodeId, SimOptions, Technology, Waveform};
+use cts_spice::{simulate, Circuit, NodeId, SimError, SimOptions, Technology, Waveform};
 use proptest::prelude::*;
 
 /// A random RC tree description: each node i >= 1 attaches to a random
@@ -144,41 +144,47 @@ proptest! {
         }
     }
 
-    /// The sparse LDLᵀ backend and the historical dense-LU fallback agree
-    /// on random meshed circuits: a random RC tree plus extra cross-links
-    /// (which force the general matrix path) solves to the same waveforms
-    /// under both `GeneralSolver` settings, to solver tolerance.
+    /// The solver takes resistive trees only: a random RC tree plus one
+    /// cross-link between two of its nodes (or a second resistor between
+    /// the same pair) is rejected with a node on the loop it closes named,
+    /// and the same tree without the link simulates.
     #[test]
-    fn sparse_and_dense_general_solvers_agree(
+    fn a_cross_link_is_rejected_and_the_tree_simulates(
         tree in random_tree(10),
-        extra in prop::collection::vec((0usize..1000, 0usize..1000, 200.0..3000.0f64), 1..4),
+        link in (0usize..1000, 0usize..1000, 200.0..3000.0f64),
         slew in 20.0..120.0f64,
     ) {
         let (mut c, nodes) = build_circuit(&tree, slew * PS);
-        // Cross-links create cycles (the general path); a link that lands
-        // on an identical pair degenerates to a parallel edge, which is
-        // also a mesh. Self-loops are skipped.
         let n = nodes.len();
-        for &(a, b, r) in &extra {
-            let (a, b) = (a % n, b % n);
-            if a != b {
-                c.add_resistor(nodes[a], nodes[b], r);
+        let (a, b) = (link.0 % n, link.1 % n);
+        prop_assume!(a != b);
+        let mut opts = SimOptions::default_for(5.0 * NS);
+        opts.dt = 1.0 * PS;
+        prop_assert!(simulate(&c, &opts).is_ok());
+
+        c.add_resistor(nodes[a], nodes[b], link.2);
+        // The loop is the tree path from `a` to `b` closed by the link.
+        let up = |mut i: usize| {
+            let mut path = vec![i];
+            while i > 0 {
+                i = tree.links[i - 1].0;
+                path.push(i);
             }
-        }
-        let mut sparse = SimOptions::default_for(5.0 * NS);
-        sparse.dt = 1.0 * PS;
-        sparse.general_solver = GeneralSolver::SparseLdl;
-        let mut dense = sparse.clone();
-        dense.general_solver = GeneralSolver::DenseLu;
-        let rs = simulate(&c, &sparse).unwrap();
-        let rd = simulate(&c, &dense).unwrap();
-        for &node in &nodes {
-            let (vs, vd) = (rs.samples(node), rd.samples(node));
-            prop_assert_eq!(vs.len(), vd.len());
-            for (x, y) in vs.iter().zip(vd) {
-                prop_assert!((x - y).abs() < 1e-8,
-                    "backends disagree at {}: {x} vs {y}", c.node_name(node));
+            path
+        };
+        let (pa, pb) = (up(a), up(b));
+        let on_loop: Vec<String> = pa
+            .iter()
+            .filter(|i| !pb.contains(i))
+            .chain(pb.iter().filter(|i| !pa.contains(i)))
+            .chain(pa.iter().find(|i| pb.contains(i)))
+            .map(|&i| c.node_name(nodes[i]).to_string())
+            .collect();
+        match simulate(&c, &opts) {
+            Err(SimError::ResistorLoop { node }) => {
+                prop_assert!(on_loop.contains(&node), "{node} is not on the loop {on_loop:?}")
             }
+            other => panic!("expected a resistor loop, got {:?}", other.err()),
         }
     }
 }

@@ -65,11 +65,7 @@ impl CharacterizeConfig {
             surface_order: 3,
             volume_order: 2,
             ramp_slew: 80.0 * PS,
-            sim: {
-                let mut o = SimOptions::default_for(6.0 * NS);
-                o.dt = 0.5 * PS;
-                o
-            },
+            sim: SimOptions::default_for(6.0 * NS),
             threads: 8,
         }
     }
@@ -83,11 +79,7 @@ impl CharacterizeConfig {
             surface_order: 2,
             volume_order: 2,
             ramp_slew: 80.0 * PS,
-            sim: {
-                let mut o = SimOptions::default_for(5.0 * NS);
-                o.dt = 0.5 * PS;
-                o
-            },
+            sim: SimOptions::default_for(5.0 * NS),
             threads: 8,
         }
     }

@@ -8,9 +8,7 @@ use cts_spice::{SimOptions, Technology};
 use cts_timing::{fast_library, metrics, BufferId, Load, RcTree};
 
 fn opts() -> SimOptions {
-    let mut o = SimOptions::default_for(6.0 * NS);
-    o.dt = 0.5 * PS;
-    o
+    SimOptions::default_for(6.0 * NS)
 }
 
 /// Library lookups reproduce simulator measurements at points *between* the
