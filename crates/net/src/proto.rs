@@ -1064,8 +1064,9 @@ wire_struct! {
         /// Per-name span duration summaries from the server's recorder,
         /// sorted by name; empty when the server runs without tracing.
         spans: Vec<SpanStat>;
-        /// Span events dropped by the server's recorder (ring overflow or
-        /// retention eviction); `0` when tracing is off.
+        /// Span events missing from the server recorder's retained trace:
+        /// the oldest, evicted past its retention cap (still counted in
+        /// `spans`); `0` when tracing is off.
         dropped: u64, additive;
     }
 }

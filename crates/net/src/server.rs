@@ -834,7 +834,6 @@ fn handle_frame(ctx: &ServerCtx, state: &mut ConnState, frame: &Json, tx: &Sende
             // (and `dropped: 0`), keeping the frame deterministic.
             let (spans, dropped) = match cts_obs::Recorder::global() {
                 Some(recorder) => {
-                    recorder.collect();
                     let spans = recorder
                         .summaries()
                         .into_iter()

@@ -20,12 +20,31 @@ use cts_net::{
 };
 use cts_spice::Technology;
 use cts_timing::fast_library;
-use cts_util::wait_with_deadline;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Polls `poll` until it yields, parking `interval` between attempts, for
+/// at most `deadline`. Returns `None` when the deadline passes first.
+fn wait_with_deadline<T>(
+    deadline: Duration,
+    interval: Duration,
+    mut poll: impl FnMut() -> Option<T>,
+) -> Option<T> {
+    let until = Instant::now() + deadline;
+    loop {
+        if let Some(out) = poll() {
+            return Some(out);
+        }
+        let now = Instant::now();
+        if now >= until {
+            return None;
+        }
+        std::thread::sleep(interval.min(until - now));
+    }
+}
 
 struct TestServer {
     addr: SocketAddr,

@@ -1,9 +1,8 @@
-//! Exporters: Chrome trace-event JSON and a compact JSON snapshot.
+//! The Chrome trace-event JSON exporter.
 
 use std::fmt::Write as _;
 
-use crate::hist::Histogram;
-use crate::span::{SpanEvent, SpanSummary};
+use crate::span::SpanEvent;
 
 /// Renders drained span events as Chrome trace-event JSON — a flat array
 /// of complete (`"ph":"X"`) events, directly loadable in
@@ -33,49 +32,6 @@ pub fn chrome_trace(events: &[SpanEvent]) -> String {
     }
     out.push(']');
     out
-}
-
-/// Renders per-name summaries as a compact self-describing JSON object:
-/// `{"version":1,"dropped":N,"spans":[{"name":…,"count":…,"total_ns":…,
-/// "max_ns":…,"p50_ns":…,"p90_ns":…,"p99_ns":…,"buckets":[[i,c],…]},…]}`.
-/// The histogram shape matches the wire-level `stats` op, so one parser
-/// serves both.
-pub fn json_snapshot(summaries: &[SpanSummary], dropped: u64) -> String {
-    let mut out = String::with_capacity(64 + summaries.len() * 160);
-    let _ = write!(out, "{{\"version\":1,\"dropped\":{dropped},\"spans\":[");
-    for (i, summary) in summaries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"name\":\"{}\",", escape(summary.name));
-        write_histogram(&mut out, &summary.durations);
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Appends the shared histogram body (no surrounding braces):
-/// `"count":…,"total_ns":…,"max_ns":…,"p50_ns":…,"p90_ns":…,"p99_ns":…,
-/// "buckets":[[index,count],…]`.
-fn write_histogram(out: &mut String, hist: &Histogram) {
-    let _ = write!(
-        out,
-        "\"count\":{},\"total_ns\":{},\"max_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"buckets\":[",
-        hist.count(),
-        hist.total(),
-        hist.max(),
-        hist.percentile(50.0),
-        hist.percentile(90.0),
-        hist.percentile(99.0),
-    );
-    for (i, (bucket, count)) in hist.nonzero_buckets().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{bucket},{count}]");
-    }
-    out.push(']');
 }
 
 fn escape(text: &str) -> String {
@@ -118,22 +74,6 @@ mod tests {
              \"ts\":1.5,\"dur\":2.5,\"args\":{\"span\":1,\"parent\":0,\"attr\":3}}]"
         );
         assert_eq!(chrome_trace(&[]), "[]");
-    }
-
-    #[test]
-    fn snapshot_shape_is_exact() {
-        let mut durations = Histogram::new();
-        durations.record(5);
-        let summaries = vec![SpanSummary {
-            name: "x",
-            durations,
-        }];
-        assert_eq!(
-            json_snapshot(&summaries, 7),
-            "{\"version\":1,\"dropped\":7,\"spans\":[{\"name\":\"x\",\
-             \"count\":1,\"total_ns\":5,\"max_ns\":5,\
-             \"p50_ns\":5,\"p90_ns\":5,\"p99_ns\":5,\"buckets\":[[3,1]]}]}"
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `cts-obs` — observability for the synthesis stack: span tracing,
-//! mergeable latency histograms, and trace exporters. Std-only, like the
+//! mergeable latency histograms, and a trace exporter. Std-only, like the
 //! rest of the workspace (the build environment is offline).
 //!
 //! Three pieces, designed around one invariant — **telemetry never feeds
@@ -9,20 +9,21 @@
 //!
 //! * **Spans** ([`span`], [`span_with`], [`record`]) — scoped wall-time
 //!   measurements stamped with a process-monotonic nanosecond clock
-//!   ([`now_ns`]). Each thread writes finished spans into its own
-//!   lock-free ring buffer; an installed [`Recorder`] drains the rings
-//!   centrally ([`Recorder::collect`]). With no recorder installed the
-//!   hot path is one relaxed atomic load — cheap enough to leave the
-//!   instrumentation in the merge inner loops permanently.
+//!   ([`now_ns`]). An installed [`Recorder`] folds each finished span,
+//!   under one lock, into exact per-name summaries and onto a list of the
+//!   newest 262,144 events kept for the trace; older events are evicted
+//!   and counted ([`Recorder::dropped`]). Nothing is kept per thread. With
+//!   no recorder installed the hot path is one relaxed atomic load — cheap
+//!   enough to leave the instrumentation in the merge inner loops
+//!   permanently.
 //! * **Histograms** ([`Histogram`]) — fixed-bucket log2 latency
 //!   distributions whose [`Histogram::merge`] is exact and
 //!   grouping-independent: merging per-shard histograms in any order or
 //!   nesting yields the same buckets, the same totals, and therefore
 //!   bit-identical [`Histogram::percentile`] answers — the same fold
 //!   contract `BatchSummary::fold` keeps for batch stats.
-//! * **Exporters** — [`chrome_trace`] renders drained spans as Chrome
-//!   trace-event JSON (loadable in `chrome://tracing` or Perfetto), and
-//!   [`Recorder::json_snapshot`] emits a compact self-describing summary.
+//! * **Exporter** — [`chrome_trace`] renders drained spans as Chrome
+//!   trace-event JSON (loadable in `chrome://tracing` or Perfetto).
 //!
 //! # Example
 //!
@@ -36,7 +37,6 @@
 //!     let _span = cts_obs::span_with(&STAGE, 42);
 //!     // ... the measured work ...
 //! }
-//! recorder.collect();
 //! let spans = recorder.summaries();
 //! assert_eq!(spans.len(), 1);
 //! assert_eq!(spans[0].name, "demo.stage");

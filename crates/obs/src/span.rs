@@ -1,44 +1,40 @@
-//! Span recording: a process-global [`Recorder`], per-thread lock-free
-//! ring buffers, and scoped [`SpanGuard`] timers.
+//! Span recording: a process-global [`Recorder`] holding one store of
+//! finished spans, and scoped [`SpanGuard`] timers.
 //!
 //! The hot path is built around one invariant: **with no recorder
 //! installed, instrumentation costs a single relaxed atomic load**. When
-//! a recorder is installed, each finished span is written into the
-//! calling thread's ring — a fixed array of atomic words driven by a
-//! per-slot sequence counter (a seqlock) — so writers never block and
-//! never allocate. The recorder drains rings centrally under its own
-//! locks. A reader that races a wrapping writer detects the torn slot
-//! via the sequence word and counts it as dropped; in the worst case a
-//! drop goes unnoticed and a garbage duration lands in the telemetry —
-//! telemetry only, never synthesis results.
+//! a recorder is installed, each finished span is folded into the
+//! store under one lock: into its name's duration [`Histogram`], which
+//! is exact for the recorder's lifetime, and onto a list of the newest
+//! `STORE_CAP` events for the Chrome trace, which drops the oldest. The
+//! instrumented sites are coarse (a merge pair, a verify stage, a batch
+//! stage, a frame), so that one lock is not a point of contention.
 
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::Cell;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::export;
 use crate::hist::Histogram;
 
-/// Events retained per thread ring before the oldest are overwritten.
-const RING_CAP: u64 = 4096;
-/// Atomic words per ring slot: sequence + six event fields (one spare).
-const SLOT_WORDS: usize = 8;
-/// Events retained centrally by a [`Recorder`] before the oldest are
-/// discarded (drop-oldest, counted in [`Recorder::dropped`]).
+/// Events a [`Recorder`] retains for [`Recorder::events`]; past it the
+/// oldest are evicted and counted in [`Recorder::dropped`].
 const STORE_CAP: usize = 262_144;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static GENERATION: AtomicU64 = AtomicU64::new(0);
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(0);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-static GLOBAL: Mutex<Option<Arc<RecorderInner>>> = Mutex::new(None);
-static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+static GLOBAL: Mutex<Option<Arc<Mutex<Store>>>> = Mutex::new(None);
 
 thread_local! {
     static CURRENT_PARENT: Cell<u64> = const { Cell::new(0) };
-    #[allow(clippy::type_complexity)]
-    static LOCAL_RING: RefCell<Option<(u64, Arc<ThreadRing>)>> = const { RefCell::new(None) };
+    static THREAD: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) + 1;
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Nanoseconds since an arbitrary process-wide epoch, from a monotonic
@@ -49,72 +45,35 @@ pub fn now_ns() -> u64 {
     START.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// A static span name, interned on first use.
-///
-/// Declare one per instrumentation site so the hot path ships a small
-/// integer id into the ring instead of a string:
+/// A static span name. Declare one per instrumentation site:
 ///
 /// ```
 /// static MERGE: cts_obs::Name = cts_obs::Name::new("pipeline.merge_level");
 /// ```
 pub struct Name {
     text: &'static str,
-    id: AtomicU32,
 }
 
 impl Name {
-    /// A new (not yet interned) name. `const`, so names can be statics.
+    /// A new name. `const`, so names can be statics.
     pub const fn new(text: &'static str) -> Name {
-        Name {
-            text,
-            id: AtomicU32::new(0),
-        }
+        Name { text }
     }
 
     /// The name text.
     pub fn text(&self) -> &'static str {
         self.text
     }
-
-    /// The interned id (assigned on first call; cached thereafter).
-    fn id(&self) -> u32 {
-        let cached = self.id.load(Ordering::Relaxed);
-        if cached != 0 {
-            return cached;
-        }
-        let id = intern(self.text);
-        // A racing duplicate intern returns the same id for equal text,
-        // so a lost store is harmless.
-        self.id.store(id, Ordering::Relaxed);
-        id
-    }
 }
 
-fn intern(text: &'static str) -> u32 {
-    let mut names = NAMES.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(i) = names.iter().position(|&n| n == text) {
-        return (i + 1) as u32;
-    }
-    names.push(text);
-    names.len() as u32
-}
-
-fn name_text(id: u64) -> &'static str {
-    let names = NAMES.lock().unwrap_or_else(|e| e.into_inner());
-    match id.checked_sub(1).and_then(|i| names.get(i as usize)) {
-        Some(&text) => text,
-        None => "?",
-    }
-}
-
-/// One finished span drained from a thread ring.
+/// One finished span, as retained by a [`Recorder`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Process-unique span id (never 0).
     pub span_id: u64,
     /// Enclosing span's id, or 0 for a root span.
     pub parent: u64,
-    /// The interned span name.
+    /// The span name.
     pub name: &'static str,
     /// Start timestamp, [`now_ns`] epoch.
     pub t_start_ns: u64,
@@ -122,7 +81,7 @@ pub struct SpanEvent {
     pub t_end_ns: u64,
     /// Free-form site-defined attribute (sink count, level, priority…).
     pub attr: u64,
-    /// Recorder-assigned id of the thread that produced the event.
+    /// Process-unique id of the thread that produced the event.
     pub thread: u64,
 }
 
@@ -138,151 +97,65 @@ impl SpanEvent {
 pub struct SpanSummary {
     /// The span name.
     pub name: &'static str,
-    /// Duration distribution (nanoseconds) across all drained events.
+    /// Duration distribution (nanoseconds) across every recorded event.
     pub durations: Histogram,
 }
 
-/// A per-thread seqlock ring. The owning thread is the only writer; the
-/// recorder is the only reader. Each slot is [`SLOT_WORDS`] atomic
-/// words: word 0 is the sequence (`2·n + 1` while event `n` is being
-/// written, `2·n + 2` once published), words 1..=6 are the event fields.
-struct ThreadRing {
-    thread: u64,
-    head: AtomicU64,
-    tail: AtomicU64,
-    slots: Box<[AtomicU64]>,
-}
-
-impl ThreadRing {
-    fn new(thread: u64) -> ThreadRing {
-        let mut slots = Vec::with_capacity(RING_CAP as usize * SLOT_WORDS);
-        slots.resize_with(RING_CAP as usize * SLOT_WORDS, || AtomicU64::new(0));
-        ThreadRing {
-            thread,
-            head: AtomicU64::new(0),
-            tail: AtomicU64::new(0),
-            slots: slots.into_boxed_slice(),
-        }
-    }
-
-    fn push(&self, span_id: u64, parent: u64, name_id: u64, t_start: u64, t_end: u64, attr: u64) {
-        let n = self.head.load(Ordering::Relaxed);
-        let base = (n % RING_CAP) as usize * SLOT_WORDS;
-        self.slots[base].store(2 * n + 1, Ordering::Release);
-        fence(Ordering::SeqCst);
-        self.slots[base + 1].store(span_id, Ordering::Relaxed);
-        self.slots[base + 2].store(parent, Ordering::Relaxed);
-        self.slots[base + 3].store(name_id, Ordering::Relaxed);
-        self.slots[base + 4].store(t_start, Ordering::Relaxed);
-        self.slots[base + 5].store(t_end, Ordering::Relaxed);
-        self.slots[base + 6].store(attr, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        self.slots[base].store(2 * n + 2, Ordering::Release);
-        self.head.store(n + 1, Ordering::Release);
-    }
-
-    /// Drains published events into `out`; returns how many were lost to
-    /// wrap-around or torn by a racing writer.
-    fn drain(&self, out: &mut Vec<SpanEvent>) -> u64 {
-        let head = self.head.load(Ordering::Acquire);
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        let mut dropped = 0u64;
-        if head - tail > RING_CAP {
-            dropped += head - tail - RING_CAP;
-            tail = head - RING_CAP;
-        }
-        while tail < head {
-            let base = (tail % RING_CAP) as usize * SLOT_WORDS;
-            let s1 = self.slots[base].load(Ordering::Acquire);
-            if s1 != 2 * tail + 2 {
-                dropped += 1;
-                tail += 1;
-                continue;
-            }
-            fence(Ordering::SeqCst);
-            let span_id = self.slots[base + 1].load(Ordering::Relaxed);
-            let parent = self.slots[base + 2].load(Ordering::Relaxed);
-            let name_id = self.slots[base + 3].load(Ordering::Relaxed);
-            let t_start = self.slots[base + 4].load(Ordering::Relaxed);
-            let t_end = self.slots[base + 5].load(Ordering::Relaxed);
-            let attr = self.slots[base + 6].load(Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            if self.slots[base].load(Ordering::Acquire) != s1 {
-                dropped += 1;
-                tail += 1;
-                continue;
-            }
-            out.push(SpanEvent {
-                span_id,
-                parent,
-                name: name_text(name_id),
-                t_start_ns: t_start,
-                t_end_ns: t_end,
-                attr,
-                thread: self.thread,
-            });
-            tail += 1;
-        }
-        self.tail.store(tail, Ordering::Release);
-        dropped
-    }
-}
-
+#[derive(Default)]
 struct Store {
-    events: Vec<SpanEvent>,
+    /// The newest events, at most `STORE_CAP`.
+    events: VecDeque<SpanEvent>,
+    /// Durations of every recorded event, by name.
+    summaries: BTreeMap<&'static str, Histogram>,
+    /// Events evicted from `events`.
     dropped: u64,
 }
 
-struct RecorderInner {
-    generation: u64,
-    rings: Mutex<Vec<Arc<ThreadRing>>>,
-    store: Mutex<Store>,
+impl Store {
+    fn push(&mut self, event: SpanEvent) {
+        let durations = self.summaries.entry(event.name).or_default();
+        durations.record(event.duration_ns());
+        if self.events.len() == STORE_CAP {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event);
+    }
 }
 
 /// Handle to the process-global span recorder.
 ///
 /// At most one recorder is installed at a time; [`Recorder::install`]
 /// replaces any previous one. Cloning the handle is cheap and all clones
-/// observe the same drained events.
+/// observe the same recorded events.
 #[derive(Clone)]
 pub struct Recorder {
-    inner: Arc<RecorderInner>,
+    store: Arc<Mutex<Store>>,
 }
 
 impl Recorder {
     /// Installs a fresh recorder as the process global and enables span
-    /// recording. Threads lazily (re-)register their rings on the next
-    /// span they finish.
+    /// recording. Every span finished from then on lands in it.
     pub fn install() -> Recorder {
-        let mut guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        let generation = GENERATION.fetch_add(1, Ordering::Relaxed) + 1;
-        let inner = Arc::new(RecorderInner {
-            generation,
-            rings: Mutex::new(Vec::new()),
-            store: Mutex::new(Store {
-                events: Vec::new(),
-                dropped: 0,
-            }),
-        });
-        *guard = Some(inner.clone());
+        let mut global = lock(&GLOBAL);
+        let store = Arc::<Mutex<Store>>::default();
+        *global = Some(store.clone());
         ENABLED.store(true, Ordering::Release);
-        Recorder { inner }
+        Recorder { store }
     }
 
     /// Disables recording and drops the process-global recorder (handles
-    /// already held stay usable for draining what was collected).
+    /// already held stay usable for reading what was recorded).
     pub fn uninstall() {
-        let mut guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+        let mut global = lock(&GLOBAL);
         ENABLED.store(false, Ordering::Release);
-        GENERATION.fetch_add(1, Ordering::Relaxed);
-        *guard = None;
+        *global = None;
     }
 
     /// The currently installed recorder, if any.
     pub fn global() -> Option<Recorder> {
-        let guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        guard.as_ref().map(|inner| Recorder {
-            inner: inner.clone(),
+        lock(&GLOBAL).as_ref().map(|store| Recorder {
+            store: store.clone(),
         })
     }
 
@@ -292,122 +165,55 @@ impl Recorder {
         ENABLED.load(Ordering::Relaxed)
     }
 
-    /// Drains every registered thread ring into the central store.
-    /// Call before [`Recorder::events`] / [`Recorder::summaries`] /
-    /// exporters to observe the latest spans.
-    pub fn collect(&self) {
-        let rings: Vec<Arc<ThreadRing>> = {
-            let rings = self.inner.rings.lock().unwrap_or_else(|e| e.into_inner());
-            rings.clone()
-        };
-        let mut store = self.inner.store.lock().unwrap_or_else(|e| e.into_inner());
-        for ring in rings {
-            store.dropped += ring.drain(&mut store.events);
-        }
-        if store.events.len() > STORE_CAP {
-            let excess = store.events.len() - STORE_CAP;
-            store.events.drain(..excess);
-            store.dropped += excess as u64;
-        }
-    }
+    /// Does nothing: a span lands in the store when it finishes, so
+    /// [`Recorder::events`] and [`Recorder::summaries`] are always up to
+    /// date. Kept for callers that drain before they read.
+    pub fn collect(&self) {}
 
-    /// All collected events, ordered by start time (ties by span id).
+    /// The retained events (the newest `STORE_CAP` recorded), ordered by
+    /// start time (ties by span id).
     pub fn events(&self) -> Vec<SpanEvent> {
-        let store = self.inner.store.lock().unwrap_or_else(|e| e.into_inner());
-        let mut events = store.events.clone();
+        let mut events: Vec<SpanEvent> = lock(&self.store).events.iter().cloned().collect();
         events.sort_by_key(|e| (e.t_start_ns, e.span_id));
         events
     }
 
-    /// Per-name duration histograms over all collected events, sorted by
-    /// name.
+    /// Per-name duration histograms over every recorded event, evicted
+    /// ones included, sorted by name.
     pub fn summaries(&self) -> Vec<SpanSummary> {
-        let store = self.inner.store.lock().unwrap_or_else(|e| e.into_inner());
-        let mut by_name: std::collections::BTreeMap<&'static str, Histogram> =
-            std::collections::BTreeMap::new();
-        for event in &store.events {
-            by_name
-                .entry(event.name)
-                .or_default()
-                .record(event.duration_ns());
-        }
-        by_name
-            .into_iter()
-            .map(|(name, durations)| SpanSummary { name, durations })
+        lock(&self.store)
+            .summaries
+            .iter()
+            .map(|(&name, durations)| SpanSummary {
+                name,
+                durations: durations.clone(),
+            })
             .collect()
     }
 
-    /// Events lost to ring wrap-around, torn slots, or the central
-    /// retention cap.
+    /// Events missing from [`Recorder::events`]: the oldest, evicted past
+    /// the retention cap (they still count in [`Recorder::summaries`]).
     pub fn dropped(&self) -> u64 {
-        self.inner
-            .store
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .dropped
+        lock(&self.store).dropped
     }
 
-    /// Discards all collected events and the drop counter.
-    pub fn clear(&self) {
-        let mut store = self.inner.store.lock().unwrap_or_else(|e| e.into_inner());
-        store.events.clear();
-        store.dropped = 0;
-    }
-
-    /// Drains the rings and renders everything collected so far as
-    /// Chrome trace-event JSON (see [`crate::chrome_trace`]).
+    /// Renders everything retained so far as Chrome trace-event JSON (see
+    /// [`crate::chrome_trace`]).
     pub fn chrome_trace(&self) -> String {
-        self.collect();
         export::chrome_trace(&self.events())
     }
-
-    /// Drains the rings and renders a compact self-describing JSON
-    /// snapshot: per-name duration histograms (count, total, max,
-    /// p50/p90/p99, sparse log2 buckets) plus the drop counter.
-    pub fn json_snapshot(&self) -> String {
-        self.collect();
-        export::json_snapshot(&self.summaries(), self.dropped())
-    }
 }
 
-fn push_event(span_id: u64, parent: u64, name_id: u64, t_start: u64, t_end: u64, attr: u64) {
-    let _ = LOCAL_RING.try_with(|cell| {
-        let generation = GENERATION.load(Ordering::Relaxed);
-        let mut slot = cell.borrow_mut();
-        let stale = match &*slot {
-            Some((cached, _)) => *cached != generation,
-            None => true,
-        };
-        if stale {
-            *slot = register_ring(generation).map(|ring| (generation, ring));
-        }
-        if let Some((_, ring)) = &*slot {
-            ring.push(span_id, parent, name_id, t_start, t_end, attr);
-        }
-    });
-}
-
-fn register_ring(generation: u64) -> Option<Arc<ThreadRing>> {
-    let guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    let inner = guard.as_ref()?;
-    if inner.generation != generation {
-        // Raced with a concurrent (un)install; the next event retries.
-        return None;
+/// Folds a finished span into the installed recorder's store, if any.
+fn push_event(mut event: SpanEvent) {
+    event.thread = THREAD.try_with(|t| *t).unwrap_or(0);
+    if let Some(store) = lock(&GLOBAL).as_ref() {
+        lock(store).push(event);
     }
-    let ring = Arc::new(ThreadRing::new(
-        NEXT_THREAD.fetch_add(1, Ordering::Relaxed) + 1,
-    ));
-    inner
-        .rings
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(ring.clone());
-    Some(ring)
 }
 
 /// Starts a span named `name`. Inert (a no-op guard) when no recorder is
-/// installed. The span ends — and is written to the thread's ring — when
-/// the guard drops.
+/// installed. The span ends — and is recorded — when the guard drops.
 pub fn span(name: &'static Name) -> SpanGuard {
     span_with(name, 0)
 }
@@ -425,11 +231,7 @@ pub fn span_with(name: &'static Name, attr: u64) -> SpanGuard {
         };
     }
     let span_id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed) + 1;
-    let parent = CURRENT_PARENT.with(|p| {
-        let prev = p.get();
-        p.set(span_id);
-        prev
-    });
+    let parent = CURRENT_PARENT.with(|p| p.replace(span_id));
     SpanGuard {
         name,
         span_id,
@@ -448,19 +250,20 @@ pub fn record(name: &'static Name, parent: u64, t_start_ns: u64, t_end_ns: u64, 
         return 0;
     }
     let span_id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed) + 1;
-    push_event(
+    push_event(SpanEvent {
         span_id,
         parent,
-        name.id() as u64,
+        name: name.text(),
         t_start_ns,
         t_end_ns,
         attr,
-    );
+        thread: 0,
+    });
     span_id
 }
 
 /// RAII timer returned by [`span`] / [`span_with`]. Dropping it ends the
-/// span and writes the event to the calling thread's ring.
+/// span and records the event.
 pub struct SpanGuard {
     name: &'static Name,
     span_id: u64,
@@ -491,14 +294,15 @@ impl Drop for SpanGuard {
         let end = now_ns();
         let _ = CURRENT_PARENT.try_with(|p| p.set(self.parent));
         if Recorder::enabled() {
-            push_event(
-                self.span_id,
-                self.parent,
-                self.name.id() as u64,
-                self.start,
-                end,
-                self.attr,
-            );
+            push_event(SpanEvent {
+                span_id: self.span_id,
+                parent: self.parent,
+                name: self.name.text(),
+                t_start_ns: self.start,
+                t_end_ns: end,
+                attr: self.attr,
+                thread: 0,
+            });
         }
     }
 }
@@ -510,8 +314,8 @@ mod tests {
     // The recorder is process-global; serialize tests that install one.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    fn serial() -> MutexGuard<'static, ()> {
+        lock(&TEST_LOCK)
     }
 
     static OUTER: Name = Name::new("test.outer");
@@ -521,7 +325,7 @@ mod tests {
 
     #[test]
     fn disabled_guard_is_inert() {
-        let _g = lock();
+        let _g = serial();
         Recorder::uninstall();
         assert!(!Recorder::enabled());
         let guard = span_with(&OUTER, 7);
@@ -532,7 +336,7 @@ mod tests {
 
     #[test]
     fn nesting_links_parent_ids() {
-        let _g = lock();
+        let _g = serial();
         let recorder = Recorder::install();
         let outer_id;
         {
@@ -544,7 +348,6 @@ mod tests {
                 assert_ne!(inner.id(), outer_id);
             }
         }
-        recorder.collect();
         let events = recorder.events();
         Recorder::uninstall();
         assert_eq!(events.len(), 2);
@@ -556,13 +359,11 @@ mod tests {
         assert_eq!(inner.attr, 5);
         assert!(inner.t_start_ns >= outer.t_start_ns);
         assert!(inner.t_end_ns <= outer.t_end_ns);
-        // Inner finished first, so it sits earlier in the ring; both
-        // survive and the summaries aggregate by name.
     }
 
     #[test]
     fn manual_record_crosses_threads() {
-        let _g = lock();
+        let _g = serial();
         let recorder = Recorder::install();
         let t0 = now_ns();
         let handle = std::thread::spawn(move || {
@@ -572,65 +373,113 @@ mod tests {
         {
             let _local = span(&OUTER);
         }
-        recorder.collect();
         let events = recorder.events();
         Recorder::uninstall();
         assert_eq!(events.len(), 2);
         let manual = events.iter().find(|e| e.name == "test.manual").unwrap();
         let local = events.iter().find(|e| e.name == "test.outer").unwrap();
         assert_eq!(manual.attr, 42);
-        assert_ne!(manual.thread, local.thread, "distinct per-thread rings");
+        assert_ne!(manual.thread, local.thread, "distinct thread ids");
     }
 
     #[test]
-    fn ring_overflow_counts_drops() {
-        let _g = lock();
+    fn a_thread_keeps_every_span_without_collect() {
+        let _g = serial();
         let recorder = Recorder::install();
-        let n = RING_CAP + 100;
+        let n = 20_000;
         for i in 0..n {
             record(&FLOOD, 0, i, i + 1, i);
         }
-        recorder.collect();
         let events = recorder.events();
         let dropped = recorder.dropped();
         Recorder::uninstall();
-        assert_eq!(events.len() as u64 + dropped, n);
+        assert_eq!(events.len() as u64, n);
+        assert_eq!(dropped, 0);
+        assert!(events.iter().enumerate().all(|(i, e)| e.attr == i as u64));
+    }
+
+    #[test]
+    fn past_the_cap_the_oldest_are_evicted_and_counted_exactly() {
+        let _g = serial();
+        let recorder = Recorder::install();
+        // The cap is global: one thread fills it, others push past it.
+        std::thread::spawn(|| {
+            for i in 0..STORE_CAP as u64 {
+                record(&FLOOD, 0, i, i + 1, i);
+            }
+        })
+        .join()
+        .unwrap();
+        for i in 0..100 {
+            std::thread::spawn(move || record(&MANUAL, 0, 0, 1, i))
+                .join()
+                .unwrap();
+        }
+        let events = recorder.events();
+        let (dropped, summaries) = (recorder.dropped(), recorder.summaries());
+        Recorder::uninstall();
         assert_eq!(dropped, 100);
-        // The survivors are the newest events.
-        assert!(events.iter().all(|e| e.attr >= 100));
+        assert_eq!(events.len(), STORE_CAP);
+        // The newest survive: the trace of a long run ends at its end.
+        let manual: Vec<u64> = events
+            .iter()
+            .filter(|e| e.name == "test.manual")
+            .map(|e| e.attr)
+            .collect();
+        assert_eq!(manual, (0..100).collect::<Vec<u64>>());
+        let oldest_flood = events
+            .iter()
+            .filter(|e| e.name == "test.flood")
+            .map(|e| e.attr)
+            .min();
+        assert_eq!(oldest_flood, Some(100), "the 100 oldest flood events went");
+        assert_eq!(summaries[0].durations.count(), STORE_CAP as u64);
+        assert_eq!(summaries[1].durations.count(), 100);
+    }
+
+    #[test]
+    fn summaries_count_every_recorded_event() {
+        let _g = serial();
+        let recorder = Recorder::install();
+        let n = STORE_CAP as u64 + 1_000;
+        for i in 0..n {
+            record(&FLOOD, 0, 0, 1, i);
+        }
+        let summaries = recorder.summaries();
+        let retained = recorder.events().len();
+        Recorder::uninstall();
+        assert_eq!(summaries[0].durations.count(), n);
+        assert_eq!(retained, STORE_CAP);
     }
 
     #[test]
     fn reinstall_starts_clean() {
-        let _g = lock();
+        let _g = serial();
         let first = Recorder::install();
         {
             let _s = span(&OUTER);
         }
-        first.collect();
         assert_eq!(first.events().len(), 1);
         let second = Recorder::install();
         {
             let _s = span(&INNER);
         }
-        second.collect();
         let events = second.events();
         Recorder::uninstall();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "test.inner");
-        // The first handle still serves what it drained earlier.
+        // The first handle still serves what it recorded earlier.
         assert_eq!(first.events().len(), 1);
     }
 
     #[test]
     fn summaries_aggregate_by_name() {
-        let _g = lock();
+        let _g = serial();
         let recorder = Recorder::install();
         for i in 0..10 {
             record(&FLOOD, 0, 0, 1 << i, 0);
         }
         record(&MANUAL, 0, 0, 5, 0);
-        recorder.collect();
         let summaries = recorder.summaries();
         Recorder::uninstall();
         assert_eq!(summaries.len(), 2);
@@ -644,13 +493,12 @@ mod tests {
 
     #[test]
     fn set_attr_overrides_initial_value() {
-        let _g = lock();
+        let _g = serial();
         let recorder = Recorder::install();
         {
             let mut guard = span_with(&OUTER, 1);
             guard.set_attr(99);
         }
-        recorder.collect();
         let events = recorder.events();
         Recorder::uninstall();
         assert_eq!(events[0].attr, 99);

@@ -11,25 +11,19 @@
 //! stage boundary. The pool used to live as a private helper inside
 //! `cts_timing::characterize`; promoting it here lets every crate fan out
 //! embarrassingly parallel work without re-inventing the worker loop.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-//!
-//! [`pump`] holds [`pump::wait_with_deadline`]: poll one pending handle
-//! until it yields or a deadline passes.
 //!
 //! [`fnv`] holds [`Fnv1a`], the one hash behind every fingerprint in the
 //! workspace (library cache names, corner-cache keys, circuit topology
 //! and verification-stage keys).
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 pub mod exec;
 pub mod fnv;
-pub mod pump;
 
 pub use exec::{
     available_threads, resolve_threads, run_parallel, run_parallel_with, run_two_stage,
     run_two_stage_pull, Pull,
 };
 pub use fnv::Fnv1a;
-pub use pump::wait_with_deadline;

@@ -9,7 +9,9 @@
 //! 1. **Tracing changes nothing.** Run a batch untraced, install a
 //!    recorder, run it again: every tree, report, and SPICE number must
 //!    match bit for bit, while the recorder captures spans from every
-//!    pipeline layer.
+//!    pipeline layer. Then trace one single-threaded 2,000-sink
+//!    `generate_scale` synthesis: no span may be dropped, and every
+//!    `pipeline.merge_pair` span must be in the retained events.
 //! 2. **The trace is valid.** Export the Chrome trace-event JSON and
 //!    re-parse it with `cts::net::Json` — structurally valid, every
 //!    event `ph:"X"` with a name and microsecond timestamps (load the
@@ -28,7 +30,7 @@ use cts::net::{Client, Json, Server};
 use cts::obs::Recorder;
 use cts::{
     BatchOptions, BatchOutput, BatchRunner, CtsOptions, Instance, ServiceOptions, SynthesisRequest,
-    SynthesisService, Technology,
+    SynthesisService, Synthesizer, Technology,
 };
 use std::sync::Arc;
 
@@ -71,7 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(t.verified, u.verified, "{}: SPICE drift", t.name);
         assert_eq!(t.result.level_stats, u.result.level_stats, "{}", t.name);
     }
-    recorder.collect();
     let summaries = recorder.summaries();
     assert!(
         summaries.iter().any(|s| s.name == "pipeline.merge_level"),
@@ -81,6 +82,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "act 1: {} instances bit-identical traced vs untraced; {} span families recorded",
         suite.len(),
         summaries.len()
+    );
+
+    // Every merge joins two roots into one, so an n-sink synthesis merges
+    // n - 1 pairs, each a span the recorder must retain.
+    let merge_pairs = |recorder: &Recorder| {
+        let events = recorder.events();
+        events
+            .iter()
+            .filter(|e| e.name == "pipeline.merge_pair")
+            .count()
+    };
+    let before = merge_pairs(&recorder);
+    let scale = cts::benchmarks::generate_scale(2000, 0x5ca1e);
+    let single = CtsOptions::builder().threads(1).build()?;
+    Synthesizer::new(library, single).synthesize_unverified(&scale)?;
+    assert_eq!(recorder.dropped(), 0, "spans dropped during the synthesis");
+    assert_eq!(
+        merge_pairs(&recorder) - before,
+        scale.sinks().len() - 1,
+        "merge_pair spans missing"
+    );
+    println!(
+        "act 1: a {}-sink single-threaded synthesis kept all {} merge_pair spans, 0 dropped",
+        scale.sinks().len(),
+        scale.sinks().len() - 1
     );
 
     // Act 2: the Chrome trace export re-parses with our own JSON parser.

@@ -253,10 +253,7 @@ fn tracing_does_not_change_results() {
     // Traced: the same run with a recording recorder installed.
     let recorder = cts::obs::Recorder::install();
     let traced = run_once();
-    let summaries = {
-        recorder.collect();
-        recorder.summaries()
-    };
+    let summaries = recorder.summaries();
     cts::obs::Recorder::uninstall();
 
     assert_eq!(traced.item.result.tree, baseline.item.result.tree);
